@@ -44,11 +44,14 @@ def main(argv=None) -> int:
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(config, fh)
         cfg_path = fh.name
-    code = cli_main([
-        "sweep", "--config", cfg_path,
-        "--threads", str(args.threads),
-        "--out", str(args.out),
-    ])
+    try:
+        code = cli_main([
+            "sweep", "--config", cfg_path,
+            "--threads", str(args.threads),
+            "--out", str(args.out),
+        ])
+    finally:
+        Path(cfg_path).unlink()
     if code == 0:
         rows = len(args.sizes) * len(args.eps)
         print(f"wrote {args.out} ({rows} grid points)")

@@ -1,12 +1,23 @@
-"""Event-driven simulator for the continuum relay.
+"""Continuum relay simulators.
 
 Walkers move at constant speed on a circle and reverse direction at the
-arrival times of independent Poisson clocks.  Between events everything
-is deterministic, so the simulator jumps from event to event: direction
-switches, and meetings of oppositely moving pairs, whose times have
-closed forms.  When the message holder meets a clockwise mover head-on,
-the message changes hands and the excursion bookkeeping (regeneration
-cycles) rolls over.
+arrival times of independent Poisson clocks.  When the message holder
+meets a clockwise mover head-on, the message changes hands.  The message
+never changes how the walkers move, so walker paths can be drawn first
+and the relay resolved over them.
+
+There are two engines, chosen by the number of walkers:
+
+* two walkers (the paper's model): switch times are drawn in blocks,
+  meetings are the level crossings of the piecewise linear gap, and all
+  totals are cumulative sums over the merged timeline, processed in
+  chunks of SWITCH_CHUNK switches per walker;
+* three or more walkers: an event loop that jumps from one switch or
+  pair meeting to the next.
+
+Both report through the same accounting.  The pure event operations
+(next_event / advance_to / handle_event) are kept as a one-event-at-a-
+time reference for the tests.
 
 Paths are right-continuous: at a switch time the walker already moves
 with its new direction, and at a meeting the handoff has already
@@ -16,6 +27,7 @@ events, switches before meetings, lower walker indices first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +41,10 @@ from .model import (
     circle_delta,
     validate_continuous,
 )
+
+
+# switches per walker in one block of the two-walker engine
+SWITCH_CHUNK = 1 << 14
 
 
 def default_tol(config: ContinuousConfig) -> float:
@@ -261,6 +277,21 @@ def _initial_state(
     return state
 
 
+class _Readings(NamedTuple):
+    """What an engine hands to the accounting: cumulative carrier
+    displacement, handoffs and clockwise time at each checkpoint, walker
+    states at the sample checkpoints, and (two walkers) the cycles as
+    lengths, carrier displacements around the partner, carrier
+    displacement sums and end-of-cycle handoffs."""
+
+    displacement: np.ndarray
+    jumps: np.ndarray
+    clockwise: np.ndarray
+    positions: list
+    directions: list
+    cycles: tuple | None = None
+
+
 def simulate_continuous(
     config: ContinuousConfig,
     horizon: float,
@@ -277,16 +308,10 @@ def simulate_continuous(
     one entry per contact-to-contact excursion of the carrier.
     """
     validate_continuous(config)
-    if not (horizon > 0.0):
-        raise errors.RelayError(f"horizon must be > 0, got {horizon!r}")
+    if not (0.0 < horizon < np.inf):
+        raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
-    n, v, r, m = (
-        config.circumference,
-        config.speed,
-        config.switch_rate,
-        config.n_walkers,
-    )
     tol = default_tol(config)
     state = _initial_state(config, streams, initial, tol)
     in_f = in_contact_state(state, config, tol)
@@ -303,7 +328,286 @@ def simulate_continuous(
         if trace_every
         else np.empty(0)
     )
+    # the run ends at the horizon, so a checkpoint rounded past it is dropped
+    sample_ts = sample_ts[sample_ts <= horizon]
+    trace_ts = trace_ts[trace_ts <= horizon]
 
+    # all checkpoints in one sorted list; the engines read their totals
+    # there and the report slices them apart again
+    n_edges, n_samples = len(edges), len(sample_ts)
+    checkpoints = np.concatenate((edges, sample_ts, trace_ts))
+    order = np.argsort(checkpoints, kind="stable")
+    is_sample = (order >= n_edges) & (order < n_edges + n_samples)
+    if config.n_walkers == 2:
+        run = _run_pair(
+            config, streams, state, checkpoints[order], is_sample, tol, burn, in_f
+        )
+    else:
+        run = _run_many(config, streams, state, checkpoints[order], is_sample, tol)
+
+    def unsort(values):
+        out = np.empty(len(values))
+        out[order] = values
+        return out
+
+    disp, jumps, clock = map(unsort, run[:3])
+    edge_disp, edge_jump, edge_clock = disp[:n_edges], jumps[:n_edges], clock[:n_edges]
+    traced = slice(n_edges + n_samples, None)
+    cyc_len, cyc_disp, cyc_sum, cyc_jump = run.cycles or (None,) * 4
+    return RunReport(
+        kind="continuous",
+        params={
+            "model": "continuous",
+            "N": config.circumference,
+            "v": config.speed,
+            "r": config.switch_rate,
+            "m": config.n_walkers,
+            "horizon": horizon,
+        },
+        total_time=horizon - burn,
+        burn_in=burn,
+        displacement_sum=edge_disp[-1] - edge_disp[0],
+        jump_count=int(edge_jump[-1] - edge_jump[0]),
+        clockwise_time=edge_clock[-1] - edge_clock[0],
+        lap_length=config.circumference,
+        batch_duration=float(edges[1] - edges[0]),
+        batch_displacement=np.diff(edge_disp),
+        batch_jumps=np.diff(edge_jump),
+        batch_clockwise=np.diff(edge_clock),
+        cycle_lengths=cyc_len,
+        cycle_displacements=cyc_disp,
+        cycle_carrier_sums=cyc_sum,
+        cycle_jumps=cyc_jump,
+        sample_positions=np.stack(run.positions) if run.positions else None,
+        sample_directions=np.stack(run.directions) if run.directions else None,
+        trace_times=trace_ts if trace_every else None,
+        trace_speed=disp[traced] / trace_ts if trace_every else None,
+        trace_cost=jumps[traced] / trace_ts if trace_every else None,
+        seeds=[[spec.master, spec.replica]],
+    )
+
+
+# ----------------------------------------------------------------------
+# two walkers: block paths, meetings as level crossings of the gap
+
+
+def _draw_switches(stream, last: float, rate: float, size: int) -> np.ndarray:
+    """The next size switch times of a walker whose latest one is last.
+
+    The exponential gaps come as one block from the walker's own stream
+    and are summed in order, so the times equal those of scheduling one
+    switch at a time, bit for bit."""
+    gaps = stream.exponential(1.0 / rate, size)
+    gaps[0] += last
+    return np.cumsum(gaps)
+
+
+def _walk(x0: float, d0: int, bounds: np.ndarray, times: np.ndarray,
+          speed: float, circumference: float) -> tuple[np.ndarray, np.ndarray]:
+    """Position and direction at the given times of a walker that leaves
+    x0 at time bounds[0] moving d0 and reverses at each later bound.
+    At a reversal time the walker still has its old direction."""
+    signs = np.where(np.arange(len(bounds)) % 2 == 0, d0, -d0)
+    disp = np.concatenate(([0.0], np.cumsum(signs[:-1] * np.diff(bounds))))
+    idx = np.searchsorted(bounds[1:], times, side="left")
+    positions = (
+        x0 + speed * (disp[idx] + signs[idx] * (times - bounds[idx]))
+    ) % circumference
+    return positions, signs[idx]
+
+
+def _run_pair(
+    config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
+    checkpoints: np.ndarray, is_sample: np.ndarray, tol: float,
+    burn: float, in_f: bool,
+) -> _Readings:
+    """Two-walker engine.
+
+    (a) Each walker's switch times are drawn in blocks from its own
+    stream.  (b) The unwrapped gap g = x1 - x0 is piecewise linear with
+    slope 0 or +-2v, and the walkers meet exactly when g crosses a
+    multiple of the circumference; a level within tol of a segment's
+    start is where the pair already is, not a meeting.  After every
+    meeting the message sits on the clockwise mover, so it jumped iff
+    that mover is not the previous carrier.  (c) Displacement, clockwise
+    time and handoffs are cumulative sums over the merged timeline of
+    switches and meetings, read at the checkpoints with searchsorted
+    (a checkpoint comes before an event at the same time).
+
+    The horizon is processed in chunks of at most SWITCH_CHUNK switches
+    per walker; walker state, gap, carrier, totals and the open cycle
+    carry over from one chunk to the next.
+    """
+    n, v, r = config.circumference, config.speed, config.switch_rate
+    horizon = float(checkpoints[-1])
+    # the pair meets about v / (n r) times per switch, so on small rings
+    # fewer switches per chunk keep a chunk's meetings near SWITCH_CHUNK
+    k = max(1, int(SWITCH_CHUNK * min(1.0, n * r / v)))
+
+    def settle(gap: float, base: int) -> tuple[float, int]:
+        """Rebase the gap into [0, n), snapping it onto a level within tol."""
+        level = np.floor(gap / n)
+        gap, base = gap - level * n, base + int(level)
+        if n - gap <= tol:
+            return 0.0, base + 1
+        return (0.0 if gap <= tol else gap), base
+
+    pending = [state.next_switch[j:j + 1].astype(float) for j in (0, 1)]
+    drawn = [float(state.next_switch[j]) for j in (0, 1)]  # latest switch drawn
+    d = state.directions.astype(np.int64)
+    x = state.positions.astype(float)
+    gap, base = settle(float(x[1] - x[0]), 0)  # unwrapped gap is base * n + gap
+    car = state.carrier
+    cum_disp = cum_clock = 0.0
+    cum_jumps = 0
+    # the latest contact as (time, cum_disp, carrier, gap level) arrays of
+    # length one, empty until the first meeting unless the run starts in one
+    contact = (np.zeros(1), np.zeros(1), np.array([car]), np.array([base]))
+    if not in_f:
+        contact = tuple(c[:0] for c in contact)
+    sampling = bool(is_sample.any())
+    read = [np.empty(len(checkpoints)) for _ in range(3)]
+    samples_x, samples_d = [], []
+    cycles = ([np.empty(0)], [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=bool)])
+    t0, icp = 0.0, 0
+    while True:
+        # (a) walker paths: switches up to the chunk end t1
+        for j in (0, 1):
+            if len(pending[j]) < k:
+                more = _draw_switches(
+                    streams.walker[j], drawn[j], r, k - len(pending[j])
+                )
+                pending[j] = np.concatenate((pending[j], more))
+                drawn[j] = float(more[-1])
+        t1 = min(pending[0][k - 1], pending[1][k - 1])
+        final = t1 >= horizon
+        if final:
+            t1 = horizon
+        switches = []
+        for j in (0, 1):
+            cut = np.searchsorted(pending[j], t1, side="left" if final else "right")
+            switches.append(pending[j][:cut])
+            pending[j] = pending[j][cut:]
+
+        # merged switches; segment i runs from bounds[i] to bounds[i + 1]
+        times = np.concatenate(switches)
+        order = np.argsort(times, kind="stable")  # ties: walker 0 first
+        bounds = np.concatenate(([t0], times[order], [t1]))
+        flips0 = np.concatenate(([0], np.cumsum(order < len(switches[0]))))
+        flips1 = np.arange(len(flips0)) - flips0
+        d0 = np.where(flips0 % 2 == 0, d[0], -d[0])
+        d1 = np.where(flips1 % 2 == 0, d[1], -d[1])
+        dt = np.diff(bounds)
+        slope = v * (d1 - d0)
+        g = np.cumsum(np.concatenate(([gap], slope * dt)))
+
+        # (b) meetings: levels crossed strictly inside each segment
+        a, b = g[:-1], g[1:]
+        rise = slope > 0
+        first = np.where(rise, np.floor((a + tol) / n) + 1, np.ceil((a - tol) / n) - 1)
+        last = np.where(rise, np.ceil(b / n) - 1, np.floor(b / n) + 1)
+        count = np.where(rise, last - first + 1, first - last + 1)
+        count = np.where(slope != 0, np.maximum(count, 0), 0).astype(np.int64)
+        seg = np.repeat(np.arange(len(count)), count)
+        nth = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+        levels = (first[seg] + np.where(rise[seg], nth, -nth)).astype(np.int64)
+        meet_t = np.minimum(
+            bounds[seg] + (levels * n - a[seg]) / slope[seg], bounds[seg + 1]
+        )
+        meet_car = rise[seg].astype(np.int64)  # the clockwise mover
+        jumped = meet_car != np.concatenate(([car], meet_car[:-1]))
+
+        # (c) merged timeline: each segment start, then its meetings
+        at_start = np.cumsum(count + 1) - (count + 1)
+        at_meet = at_start[seg] + 1 + nth
+        points = np.empty(len(bounds) + len(seg))
+        points[at_start] = bounds[:-1]
+        points[at_meet] = meet_t
+        points[-1] = t1
+        seg_of = np.repeat(np.arange(len(count)), count + 1)
+        latest = np.zeros(len(seg_of), dtype=np.int64)
+        latest[at_meet] = np.arange(1, len(seg) + 1)
+        carrier = np.concatenate(([car], meet_car))[np.maximum.accumulate(latest)]
+        dc = np.where(carrier == 0, d0[seg_of], d1[seg_of])
+        span = np.diff(points)
+        disp = np.cumsum(np.concatenate(([cum_disp], v * dc * span)))
+        clock = np.cumsum(
+            np.concatenate(([cum_clock], np.where(dc == 1, span, 0.0)))
+        )
+        hops = np.zeros(len(points), dtype=np.int64)
+        hops[at_meet] = jumped
+        hops = cum_jumps + np.cumsum(hops)
+
+        stop = np.searchsorted(checkpoints, t1, side="right")
+        ts = checkpoints[icp:stop]
+        p = np.maximum(np.searchsorted(points, ts, side="left") - 1, 0)
+        held = ts - points[p]
+        read[0][icp:stop] = disp[p] + v * dc[p] * held
+        read[1][icp:stop] = hops[p]
+        read[2][icp:stop] = clock[p] + np.where(dc[p] == 1, held, 0.0)
+        if sampling:
+            wanted = ts[is_sample[icp:stop]]
+            walked = [
+                _walk(x[j], d[j], np.concatenate(([t0], switches[j])),
+                      np.append(wanted, t1), v, n)
+                for j in (0, 1)
+            ]
+            pos = np.column_stack([w[0] for w in walked])
+            dirs = np.column_stack([w[1] for w in walked])
+            samples_x.extend(pos[:-1])
+            samples_d.extend(dirs[:-1])
+            x = pos[-1]
+
+        # cycles run contact to contact; keep those starting after burn-in
+        t_c, disp_c, car_c, level_c = (
+            np.concatenate(pair) for pair in zip(
+                contact, (meet_t, disp[at_meet], meet_car, base + levels)
+            )
+        )
+        keep = t_c[:-1] >= burn
+        # the carrier's displacement around its partner, in whole laps
+        laps = np.where(car_c[:-1] == 1, 1, -1) * np.diff(level_c)
+        ended_in_jump = jumped[len(jumped) + 1 - len(t_c):]
+        for acc, values in zip(
+            cycles, (np.diff(t_c), laps * n, np.diff(disp_c), ended_in_jump)
+        ):
+            acc.append(values[keep])
+        contact = tuple(c[-1:] for c in (t_c, disp_c, car_c, level_c))
+
+        icp, t0 = stop, t1
+        if final:
+            break
+        car = int(carrier[-1])
+        cum_disp, cum_clock, cum_jumps = disp[-1], clock[-1], int(hops[-1])
+        d = np.array([d0[-1], d1[-1]])
+        gap, base = settle(g[-1], base)
+    return _Readings(
+        *read, samples_x, samples_d, tuple(map(np.concatenate, cycles))
+    )
+
+
+# ----------------------------------------------------------------------
+# three or more walkers: event loop
+
+
+def _run_many(
+    config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
+    checkpoints: np.ndarray, is_sample: np.ndarray, tol: float,
+) -> _Readings:
+    """Event loop over switches, pair meetings and checkpoints.
+
+    Between events everything is deterministic, so the loop jumps from
+    one event to the next: the earliest pending switch or meeting of an
+    oppositely moving pair, whose time has a closed form.  When the
+    carrier moves counter-clockwise into clockwise movers, the message
+    goes to one of them.
+    """
+    n, v, r, m = (
+        config.circumference,
+        config.speed,
+        config.switch_rate,
+        config.n_walkers,
+    )
     x = state.positions.astype(float)
     d = state.directions.astype(np.int64)
     car = state.carrier
@@ -313,32 +617,14 @@ def simulate_continuous(
     cum_disp = 0.0
     cum_clock = 0.0
     cum_jumps = 0
-    x_star = np.zeros(m)  # unwrapped displacement of each walker
-
-    edge_disp = np.empty(N_BATCHES + 1)
-    edge_jump = np.empty(N_BATCHES + 1)
-    edge_clock = np.empty(N_BATCHES + 1)
-    ie = 0
-    isamp = 0
-    itr = 0
+    read = [np.empty(len(checkpoints)) for _ in range(3)]
     samples_x, samples_d = [], []
-    trace_speed, trace_cost = [], []
-
-    cyc_len, cyc_sum, cyc_disp, cyc_jump = [], [], [], []
-    anchor = None  # (time, cum_disp, carrier, relative displacement)
-    if in_f and m == 2:
-        anchor = (0.0, 0.0, car, x_star[car] - x_star[1 - car])
 
     inf = np.inf
     pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    icp = 0
     while True:
-        t_cp = inf
-        if ie <= N_BATCHES:
-            t_cp = edges[ie]
-        if isamp < len(sample_ts):
-            t_cp = min(t_cp, sample_ts[isamp])
-        if itr < len(trace_ts):
-            t_cp = min(t_cp, trace_ts[itr])
+        t_cp = checkpoints[icp]
 
         # earliest internal event: switches first on ties, then pairs
         ev_t, ev_kind, ev_j, ev_k = inf, 0, -1, -1
@@ -365,83 +651,30 @@ def simulate_continuous(
             cum_disp += v * d[car] * seg
             if d[car] == 1:
                 cum_clock += seg
-            x_star += v * d * seg
             x = (x + v * d * seg) % n
             clock = t_next
 
         if t_cp <= ev_t:
-            if ie <= N_BATCHES and edges[ie] == t_cp:
-                edge_disp[ie] = cum_disp
-                edge_jump[ie] = cum_jumps
-                edge_clock[ie] = cum_clock
-                ie += 1
-            if isamp < len(sample_ts) and sample_ts[isamp] == t_cp:
+            read[0][icp] = cum_disp
+            read[1][icp] = cum_jumps
+            read[2][icp] = cum_clock
+            if is_sample[icp]:
                 samples_x.append(x.copy())
                 samples_d.append(d.copy())
-                isamp += 1
-            if itr < len(trace_ts) and trace_ts[itr] == t_cp:
-                trace_speed.append(cum_disp / t_cp)
-                trace_cost.append(cum_jumps / t_cp)
-                itr += 1
-            if t_cp >= horizon:
+            icp += 1
+            if icp == len(checkpoints):
                 break
         elif ev_kind == 0:
             d[ev_j] = -d[ev_j]
             ns[ev_j] = clock + streams.walker[ev_j].exponential(1.0 / r)
         else:
             x[ev_k] = x[ev_j]
-            jumped = False
             if d[car] == -1:
                 cands = _handoff_candidates(x, d, car, n, tol)
                 if cands.size:
                     car = int(cands[streams.choose(cands.size)])
-                    jumped = True
                     cum_jumps += 1
-            if m == 2:
-                # every pair meeting is a contact of the carrier
-                if anchor is not None and anchor[0] >= burn:
-                    a_t, a_disp, a_car, a_rel = anchor
-                    cyc_len.append(clock - a_t)
-                    cyc_sum.append(cum_disp - a_disp)
-                    cyc_disp.append((x_star[a_car] - x_star[1 - a_car]) - a_rel)
-                    cyc_jump.append(jumped)
-                anchor = (clock, cum_disp, car, x_star[car] - x_star[1 - car])
-
-    batch_disp = np.diff(edge_disp)
-    batch_jump = np.diff(edge_jump)
-    batch_clock = np.diff(edge_clock)
-    report = RunReport(
-        kind="continuous",
-        params={
-            "model": "continuous",
-            "N": n,
-            "v": v,
-            "r": r,
-            "m": m,
-            "horizon": horizon,
-        },
-        total_time=horizon - burn,
-        burn_in=burn,
-        displacement_sum=cum_disp - edge_disp[0],
-        jump_count=int(cum_jumps - edge_jump[0]),
-        clockwise_time=cum_clock - edge_clock[0],
-        lap_length=n,
-        batch_duration=float(edges[1] - edges[0]),
-        batch_displacement=batch_disp,
-        batch_jumps=batch_jump,
-        batch_clockwise=batch_clock,
-        cycle_lengths=np.asarray(cyc_len, dtype=float) if m == 2 else None,
-        cycle_displacements=np.asarray(cyc_disp, dtype=float) if m == 2 else None,
-        cycle_carrier_sums=np.asarray(cyc_sum, dtype=float) if m == 2 else None,
-        cycle_jumps=np.asarray(cyc_jump, dtype=bool) if m == 2 else None,
-        sample_positions=np.stack(samples_x) if samples_x else None,
-        sample_directions=np.stack(samples_d) if samples_d else None,
-        trace_times=trace_ts if trace_every else None,
-        trace_speed=np.asarray(trace_speed) if trace_every else None,
-        trace_cost=np.asarray(trace_cost) if trace_every else None,
-        seeds=[[spec.master, spec.replica]],
-    )
-    return report
+    return _Readings(*read, samples_x, samples_d)
 
 
 def sample_walker_states(
@@ -450,9 +683,9 @@ def sample_walker_states(
     """Positions and directions of the walker motion at given times.
 
     The message plays no part in where walkers are, so equilibrium
-    checks of the walker ensemble can skip the event loop entirely:
-    each walker's switch times are drawn in bulk and its piecewise
-    linear path evaluated directly.  Streams are consumed exactly as by
+    checks of the walker ensemble can skip the relay entirely: each
+    walker's switch times are drawn in blocks and its piecewise linear
+    path evaluated directly.  Streams are consumed exactly as by
     simulate_continuous with the uniform-random start, so on a shared
     seed the two agree pointwise (up to float roundoff in positions).
     """
@@ -476,19 +709,11 @@ def sample_walker_states(
     directions = np.empty((len(times), m), dtype=np.int64)
     tmax = float(times[-1])
     for j in range(m):
-        blocks = []
-        total = 0.0
-        while total <= tmax:
-            block = streams.walker[j].exponential(1.0 / r, size=512)
-            blocks.append(block)
-            total += float(block.sum())
-        switch_ts = np.cumsum(np.concatenate(blocks))
-        bounds = np.concatenate(([0.0], switch_ts))
-        signs = np.where(np.arange(len(bounds)) % 2 == 0, d0[j], -d0[j])
-        disp = np.concatenate(([0.0], np.cumsum(signs[:-1] * np.diff(bounds))))
-        idx = np.searchsorted(switch_ts, times, side="left")
-        positions[:, j] = (
-            x0[j] + v * (disp[idx] + signs[idx] * (times - bounds[idx]))
-        ) % n
-        directions[:, j] = signs[idx]
+        bounds = [np.zeros(1)]
+        while bounds[-1][-1] <= tmax:
+            size = 512 + int(r * (tmax - bounds[-1][-1]))
+            bounds.append(_draw_switches(streams.walker[j], bounds[-1][-1], r, size))
+        positions[:, j], directions[:, j] = _walk(
+            x0[j], d0[j], np.concatenate(bounds), times, v, n
+        )
     return positions, directions

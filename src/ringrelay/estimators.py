@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.stats
 
 from . import errors
 
@@ -124,19 +123,29 @@ class RunReport:
 
 
 def merge(reports: list[RunReport]) -> RunReport:
-    """Pool replicas: sums add, batch and cycle arrays concatenate."""
+    """Pool replicas: sums add, batch and cycle arrays concatenate.
+
+    Replicas may have batches of different lengths (a start in a contact
+    state skips burn-in, so its window is longer).  Each replica's batch
+    sums are rescaled to the first replica's batch duration, which keeps
+    every batch mean as it was.
+    """
     if not reports:
         raise errors.RelayError("nothing to merge")
     head = reports[0]
     for r in reports[1:]:
         if r.kind != head.kind or r.params != head.params:
             raise errors.RelayError("cannot merge reports with different models")
-        if not np.isclose(r.batch_duration, head.batch_duration):
-            raise errors.RelayError("cannot merge reports with different batching")
 
     def cat(key):
         parts = [getattr(r, key) for r in reports]
         return None if any(p is None for p in parts) else np.concatenate(parts)
+
+    def cat_batches(key):
+        return np.concatenate([
+            getattr(r, key) * (head.batch_duration / r.batch_duration)
+            for r in reports
+        ])
 
     return RunReport(
         kind=head.kind,
@@ -148,9 +157,9 @@ def merge(reports: list[RunReport]) -> RunReport:
         clockwise_time=sum(r.clockwise_time for r in reports),
         lap_length=head.lap_length,
         batch_duration=head.batch_duration,
-        batch_displacement=cat("batch_displacement"),
-        batch_jumps=cat("batch_jumps"),
-        batch_clockwise=cat("batch_clockwise"),
+        batch_displacement=cat_batches("batch_displacement"),
+        batch_jumps=cat_batches("batch_jumps"),
+        batch_clockwise=cat_batches("batch_clockwise"),
         cycle_lengths=cat("cycle_lengths"),
         cycle_displacements=cat("cycle_displacements"),
         cycle_carrier_sums=cat("cycle_carrier_sums"),
@@ -305,6 +314,8 @@ def chi_square_uniformity(
             f"{k / n_cells:.1f} < {min_expected}"
         )
     counts = np.bincount(cell, minlength=n_cells)
+    import scipy.stats  # deferred: it dominates the package's import time
+
     stat, pvalue = scipy.stats.chisquare(counts)
     return UniformityResult(float(stat), float(pvalue), n_cells - 1, k)
 

@@ -74,6 +74,14 @@ class TestConfigHandling:
         assert code == 2
         assert "KEY=VALUE" in err
 
+    def test_infinite_horizon_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--set", "model=continuous", "--set", "N=1",
+            "--set", "horizon=inf",
+        )
+        assert code == 2
+        assert "horizon" in err and out == ""
+
     def test_unreadable_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "exact", "--config", str(tmp_path / "missing.json")

@@ -1,9 +1,9 @@
-"""Event-driven simulator: pure event ops, then the integrated loop.
+"""Continuum simulators: pure event ops, then the engines built on them.
 
-simulate_continuous inlines its event handling for speed, so the suite
-drives the pure operations (next_event / advance_to / handle_event) as
-an independent reference simulator and checks the fast loop against it
-on a shared seed.
+simulate_continuous resolves two walkers in blocks and three or more
+with an inlined event loop, so the suite drives the pure operations
+(next_event / advance_to / handle_event) as an independent reference
+simulator and checks the engines against it on a shared seed.
 """
 import numpy as np
 import pytest
@@ -142,40 +142,120 @@ class TestEventOps:
         assert carriers == {0, 1}
 
 
-def reference_simulation(config, horizon, seed):
-    """Drive the pure ops one event at a time; return integrated totals."""
+def reference_simulation(config, horizon, seed, initial, checkpoints=()):
+    """Drive the pure ops one event at a time.
+
+    Returns the windowed totals (displacement, handoffs, clockwise time)
+    under the simulator's burn-in rule, the (length, handoff) record of
+    every contact-to-contact cycle the simulator keeps, and the
+    cumulative (displacement, handoffs) at each extra checkpoint.  As in
+    the simulator, a checkpoint comes before an event at the same time.
+    """
     streams = WalkerStreams(SeedSpec(*seed), config.n_walkers)
     state = continuous._initial_state(
-        config, streams, "regeneration", continuous.default_tol(config)
+        config, streams, initial, continuous.default_tol(config)
     )
-    disp = 0.0
+    in_f = in_contact_state(state, config)
+    burn = 0.0 if in_f else 0.01 * horizon
+    marks = sorted({burn, horizon, *checkpoints})
+    totals = {}
+    disp = cw = 0.0
     jumps = 0
-    cw = 0.0
-    while True:
-        ev = next_event(state, config)
-        t = min(ev.time, horizon)
+    last_contact = 0.0 if in_f else None
+    cycles = []
+
+    def transport(state, t):
+        nonlocal disp, cw
         seg = t - state.clock
         d = state.directions[state.carrier]
         disp += config.speed * d * seg
         cw += seg if d == 1 else 0.0
-        state = advance_to(state, t, config)
-        if ev.time > horizon:
+        return advance_to(state, t, config)
+
+    while marks:
+        ev = next_event(state, config)
+        while marks and marks[0] <= ev.time:
+            state = transport(state, marks[0])
+            totals[marks.pop(0)] = (disp, jumps, cw)
+        if not marks:
             break
+        state = transport(state, ev.time)
         state, jumped = handle_event(state, ev, config, streams)
         jumps += jumped
-    return disp, jumps, cw
+        if ev.kind == "meeting":
+            if last_contact is not None and last_contact >= burn:
+                cycles.append((ev.time - last_contact, jumped))
+            last_contact = ev.time
+    window = tuple(e - b for b, e in zip(totals[burn], totals[horizon]))
+    return window, cycles, [totals[t][:2] for t in checkpoints]
+
+
+ORACLE_CASES = {
+    "regeneration": (ContinuousConfig(1.0, 1.0, 1.0), (77, 0), "regeneration"),
+    "uniform-with-burn-in": (
+        ContinuousConfig(1.0, 1.0, 1.0), (78, 0), "uniform-random"
+    ),
+    "co-located-same-direction": (
+        ContinuousConfig(1.0, 1.0, 1.0), (79, 0),
+        ContinuousState(np.array([0.4, 0.4]), np.array([1, 1]), 0),
+    ),
+    "non-unit-v-and-r": (ContinuousConfig(1.7, 0.6, 2.3), (80, 0), "uniform-random"),
+    # a contact state whose gap is a hair short of the full circle
+    "contact-across-the-wrap": (
+        ContinuousConfig(1.0, 1.0, 1.0), (81, 0),
+        ContinuousState(np.array([0.0, 1.0 - 1e-13]), np.array([1, -1]), 0),
+    ),
+}
 
 
 class TestSimulateContinuous:
-    def test_matches_pure_op_reference(self):
-        config = ContinuousConfig(1.0, 1.0, 1.0)
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_pure_op_reference(self, case):
+        config, seed, initial = ORACLE_CASES[case]
         horizon = 200.0
-        disp, jumps, cw = reference_simulation(config, horizon, (77, 0))
-        report = simulate_continuous(config, horizon, SeedSpec(77, 0), "regeneration")
-        assert report.burn_in == 0.0
-        assert report.displacement_sum == pytest.approx(disp, abs=1e-9)
+        (disp, jumps, cw), cycles, _ = reference_simulation(
+            config, horizon, seed, initial
+        )
+        report = simulate_continuous(config, horizon, SeedSpec(*seed), initial)
+        in_contact = case in ("regeneration", "contact-across-the-wrap")
+        assert report.burn_in == (0.0 if in_contact else 0.01 * horizon)
         assert report.jump_count == jumps
+        assert report.displacement_sum == pytest.approx(disp, abs=1e-9)
         assert report.clockwise_time == pytest.approx(cw, abs=1e-9)
+        assert report.n_cycles == len(cycles) > 0
+        np.testing.assert_array_equal(report.cycle_jumps, [j for _, j in cycles])
+        np.testing.assert_allclose(
+            report.cycle_lengths, [length for length, _ in cycles], atol=1e-9
+        )
+        # two walkers: a cycle wraps the ring exactly when it ends without
+        # a handoff
+        np.testing.assert_array_equal(
+            report.cycle_displacements,
+            np.where(report.cycle_jumps, 0.0, config.circumference),
+        )
+
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        # the two-walker engine carries its state between chunks of
+        # switches; cutting the run into many small chunks must give the
+        # same counts and, up to roundoff, the same sums
+        def run():
+            return simulate_continuous(
+                CFG1, 500.0, SeedSpec(12, 0), "regeneration",
+                sample_every=2.5, trace_every=5.0,
+            )
+
+        whole = run()
+        monkeypatch.setattr(continuous, "SWITCH_CHUNK", 7)
+        cut = run()
+        assert cut.jump_count == whole.jump_count
+        for key in ("batch_jumps", "cycle_jumps", "cycle_displacements",
+                    "sample_directions"):
+            np.testing.assert_array_equal(getattr(cut, key), getattr(whole, key))
+        for key in ("batch_displacement", "batch_clockwise", "cycle_lengths",
+                    "cycle_carrier_sums", "sample_positions", "trace_speed"):
+            np.testing.assert_allclose(
+                getattr(cut, key), getattr(whole, key), rtol=1e-12, atol=1e-12
+            )
 
     def test_deterministic_given_seed(self):
         r1 = simulate_continuous(CFG1, 500.0, SeedSpec(5, 0))
@@ -185,10 +265,12 @@ class TestSimulateContinuous:
         np.testing.assert_array_equal(r1.batch_displacement, r2.batch_displacement)
 
     def test_cycle_displacements_exactly_zero_or_lap(self):
-        report = simulate_continuous(CFG1, 3000.0, SeedSpec(11, 0), "regeneration")
-        disp = report.cycle_displacements
-        near = np.minimum(np.abs(disp), np.abs(disp - report.lap_length))
-        assert near.max() <= 1e-9 * report.lap_length
+        # taken from the gap's level crossings, so no drift with horizon
+        for horizon in (3000.0, 2e5):
+            report = simulate_continuous(
+                CFG1, horizon, SeedSpec(11, 0), "regeneration"
+            )
+            assert set(report.cycle_displacements) == {0.0, report.lap_length}
 
     def test_jump_happens_exactly_on_non_wrapping_cycles(self):
         # without a flip at the meeting, the class of the excursion
@@ -212,6 +294,11 @@ class TestSimulateContinuous:
         target = 4.0 / (4.0 + 1.5)  # v^2/(2v+rN)
         assert abs(est.point - target) <= 4 * est.stderr
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_bad_horizon(self, horizon):
+        with pytest.raises(errors.RelayError):
+            simulate_continuous(CFG1, horizon, SeedSpec(0, 0))
+
     def test_rejects_bad_initial(self):
         bad = ContinuousState(np.array([0.1, 1.7]), np.array([1, -1]), 0)
         with pytest.raises(errors.RelayError):
@@ -228,17 +315,51 @@ class TestFastSampler:
     def test_agrees_with_simulator_on_shared_seed(self):
         cfg = ContinuousConfig(1.0, 1.0, 1.0)
         horizon = 80.0
+        # trace checkpoints interleaved with the samples change nothing
+        for trace_every in (None, 0.5):
+            report = simulate_continuous(
+                cfg, horizon, SeedSpec(99, 0), sample_every=0.35,
+                trace_every=trace_every,
+            )
+            k = report.sample_positions.shape[0]
+            times = report.burn_in + 0.35 * np.arange(1, k + 1)
+            pos, dirs = sample_walker_states(cfg, times, SeedSpec(99, 0))
+            np.testing.assert_array_equal(report.sample_directions, dirs)
+            gap = np.abs(
+                ((report.sample_positions - pos) + 0.5) % 1.0 - 0.5
+            ).max()
+            assert gap < 1e-9
+
+    @pytest.mark.parametrize("sample_every", [None, 0.35])
+    def test_traces_match_oracle(self, sample_every):
+        cfg = ContinuousConfig(1.0, 1.0, 1.0)
         report = simulate_continuous(
-            cfg, horizon, SeedSpec(99, 0), sample_every=0.35
+            cfg, 80.0, SeedSpec(99, 0), sample_every=sample_every,
+            trace_every=0.5,
         )
-        k = report.sample_positions.shape[0]
-        times = report.burn_in + 0.35 * np.arange(1, k + 1)
-        pos, dirs = sample_walker_states(cfg, times, SeedSpec(99, 0))
-        np.testing.assert_array_equal(report.sample_directions, dirs)
-        gap = np.abs(
-            ((report.sample_positions - pos) + 0.5) % 1.0 - 0.5
-        ).max()
-        assert gap < 1e-9
+        times = report.trace_times
+        np.testing.assert_array_equal(times, 0.5 * np.arange(1, 161))
+        _, _, at = reference_simulation(
+            cfg, 80.0, (99, 0), "uniform-random", list(times)
+        )
+        disp, jumps = np.array(at).T
+        np.testing.assert_array_equal(report.trace_cost, jumps / times)
+        np.testing.assert_allclose(report.trace_speed * times, disp, atol=1e-9)
+
+    def test_block_switch_times_equal_event_scheduling(self):
+        # the block engine and the sampler rely on this: switch times
+        # drawn in blocks equal the event ops' one-at-a-time schedule
+        a = WalkerStreams(SeedSpec(8, 0), 2)
+        b = WalkerStreams(SeedSpec(8, 0), 2)
+        first = a.walker[1].exponential(1 / 0.7)
+        blocks = [continuous._draw_switches(a.walker[1], first, 0.7, 5)]
+        blocks.append(continuous._draw_switches(a.walker[1], blocks[0][-1], 0.7, 300))
+        t = b.walker[1].exponential(1 / 0.7)
+        scalars = []
+        for _ in range(305):
+            t = t + b.walker[1].exponential(1 / 0.7)
+            scalars.append(t)
+        np.testing.assert_array_equal(np.concatenate(blocks), scalars)
 
     def test_direction_marginal_is_balanced(self):
         cfg = ContinuousConfig(2.0, 1.0, 0.5)

@@ -4,6 +4,7 @@ import pytest
 import scipy.stats
 
 from ringrelay import errors, estimators
+from ringrelay.discrete import simulate_discrete
 from ringrelay.estimators import (
     RunReport,
     chi_square_uniformity,
@@ -15,6 +16,7 @@ from ringrelay.estimators import (
     speed_estimate,
     uniformity_test,
 )
+from ringrelay.model import DiscreteConfig, SeedSpec
 
 
 def make_report(
@@ -115,6 +117,30 @@ class TestMerge:
         right = speed_estimate(merge([a, merge([b, c])]))
         assert left.point == pytest.approx(right.point, rel=1e-14)
         assert left.stderr == pytest.approx(right.stderr, rel=1e-12)
+
+    def test_merge_pools_replicas_with_different_burn_in(self):
+        # replica 5's uniform start is a contact state, so it skips
+        # burn-in and its batches are longer than the other seven's
+        runs = [
+            simulate_discrete(DiscreteConfig(11, 0.1), 10**4, SeedSpec(20260817, k))
+            for k in range(8)
+        ]
+        assert [k for k, r in enumerate(runs) if r.burn_in == 0.0] == [5]
+        pooled = merge(runs)
+        assert pooled.batch_duration == runs[0].batch_duration
+        for key in ("batch_displacement", "batch_jumps", "batch_clockwise"):
+            means = np.concatenate(
+                [getattr(r, key) / r.batch_duration for r in runs]
+            )
+            np.testing.assert_allclose(
+                getattr(pooled, key) / pooled.batch_duration, means, rtol=1e-14
+            )
+        # replicas with equal batching pool bit for bit as before
+        equal = [r for r in runs if r.burn_in > 0.0]
+        np.testing.assert_array_equal(
+            merge(equal).batch_displacement,
+            np.concatenate([r.batch_displacement for r in equal]),
+        )
 
     def test_merge_rejects_mismatched_models(self):
         a = self.run(1)
