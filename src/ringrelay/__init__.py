@@ -38,9 +38,7 @@ from .estimators import (
 from .exact import (
     apply_generator,
     build_reduced_chain,
-    exact_cost,
     exact_metrics,
-    exact_speed,
     hitting_prob_oracle,
     solve_trace_bvp,
 )
@@ -65,9 +63,7 @@ __all__ = [
     "direction_estimate",
     "direction_prob_continuous",
     "direction_prob_discrete",
-    "exact_cost",
     "exact_metrics",
-    "exact_speed",
     "excursion_classifier",
     "hitting_prob_oracle",
     "kac_check",

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -82,19 +81,27 @@ def _int_key(cfg: dict, key: str, default=None):
     return int(value)
 
 
+def _float_key(cfg: dict, key: str, default=None) -> float:
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from err
+
+
 def _build_discrete(cfg: dict) -> DiscreteConfig:
     return DiscreteConfig(
         n_sites=_int_key(cfg, "N"),
-        flip_prob=float(_require(cfg, "epsilon")),
+        flip_prob=_float_key(cfg, "epsilon"),
         n_walkers=_int_key(cfg, "m", 2),
     )
 
 
 def _build_continuous(cfg: dict) -> ContinuousConfig:
     return ContinuousConfig(
-        circumference=float(_require(cfg, "N")),
-        speed=float(cfg.get("v", 1.0)),
-        switch_rate=float(cfg.get("r", 1.0)),
+        circumference=_float_key(cfg, "N"),
+        speed=_float_key(cfg, "v", 1.0),
+        switch_rate=_float_key(cfg, "r", 1.0),
         n_walkers=_int_key(cfg, "m", 2),
     )
 
@@ -225,30 +232,11 @@ def _report_payload(report) -> dict:
 
 def _run_one(job):
     kind, config, length, seed, initial, sample_every, trace_every = job
-    if kind == "discrete":
-        return simulate_discrete(
-            config,
-            length,
-            seed,
-            initial,
-            sample_every=sample_every,
-            trace_every=trace_every,
-        )
-    return simulate_continuous(
-        config,
-        length,
-        seed,
-        initial,
-        sample_every=sample_every,
-        trace_every=trace_every,
+    simulate = simulate_discrete if kind == "discrete" else simulate_continuous
+    return simulate(
+        config, length, seed, initial,
+        sample_every=sample_every, trace_every=trace_every,
     )
-
-
-def _run_replicas(jobs, threads: int):
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_run_one, jobs))
-    return [_run_one(job) for job in jobs]
 
 
 # ----------------------------------------------------------------------
@@ -269,13 +257,13 @@ def cmd_simulate(args) -> int:
         length = _int_key(cfg, "steps", 100_000)
     else:
         config = _build_continuous(cfg)
-        length = float(cfg.get("horizon", 10_000.0))
+        length = _float_key(cfg, "horizon", 10_000.0)
     initial = _build_initial(cfg, kind)
     jobs = [
         (kind, config, length, SeedSpec(seed, k), initial, sample_every, trace_every)
         for k in range(replicas)
     ]
-    reports = _run_replicas(jobs, args.threads)
+    reports = validation.pool_map(_run_one, jobs, args.threads)
     merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
 
     out_dir = args.out or cfg.get("out")
@@ -313,7 +301,7 @@ def cmd_exact(args) -> int:
     n = _int_key(cfg, "N")
     if n > EXACT_SIZE_LIMIT:
         raise ConfigError(f"size limit exceeded: N={n} > {EXACT_SIZE_LIMIT}")
-    eps = float(_require(cfg, "epsilon"))
+    eps = _float_key(cfg, "epsilon")
     metrics = exact.exact_metrics(n, eps)
     sol = exact.solve_trace_bvp(n, eps)
     oracle = exact.hitting_prob_oracle(n, eps)
@@ -348,7 +336,7 @@ def cmd_exact(args) -> int:
 def cmd_bvp(args) -> int:
     cfg = _load_config(args)
     n = _int_key(cfg, "N")
-    eps = float(_require(cfg, "epsilon"))
+    eps = _float_key(cfg, "epsilon")
     sol = exact.solve_trace_bvp(n, eps)
     payload = {
         "N": n,
@@ -392,12 +380,12 @@ def cmd_sweep(args) -> int:
             "s_mc_stderr", "c_mc_stderr",
         ]
     else:
-        length = float(cfg.get("horizon", 10_000.0))
+        length = _float_key(cfg, "horizon", 10_000.0)
         header = [
             "N", "r", "s_formula", "c_formula",
             "s_mc", "c_mc", "s_mc_stderr", "c_mc_stderr",
         ]
-    v = float(cfg.get("v", 1.0))
+    v = _float_key(cfg, "v", 1.0)
     m = _int_key(cfg, "m", 2)
 
     rows = []
@@ -424,7 +412,7 @@ def cmd_sweep(args) -> int:
                  "uniform-random", None, None)
                 for k in range(replicas)
             ]
-            reports = _run_replicas(jobs, threads)
+            reports = validation.pool_map(_run_one, jobs, threads)
             merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
             s = estimators.speed_estimate(merged)
             c = estimators.cost_estimate(merged)

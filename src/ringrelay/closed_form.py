@@ -12,7 +12,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import errors
-from .model import validate_flip_prob, validate_sites
+from .model import (
+    ContinuousConfig,
+    validate_continuous,
+    validate_flip_prob,
+    validate_sites,
+)
 
 
 def speed_discrete(n_sites: int, flip_prob: float) -> float:
@@ -34,24 +39,15 @@ def direction_prob_discrete(n_sites: int, flip_prob: float) -> float:
     return (3.0 + eps * (2 * n - 5)) / (4.0 * (1.0 + eps * (n - 2)))
 
 
-def _validate_cont(circumference: float, speed: float, switch_rate: float):
-    if not (circumference > 0.0):
-        raise errors.NOutOfRange(f"circumference must be > 0, got {circumference!r}")
-    if not (speed > 0.0):
-        raise errors.SpeedOutOfRange(f"speed must be > 0, got {speed!r}")
-    if not (switch_rate > 0.0):
-        raise errors.RateOutOfRange(f"switch rate must be > 0, got {switch_rate!r}")
-
-
 def speed_continuous(circumference: float, speed: float, switch_rate: float) -> float:
     """Long-run message speed (length per unit time), continuum variant."""
-    _validate_cont(circumference, speed, switch_rate)
+    validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
     return speed * speed / (2.0 * speed + switch_rate * circumference)
 
 
 def cost_continuous(circumference: float, speed: float, switch_rate: float) -> float:
     """Long-run handoffs per unit time, continuum variant."""
-    _validate_cont(circumference, speed, switch_rate)
+    validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
     return switch_rate * speed / (2.0 * speed + switch_rate * circumference)
 
 
@@ -59,7 +55,7 @@ def direction_prob_continuous(
     circumference: float, speed: float, switch_rate: float
 ) -> float:
     """Long-run fraction of time the carrier moves clockwise."""
-    _validate_cont(circumference, speed, switch_rate)
+    validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
     rn = switch_rate * circumference
     return (3.0 * speed + rn) / (2.0 * (2.0 * speed + rn))
 
@@ -102,7 +98,7 @@ def scaling_limit_error(
     1 / (6 * n_sites - 4).
     """
     n = validate_sites(n_sites)
-    _validate_cont(circumference, speed, switch_rate)
+    validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
     eps = circumference * switch_rate / (2.0 * n * speed)
     validate_flip_prob(eps)
     s_lattice = speed_discrete(n, eps)

@@ -15,7 +15,8 @@ There are two engines, chosen by the number of walkers:
 * three or more walkers: an event loop that jumps from one switch or
   pair meeting to the next.
 
-Both report through the same accounting.  The pure event operations
+Both report through the accounting step shared with the lattice
+simulator, estimators.build_report.  The pure event operations
 (next_event / advance_to / handle_event) are kept as a one-event-at-a-
 time reference for the tests.
 
@@ -27,12 +28,11 @@ events, switches before meetings, lower walker indices first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import errors
-from .estimators import N_BATCHES, RunReport
+from .estimators import N_BATCHES, Readings, RunReport, build_report
 from .model import (
     ContinuousConfig,
     SeedSpec,
@@ -257,7 +257,7 @@ def _initial_state(
         directions = (1 - 2 * streams.aux.integers(0, 2, size=m)).astype(np.int64)
         carrier = int(streams.aux.integers(m))
         state = ContinuousState(positions, directions, carrier)
-    elif initial in ("regeneration", "regeneration-f"):
+    elif initial == "regeneration":
         state = sample_contact(config, streams)
     else:
         raise errors.RelayError(f"unknown initial condition {initial!r}")
@@ -275,21 +275,6 @@ def _initial_state(
             ]
         )
     return state
-
-
-class _Readings(NamedTuple):
-    """What an engine hands to the accounting: cumulative carrier
-    displacement, handoffs and clockwise time at each checkpoint, walker
-    states at the sample checkpoints, and (two walkers) the cycles as
-    lengths, carrier displacements around the partner, carrier
-    displacement sums and end-of-cycle handoffs."""
-
-    displacement: np.ndarray
-    jumps: np.ndarray
-    clockwise: np.ndarray
-    positions: list
-    directions: list
-    cycles: tuple | None = None
 
 
 def simulate_continuous(
@@ -317,45 +302,15 @@ def simulate_continuous(
     in_f = in_contact_state(state, config, tol)
     burn = 0.0 if in_f else 0.01 * horizon
 
-    edges = np.linspace(burn, horizon, N_BATCHES + 1)
-    sample_ts = (
-        burn + sample_every * np.arange(1, int((horizon - burn) / sample_every) + 1)
-        if sample_every
-        else np.empty(0)
-    )
-    trace_ts = (
-        trace_every * np.arange(1, int(horizon / trace_every) + 1)
-        if trace_every
-        else np.empty(0)
-    )
-    # the run ends at the horizon, so a checkpoint rounded past it is dropped
-    sample_ts = sample_ts[sample_ts <= horizon]
-    trace_ts = trace_ts[trace_ts <= horizon]
+    def engine(checkpoints, is_sample):
+        if config.n_walkers == 2:
+            return _run_pair(
+                config, streams, state, checkpoints, is_sample, tol, burn, in_f
+            )
+        return _run_many(config, streams, state, checkpoints, is_sample, tol)
 
-    # all checkpoints in one sorted list; the engines read their totals
-    # there and the report slices them apart again
-    n_edges, n_samples = len(edges), len(sample_ts)
-    checkpoints = np.concatenate((edges, sample_ts, trace_ts))
-    order = np.argsort(checkpoints, kind="stable")
-    is_sample = (order >= n_edges) & (order < n_edges + n_samples)
-    if config.n_walkers == 2:
-        run = _run_pair(
-            config, streams, state, checkpoints[order], is_sample, tol, burn, in_f
-        )
-    else:
-        run = _run_many(config, streams, state, checkpoints[order], is_sample, tol)
-
-    def unsort(values):
-        out = np.empty(len(values))
-        out[order] = values
-        return out
-
-    disp, jumps, clock = map(unsort, run[:3])
-    edge_disp, edge_jump, edge_clock = disp[:n_edges], jumps[:n_edges], clock[:n_edges]
-    traced = slice(n_edges + n_samples, None)
-    cyc_len, cyc_disp, cyc_sum, cyc_jump = run.cycles or (None,) * 4
-    return RunReport(
-        kind="continuous",
+    return build_report(
+        engine,
         params={
             "model": "continuous",
             "N": config.circumference,
@@ -364,26 +319,13 @@ def simulate_continuous(
             "m": config.n_walkers,
             "horizon": horizon,
         },
-        total_time=horizon - burn,
-        burn_in=burn,
-        displacement_sum=edge_disp[-1] - edge_disp[0],
-        jump_count=int(edge_jump[-1] - edge_jump[0]),
-        clockwise_time=edge_clock[-1] - edge_clock[0],
+        seed=spec,
         lap_length=config.circumference,
-        batch_duration=float(edges[1] - edges[0]),
-        batch_displacement=np.diff(edge_disp),
-        batch_jumps=np.diff(edge_jump),
-        batch_clockwise=np.diff(edge_clock),
-        cycle_lengths=cyc_len,
-        cycle_displacements=cyc_disp,
-        cycle_carrier_sums=cyc_sum,
-        cycle_jumps=cyc_jump,
-        sample_positions=np.stack(run.positions) if run.positions else None,
-        sample_directions=np.stack(run.directions) if run.directions else None,
-        trace_times=trace_ts if trace_every else None,
-        trace_speed=disp[traced] / trace_ts if trace_every else None,
-        trace_cost=jumps[traced] / trace_ts if trace_every else None,
-        seeds=[[spec.master, spec.replica]],
+        burn=burn,
+        end=float(horizon),
+        edges=np.linspace(burn, horizon, N_BATCHES + 1),
+        sample_every=sample_every,
+        trace_every=trace_every,
     )
 
 
@@ -420,7 +362,7 @@ def _run_pair(
     config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
     checkpoints: np.ndarray, is_sample: np.ndarray, tol: float,
     burn: float, in_f: bool,
-) -> _Readings:
+) -> Readings:
     """Two-walker engine.
 
     (a) Each walker's switch times are drawn in blocks from its own
@@ -581,7 +523,7 @@ def _run_pair(
         cum_disp, cum_clock, cum_jumps = disp[-1], clock[-1], int(hops[-1])
         d = np.array([d0[-1], d1[-1]])
         gap, base = settle(g[-1], base)
-    return _Readings(
+    return Readings(
         *read, samples_x, samples_d, tuple(map(np.concatenate, cycles))
     )
 
@@ -593,7 +535,7 @@ def _run_pair(
 def _run_many(
     config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
     checkpoints: np.ndarray, is_sample: np.ndarray, tol: float,
-) -> _Readings:
+) -> Readings:
     """Event loop over switches, pair meetings and checkpoints.
 
     Between events everything is deterministic, so the loop jumps from
@@ -674,7 +616,7 @@ def _run_many(
                 if cands.size:
                     car = int(cands[streams.choose(cands.size)])
                     cum_jumps += 1
-    return _Readings(*read, samples_x, samples_d)
+    return Readings(*read, samples_x, samples_d)
 
 
 def sample_walker_states(

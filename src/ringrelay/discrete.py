@@ -7,11 +7,19 @@ sharing its site with a clockwise mover, the message jumps to one such
 mover (chosen uniformly if there are several).  The message therefore
 only ever crosses sites clockwise.
 
-step() applies one round and is the reference implementation.  For two
-walkers simulate_discrete runs a vectorised engine that draws each
-walker's flips in blocks from that walker's own stream, which consumes
-randomness identically to repeated step() calls and is checked against
-them in the tests.
+step() applies one round and is the reference implementation; the
+tests replay it against simulate_discrete, which runs one block engine
+for any number of walkers.  The message never changes how the walkers
+move, so the engine works in three layers: (a) each walker's flips are
+drawn in blocks from that walker's own stream, consuming randomness
+exactly as repeated step() calls do, and give (rounds x walkers) arrays
+of positions and directions; (b) the relay is resolved over the contact
+rounds only, where a clockwise and a counter-clockwise walker share a
+site: for two walkers the message then sits on the clockwise mover, for
+more the handoff rule of step() runs contact by contact, drawing its
+tie-breaks in round order; (c) carrier displacement and handoffs are
+cumulative sums read at the checkpoints of the shared accounting step,
+estimators.build_report.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .estimators import N_BATCHES, RunReport
+from .estimators import N_BATCHES, Readings, RunReport, build_report
 from .model import (
     DiscreteConfig,
     SeedSpec,
@@ -29,7 +37,8 @@ from .model import (
     validate_discrete,
 )
 
-_BLOCK = 1 << 20
+# walker-rounds (rounds x walkers) in one block of the engine
+WALKER_ROUNDS = 1 << 14
 
 
 @dataclass
@@ -125,7 +134,7 @@ def _initial_state(
         directions = (1 - 2 * streams.aux.integers(0, 2, size=m)).astype(np.int64)
         carrier = int(streams.aux.integers(m))
         state = DiscreteState(positions, directions, carrier)
-    elif initial in ("regeneration", "regeneration-nu"):
+    elif initial == "regeneration":
         state = sample_nu(config, streams)
     else:
         raise errors.RelayError(f"unknown initial condition {initial!r}")
@@ -152,278 +161,126 @@ def simulate_discrete(
     the start is a contact state (the regeneration law needs none).
     sample_every records the walker state at that spacing for
     distribution tests; trace_every records the running speed and
-    handoff rate from round 0 for convergence plots.
+    handoff rate from round 0 for convergence plots.  Regeneration
+    cycles are a two-walker construction, recorded only for m = 2.
     """
     validate_discrete(config)
-    if steps < 1:
-        raise errors.RelayError(f"steps must be >= 1, got {steps}")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise errors.RelayError(f"steps must be an integer >= 1, got {steps!r}")
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     state = _initial_state(config, streams, initial)
-    args = (config, steps, streams, state, sample_every, trace_every)
-    if config.n_walkers == 2:
-        report = _simulate_pair(*args)
-    else:
-        report = _simulate_many(*args)
-    report.seeds = [[spec.master, spec.replica]]
-    return report
-
-
-def _windows(steps: int, in_regen: bool) -> tuple[int, int, int]:
+    in_regen = in_regeneration_set(state, config)
     burn = 0 if in_regen else steps // 100
-    recorded = steps - burn
-    batch_len = recorded // N_BATCHES
-    n_batches = N_BATCHES if batch_len >= 1 else 0
-    return burn, batch_len, n_batches
+    batch_len = (steps - burn) // N_BATCHES
+    return build_report(
+        lambda checkpoints, is_sample: _run_blocks(
+            config, streams, state, checkpoints, is_sample, burn, in_regen
+        ),
+        params={
+            "model": "discrete",
+            "N": config.n_sites,
+            "epsilon": config.flip_prob,
+            "m": config.n_walkers,
+            "steps": steps,
+        },
+        seed=spec,
+        lap_length=2.0 * config.n_sites,
+        burn=burn,
+        end=steps,
+        edges=burn + batch_len * np.arange(N_BATCHES + 1 if batch_len else 1),
+        sample_every=sample_every,
+        trace_every=trace_every,
+    )
 
 
-def _params(config: DiscreteConfig, steps: int) -> dict:
-    return {
-        "model": "discrete",
-        "N": config.n_sites,
-        "epsilon": config.flip_prob,
-        "m": config.n_walkers,
-        "steps": steps,
-    }
+def _run_blocks(
+    config: DiscreteConfig, streams: WalkerStreams, state: DiscreteState,
+    checkpoints: np.ndarray, is_sample: np.ndarray, burn: int, in_regen: bool,
+) -> Readings:
+    """Block engine over rounds 1 .. checkpoints[-1].
 
-
-def _simulate_pair(config, steps, streams, state, sample_every, trace_every):
-    n = config.n_sites
-    eps = config.flip_prob
-    burn, batch_len, n_batches = _windows(steps, in_regeneration_set(state, config))
-
-    batch_disp = np.zeros(n_batches)
-    batch_jump = np.zeros(n_batches)
-    batch_clock = np.zeros(n_batches)
-    disp_total = 0
-    clock_total = 0
-    jump_total = 0
-
-    x1, x2 = int(state.positions[0]), int(state.positions[1])
-    d1c, d2c = int(state.directions[0]), int(state.directions[1])
+    Round t contributes the direction of the carrier in the state after
+    t updates, so the displacement read at checkpoint T covers rounds
+    0 .. T-1 and the handoffs those that produced states 1 .. T.  Walker
+    state, carrier and totals carry over from one block to the next.
+    """
+    n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
+    steps = int(checkpoints[-1])
+    block = max(1, WALKER_ROUNDS // m)
+    x = state.positions.astype(np.int64)  # unwrapped positions at round t0
+    d = state.directions.astype(np.int64)
     car = state.carrier
-
-    # contribution of round 0 (the initial state's carrier direction)
-    d0val = d1c if car == 0 else d2c
-    cum_before = d0val  # carrier displacement over rounds 0..t0
-    jumps_all = 0  # handoffs over the whole run, for the trace
-    if burn == 0:
-        disp_total += d0val
-        clock_total += int(d0val > 0)
-        if n_batches:
-            batch_disp[0] += d0val
-            batch_clock[0] += d0val > 0
-
-    rt_list, rc_list, ry_list, rcar_list = [], [], [], []
-    if in_regeneration_set(state, config):
-        rt_list.append(np.array([0]))
-        rc_list.append(np.array([0]))  # displacement through round -1
-        ry_list.append(np.array([0]))
-        rcar_list.append(np.array([car]))
-
-    sample_ts = (
-        np.arange(burn + sample_every, steps + 1, sample_every)
-        if sample_every
-        else np.empty(0, dtype=np.int64)
-    )
-    trace_ts = (
-        np.arange(trace_every, steps + 1, trace_every)
-        if trace_every
-        else np.empty(0, dtype=np.int64)
-    )
+    cum_disp = cum_jumps = 0  # over rounds before t0
+    read = [np.empty(len(checkpoints)) for _ in range(3)]
     samples_x, samples_d = [], []
-    trace_speed, trace_cost = [], []
-
-    t0 = 0
+    # regeneration visits (two walkers) as round, displacement before
+    # it, unwrapped gap x0 - x1 and carrier; a contact start is the first
+    zero = np.zeros(int(in_regen), dtype=np.int64)
+    visits = [(zero, zero, zero, zero + car)]
+    t0 = icp = 0
     while t0 < steps:
-        b = min(_BLOCK, steps - t0)
-        s1 = 1 - 2 * (streams.walker[0].random(b) < eps).astype(np.int64)
-        s2 = 1 - 2 * (streams.walker[1].random(b) < eps).astype(np.int64)
-        d1 = d1c * np.cumprod(s1)  # directions at rounds t0+1 .. t0+b
-        d2 = d2c * np.cumprod(s2)
-        move1 = np.empty(b, dtype=np.int64)
-        move1[0] = d1c
-        move1[1:] = d1[:-1]
-        move2 = np.empty(b, dtype=np.int64)
-        move2[0] = d2c
-        move2[1:] = d2[:-1]
-        x1arr = x1 + np.cumsum(move1)  # unwrapped positions
-        x2arr = x2 + np.cumsum(move2)
-        ystar = x1arr - x2arr
+        b = min(block, steps - t0)
+        # (a) walker paths over rounds t0+1 .. t0+b, one row per round
+        flips = np.column_stack(
+            [streams.walker[j].random(b) < eps for j in range(m)]
+        )
+        dirs = np.cumprod(np.where(flips, -1, 1), axis=0)
+        dirs *= d
+        xs = np.cumsum(np.vstack((d, dirs[:-1])), axis=0)
+        xs += x
+        pos = xs % n
 
-        regen = ((ystar % n) == 0) & (d1 != d2)
-        ridx = np.nonzero(regen)[0]
-        rtau = t0 + 1 + ridx
-        newcar = np.where(d1[ridx] == 1, 0, 1)
-        segv = np.concatenate(([car], newcar))
-        cararr = segv[np.searchsorted(ridx, np.arange(b), side="right")]
-        di = np.where(cararr == 0, d1, d2)
-        prefix = np.cumsum(di)
+        # (b) contact rounds, and the carrier after each of them
+        contact = np.zeros(b, dtype=bool)
+        for j in range(m):
+            for k in range(j + 1, m):
+                contact |= (pos[:, j] == pos[:, k]) & (dirs[:, j] != dirs[:, k])
+        ridx = np.flatnonzero(contact)
+        if m == 2:
+            newcar = np.where(dirs[ridx, 0] == 1, 0, 1)
+        else:
+            newcar = np.empty(len(ridx), dtype=np.int64)
+            c = car
+            for i, r in enumerate(ridx):
+                c, _ = _resolve_handoff(pos[r], dirs[r], c, streams)
+                newcar[i] = c
+        held = np.concatenate(([car], newcar))
+        jump_t = t0 + 1 + ridx[held[1:] != held[:-1]]
+        carrier = np.repeat(held, np.diff(ridx, prepend=0, append=b))
+        dc = dirs[np.arange(b), carrier]
+        # displacement over the rounds before t0 + k, k = 0 .. b
+        disp = np.cumsum(np.concatenate(([cum_disp, d[car]], dc[:-1])))
 
-        tarr = np.arange(t0 + 1, t0 + b + 1)
-        wmask = (tarr >= burn) & (tarr < steps)
-        disp_total += int(di[wmask].sum())
-        clock_total += int((di[wmask] > 0).sum())
-        if n_batches:
-            bidx = (tarr - burn) // batch_len
-            bmask = wmask & (bidx < n_batches)
-            batch_disp += np.bincount(
-                bidx[bmask], weights=di[bmask], minlength=n_batches
-            )
-            batch_clock += np.bincount(
-                bidx[bmask], weights=(di[bmask] > 0), minlength=n_batches
-            )
+        # (c) readings at the checkpoints in this block
+        stop = np.searchsorted(checkpoints, t0 + b, side="right")
+        ts = checkpoints[icp:stop]
+        read[0][icp:stop] = disp[ts - t0]
+        read[1][icp:stop] = cum_jumps + np.searchsorted(jump_t, ts, side="right")
+        read[2][icp:stop] = (ts + disp[ts - t0]) // 2  # every round moves +-1
+        rows = ts[is_sample[icp:stop]] - t0 - 1
+        samples_x.append(pos[rows])
+        samples_d.append(dirs[rows])
+        if m == 2:
+            visits.append((t0 + 1 + ridx, disp[ridx + 1],
+                           xs[ridx, 0] - xs[ridx, 1], newcar))
 
-        jumped = segv[1:] != segv[:-1]
-        jmask = jumped & (rtau > burn)
-        jump_total += int(jmask.sum())
-        if n_batches and jmask.any():
-            jb = (rtau[jmask] - 1 - burn) // batch_len
-            jb = jb[jb < n_batches]
-            batch_jump += np.bincount(jb, minlength=n_batches)
+        cum_disp, cum_jumps = int(disp[-1]), cum_jumps + len(jump_t)
+        x, d, car = xs[-1].copy(), dirs[-1].copy(), int(held[-1])
+        del flips, dirs, xs, pos  # free this block before drawing the next
+        t0, icp = t0 + b, stop
 
-        if ridx.size:
-            cum_prev = cum_before + np.where(ridx > 0, prefix[ridx - 1], 0)
-            rt_list.append(rtau)
-            rc_list.append(cum_prev)
-            ry_list.append(ystar[ridx])
-            rcar_list.append(newcar)
-
-        hi = t0 + b
-        sel = trace_ts[(trace_ts > t0) & (trace_ts <= hi)]
-        if sel.size:
-            off = sel - t0 - 2  # prefix index of round tau-1
-            cums = np.where(off >= 0, prefix[np.maximum(off, 0)], 0) + cum_before
-            jt = rtau[jumped]
-            jcount = jumps_all + np.searchsorted(jt, sel, side="right")
-            trace_speed.append(cums / sel)
-            trace_cost.append(jcount / sel)
-        sel = sample_ts[(sample_ts > t0) & (sample_ts <= hi)]
-        if sel.size:
-            idx = sel - t0 - 1
-            samples_x.append(
-                np.stack([x1arr[idx] % n, x2arr[idx] % n], axis=1)
-            )
-            samples_d.append(np.stack([d1[idx], d2[idx]], axis=1))
-
-        cum_before += int(prefix[-1])
-        jumps_all += int(jumped.sum())
-        x1, x2 = int(x1arr[-1]), int(x2arr[-1])
-        d1c, d2c = int(d1[-1]), int(d2[-1])
-        car = int(cararr[-1]) if b else car
-        t0 = hi
-
-    if rt_list:
-        rt = np.concatenate(rt_list)
-        rc = np.concatenate(rc_list)
-        ry = np.concatenate(ry_list)
-        rcar = np.concatenate(rcar_list)
-        lo = np.searchsorted(rt, burn, side="left")
-        rt, rc, ry, rcar = rt[lo:], rc[lo:], ry[lo:], rcar[lo:]
-    else:
-        rt = np.empty(0, dtype=np.int64)
-    if rt.size >= 2:
-        cyc_len = np.diff(rt).astype(float)
-        cyc_sum = np.diff(rc).astype(float)
+    cycles = None
+    if m == 2:
+        rt, rc, ry, rcar = (np.concatenate(v) for v in zip(*visits))
+        keep = rt >= burn  # cycles starting after burn-in
+        rt, rc, ry, rcar = rt[keep], rc[keep], ry[keep], rcar[keep]
+        # the carrier's displacement around its partner, in sites
         sign = np.where(rcar[:-1] == 0, 1, -1)
-        cyc_disp = (sign * np.diff(ry)).astype(float)
-        cyc_jump = rcar[1:] != rcar[:-1]
-    else:
-        cyc_len = cyc_sum = cyc_disp = np.empty(0)
-        cyc_jump = np.empty(0, dtype=bool)
-
-    return RunReport(
-        kind="discrete",
-        params=_params(config, steps),
-        total_time=float(steps - burn),
-        burn_in=float(burn),
-        displacement_sum=float(disp_total),
-        jump_count=jump_total,
-        clockwise_time=float(clock_total),
-        lap_length=2.0 * n,
-        batch_duration=float(batch_len),
-        batch_displacement=batch_disp,
-        batch_jumps=batch_jump,
-        batch_clockwise=batch_clock,
-        cycle_lengths=cyc_len,
-        cycle_displacements=cyc_disp,
-        cycle_carrier_sums=cyc_sum,
-        cycle_jumps=cyc_jump,
-        sample_positions=np.concatenate(samples_x) if samples_x else None,
-        sample_directions=np.concatenate(samples_d) if samples_d else None,
-        trace_times=trace_ts.astype(float) if trace_every else None,
-        trace_speed=np.concatenate(trace_speed) if trace_every else None,
-        trace_cost=np.concatenate(trace_cost) if trace_every else None,
-    )
-
-
-def _simulate_many(config, steps, streams, state, sample_every, trace_every):
-    # Reference path for 3+ walkers: plain per-round loop.  Regeneration
-    # cycles are a two-walker construction, so none are recorded here.
-    n = config.n_sites
-    burn, batch_len, n_batches = _windows(steps, False)
-
-    batch_disp = np.zeros(n_batches)
-    batch_jump = np.zeros(n_batches)
-    batch_clock = np.zeros(n_batches)
-    disp_total = 0
-    clock_total = 0
-    jump_total = 0
-    cum_all = 0
-    jumps_all = 0
-    samples_x, samples_d = [], []
-    trace_t, trace_speed, trace_cost = [], [], []
-
-    for t in range(steps):
-        dval = int(state.directions[state.carrier])
-        cum_all += dval
-        if t >= burn:
-            disp_total += dval
-            clock_total += int(dval > 0)
-            if n_batches:
-                bi = (t - burn) // batch_len
-                if bi < n_batches:
-                    batch_disp[bi] += dval
-                    batch_clock[bi] += dval > 0
-        state, jumped = step(state, config, streams)
-        if jumped:
-            jumps_all += 1
-            if t >= burn:
-                jump_total += 1
-                if n_batches:
-                    bi = (t - burn) // batch_len
-                    if bi < n_batches:
-                        batch_jump[bi] += 1
-        now = t + 1
-        if trace_every and now % trace_every == 0:
-            trace_t.append(now)
-            trace_speed.append(cum_all / now)
-            trace_cost.append(jumps_all / now)
-        if sample_every and now > burn and (now - burn) % sample_every == 0:
-            samples_x.append(state.positions.copy())
-            samples_d.append(state.directions.copy())
-
-    return RunReport(
-        kind="discrete",
-        params=_params(config, steps),
-        total_time=float(steps - burn),
-        burn_in=float(burn),
-        displacement_sum=float(disp_total),
-        jump_count=jump_total,
-        clockwise_time=float(clock_total),
-        lap_length=2.0 * n,
-        batch_duration=float(batch_len),
-        batch_displacement=batch_disp,
-        batch_jumps=batch_jump,
-        batch_clockwise=batch_clock,
-        # regeneration bookkeeping is a two-walker notion
-        cycle_lengths=None,
-        cycle_displacements=None,
-        cycle_carrier_sums=None,
-        cycle_jumps=None,
-        sample_positions=np.stack(samples_x) if samples_x else None,
-        sample_directions=np.stack(samples_d) if samples_d else None,
-        trace_times=np.asarray(trace_t, dtype=float) if trace_every else None,
-        trace_speed=np.asarray(trace_speed) if trace_every else None,
-        trace_cost=np.asarray(trace_cost) if trace_every else None,
-    )
+        cycles = (
+            np.diff(rt).astype(float),
+            (sign * np.diff(ry)).astype(float),
+            np.diff(rc).astype(float),
+            rcar[1:] != rcar[:-1],
+        )
+    return Readings(*read, samples_x, samples_d, cycles)

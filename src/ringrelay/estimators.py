@@ -61,65 +61,108 @@ class RunReport:
     def n_cycles(self) -> int:
         return 0 if self.cycle_lengths is None else len(self.cycle_lengths)
 
-    def to_dict(self) -> dict:
-        def tolist(a):
-            return None if a is None else np.asarray(a).tolist()
 
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "total_time": self.total_time,
-            "burn_in": self.burn_in,
-            "displacement_sum": self.displacement_sum,
-            "jump_count": int(self.jump_count),
-            "clockwise_time": self.clockwise_time,
-            "lap_length": self.lap_length,
-            "batch_duration": self.batch_duration,
-            "batch_displacement": tolist(self.batch_displacement),
-            "batch_jumps": tolist(self.batch_jumps),
-            "batch_clockwise": tolist(self.batch_clockwise),
-            "cycle_lengths": tolist(self.cycle_lengths),
-            "cycle_displacements": tolist(self.cycle_displacements),
-            "cycle_carrier_sums": tolist(self.cycle_carrier_sums),
-            "cycle_jumps": tolist(self.cycle_jumps),
-            "sample_positions": tolist(self.sample_positions),
-            "sample_directions": tolist(self.sample_directions),
-            "trace_times": tolist(self.trace_times),
-            "trace_speed": tolist(self.trace_speed),
-            "trace_cost": tolist(self.trace_cost),
-            "seeds": self.seeds,
-        }
+class Readings(NamedTuple):
+    """What a simulation engine hands to build_report: cumulative carrier
+    displacement, handoffs and clockwise time at each checkpoint, walker
+    positions and directions at the sample checkpoints (as rows or blocks
+    of rows), and, for two walkers, the regeneration cycles as lengths,
+    carrier displacements around the partner, carrier displacement sums
+    and end-of-cycle handoffs."""
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        def arr(key, dtype=float):
-            value = data[key]
-            return None if value is None else np.asarray(value, dtype=dtype)
+    displacement: np.ndarray
+    jumps: np.ndarray
+    clockwise: np.ndarray
+    positions: list
+    directions: list
+    cycles: tuple | None = None
 
-        return cls(
-            kind=data["kind"],
-            params=data["params"],
-            total_time=data["total_time"],
-            burn_in=data["burn_in"],
-            displacement_sum=data["displacement_sum"],
-            jump_count=data["jump_count"],
-            clockwise_time=data["clockwise_time"],
-            lap_length=data["lap_length"],
-            batch_duration=data["batch_duration"],
-            batch_displacement=arr("batch_displacement"),
-            batch_jumps=arr("batch_jumps"),
-            batch_clockwise=arr("batch_clockwise"),
-            cycle_lengths=arr("cycle_lengths"),
-            cycle_displacements=arr("cycle_displacements"),
-            cycle_carrier_sums=arr("cycle_carrier_sums"),
-            cycle_jumps=arr("cycle_jumps", dtype=bool),
-            sample_positions=arr("sample_positions"),
-            sample_directions=arr("sample_directions"),
-            trace_times=arr("trace_times"),
-            trace_speed=arr("trace_speed"),
-            trace_cost=arr("trace_cost"),
-            seeds=list(data.get("seeds", [])),
-        )
+
+def _spacing(name: str, value, whole: bool):
+    """A checkpoint spacing: None or 0 is off, anything else must be a
+    finite number > 0, and a whole one for runs counted in rounds."""
+    if value is None or value == 0:
+        return None
+    kinds = (int, np.integer) if whole else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not (
+        0 < value < np.inf
+    ):
+        unit = "a whole number of rounds" if whole else "a finite number"
+        raise errors.RelayError(f"{name} must be 0 (off) or {unit} > 0, got {value!r}")
+    return value
+
+
+def build_report(
+    engine, *, params: dict, seed, lap_length: float, burn, end,
+    edges: np.ndarray, sample_every=None, trace_every=None,
+) -> RunReport:
+    """The accounting step shared by both simulators.
+
+    The recorded window runs from burn to end and the batches between
+    successive edges (the lattice leaves the rounds after the last edge
+    out of every batch).  Samples are taken every sample_every after
+    burn-in and trace points every trace_every from time 0.  All these
+    checkpoints go to engine(checkpoints, is_sample) as one sorted list,
+    and the Readings it returns are sliced back into a RunReport.  Runs
+    counted in rounds (an integer end) need whole-number spacings.
+    """
+    whole = isinstance(end, (int, np.integer))
+    sample_every = _spacing("sample_every", sample_every, whole)
+    trace_every = _spacing("trace_every", trace_every, whole)
+    no_times = np.zeros(0, dtype=np.int64)
+    sample_ts = (
+        burn + sample_every * np.arange(1, int((end - burn) / sample_every) + 1)
+        if sample_every
+        else no_times
+    )
+    trace_ts = (
+        trace_every * np.arange(1, int(end / trace_every) + 1)
+        if trace_every
+        else no_times
+    )
+    # the run ends at end, so a checkpoint rounded past it is dropped
+    sample_ts = sample_ts[sample_ts <= end]
+    trace_ts = trace_ts[trace_ts <= end]
+
+    n_edges, n_samples = len(edges), len(sample_ts)
+    checkpoints = np.concatenate((edges, [end], sample_ts, trace_ts))
+    order = np.argsort(checkpoints, kind="stable")
+    is_sample = (order > n_edges) & (order <= n_edges + n_samples)
+    run = engine(checkpoints[order], is_sample)
+
+    def unsort(values):
+        out = np.empty(len(values))
+        out[order] = values
+        return out
+
+    disp, jumps, clock = map(unsort, run[:3])
+    batch = slice(0, n_edges)
+    traced = slice(n_edges + 1 + n_samples, None)
+    cyc_len, cyc_disp, cyc_sum, cyc_jump = run.cycles or (None,) * 4
+    return RunReport(
+        kind=params["model"],
+        params=params,
+        total_time=float(end - burn),
+        burn_in=float(burn),
+        displacement_sum=float(disp[n_edges] - disp[0]),
+        jump_count=int(jumps[n_edges] - jumps[0]),
+        clockwise_time=float(clock[n_edges] - clock[0]),
+        lap_length=lap_length,
+        batch_duration=float(edges[1] - edges[0]) if n_edges > 1 else 0.0,
+        batch_displacement=np.diff(disp[batch]),
+        batch_jumps=np.diff(jumps[batch]),
+        batch_clockwise=np.diff(clock[batch]),
+        cycle_lengths=cyc_len,
+        cycle_displacements=cyc_disp,
+        cycle_carrier_sums=cyc_sum,
+        cycle_jumps=cyc_jump,
+        sample_positions=np.vstack(run.positions) if n_samples else None,
+        sample_directions=np.vstack(run.directions) if n_samples else None,
+        trace_times=trace_ts.astype(float) if trace_every else None,
+        trace_speed=disp[traced] / trace_ts if trace_every else None,
+        trace_cost=jumps[traced] / trace_ts if trace_every else None,
+        seeds=[[seed.master, seed.replica]],
+    )
 
 
 def merge(reports: list[RunReport]) -> RunReport:

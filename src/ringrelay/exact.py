@@ -161,16 +161,6 @@ def exact_metrics(n_sites: int, flip_prob: float) -> ExactMetrics:
     return ExactMetrics(speed, cost, residual, chain.n_states)
 
 
-def exact_speed(n_sites: int, flip_prob: float) -> float:
-    """Stationary mean of the carrier's direction (sites per round)."""
-    return exact_metrics(n_sites, flip_prob).speed
-
-
-def exact_cost(n_sites: int, flip_prob: float) -> float:
-    """Stationary one-round handoff probability (handoffs per round)."""
-    return exact_metrics(n_sites, flip_prob).cost
-
-
 # ----------------------------------------------------------------------
 # Gap excursions: ladder recursion and absorbing-chain oracle
 

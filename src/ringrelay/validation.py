@@ -60,6 +60,16 @@ class CheckResult:
         }
 
 
+def pool_map(func, jobs: list, threads: int) -> list:
+    """func applied to every job, in that many worker processes when
+    threads > 1.  Results come back in job order, and every job carries
+    its own seed, so the thread count never changes a result."""
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(func, jobs))
+    return [func(job) for job in jobs]
+
+
 def _mc_discrete(args):
     config, steps, seed, initial = args
     if initial is not None and not isinstance(initial, str):
@@ -84,12 +94,6 @@ class AcceptanceContext:
             self._cache[key] = builder()
         return self._cache[key]
 
-    def _map(self, func, jobs):
-        if self.threads > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(func, jobs))
-        return [func(j) for j in jobs]
-
     def exact_grid(self):
         def build():
             return {
@@ -108,7 +112,7 @@ class AcceptanceContext:
                 (config, 10**6, SeedSpec(self.master_seed, k), None)
                 for k in range(8)
             ]
-            return merge(self._map(_mc_discrete, jobs))
+            return merge(pool_map(_mc_discrete, jobs, self.threads))
 
         return self._memo("discrete_reference", build)
 
@@ -433,18 +437,18 @@ def check_scaling(ctx: AcceptanceContext) -> CheckResult:
     )
 
 
-def _uniformity_pass_count_discrete(ctx: AcceptanceContext) -> int:
+def _lattice_uniformity_passes(seed: SeedSpec) -> bool:
     config = DiscreteConfig(5, 0.3)
-    gap = 10 * config.n_sites
-    steps = 205_000  # ~4000 samples at the 10N spacing after burn-in
-    passes = 0
-    for k in range(100):
-        report = simulate_discrete(
-            config, steps, SeedSpec(ctx.master_seed, 1000 + k), sample_every=gap
-        )
-        result = estimators.uniformity_test(report)
-        passes += result.pvalue > 0.01
-    return passes
+    # ~4000 samples at the 10N spacing after burn-in
+    report = simulate_discrete(
+        config, 205_000, seed, sample_every=10 * config.n_sites
+    )
+    return estimators.uniformity_test(report).pvalue > 0.01
+
+
+def _uniformity_pass_count_discrete(ctx: AcceptanceContext) -> int:
+    seeds = [SeedSpec(ctx.master_seed, 1000 + k) for k in range(100)]
+    return sum(pool_map(_lattice_uniformity_passes, seeds, ctx.threads))
 
 
 def _uniformity_pass_count_continuous(ctx: AcceptanceContext) -> int:
@@ -491,7 +495,7 @@ def check_initial_independence(ctx: AcceptanceContext) -> CheckResult:
         (config, 10**6, SeedSpec(ctx.master_seed, 3000 + k), state)
         for k, state in enumerate(INDEPENDENCE_STATES)
     ]
-    reports = ctx._map(_mc_discrete, jobs)
+    reports = pool_map(_mc_discrete, jobs, ctx.threads)
     ests = [estimators.speed_estimate(r) for r in reports]
     worst = 0.0
     ok = True

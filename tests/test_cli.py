@@ -82,6 +82,26 @@ class TestConfigHandling:
         assert code == 2
         assert "horizon" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "model,override",
+        [
+            pytest.param("discrete", "trace_every=0.5", id="lattice-fractional-trace"),
+            pytest.param("discrete", "trace_every=-3", id="lattice-negative-trace"),
+            pytest.param("discrete", "sample_every=-5", id="lattice-negative-sample"),
+            pytest.param("continuous", "sample_every=-2.5", id="continuum-negative-sample"),
+            pytest.param("discrete", "epsilon=abc", id="epsilon-not-a-number"),
+            pytest.param("continuous", "horizon=x", id="horizon-not-a-number"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, capsys, model, override):
+        base = {"discrete": ["N=5", "epsilon=0.3", "steps=500"],
+                "continuous": ["N=1", "horizon=50.0"]}[model]
+        args = [a for kv in [f"model={model}", *base, override] for a in ("--set", kv)]
+        code, out, err = run_cli(capsys, "simulate", *args)
+        assert code == 2
+        assert err.startswith("error: ") and override.split("=")[0] in err
+        assert out == ""
+
     def test_unreadable_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "exact", "--config", str(tmp_path / "missing.json")

@@ -1,9 +1,9 @@
 """Lattice simulator: single-round semantics and the vectorised engine.
 
 The one-round step() function is simple enough to eyeball; the block
-engine used by simulate_discrete for two walkers is not, so the central
-test here replays the same seed through both and demands the identical
-trajectory, round by round.
+engine used by simulate_discrete for any number of walkers is not, so
+the central test here replays the same seed through both and demands
+the identical trajectory, round by round.
 """
 import numpy as np
 import pytest
@@ -17,25 +17,25 @@ TINY = 1e-12  # flip probability small enough to make rounds deterministic
 
 
 def run_reference_loop(config, steps, seed, initial):
-    """Totals, per-round states, and regeneration visits via step()."""
+    """Per-round states via step(): positions, directions, carrier and
+    whether the message just changed hands, row t after t rounds (row 0
+    is the start, its handoff resolved uncounted as simulate_discrete
+    does), plus the rounds in the regeneration set."""
     streams = WalkerStreams(SeedSpec(*seed), config.n_walkers)
     state = initial.copy()
-    states = {}
-    visits = []
-    jumps_at = {}
-    if discrete.in_regeneration_set(state, config):
-        visits.append(0)
-    for t in range(steps):
+    state.carrier, _ = discrete._resolve_handoff(
+        state.positions, state.directions, state.carrier, streams
+    )
+    rows = [(state.positions, state.directions, state.carrier, False)]
+    for _ in range(steps):
         state, jumped = discrete.step(state, config, streams)
-        states[t + 1] = (
-            state.positions.copy(),
-            state.directions.copy(),
-            state.carrier,
-        )
-        jumps_at[t + 1] = jumped
-        if discrete.in_regeneration_set(state, config):
-            visits.append(t + 1)
-    return states, visits, jumps_at
+        rows.append((state.positions, state.directions, state.carrier, jumped))
+    visits = [
+        t for t, (x, d, c, _) in enumerate(rows)
+        if discrete.in_regeneration_set(discrete.DiscreteState(x, d, c), config)
+    ]
+    positions, directions, carriers, jumps = map(np.array, zip(*rows))
+    return positions, directions, carriers, jumps, visits
 
 
 class TestStep:
@@ -155,63 +155,68 @@ class TestRegenerationLaw:
 
 class TestEngineAgainstStepLoop:
     @pytest.mark.parametrize(
-        "seed,init",
+        "seed,init",  # init: N, positions, directions, carrier
         [
-            ((42, 0), ([0, 2], [1, -1], 0)),
-            ((7, 1), ([4, 4], [1, -1], 0)),  # regeneration start
-            ((7, 2), ([1, 3], [-1, -1], 1)),
-            ((1234, 5), ([2, 0], [-1, 1], 1)),
+            ((42, 0), (5, [0, 2], [1, -1], 0)),
+            ((7, 1), (5, [4, 4], [1, -1], 0)),  # regeneration start
+            ((7, 2), (5, [1, 3], [-1, -1], 1)),
+            ((1234, 5), (5, [2, 0], [-1, 1], 1)),
+            # more walkers; six on three sites often give a handoff
+            # several candidates, so tie-break draws occur
+            ((3, 0), (3, [0, 0, 1, 1, 2, 2], [1, -1, 1, -1, 1, -1], 1)),
+            ((5, 1), (5, [0, 2, 4], [1, 1, -1], 2)),
+            ((8, 3), (5, [1, 1, 3, 4], [1, -1, -1, 1], 0)),
+            ((6, 2), (7, [0, 3, 3, 5], [-1, 1, -1, 1], 2)),
         ],
     )
-    def test_trajectory_equality(self, seed, init):
-        cfg = DiscreteConfig(5, 0.3)
+    def test_trajectory_equality(self, seed, init, monkeypatch):
+        n, positions, directions, carrier = init
+        cfg = DiscreteConfig(n, 0.3, len(positions))
         steps = 1500
         initial = discrete.DiscreteState(
-            np.array(init[0]), np.array(init[1]), init[2]
+            np.array(positions), np.array(directions), carrier
         )
-        states, visits, jumps_at = run_reference_loop(cfg, steps, seed, initial)
-
-        report = discrete.simulate_discrete(
-            cfg, steps, SeedSpec(*seed), initial.copy(), sample_every=1
+        pos, dirs, car, jumped, visits = run_reference_loop(
+            cfg, steps, seed, initial
         )
-        burn = int(report.burn_in)
+        # round t moves the message by the carrier's direction in state t;
+        # running totals over the rounds before t, handoffs up to state t
+        cdir = dirs[np.arange(steps + 1), car]
+        disp = np.concatenate(([0], np.cumsum(cdir)))
+        cw = np.concatenate(([0], np.cumsum(cdir == 1)))
+        hops = np.cumsum(jumped)
+        ts = np.arange(1, steps + 1)
 
-        # per-round positions and directions
-        ts = np.arange(burn + 1, steps + 1)
-        assert report.sample_positions.shape == (len(ts), 2)
-        for k, t in enumerate(ts):
-            px, pd, _ = states[t]
-            np.testing.assert_array_equal(report.sample_positions[k], px)
-            np.testing.assert_array_equal(report.sample_directions[k], pd)
-
-        # totals over the recorded window
-        disp = sum(
-            states[t][1][states[t][2]] for t in range(burn, steps) if t > 0
-        )
-        if burn == 0:
-            disp += initial.directions[initial.carrier]
-        cw = sum(
-            states[t][1][states[t][2]] == 1
-            for t in range(max(burn, 1), steps)
-        )
-        if burn == 0:
-            cw += initial.directions[initial.carrier] == 1
-        jumps = sum(jumps_at[t] for t in range(burn + 1, steps + 1))
-        assert report.displacement_sum == disp
-        assert report.clockwise_time == cw
-        assert report.jump_count == jumps
-
-        # regeneration cycle boundaries
-        vs = [t for t in visits if t >= burn]
-        if len(vs) >= 2:
-            np.testing.assert_array_equal(
-                report.cycle_lengths, np.diff(vs)
+        # the engine in its own blocks, then in blocks of 17 rounds
+        for walker_rounds in (discrete.WALKER_ROUNDS, 17 * cfg.n_walkers):
+            monkeypatch.setattr(discrete, "WALKER_ROUNDS", walker_rounds)
+            report = discrete.simulate_discrete(
+                cfg, steps, SeedSpec(*seed), initial.copy(),
+                sample_every=1, trace_every=1,
             )
-        # carrier never changes strictly inside a cycle: handoffs land
-        # exactly on regeneration visits
-        for t in range(burn + 1, steps + 1):
-            if jumps_at[t]:
-                assert t in set(visits)
+            burn = int(report.burn_in)
+            edges = burn + int(report.batch_duration) * np.arange(51)
+
+            np.testing.assert_array_equal(report.sample_positions, pos[burn + 1:])
+            np.testing.assert_array_equal(report.sample_directions, dirs[burn + 1:])
+            assert report.displacement_sum == disp[steps] - disp[burn]
+            assert report.clockwise_time == cw[steps] - cw[burn]
+            assert report.jump_count == hops[steps] - hops[burn]
+            np.testing.assert_array_equal(report.batch_displacement, np.diff(disp[edges]))
+            np.testing.assert_array_equal(report.batch_clockwise, np.diff(cw[edges]))
+            np.testing.assert_array_equal(report.batch_jumps, np.diff(hops[edges]))
+            np.testing.assert_array_equal(report.trace_speed, disp[ts] / ts)
+            np.testing.assert_array_equal(report.trace_cost, hops[ts] / ts)
+
+            if cfg.n_walkers > 2:
+                assert report.cycle_lengths is None
+                continue
+            # regeneration cycle boundaries
+            vs = [t for t in visits if t >= burn]
+            np.testing.assert_array_equal(report.cycle_lengths, np.diff(vs))
+            # carrier never changes strictly inside a cycle: handoffs land
+            # exactly on regeneration visits
+            assert set(np.flatnonzero(jumped)) <= set(visits)
 
     def test_cycle_displacements_are_zero_or_full_laps(self):
         cfg = DiscreteConfig(5, 0.3)
@@ -279,6 +284,12 @@ class TestEngineAgainstStepLoop:
             discrete.simulate_discrete(cfg, 10, SeedSpec(0, 0), bad)
         with pytest.raises(errors.RelayError):
             discrete.simulate_discrete(cfg, 10, SeedSpec(0, 0), "nonsense")
+
+
+    @pytest.mark.parametrize("steps", [0, 10.5])
+    def test_rejects_bad_step_count(self, steps):
+        with pytest.raises(errors.RelayError):
+            discrete.simulate_discrete(DiscreteConfig(5, 0.3), steps, SeedSpec(0, 0))
 
 
 class TestTraces:

@@ -154,19 +154,6 @@ class TestMerge:
             merge([])
 
 
-class TestRoundTrip:
-    def test_to_from_dict(self):
-        report = TestMerge().run(4)
-        again = RunReport.from_dict(report.to_dict())
-        assert again.kind == report.kind
-        assert again.total_time == report.total_time
-        np.testing.assert_array_equal(
-            again.batch_displacement, report.batch_displacement
-        )
-        np.testing.assert_array_equal(again.cycle_jumps, report.cycle_jumps)
-        assert again.sample_positions is None
-
-
 class TestKac:
     def make_cycle_report(self, seed, n=500):
         # cycles with length L and sum s = 0.4 L + noise: the long-run

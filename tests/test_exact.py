@@ -73,7 +73,7 @@ class TestReducedChain:
 
     def test_speed_small_case_by_hand(self):
         # N=3, fair flip: s = (1-eps)/(2(1+eps)) = 1/6
-        assert exact.exact_speed(3, 0.5) == pytest.approx(1 / 6, abs=1e-12)
+        assert exact.exact_metrics(3, 0.5).speed == pytest.approx(1 / 6, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 5, 25])
     @pytest.mark.parametrize("eps", EPS_GRID)
@@ -122,7 +122,7 @@ class TestTraceBvp:
         a = sol.crossing_prob
         assert a == pytest.approx(exact.hitting_prob_oracle(n, eps), abs=1e-12)
         assert a == pytest.approx((1 - eps) / (1 + eps * (n - 2)), abs=1e-12)
-        assert exact.exact_speed(n, eps) == pytest.approx(a / 2, abs=1e-12)
+        assert exact.exact_metrics(n, eps).speed == pytest.approx(a / 2, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 5, 11])
     @pytest.mark.parametrize("eps", EPS_GRID)
