@@ -24,7 +24,13 @@ from . import closed_form, estimators, exact, validation
 from .continuous import ContinuousState, simulate_continuous
 from .discrete import DiscreteState, simulate_discrete
 from .errors import ConfigError, RelayError
-from .model import ContinuousConfig, DiscreteConfig, SeedSpec
+from .model import (
+    ContinuousConfig,
+    DiscreteConfig,
+    SeedSpec,
+    validate_continuous,
+    validate_discrete,
+)
 
 EXACT_SIZE_LIMIT = 1000
 
@@ -106,6 +112,39 @@ def _build_continuous(cfg: dict) -> ContinuousConfig:
     )
 
 
+def _two_walker_config(cfg: dict, lattice_only: bool = False):
+    """The model config of a run compared with the two-walker formulas or
+    exact solves (exact, bvp, sweep): m must be 2, and a lattice ring
+    must be small enough for the dense exact solvers."""
+    if _model_kind(cfg) == "discrete":
+        config = validate_discrete(_build_discrete(cfg))
+        if config.n_sites > EXACT_SIZE_LIMIT:
+            raise ConfigError(
+                f"size limit exceeded: N={config.n_sites} > {EXACT_SIZE_LIMIT}"
+            )
+    elif lattice_only:
+        raise ConfigError("exact computation is defined for the discrete model")
+    else:
+        config = validate_continuous(_build_continuous(cfg))
+    if config.n_walkers != 2:
+        raise ConfigError(
+            f"two-walker formulas and exact solves need m=2, got m={config.n_walkers}"
+        )
+    return config
+
+
+def _run_plan(cfg: dict, kind: str) -> tuple[int, int, int | float]:
+    """Replica count, master seed and run length (rounds or time) of
+    simulate and sweep."""
+    replicas = _int_key(cfg, "replicas", 1)
+    if replicas < 1:
+        raise ConfigError("replicas must be >= 1")
+    seed = _int_key(cfg, "seed")
+    if kind == "discrete":
+        return replicas, seed, _int_key(cfg, "steps", 100_000)
+    return replicas, seed, _float_key(cfg, "horizon", 10_000.0)
+
+
 def _build_initial(cfg: dict, kind: str):
     spec = cfg.get("initial", "uniform-random")
     if isinstance(spec, str):
@@ -149,13 +188,16 @@ def _jsonable(value):
     return value
 
 
-def _dump_json(payload, out: Path | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
+
+
+def _dump_json(payload, out: Path | None) -> None:
+    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", out)
 
 
 def _num(x) -> str:
@@ -170,12 +212,7 @@ def _write_csv(rows, header, out: Path | None) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    text = buf.getvalue()
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+    _emit(buf.getvalue(), out)
 
 
 def _try_estimate(fn, report):
@@ -246,18 +283,10 @@ def _run_one(job):
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     kind = _model_kind(cfg)
-    replicas = _int_key(cfg, "replicas", 1)
-    if replicas < 1:
-        raise ConfigError("replicas must be >= 1")
-    seed = _int_key(cfg, "seed")
+    replicas, seed, length = _run_plan(cfg, kind)
     sample_every = cfg.get("sample_every")
     trace_every = cfg.get("trace_every")
-    if kind == "discrete":
-        config = _build_discrete(cfg)
-        length = _int_key(cfg, "steps", 100_000)
-    else:
-        config = _build_continuous(cfg)
-        length = _float_key(cfg, "horizon", 10_000.0)
+    config = _build_discrete(cfg) if kind == "discrete" else _build_continuous(cfg)
     initial = _build_initial(cfg, kind)
     jobs = [
         (kind, config, length, SeedSpec(seed, k), initial, sample_every, trace_every)
@@ -292,16 +321,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    cfg = _load_config(args)
-    cfg.setdefault("model", "discrete")
-    if _model_kind(cfg) != "discrete":
-        raise ConfigError("exact computation is defined for the discrete model")
-    if _int_key(cfg, "m", 2) != 2:
-        raise ConfigError("exact computation needs exactly two walkers")
-    n = _int_key(cfg, "N")
-    if n > EXACT_SIZE_LIMIT:
-        raise ConfigError(f"size limit exceeded: N={n} > {EXACT_SIZE_LIMIT}")
-    eps = _float_key(cfg, "epsilon")
+    cfg = {"model": "discrete", **_load_config(args)}
+    config = _two_walker_config(cfg, lattice_only=True)
+    n, eps = config.n_sites, config.flip_prob
     metrics = exact.exact_metrics(n, eps)
     sol = exact.solve_trace_bvp(n, eps)
     oracle = exact.hitting_prob_oracle(n, eps)
@@ -334,9 +356,9 @@ def cmd_exact(args) -> int:
 
 
 def cmd_bvp(args) -> int:
-    cfg = _load_config(args)
-    n = _int_key(cfg, "N")
-    eps = _float_key(cfg, "epsilon")
+    cfg = {"model": "discrete", **_load_config(args)}
+    config = _two_walker_config(cfg, lattice_only=True)
+    n, eps = config.n_sites, config.flip_prob
     sol = exact.solve_trace_bvp(n, eps)
     payload = {
         "N": n,
@@ -359,68 +381,55 @@ def _sweep_grid(cfg: dict, kind: str):
     sizes = grid.get("N")
     var_key = "epsilon" if kind == "discrete" else "r"
     values = grid.get(var_key)
-    if not sizes or not values:
+    if not (isinstance(sizes, list) and isinstance(values, list) and sizes and values):
         raise ConfigError(f"grid must list 'N' and '{var_key}' values")
-    return list(sizes), var_key, list(values)
+    return sizes, var_key, values
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     kind = _model_kind(cfg)
     sizes, var_key, values = _sweep_grid(cfg, kind)
-    replicas = _int_key(cfg, "replicas", 1)
-    seed = _int_key(cfg, "seed")
-    threads = args.threads
-
-    if kind == "discrete":
-        length = _int_key(cfg, "steps", 100_000)
-        header = [
-            "N", "epsilon", "s_formula", "c_formula",
-            "s_exact", "c_exact", "s_mc", "c_mc",
-            "s_mc_stderr", "c_mc_stderr",
-        ]
-    else:
-        length = _float_key(cfg, "horizon", 10_000.0)
-        header = [
-            "N", "r", "s_formula", "c_formula",
-            "s_mc", "c_mc", "s_mc_stderr", "c_mc_stderr",
-        ]
-    v = _float_key(cfg, "v", 1.0)
-    m = _int_key(cfg, "m", 2)
-
+    replicas, seed, length = _run_plan(cfg, kind)
+    # every grid point is checked before any of them runs
+    configs = [
+        _two_walker_config({**cfg, "N": n, var_key: value})
+        for n in sizes
+        for value in values
+    ]
+    exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []
+    header = ["N", var_key, "s_formula", "c_formula", *exact_columns,
+              "s_mc", "c_mc", "s_mc_stderr", "c_mc_stderr"]
     rows = []
-    point = 0
-    for n in sizes:
-        for value in values:
-            if kind == "discrete":
-                config = DiscreteConfig(int(n), float(value), m)
-                s_f = closed_form.speed_discrete(int(n), float(value))
-                c_f = closed_form.cost_discrete(int(n), float(value))
-                if int(n) > EXACT_SIZE_LIMIT:
-                    raise ConfigError(
-                        f"size limit exceeded: N={n} > {EXACT_SIZE_LIMIT}"
-                    )
-                metrics = exact.exact_metrics(int(n), float(value))
-                fixed = [_num(s_f), _num(c_f), _num(metrics.speed), _num(metrics.cost)]
-            else:
-                config = ContinuousConfig(float(n), v, float(value), m)
-                s_f = closed_form.speed_continuous(float(n), v, float(value))
-                c_f = closed_form.cost_continuous(float(n), v, float(value))
-                fixed = [_num(s_f), _num(c_f)]
-            jobs = [
-                (kind, config, length, SeedSpec(seed, point * replicas + k),
-                 "uniform-random", None, None)
-                for k in range(replicas)
+    for point, config in enumerate(configs):
+        if kind == "discrete":
+            n, value = config.n_sites, config.flip_prob
+            metrics = exact.exact_metrics(n, value)
+            fixed = [
+                closed_form.speed_discrete(n, value),
+                closed_form.cost_discrete(n, value),
+                metrics.speed,
+                metrics.cost,
             ]
-            reports = validation.pool_map(_run_one, jobs, threads)
-            merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
-            s = estimators.speed_estimate(merged)
-            c = estimators.cost_estimate(merged)
-            rows.append(
-                [_num(n), _num(value), *fixed,
-                 _num(s.point), _num(c.point), _num(s.stderr), _num(c.stderr)]
-            )
-            point += 1
+        else:
+            n, value = config.circumference, config.switch_rate
+            fixed = [
+                closed_form.speed_continuous(n, config.speed, value),
+                closed_form.cost_continuous(n, config.speed, value),
+            ]
+        jobs = [
+            (kind, config, length, SeedSpec(seed, point * replicas + k),
+             "uniform-random", None, None)
+            for k in range(replicas)
+        ]
+        reports = validation.pool_map(_run_one, jobs, args.threads)
+        merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
+        s = estimators.speed_estimate(merged)
+        c = estimators.cost_estimate(merged)
+        rows.append([
+            _num(x)
+            for x in (n, value, *fixed, s.point, c.point, s.stderr, c.stderr)
+        ])
     _write_csv(rows, header, args.out)
     return 0
 

@@ -1,22 +1,16 @@
-"""Continuum relay simulators.
+"""Continuum relay simulator.
 
 Walkers move at constant speed on a circle and reverse direction at the
 arrival times of independent Poisson clocks.  When the message holder
 meets a clockwise mover head-on, the message changes hands.  The message
-never changes how the walkers move, so walker paths can be drawn first
-and the relay resolved over them.
-
-There are two engines, chosen by the number of walkers:
-
-* two walkers (the paper's model): switch times are drawn in blocks,
-  meetings are the level crossings of the piecewise linear gap, and all
-  totals are cumulative sums over the merged timeline, processed in
-  chunks of SWITCH_CHUNK switches per walker;
-* three or more walkers: an event loop that jumps from one switch or
-  pair meeting to the next.
-
-Both report through the accounting step shared with the lattice
-simulator, estimators.build_report.  The pure event operations
+never changes how the walkers move, so one block engine serves any
+number of walkers: switch times are drawn in blocks, the meetings of
+each pair are the level crossings of its piecewise linear gap, the
+relay is resolved at the meetings only (for two walkers the message
+sits on the clockwise mover after each one), and all totals are
+cumulative sums over the merged timeline, processed in chunks of
+switches.  It reports through the accounting step shared with the
+lattice simulator, estimators.build_report.  The pure event operations
 (next_event / advance_to / handle_event) are kept as a one-event-at-a-
 time reference for the tests.
 
@@ -38,12 +32,13 @@ from .model import (
     SeedSpec,
     WalkerStreams,
     as_seed,
+    check_state,
     circle_delta,
     validate_continuous,
 )
 
 
-# switches per walker in one block of the two-walker engine
+# switches per walker in one chunk of the engine with two walkers
 SWITCH_CHUNK = 1 << 14
 
 
@@ -76,18 +71,6 @@ class Event:
     time: float
     kind: str  # "switch" | "meeting"
     walkers: tuple[int, ...]
-
-
-def _check_state(state: ContinuousState, config: ContinuousConfig) -> None:
-    m = config.n_walkers
-    if len(state.positions) != m or len(state.directions) != m:
-        raise errors.RelayError(f"state must describe {m} walkers")
-    if np.any(state.positions < 0) or np.any(state.positions >= config.circumference):
-        raise errors.NOutOfRange("positions must lie in [0, circumference)")
-    if not np.all(np.isin(state.directions, (1, -1))):
-        raise errors.RelayError("directions must be +1 or -1")
-    if not (0 <= state.carrier < m):
-        raise errors.RelayError(f"carrier must be in [0, {m})")
 
 
 def meeting_time(
@@ -249,7 +232,7 @@ def _initial_state(
 ) -> ContinuousState:
     n, m = config.circumference, config.n_walkers
     if isinstance(initial, ContinuousState):
-        _check_state(initial, config)
+        check_state(initial, m, n)
         state = initial.copy()
         state.clock = 0.0
     elif initial == "uniform-random":
@@ -302,15 +285,10 @@ def simulate_continuous(
     in_f = in_contact_state(state, config, tol)
     burn = 0.0 if in_f else 0.01 * horizon
 
-    def engine(checkpoints, is_sample):
-        if config.n_walkers == 2:
-            return _run_pair(
-                config, streams, state, checkpoints, is_sample, tol, burn, in_f
-            )
-        return _run_many(config, streams, state, checkpoints, is_sample, tol)
-
     return build_report(
-        engine,
+        lambda checkpoints, is_sample: _run_blocks(
+            config, streams, state, checkpoints, is_sample, tol, burn, in_f
+        ),
         params={
             "model": "continuous",
             "N": config.circumference,
@@ -330,7 +308,7 @@ def simulate_continuous(
 
 
 # ----------------------------------------------------------------------
-# two walkers: block paths, meetings as level crossings of the gap
+# block engine: walker paths, meetings as level crossings of pair gaps
 
 
 def _draw_switches(stream, last: float, rate: float, size: int) -> np.ndarray:
@@ -358,53 +336,89 @@ def _walk(x0: float, d0: int, bounds: np.ndarray, times: np.ndarray,
     return positions, signs[idx]
 
 
-def _run_pair(
+def _pass_message(car: int, meet_t: np.ndarray, cw: np.ndarray, ccw: np.ndarray,
+                  window: float, streams: WalkerStreams) -> np.ndarray:
+    """The carrier after each meeting, for three or more walkers.
+
+    The message moves only at a meeting whose counter-clockwise member
+    is the carrier.  It goes to one of the clockwise walkers that meet
+    the carrier at that instant (up to window), taken in ascending index
+    and chosen with streams.choose, as handle_event does."""
+    t, cw, ccw = meet_t.tolist(), cw.tolist(), ccw.tolist()
+    after = []
+    for i, loser in enumerate(ccw):
+        if loser == car:
+            cands, h = set(), i
+            while h < len(t) and t[h] - t[i] <= window:
+                if ccw[h] == car:
+                    cands.add(cw[h])
+                h += 1
+            cands = sorted(cands)
+            car = cands[streams.choose(len(cands))]
+        after.append(car)
+    return np.array(after, dtype=np.int64)
+
+
+def _run_blocks(
     config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
     checkpoints: np.ndarray, is_sample: np.ndarray, tol: float,
     burn: float, in_f: bool,
 ) -> Readings:
-    """Two-walker engine.
+    """Block engine for any number of walkers.
 
     (a) Each walker's switch times are drawn in blocks from its own
-    stream.  (b) The unwrapped gap g = x1 - x0 is piecewise linear with
-    slope 0 or +-2v, and the walkers meet exactly when g crosses a
-    multiple of the circumference; a level within tol of a segment's
-    start is where the pair already is, not a meeting.  After every
-    meeting the message sits on the clockwise mover, so it jumped iff
-    that mover is not the previous carrier.  (c) Displacement, clockwise
-    time and handoffs are cumulative sums over the merged timeline of
-    switches and meetings, read at the checkpoints with searchsorted
-    (a checkpoint comes before an event at the same time).
+    stream and merged into one timeline of segments, each with a row of
+    walker directions.  (b) The unwrapped gap x_k - x_j of every pair
+    j < k is piecewise linear with slope 0 or +-2v, and the pair meets
+    exactly when it crosses a multiple of the circumference; a level
+    within tol of a segment's start is where the pair already is, not a
+    meeting.  Meetings are merged by (time, pair), the order in which
+    next_event takes them.  For two walkers the message then sits on
+    the clockwise mover; for more, _pass_message resolves the meetings
+    one by one.  A jump is a change of carrier.  (c) Displacement,
+    clockwise time and handoffs are cumulative sums over the merged
+    timeline of switches and meetings, read at the checkpoints with
+    searchsorted (a checkpoint comes before an event at the same time).
 
-    The horizon is processed in chunks of at most SWITCH_CHUNK switches
-    per walker; walker state, gap, carrier, totals and the open cycle
-    carry over from one chunk to the next.
+    The horizon is processed in chunks of switches; walker state, pair
+    gaps, carrier, totals and, for two walkers, the open cycle carry
+    over from one chunk to the next.
     """
-    n, v, r = config.circumference, config.speed, config.switch_rate
+    n, v, r, m = (
+        config.circumference,
+        config.speed,
+        config.switch_rate,
+        config.n_walkers,
+    )
     horizon = float(checkpoints[-1])
-    # the pair meets about v / (n r) times per switch, so on small rings
-    # fewer switches per chunk keep a chunk's meetings near SWITCH_CHUNK
-    k = max(1, int(SWITCH_CHUNK * min(1.0, n * r / v)))
+    pj, pk = np.triu_indices(m, 1)  # pairs j < k in lexicographic order
+    # k switches per walker make about m k segments, each with a cell per
+    # pair; k gives 4 SWITCH_CHUNK / m cells, so two walkers keep chunks of
+    # SWITCH_CHUNK and more walkers take chunks whose arrays stay small
+    # next to the rest of the process.  A pair meets about v / (n r) times
+    # per switch, so on small rings fewer switches keep meetings in check.
+    k = max(1, int(8 * SWITCH_CHUNK // (m**3 * (m - 1)) * min(1.0, n * r / v)))
 
-    def settle(gap: float, base: int) -> tuple[float, int]:
-        """Rebase the gap into [0, n), snapping it onto a level within tol."""
+    def settle(gap: np.ndarray, base: np.ndarray):
+        """Rebase the gaps into [0, n), snapping them onto a level within tol."""
         level = np.floor(gap / n)
-        gap, base = gap - level * n, base + int(level)
-        if n - gap <= tol:
-            return 0.0, base + 1
-        return (0.0 if gap <= tol else gap), base
+        gap, base = gap - level * n, base + level.astype(np.int64)
+        wrap = n - gap <= tol
+        return np.where(wrap | (gap <= tol), 0.0, gap), base + wrap
 
-    pending = [state.next_switch[j:j + 1].astype(float) for j in (0, 1)]
-    drawn = [float(state.next_switch[j]) for j in (0, 1)]  # latest switch drawn
+    pending = [state.next_switch[j:j + 1].astype(float) for j in range(m)]
+    drawn = [float(state.next_switch[j]) for j in range(m)]  # latest switch drawn
     d = state.directions.astype(np.int64)
     x = state.positions.astype(float)
-    gap, base = settle(float(x[1] - x[0]), 0)  # unwrapped gap is base * n + gap
+    # unwrapped gap of each pair is base * n + gap
+    gap, base = settle(x[pk] - x[pj], np.zeros(len(pj), dtype=np.int64))
     car = state.carrier
     cum_disp = cum_clock = 0.0
     cum_jumps = 0
-    # the latest contact as (time, cum_disp, carrier, gap level) arrays of
-    # length one, empty until the first meeting unless the run starts in one
-    contact = (np.zeros(1), np.zeros(1), np.array([car]), np.array([base]))
+    # two walkers: the latest contact as (time, cum_disp, carrier, gap
+    # level) arrays of length one, empty until the first meeting unless
+    # the run starts in one
+    contact = (np.zeros(1), np.zeros(1), np.array([car]), base.copy())
     if not in_f:
         contact = tuple(c[:0] for c in contact)
     sampling = bool(is_sample.any())
@@ -414,34 +428,34 @@ def _run_pair(
     t0, icp = 0.0, 0
     while True:
         # (a) walker paths: switches up to the chunk end t1
-        for j in (0, 1):
+        for j in range(m):
             if len(pending[j]) < k:
                 more = _draw_switches(
                     streams.walker[j], drawn[j], r, k - len(pending[j])
                 )
                 pending[j] = np.concatenate((pending[j], more))
                 drawn[j] = float(more[-1])
-        t1 = min(pending[0][k - 1], pending[1][k - 1])
+        t1 = min(p[k - 1] for p in pending)
         final = t1 >= horizon
         if final:
             t1 = horizon
         switches = []
-        for j in (0, 1):
+        for j in range(m):
             cut = np.searchsorted(pending[j], t1, side="left" if final else "right")
             switches.append(pending[j][:cut])
             pending[j] = pending[j][cut:]
 
         # merged switches; segment i runs from bounds[i] to bounds[i + 1]
         times = np.concatenate(switches)
-        order = np.argsort(times, kind="stable")  # ties: walker 0 first
+        order = np.argsort(times, kind="stable")  # ties: lower walker first
         bounds = np.concatenate(([t0], times[order], [t1]))
-        flips0 = np.concatenate(([0], np.cumsum(order < len(switches[0]))))
-        flips1 = np.arange(len(flips0)) - flips0
-        d0 = np.where(flips0 % 2 == 0, d[0], -d[0])
-        d1 = np.where(flips1 % 2 == 0, d[1], -d[1])
+        flipper = np.repeat(np.arange(m), [len(s) for s in switches])[order]
+        flips = np.ones((len(bounds) - 1, m), dtype=np.int64)
+        flips[np.arange(1, len(flips)), flipper] = -1
+        dirs = np.cumprod(flips, axis=0) * d  # (segments x walkers)
         dt = np.diff(bounds)
-        slope = v * (d1 - d0)
-        g = np.cumsum(np.concatenate(([gap], slope * dt)))
+        slope = v * (dirs[:, pk] - dirs[:, pj])
+        g = np.cumsum(np.vstack((gap, slope * dt[:, None])), axis=0)
 
         # (b) meetings: levels crossed strictly inside each segment
         a, b = g[:-1], g[1:]
@@ -449,28 +463,42 @@ def _run_pair(
         first = np.where(rise, np.floor((a + tol) / n) + 1, np.ceil((a - tol) / n) - 1)
         last = np.where(rise, np.ceil(b / n) - 1, np.floor(b / n) + 1)
         count = np.where(rise, last - first + 1, first - last + 1)
-        count = np.where(slope != 0, np.maximum(count, 0), 0).astype(np.int64)
-        seg = np.repeat(np.arange(len(count)), count)
-        nth = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
-        levels = (first[seg] + np.where(rise[seg], nth, -nth)).astype(np.int64)
+        count = np.where(slope != 0, np.maximum(count, 0), 0).astype(np.int64).ravel()
+        cell = np.repeat(np.arange(len(count)), count)  # (segment, pair), flat
+        nth = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+        seg, pair = np.divmod(cell, len(pj))
+        up = rise.ravel()[cell]
+        levels = (first.ravel()[cell] + np.where(up, nth, -nth)).astype(np.int64)
         meet_t = np.minimum(
-            bounds[seg] + (levels * n - a[seg]) / slope[seg], bounds[seg + 1]
+            bounds[seg] + (levels * n - a.ravel()[cell]) / slope.ravel()[cell],
+            bounds[seg + 1],
         )
-        meet_car = rise[seg].astype(np.int64)  # the clockwise mover
+        cw = np.where(up, pk[pair], pj[pair])  # the clockwise member
+        if m == 2:
+            meet_car = cw
+        else:
+            # (time, pair) order: the flat order runs segment by segment,
+            # and a stable sort by time keeps ties in pair order
+            by_time = np.argsort(meet_t, kind="stable")
+            ccw = np.where(up, pj[pair], pk[pair])[by_time]
+            seg, meet_t, cw = seg[by_time], meet_t[by_time], cw[by_time]
+            meet_car = _pass_message(car, meet_t, cw, ccw, tol / v, streams)
         jumped = meet_car != np.concatenate(([car], meet_car[:-1]))
 
-        # (c) merged timeline: each segment start, then its meetings
-        at_start = np.cumsum(count + 1) - (count + 1)
-        at_meet = at_start[seg] + 1 + nth
+        # (c) merged timeline: each segment start, then its meetings; the
+        # i-th meeting follows the starts of segments 0 .. seg[i]
+        per_seg = count.reshape(len(dt), -1).sum(axis=1)
+        at_start = np.arange(len(dt)) + np.cumsum(per_seg) - per_seg
+        at_meet = seg + np.arange(1, len(seg) + 1)
         points = np.empty(len(bounds) + len(seg))
         points[at_start] = bounds[:-1]
         points[at_meet] = meet_t
         points[-1] = t1
-        seg_of = np.repeat(np.arange(len(count)), count + 1)
+        seg_of = np.repeat(np.arange(len(dt)), per_seg + 1)
         latest = np.zeros(len(seg_of), dtype=np.int64)
         latest[at_meet] = np.arange(1, len(seg) + 1)
         carrier = np.concatenate(([car], meet_car))[np.maximum.accumulate(latest)]
-        dc = np.where(carrier == 0, d0[seg_of], d1[seg_of])
+        dc = dirs[seg_of, carrier]
         span = np.diff(points)
         disp = np.cumsum(np.concatenate(([cum_disp], v * dc * span)))
         clock = np.cumsum(
@@ -492,131 +520,42 @@ def _run_pair(
             walked = [
                 _walk(x[j], d[j], np.concatenate(([t0], switches[j])),
                       np.append(wanted, t1), v, n)
-                for j in (0, 1)
+                for j in range(m)
             ]
             pos = np.column_stack([w[0] for w in walked])
-            dirs = np.column_stack([w[1] for w in walked])
+            dirs_at = np.column_stack([w[1] for w in walked])
             samples_x.extend(pos[:-1])
-            samples_d.extend(dirs[:-1])
+            samples_d.extend(dirs_at[:-1])
             x = pos[-1]
 
-        # cycles run contact to contact; keep those starting after burn-in
-        t_c, disp_c, car_c, level_c = (
-            np.concatenate(pair) for pair in zip(
-                contact, (meet_t, disp[at_meet], meet_car, base + levels)
+        if m == 2:
+            # cycles run contact to contact; keep those starting after burn-in
+            t_c, disp_c, car_c, level_c = (
+                np.concatenate(both) for both in zip(
+                    contact, (meet_t, disp[at_meet], meet_car, base[0] + levels)
+                )
             )
-        )
-        keep = t_c[:-1] >= burn
-        # the carrier's displacement around its partner, in whole laps
-        laps = np.where(car_c[:-1] == 1, 1, -1) * np.diff(level_c)
-        ended_in_jump = jumped[len(jumped) + 1 - len(t_c):]
-        for acc, values in zip(
-            cycles, (np.diff(t_c), laps * n, np.diff(disp_c), ended_in_jump)
-        ):
-            acc.append(values[keep])
-        contact = tuple(c[-1:] for c in (t_c, disp_c, car_c, level_c))
+            keep = t_c[:-1] >= burn
+            # the carrier's displacement around its partner, in whole laps
+            laps = np.where(car_c[:-1] == 1, 1, -1) * np.diff(level_c)
+            ended_in_jump = jumped[len(jumped) + 1 - len(t_c):]
+            for acc, values in zip(
+                cycles, (np.diff(t_c), laps * n, np.diff(disp_c), ended_in_jump)
+            ):
+                acc.append(values[keep])
+            contact = tuple(c[-1:] for c in (t_c, disp_c, car_c, level_c))
 
         icp, t0 = stop, t1
         if final:
             break
         car = int(carrier[-1])
         cum_disp, cum_clock, cum_jumps = disp[-1], clock[-1], int(hops[-1])
-        d = np.array([d0[-1], d1[-1]])
+        d = dirs[-1].copy()
         gap, base = settle(g[-1], base)
     return Readings(
-        *read, samples_x, samples_d, tuple(map(np.concatenate, cycles))
+        *read, samples_x, samples_d,
+        tuple(map(np.concatenate, cycles)) if m == 2 else None,
     )
-
-
-# ----------------------------------------------------------------------
-# three or more walkers: event loop
-
-
-def _run_many(
-    config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
-    checkpoints: np.ndarray, is_sample: np.ndarray, tol: float,
-) -> Readings:
-    """Event loop over switches, pair meetings and checkpoints.
-
-    Between events everything is deterministic, so the loop jumps from
-    one event to the next: the earliest pending switch or meeting of an
-    oppositely moving pair, whose time has a closed form.  When the
-    carrier moves counter-clockwise into clockwise movers, the message
-    goes to one of them.
-    """
-    n, v, r, m = (
-        config.circumference,
-        config.speed,
-        config.switch_rate,
-        config.n_walkers,
-    )
-    x = state.positions.astype(float)
-    d = state.directions.astype(np.int64)
-    car = state.carrier
-    ns = state.next_switch.astype(float)
-    clock = 0.0
-
-    cum_disp = 0.0
-    cum_clock = 0.0
-    cum_jumps = 0
-    read = [np.empty(len(checkpoints)) for _ in range(3)]
-    samples_x, samples_d = [], []
-
-    inf = np.inf
-    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-    icp = 0
-    while True:
-        t_cp = checkpoints[icp]
-
-        # earliest internal event: switches first on ties, then pairs
-        ev_t, ev_kind, ev_j, ev_k = inf, 0, -1, -1
-        for j in range(m):
-            if ns[j] < ev_t:
-                ev_t, ev_kind, ev_j = ns[j], 0, j
-        for j, k in pairs:
-            if d[j] == d[k]:
-                continue
-            gap = (x[k] - x[j]) % n
-            if gap >= n:
-                gap -= n
-            if d[j] == 1:
-                dt = gap / (2.0 * v) if gap > tol else n / (2.0 * v)
-            else:
-                dt = (n - gap) / (2.0 * v) if gap < n - tol else n / (2.0 * v)
-            t_meet = clock + dt
-            if t_meet < ev_t:
-                ev_t, ev_kind, ev_j, ev_k = t_meet, 1, j, k
-
-        t_next = min(t_cp, ev_t)
-        seg = t_next - clock
-        if seg > 0.0:
-            cum_disp += v * d[car] * seg
-            if d[car] == 1:
-                cum_clock += seg
-            x = (x + v * d * seg) % n
-            clock = t_next
-
-        if t_cp <= ev_t:
-            read[0][icp] = cum_disp
-            read[1][icp] = cum_jumps
-            read[2][icp] = cum_clock
-            if is_sample[icp]:
-                samples_x.append(x.copy())
-                samples_d.append(d.copy())
-            icp += 1
-            if icp == len(checkpoints):
-                break
-        elif ev_kind == 0:
-            d[ev_j] = -d[ev_j]
-            ns[ev_j] = clock + streams.walker[ev_j].exponential(1.0 / r)
-        else:
-            x[ev_k] = x[ev_j]
-            if d[car] == -1:
-                cands = _handoff_candidates(x, d, car, n, tol)
-                if cands.size:
-                    car = int(cands[streams.choose(cands.size)])
-                    cum_jumps += 1
-    return Readings(*read, samples_x, samples_d)
 
 
 def sample_walker_states(

@@ -34,6 +34,7 @@ from .model import (
     SeedSpec,
     WalkerStreams,
     as_seed,
+    check_state,
     validate_discrete,
 )
 
@@ -52,18 +53,6 @@ class DiscreteState:
         return DiscreteState(
             self.positions.copy(), self.directions.copy(), self.carrier, self.t
         )
-
-
-def _check_state(state: DiscreteState, config: DiscreteConfig) -> None:
-    m = config.n_walkers
-    if len(state.positions) != m or len(state.directions) != m:
-        raise errors.RelayError(f"state must describe {m} walkers")
-    if np.any(state.positions < 0) or np.any(state.positions >= config.n_sites):
-        raise errors.NOutOfRange("positions must be sites in [0, n_sites)")
-    if not np.all(np.isin(state.directions, (1, -1))):
-        raise errors.RelayError("directions must be +1 or -1")
-    if not (0 <= state.carrier < m):
-        raise errors.RelayError(f"carrier must be in [0, {m})")
 
 
 def _resolve_handoff(
@@ -126,7 +115,7 @@ def _initial_state(
 ) -> DiscreteState:
     n, m = config.n_sites, config.n_walkers
     if isinstance(initial, DiscreteState):
-        _check_state(initial, config)
+        check_state(initial, m, n)
         state = initial.copy()
         state.t = 0
     elif initial == "uniform-random":

@@ -98,6 +98,20 @@ def validate_continuous(config: ContinuousConfig) -> ContinuousConfig:
     return config
 
 
+def check_state(state, m: int, size) -> None:
+    """Check an explicit start of either variant: one position in
+    [0, size) and one direction +1 / -1 for each of m walkers, and a
+    carrier index."""
+    if len(state.positions) != m or len(state.directions) != m:
+        raise errors.RelayError(f"state must describe {m} walkers")
+    if np.any(state.positions < 0) or np.any(state.positions >= size):
+        raise errors.NOutOfRange(f"positions must lie in [0, {size})")
+    if not np.all(np.isin(state.directions, (1, -1))):
+        raise errors.RelayError("directions must be +1 or -1")
+    if not (0 <= state.carrier < m):
+        raise errors.RelayError(f"carrier must be in [0, {m})")
+
+
 def circle_delta(x_from, x_to, circumference):
     """Clockwise gap from x_from to x_to, in [0, circumference).
 

@@ -58,6 +58,13 @@ class TestExact:
         )
         assert code == 2
 
+    def test_rejects_many_walkers(self, capsys):
+        code, out, err = run_cli(
+            capsys, "exact", "--set", "N=5", "--set", "epsilon=0.3", "--set", "m=3",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "m=2" in err and out == ""
+
 
 class TestConfigHandling:
     def test_missing_key_is_config_error(self, capsys):
@@ -83,23 +90,43 @@ class TestConfigHandling:
         assert "horizon" in err and out == ""
 
     @pytest.mark.parametrize(
-        "model,override",
+        "command,model,override,named",
         [
-            pytest.param("discrete", "trace_every=0.5", id="lattice-fractional-trace"),
-            pytest.param("discrete", "trace_every=-3", id="lattice-negative-trace"),
-            pytest.param("discrete", "sample_every=-5", id="lattice-negative-sample"),
-            pytest.param("continuous", "sample_every=-2.5", id="continuum-negative-sample"),
-            pytest.param("discrete", "epsilon=abc", id="epsilon-not-a-number"),
-            pytest.param("continuous", "horizon=x", id="horizon-not-a-number"),
+            pytest.param("simulate", "discrete", "trace_every=0.5", "trace_every",
+                         id="lattice-fractional-trace"),
+            pytest.param("simulate", "discrete", "trace_every=-3", "trace_every",
+                         id="lattice-negative-trace"),
+            pytest.param("simulate", "discrete", "sample_every=-5", "sample_every",
+                         id="lattice-negative-sample"),
+            pytest.param("simulate", "continuous", "sample_every=-2.5", "sample_every",
+                         id="continuum-negative-sample"),
+            pytest.param("simulate", "discrete", "epsilon=abc", "epsilon",
+                         id="epsilon-not-a-number"),
+            pytest.param("simulate", "continuous", "horizon=x", "horizon",
+                         id="horizon-not-a-number"),
+            pytest.param("sweep", "discrete", 'grid={"N": [5], "epsilon": ["x"]}',
+                         "epsilon", id="sweep-epsilon-not-a-number"),
+            pytest.param("sweep", "continuous", 'grid={"N": [1], "r": [null]}',
+                         "r must be a number", id="sweep-null-rate"),
+            pytest.param("sweep", "discrete", 'grid={"N": [5.7], "epsilon": [0.3]}',
+                         "N must be an integer", id="sweep-fractional-N"),
+            pytest.param("sweep", "discrete", "replicas=0", "replicas",
+                         id="sweep-zero-replicas"),
         ],
     )
-    def test_malformed_value_is_config_error(self, capsys, model, override):
-        base = {"discrete": ["N=5", "epsilon=0.3", "steps=500"],
-                "continuous": ["N=1", "horizon=50.0"]}[model]
+    def test_malformed_value_is_config_error(
+        self, capsys, command, model, override, named
+    ):
+        base = {
+            ("simulate", "discrete"): ["N=5", "epsilon=0.3", "steps=500"],
+            ("simulate", "continuous"): ["N=1", "horizon=50.0"],
+            ("sweep", "discrete"): ["steps=500", 'grid={"N": [5], "epsilon": [0.3]}'],
+            ("sweep", "continuous"): ["horizon=50.0", 'grid={"N": [1], "r": [0.5]}'],
+        }[command, model]
         args = [a for kv in [f"model={model}", *base, override] for a in ("--set", kv)]
-        code, out, err = run_cli(capsys, "simulate", *args)
+        code, out, err = run_cli(capsys, command, *args)
         assert code == 2
-        assert err.startswith("error: ") and override.split("=")[0] in err
+        assert err.startswith("error: ") and named in err
         assert out == ""
 
     def test_unreadable_config_file(self, capsys, tmp_path):
@@ -250,6 +277,30 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--set", "model=discrete")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "model,var", [("discrete", "epsilon"), ("continuous", "r")]
+    )
+    def test_rejects_many_walkers(self, capsys, model, var):
+        # the formula and exact columns are two-walker values
+        code, out, err = run_cli(
+            capsys, "sweep", "--set", f"model={model}", "--set", "m=3",
+            "--set", "steps=500", "--set", "horizon=50.0",
+            "--set", f'grid={{"N": [5], "{var}": [0.3]}}',
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "m=2" in err and out == ""
+
+    def test_size_limit_checked_before_any_point_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            validation, "pool_map", lambda *a: pytest.fail("a grid point ran")
+        )
+        code, out, err = run_cli(
+            capsys, "sweep", "--set", "model=discrete",
+            "--set", 'grid={"N": [5, 1001], "epsilon": [0.3]}',
+        )
+        assert code == 2
+        assert "size limit exceeded" in err and out == ""
+
 
 class TestBvpCommand:
     def test_schema(self, capsys):
@@ -262,6 +313,23 @@ class TestBvpCommand:
         assert len(payload["g"]) == 7
         assert payload["A"] == pytest.approx(payload["closed_A"], abs=1e-10)
         assert payload["residual"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            pytest.param(["model=continuous", "m=4"], id="continuous"),
+            pytest.param(["m=3"], id="many-walkers"),
+            pytest.param(["N=1001"], id="size-limit"),
+        ],
+    )
+    def test_two_walker_lattice_only(self, capsys, override):
+        # the same checks as exact: a two-walker lattice within the size limit
+        args = ["N=7", "epsilon=0.25", *override]
+        code, out, err = run_cli(
+            capsys, "bvp", *[a for kv in args for a in ("--set", kv)]
+        )
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
 
 
 class TestGeneratorCheckCommand:

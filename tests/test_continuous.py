@@ -1,9 +1,10 @@
-"""Continuum simulators: pure event ops, then the engines built on them.
+"""Continuum simulators: pure event ops, then the engine built on them.
 
-simulate_continuous resolves two walkers in blocks and three or more
-with an inlined event loop, so the suite drives the pure operations
-(next_event / advance_to / handle_event) as an independent reference
-simulator and checks the engines against it on a shared seed.
+simulate_continuous resolves the relay over walker paths drawn in
+blocks, without stepping from event to event, so the suite drives the
+pure operations (next_event / advance_to / handle_event) as an
+independent reference simulator and checks the engine against it on a
+shared seed, for two walkers and for more.
 """
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ ORACLE_CASES = {
         ContinuousConfig(1.0, 1.0, 1.0), (81, 0),
         ContinuousState(np.array([0.0, 1.0 - 1e-13]), np.array([1, -1]), 0),
     ),
+    "m3-uniform": (
+        ContinuousConfig(1.0, 1.0, 1.0, n_walkers=3), (82, 0), "uniform-random"
+    ),
+    "m5-uniform": (
+        ContinuousConfig(1.0, 1.0, 1.0, n_walkers=5), (83, 0), "uniform-random"
+    ),
+    "m4-non-unit-v-and-r": (
+        ContinuousConfig(1.7, 0.6, 2.3, n_walkers=4), (84, 0), "uniform-random"
+    ),
+    # the carrier meets two co-located clockwise walkers at once; at this
+    # seed the tie-break draw hands the message to the second of them,
+    # and the first would change the totals
+    "m3-co-located-tie-break": (
+        ContinuousConfig(1.0, 1.0, 1.0, n_walkers=3), (96, 0),
+        ContinuousState(np.array([0.4, 0.4, 0.9]), np.array([1, 1, -1]), 2),
+    ),
 }
 
 
@@ -219,9 +236,13 @@ class TestSimulateContinuous:
         report = simulate_continuous(config, horizon, SeedSpec(*seed), initial)
         in_contact = case in ("regeneration", "contact-across-the-wrap")
         assert report.burn_in == (0.0 if in_contact else 0.01 * horizon)
-        assert report.jump_count == jumps
+        assert report.jump_count == jumps > 0
         assert report.displacement_sum == pytest.approx(disp, abs=1e-9)
         assert report.clockwise_time == pytest.approx(cw, abs=1e-9)
+        if config.n_walkers > 2:
+            # regeneration cycles are a two-walker construction
+            assert report.cycle_lengths is None
+            return
         assert report.n_cycles == len(cycles) > 0
         np.testing.assert_array_equal(report.cycle_jumps, [j for _, j in cycles])
         np.testing.assert_allclose(
@@ -234,25 +255,34 @@ class TestSimulateContinuous:
             np.where(report.cycle_jumps, 0.0, config.circumference),
         )
 
-    def test_chunk_size_changes_nothing(self, monkeypatch):
-        # the two-walker engine carries its state between chunks of
-        # switches; cutting the run into many small chunks must give the
-        # same counts and, up to roundoff, the same sums
+    @pytest.mark.parametrize("m", [pytest.param(2, id="m2"), pytest.param(4, id="m4")])
+    def test_chunk_size_changes_nothing(self, monkeypatch, m):
+        # the engine carries walker state, pair gaps, the carrier and the
+        # open cycle between chunks of switches; cutting the run into many
+        # small chunks must give the same counts and, up to roundoff, the
+        # same sums
+        config = ContinuousConfig(1.0, 1.0, 1.0, n_walkers=m)
+        initial = "regeneration" if m == 2 else "uniform-random"
+
         def run():
             return simulate_continuous(
-                CFG1, 500.0, SeedSpec(12, 0), "regeneration",
+                config, 500.0, SeedSpec(12, 0), initial,
                 sample_every=2.5, trace_every=5.0,
             )
 
         whole = run()
         monkeypatch.setattr(continuous, "SWITCH_CHUNK", 7)
         cut = run()
-        assert cut.jump_count == whole.jump_count
-        for key in ("batch_jumps", "cycle_jumps", "cycle_displacements",
-                    "sample_directions"):
+        assert cut.jump_count == whole.jump_count > 0
+        counts = ["batch_jumps", "sample_directions", "trace_cost"]
+        sums = ["batch_displacement", "batch_clockwise", "sample_positions",
+                "trace_speed"]
+        if m == 2:
+            counts += ["cycle_jumps", "cycle_displacements"]
+            sums += ["cycle_lengths", "cycle_carrier_sums"]
+        for key in counts:
             np.testing.assert_array_equal(getattr(cut, key), getattr(whole, key))
-        for key in ("batch_displacement", "batch_clockwise", "cycle_lengths",
-                    "cycle_carrier_sums", "sample_positions", "trace_speed"):
+        for key in sums:
             np.testing.assert_allclose(
                 getattr(cut, key), getattr(whole, key), rtol=1e-12, atol=1e-12
             )
