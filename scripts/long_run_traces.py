@@ -30,7 +30,6 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     for n in args.sizes:
-        target = speed_discrete(n, args.eps)
         run_dir = args.out / f"N{n}"
         code = cli_main([
             "simulate",
@@ -45,7 +44,7 @@ def main(argv=None) -> int:
         if code != 0:
             return code
         print(f"N={n}: trace in {run_dir}/trace_000.csv, "
-              f"limiting speed {target:.7f}")
+              f"limiting speed {speed_discrete(n, args.eps):.7f}")
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -264,19 +265,6 @@ def _report_payload(report) -> dict:
 
 
 # ----------------------------------------------------------------------
-# replica orchestration
-
-
-def _run_one(job):
-    kind, config, length, seed, initial, sample_every, trace_every = job
-    simulate = simulate_discrete if kind == "discrete" else simulate_continuous
-    return simulate(
-        config, length, seed, initial,
-        sample_every=sample_every, trace_every=trace_every,
-    )
-
-
-# ----------------------------------------------------------------------
 # subcommands
 
 
@@ -284,15 +272,15 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     kind = _model_kind(cfg)
     replicas, seed, length = _run_plan(cfg, kind)
-    sample_every = cfg.get("sample_every")
-    trace_every = cfg.get("trace_every")
     config = _build_discrete(cfg) if kind == "discrete" else _build_continuous(cfg)
     initial = _build_initial(cfg, kind)
-    jobs = [
-        (kind, config, length, SeedSpec(seed, k), initial, sample_every, trace_every)
-        for k in range(replicas)
-    ]
-    reports = validation.pool_map(_run_one, jobs, args.threads)
+    simulate = functools.partial(
+        simulate_discrete if kind == "discrete" else simulate_continuous,
+        sample_every=cfg.get("sample_every"),
+        trace_every=cfg.get("trace_every"),
+    )
+    jobs = [(config, length, SeedSpec(seed, k), initial) for k in range(replicas)]
+    reports = validation.pool_map(simulate, jobs, args.threads)
     merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
 
     out_dir = args.out or cfg.get("out")
@@ -397,6 +385,7 @@ def cmd_sweep(args) -> int:
         for n in sizes
         for value in values
     ]
+    simulate = simulate_discrete if kind == "discrete" else simulate_continuous
     exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []
     header = ["N", var_key, "s_formula", "c_formula", *exact_columns,
               "s_mc", "c_mc", "s_mc_stderr", "c_mc_stderr"]
@@ -418,11 +407,10 @@ def cmd_sweep(args) -> int:
                 closed_form.cost_continuous(n, config.speed, value),
             ]
         jobs = [
-            (kind, config, length, SeedSpec(seed, point * replicas + k),
-             "uniform-random", None, None)
+            (config, length, SeedSpec(seed, point * replicas + k))
             for k in range(replicas)
         ]
-        reports = validation.pool_map(_run_one, jobs, args.threads)
+        reports = validation.pool_map(simulate, jobs, args.threads)
         merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
         s = estimators.speed_estimate(merged)
         c = estimators.cost_estimate(merged)

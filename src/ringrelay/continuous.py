@@ -9,8 +9,10 @@ each pair are the level crossings of its piecewise linear gap, the
 relay is resolved at the meetings only (for two walkers the message
 sits on the clockwise mover after each one), and all totals are
 cumulative sums over the merged timeline, processed in chunks of
-switches.  It reports through the accounting step shared with the
-lattice simulator, estimators.build_report.  The pure event operations
+switches.  It reports readings and, for two walkers, contacts to the
+accounting step shared with the lattice simulator,
+estimators.build_report, which sets the burn-in and batches and cuts
+the contacts into regeneration cycles.  The pure event operations
 (next_event / advance_to / handle_event) are kept as a one-event-at-a-
 time reference for the tests.
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .estimators import N_BATCHES, Readings, RunReport, build_report
+from .estimators import Readings, RunReport, build_report
 from .model import (
     ContinuousConfig,
     SeedSpec,
@@ -283,11 +285,9 @@ def simulate_continuous(
     tol = default_tol(config)
     state = _initial_state(config, streams, initial, tol)
     in_f = in_contact_state(state, config, tol)
-    burn = 0.0 if in_f else 0.01 * horizon
-
     return build_report(
         lambda checkpoints, is_sample: _run_blocks(
-            config, streams, state, checkpoints, is_sample, tol, burn, in_f
+            config, streams, state, checkpoints, is_sample, tol, in_f
         ),
         params={
             "model": "continuous",
@@ -299,9 +299,8 @@ def simulate_continuous(
         },
         seed=spec,
         lap_length=config.circumference,
-        burn=burn,
         end=float(horizon),
-        edges=np.linspace(burn, horizon, N_BATCHES + 1),
+        in_contact=in_f,
         sample_every=sample_every,
         trace_every=trace_every,
     )
@@ -361,8 +360,7 @@ def _pass_message(car: int, meet_t: np.ndarray, cw: np.ndarray, ccw: np.ndarray,
 
 def _run_blocks(
     config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
-    checkpoints: np.ndarray, is_sample: np.ndarray, tol: float,
-    burn: float, in_f: bool,
+    checkpoints: np.ndarray, is_sample: np.ndarray, tol: float, in_f: bool,
 ) -> Readings:
     """Block engine for any number of walkers.
 
@@ -379,10 +377,11 @@ def _run_blocks(
     clockwise time and handoffs are cumulative sums over the merged
     timeline of switches and meetings, read at the checkpoints with
     searchsorted (a checkpoint comes before an event at the same time).
+    For two walkers every meeting is a contact, reported with the level
+    its gap crossed.
 
     The horizon is processed in chunks of switches; walker state, pair
-    gaps, carrier, totals and, for two walkers, the open cycle carry
-    over from one chunk to the next.
+    gaps, carrier and totals carry over from one chunk to the next.
     """
     n, v, r, m = (
         config.circumference,
@@ -415,16 +414,13 @@ def _run_blocks(
     car = state.carrier
     cum_disp = cum_clock = 0.0
     cum_jumps = 0
-    # two walkers: the latest contact as (time, cum_disp, carrier, gap
-    # level) arrays of length one, empty until the first meeting unless
-    # the run starts in one
-    contact = (np.zeros(1), np.zeros(1), np.array([car]), base.copy())
-    if not in_f:
-        contact = tuple(c[:0] for c in contact)
+    contacts = None
+    if m == 2:  # time, displacement, gap level, carrier; a contact start first
+        zero = np.zeros(int(in_f))
+        contacts = ([zero], [zero], [base[:len(zero)]], [zero.astype(np.int64) + car])
     sampling = bool(is_sample.any())
     read = [np.empty(len(checkpoints)) for _ in range(3)]
     samples_x, samples_d = [], []
-    cycles = ([np.empty(0)], [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=bool)])
     t0, icp = 0.0, 0
     while True:
         # (a) walker paths: switches up to the chunk end t1
@@ -529,21 +525,9 @@ def _run_blocks(
             x = pos[-1]
 
         if m == 2:
-            # cycles run contact to contact; keep those starting after burn-in
-            t_c, disp_c, car_c, level_c = (
-                np.concatenate(both) for both in zip(
-                    contact, (meet_t, disp[at_meet], meet_car, base[0] + levels)
-                )
-            )
-            keep = t_c[:-1] >= burn
-            # the carrier's displacement around its partner, in whole laps
-            laps = np.where(car_c[:-1] == 1, 1, -1) * np.diff(level_c)
-            ended_in_jump = jumped[len(jumped) + 1 - len(t_c):]
-            for acc, values in zip(
-                cycles, (np.diff(t_c), laps * n, np.diff(disp_c), ended_in_jump)
-            ):
-                acc.append(values[keep])
-            contact = tuple(c[-1:] for c in (t_c, disp_c, car_c, level_c))
+            found = (meet_t, disp[at_meet], base[0] + levels, meet_car)
+            for blocks, values in zip(contacts, found):
+                blocks.append(values)
 
         icp, t0 = stop, t1
         if final:
@@ -552,10 +536,7 @@ def _run_blocks(
         cum_disp, cum_clock, cum_jumps = disp[-1], clock[-1], int(hops[-1])
         d = dirs[-1].copy()
         gap, base = settle(g[-1], base)
-    return Readings(
-        *read, samples_x, samples_d,
-        tuple(map(np.concatenate, cycles)) if m == 2 else None,
-    )
+    return Readings(*read, samples_x, samples_d, contacts)
 
 
 def sample_walker_states(

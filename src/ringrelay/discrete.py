@@ -19,7 +19,8 @@ site: for two walkers the message then sits on the clockwise mover, for
 more the handoff rule of step() runs contact by contact, drawing its
 tie-breaks in round order; (c) carrier displacement and handoffs are
 cumulative sums read at the checkpoints of the shared accounting step,
-estimators.build_report.
+estimators.build_report, which also sets the burn-in and batches and
+cuts the two-walker contacts into regeneration cycles.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .estimators import N_BATCHES, Readings, RunReport, build_report
+from .estimators import Readings, RunReport, build_report
 from .model import (
     DiscreteConfig,
     SeedSpec,
@@ -152,6 +153,7 @@ def simulate_discrete(
     distribution tests; trace_every records the running speed and
     handoff rate from round 0 for convergence plots.  Regeneration
     cycles are a two-walker construction, recorded only for m = 2.
+    The window, batches and cycles are set by estimators.build_report.
     """
     validate_discrete(config)
     if not isinstance(steps, (int, np.integer)) or steps < 1:
@@ -160,11 +162,9 @@ def simulate_discrete(
     streams = WalkerStreams(spec, config.n_walkers)
     state = _initial_state(config, streams, initial)
     in_regen = in_regeneration_set(state, config)
-    burn = 0 if in_regen else steps // 100
-    batch_len = (steps - burn) // N_BATCHES
     return build_report(
         lambda checkpoints, is_sample: _run_blocks(
-            config, streams, state, checkpoints, is_sample, burn, in_regen
+            config, streams, state, checkpoints, is_sample, in_regen
         ),
         params={
             "model": "discrete",
@@ -175,9 +175,8 @@ def simulate_discrete(
         },
         seed=spec,
         lap_length=2.0 * config.n_sites,
-        burn=burn,
         end=steps,
-        edges=burn + batch_len * np.arange(N_BATCHES + 1 if batch_len else 1),
+        in_contact=in_regen,
         sample_every=sample_every,
         trace_every=trace_every,
     )
@@ -185,7 +184,7 @@ def simulate_discrete(
 
 def _run_blocks(
     config: DiscreteConfig, streams: WalkerStreams, state: DiscreteState,
-    checkpoints: np.ndarray, is_sample: np.ndarray, burn: int, in_regen: bool,
+    checkpoints: np.ndarray, is_sample: np.ndarray, in_regen: bool,
 ) -> Readings:
     """Block engine over rounds 1 .. checkpoints[-1].
 
@@ -203,10 +202,10 @@ def _run_blocks(
     cum_disp = cum_jumps = 0  # over rounds before t0
     read = [np.empty(len(checkpoints)) for _ in range(3)]
     samples_x, samples_d = [], []
-    # regeneration visits (two walkers) as round, displacement before
-    # it, unwrapped gap x0 - x1 and carrier; a contact start is the first
+    # two walkers: round, displacement, gap level and carrier of each
+    # contact, block by block; a contact start first
     zero = np.zeros(int(in_regen), dtype=np.int64)
-    visits = [(zero, zero, zero, zero + car)]
+    contacts = ([zero], [zero], [zero], [zero + car]) if m == 2 else None
     t0 = icp = 0
     while t0 < steps:
         b = min(block, steps - t0)
@@ -251,25 +250,13 @@ def _run_blocks(
         samples_x.append(pos[rows])
         samples_d.append(dirs[rows])
         if m == 2:
-            visits.append((t0 + 1 + ridx, disp[ridx + 1],
-                           xs[ridx, 0] - xs[ridx, 1], newcar))
+            found = (t0 + 1 + ridx, disp[ridx + 1], (xs[ridx, 1] - xs[ridx, 0]) // n,
+                     newcar)
+            for blocks, values in zip(contacts, found):
+                blocks.append(values)
 
         cum_disp, cum_jumps = int(disp[-1]), cum_jumps + len(jump_t)
         x, d, car = xs[-1].copy(), dirs[-1].copy(), int(held[-1])
         del flips, dirs, xs, pos  # free this block before drawing the next
         t0, icp = t0 + b, stop
-
-    cycles = None
-    if m == 2:
-        rt, rc, ry, rcar = (np.concatenate(v) for v in zip(*visits))
-        keep = rt >= burn  # cycles starting after burn-in
-        rt, rc, ry, rcar = rt[keep], rc[keep], ry[keep], rcar[keep]
-        # the carrier's displacement around its partner, in sites
-        sign = np.where(rcar[:-1] == 0, 1, -1)
-        cycles = (
-            np.diff(rt).astype(float),
-            (sign * np.diff(ry)).astype(float),
-            np.diff(rc).astype(float),
-            rcar[1:] != rcar[:-1],
-        )
-    return Readings(*read, samples_x, samples_d, cycles)
+    return Readings(*read, samples_x, samples_d, contacts)

@@ -4,7 +4,9 @@ A RunReport is the common currency between the two simulators, the
 estimators, and the command line tools: windowed totals for the three
 long-run observables, fixed-count batch sums for error bars, per-cycle
 records between successive regeneration contacts, and optional raw
-equilibrium samples.  Merging reports concatenates trajectories in the
+equilibrium samples.  build_report makes them for both models: it
+decides the burn-in, the batches and the cycles from what an engine
+reads at checkpoints.  Merging reports concatenates trajectories in the
 obvious way, so replica parallelism never changes any count or sum.
 """
 from __future__ import annotations
@@ -31,7 +33,7 @@ class RunReport:
     arrays hold one entry per completed regeneration cycle: its length,
     the carrier's net displacement around its partner (0 or lap_length),
     the carrier displacement accumulated inside it, and whether it ended
-    with a handoff.
+    with a handoff (None for more than two walkers).
     """
 
     kind: str
@@ -46,10 +48,10 @@ class RunReport:
     batch_displacement: np.ndarray
     batch_jumps: np.ndarray
     batch_clockwise: np.ndarray
-    cycle_lengths: np.ndarray
-    cycle_displacements: np.ndarray
-    cycle_carrier_sums: np.ndarray
-    cycle_jumps: np.ndarray
+    cycle_lengths: np.ndarray | None = None
+    cycle_displacements: np.ndarray | None = None
+    cycle_carrier_sums: np.ndarray | None = None
+    cycle_jumps: np.ndarray | None = None
     sample_positions: np.ndarray | None = None
     sample_directions: np.ndarray | None = None
     trace_times: np.ndarray | None = None
@@ -66,16 +68,18 @@ class Readings(NamedTuple):
     """What a simulation engine hands to build_report: cumulative carrier
     displacement, handoffs and clockwise time at each checkpoint, walker
     positions and directions at the sample checkpoints (as rows or blocks
-    of rows), and, for two walkers, the regeneration cycles as lengths,
-    carrier displacements around the partner, carrier displacement sums
-    and end-of-cycle handoffs."""
+    of rows), and, for two walkers, the pair's head-on contacts in time
+    order, a contact start first, as four lists of per-block arrays
+    (emptied as build_report joins them): the time, the carrier's
+    cumulative displacement, the unwrapped gap x1 - x0 in whole
+    circumferences and the carrier after each contact."""
 
     displacement: np.ndarray
     jumps: np.ndarray
     clockwise: np.ndarray
     positions: list
     directions: list
-    cycles: tuple | None = None
+    contacts: tuple | None = None
 
 
 def _spacing(name: str, value, whole: bool):
@@ -93,20 +97,28 @@ def _spacing(name: str, value, whole: bool):
 
 
 def build_report(
-    engine, *, params: dict, seed, lap_length: float, burn, end,
-    edges: np.ndarray, sample_every=None, trace_every=None,
+    engine, *, params: dict, seed, lap_length: float, end, in_contact: bool,
+    sample_every=None, trace_every=None,
 ) -> RunReport:
     """The accounting step shared by both simulators.
 
-    The recorded window runs from burn to end and the batches between
-    successive edges (the lattice leaves the rounds after the last edge
-    out of every batch).  Samples are taken every sample_every after
-    burn-in and trace points every trace_every from time 0.  All these
-    checkpoints go to engine(checkpoints, is_sample) as one sorted list,
-    and the Readings it returns are sliced back into a RunReport.  Runs
-    counted in rounds (an integer end) need whole-number spacings.
+    The recorded window runs from burn-in to end: none after a start in
+    a contact state (a regeneration), else the first 1% of the run.  It
+    is cut into N_BATCHES batches; for runs counted in rounds (an integer
+    end) they hold whole rounds and leave the rounds after the last batch
+    out.  Samples are taken every sample_every after burn-in and trace
+    points every trace_every from time 0.  All these checkpoints go to
+    engine(checkpoints, is_sample) as one sorted list, and the Readings
+    it returns are sliced back into a RunReport, with the cycles cut from
+    its contacts.  Runs counted in rounds need whole-number spacings.
     """
     whole = isinstance(end, (int, np.integer))
+    burn = 0 if in_contact else end // 100 if whole else 0.01 * end
+    if whole:
+        size = (end - burn) // N_BATCHES
+        edges = burn + size * np.arange(N_BATCHES + 1 if size else 1)
+    else:
+        edges = np.linspace(burn, end, N_BATCHES + 1)
     sample_every = _spacing("sample_every", sample_every, whole)
     trace_every = _spacing("trace_every", trace_every, whole)
     no_times = np.zeros(0, dtype=np.int64)
@@ -138,7 +150,6 @@ def build_report(
     disp, jumps, clock = map(unsort, run[:3])
     batch = slice(0, n_edges)
     traced = slice(n_edges + 1 + n_samples, None)
-    cyc_len, cyc_disp, cyc_sum, cyc_jump = run.cycles or (None,) * 4
     return RunReport(
         kind=params["model"],
         params=params,
@@ -152,10 +163,7 @@ def build_report(
         batch_displacement=np.diff(disp[batch]),
         batch_jumps=np.diff(jumps[batch]),
         batch_clockwise=np.diff(clock[batch]),
-        cycle_lengths=cyc_len,
-        cycle_displacements=cyc_disp,
-        cycle_carrier_sums=cyc_sum,
-        cycle_jumps=cyc_jump,
+        **_cycles(run.contacts, burn, params["N"]),
         sample_positions=np.vstack(run.positions) if n_samples else None,
         sample_directions=np.vstack(run.directions) if n_samples else None,
         trace_times=trace_ts.astype(float) if trace_every else None,
@@ -165,13 +173,40 @@ def build_report(
     )
 
 
+def _cycles(contacts: tuple | None, burn, n) -> dict:
+    """Regeneration cycles, contact to contact, from the contacts at or
+    after burn-in: their lengths, the carrier's displacements around its
+    partner (0 or one lap), the carrier's displacements inside them, and
+    whether each ended in a handoff; none without contacts (m > 2)."""
+    if contacts is None:
+        return {}
+    # a long run has millions of contacts: each field's blocks are let go
+    # as soon as they are joined, so no contact is held twice
+    joined = []
+    for blocks in contacts:
+        joined.append(np.concatenate(blocks))
+        blocks.clear()
+    first = np.searchsorted(joined[0], burn)  # contacts come in time order
+    time, disp, level, car = (values[first:] for values in joined)
+    # walker 1 carrying moves around walker 0 as the gap x1 - x0 does
+    around = np.where(car[:-1] == 1, 1, -1) * np.diff(level) * n
+    return dict(
+        cycle_lengths=np.diff(time).astype(float, copy=False),
+        cycle_displacements=around.astype(float, copy=False),
+        cycle_carrier_sums=np.diff(disp).astype(float, copy=False),
+        cycle_jumps=car[1:] != car[:-1],
+    )
+
+
 def merge(reports: list[RunReport]) -> RunReport:
     """Pool replicas: sums add, batch and cycle arrays concatenate.
 
     Replicas may have batches of different lengths (a start in a contact
     state skips burn-in, so its window is longer).  Each replica's batch
     sums are rescaled to the first replica's batch duration, which keeps
-    every batch mean as it was.
+    every batch mean as it was.  A merged report carries no trace: a
+    trace is the running average of one replica from time 0, so traces
+    cannot be pooled; each replica keeps its own.
     """
     if not reports:
         raise errors.RelayError("nothing to merge")

@@ -119,16 +119,15 @@ def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
 def stationary(chain: ReducedChain, residual_tol: float = 1e-10) -> np.ndarray:
     """Stationary distribution of the reduced chain.
 
-    Solves (P^T - I) pi = 0 with the last balance equation swapped for
-    the normalisation constraint; that system is nonsingular whenever
-    the chain is irreducible, which the odd-site validation guarantees.
+    Solves (P^T - I) pi = 0 with pi_0 pinned to 1 and its first, redundant
+    equation dropped, then normalises.  The system is nonsingular
+    whenever the chain is irreducible, which the odd-site validation
+    guarantees, and stays as sparse as P (a row of ones would fill in).
     """
     n = chain.n_states
-    a = (chain.transition.T - sp.identity(n, format="csr")).tolil()
-    a[n - 1, :] = np.ones(n)
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
-    pi = spla.splu(a.tocsc()).solve(rhs)
+    a = (chain.transition.T - sp.identity(n, format="csr")).tocsc()
+    pi = np.ones(n)
+    pi[1:] = spla.splu(a[1:, 1:]).solve(-a[1:, 0].toarray().ravel())
 
     residual = np.abs(chain.transition.T @ pi - pi).max()
     if residual > residual_tol or pi.min() < -1e-12:

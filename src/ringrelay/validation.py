@@ -61,24 +61,14 @@ class CheckResult:
 
 
 def pool_map(func, jobs: list, threads: int) -> list:
-    """func applied to every job, in that many worker processes when
-    threads > 1.  Results come back in job order, and every job carries
-    its own seed, so the thread count never changes a result."""
+    """func(*job) for every job (a tuple of arguments), in that many
+    worker processes when threads > 1.  Results come back in job order,
+    and every job carries its own seed, so the thread count never
+    changes a result."""
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, jobs))
-    return [func(job) for job in jobs]
-
-
-def _mc_discrete(args):
-    config, steps, seed, initial = args
-    if initial is not None and not isinstance(initial, str):
-        initial = DiscreteState(
-            np.asarray(initial[0], dtype=np.int64),
-            np.asarray(initial[1], dtype=np.int64),
-            int(initial[2]),
-        )
-    return simulate_discrete(config, steps, seed, initial or "uniform-random")
+            return list(pool.map(func, *zip(*jobs)))
+    return [func(*job) for job in jobs]
 
 
 class AcceptanceContext:
@@ -109,10 +99,9 @@ class AcceptanceContext:
         def build():
             config = DiscreteConfig(11, 0.1)
             jobs = [
-                (config, 10**6, SeedSpec(self.master_seed, k), None)
-                for k in range(8)
+                (config, 10**6, SeedSpec(self.master_seed, k)) for k in range(8)
             ]
-            return merge(pool_map(_mc_discrete, jobs, self.threads))
+            return merge(pool_map(simulate_discrete, jobs, self.threads))
 
         return self._memo("discrete_reference", build)
 
@@ -447,7 +436,7 @@ def _lattice_uniformity_passes(seed: SeedSpec) -> bool:
 
 
 def _uniformity_pass_count_discrete(ctx: AcceptanceContext) -> int:
-    seeds = [SeedSpec(ctx.master_seed, 1000 + k) for k in range(100)]
+    seeds = [(SeedSpec(ctx.master_seed, 1000 + k),) for k in range(100)]
     return sum(pool_map(_lattice_uniformity_passes, seeds, ctx.threads))
 
 
@@ -481,11 +470,11 @@ def check_uniformity(ctx: AcceptanceContext) -> CheckResult:
 
 
 INDEPENDENCE_STATES = [
-    ([0, 0], [1, 1], 0),
-    ([0, 2], [1, -1], 0),
-    ([1, 4], [-1, -1], 1),
-    ([2, 2], [-1, 1], 0),
-    ([3, 1], [-1, 1], 1),
+    DiscreteState(np.array([0, 0]), np.array([1, 1]), 0),
+    DiscreteState(np.array([0, 2]), np.array([1, -1]), 0),
+    DiscreteState(np.array([1, 4]), np.array([-1, -1]), 1),
+    DiscreteState(np.array([2, 2]), np.array([-1, 1]), 0),
+    DiscreteState(np.array([3, 1]), np.array([-1, 1]), 1),
 ]
 
 
@@ -495,7 +484,7 @@ def check_initial_independence(ctx: AcceptanceContext) -> CheckResult:
         (config, 10**6, SeedSpec(ctx.master_seed, 3000 + k), state)
         for k, state in enumerate(INDEPENDENCE_STATES)
     ]
-    reports = pool_map(_mc_discrete, jobs, ctx.threads)
+    reports = pool_map(simulate_discrete, jobs, ctx.threads)
     ests = [estimators.speed_estimate(r) for r in reports]
     worst = 0.0
     ok = True

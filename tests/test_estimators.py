@@ -6,7 +6,9 @@ import scipy.stats
 from ringrelay import errors, estimators
 from ringrelay.discrete import simulate_discrete
 from ringrelay.estimators import (
+    Readings,
     RunReport,
+    build_report,
     chi_square_uniformity,
     cost_estimate,
     direction_estimate,
@@ -87,6 +89,114 @@ class TestBatchEstimates:
         assert direction_estimate(report).point == pytest.approx(0.7)
 
 
+def synthetic_run(end, in_contact=False, contacts=None, sample_every=None):
+    """build_report over an engine whose carrier moves clockwise at unit
+    speed, hands off every 10 time units and sits still half the time."""
+
+    def engine(checkpoints, is_sample):
+        t = checkpoints.astype(float)
+        k = int(is_sample.sum())
+        return Readings(t, t // 10, t / 2, [np.zeros((k, 2))], [np.ones((k, 2))],
+                        contacts)
+
+    return build_report(
+        engine, params={"model": "discrete", "N": 5}, seed=SeedSpec(1, 0),
+        lap_length=10.0, end=end, in_contact=in_contact, sample_every=sample_every,
+    )
+
+
+def contacts_of(time, disp, level, car, split=2):
+    """Contacts as an engine reports them: each field in blocks of split."""
+    return tuple(
+        [np.asarray(field[i:i + split]) for i in range(0, max(len(field), 1), split)]
+        for field in (time, disp, level, car)
+    )
+
+
+class TestBuildReport:
+    @pytest.mark.parametrize(
+        "end, in_contact, burn",
+        [(1000, False, 10), (1099, False, 10), (1000, True, 0),
+         (1000.0, False, 10.0), (1099.0, False, 10.99), (1000.0, True, 0.0)],
+    )
+    def test_burn_in(self, end, in_contact, burn):
+        report = synthetic_run(end, in_contact)
+        assert report.burn_in == burn
+        assert report.total_time == end - burn
+        assert report.displacement_sum == pytest.approx(end - burn, rel=1e-15)
+
+    def test_whole_round_batches_leave_the_tail_out(self):
+        report = synthetic_run(1099)  # window 10 .. 1099, 1089 rounds
+        assert report.batch_duration == 21.0  # 1089 // 50
+        assert len(report.batch_displacement) == 50
+        np.testing.assert_array_equal(report.batch_displacement, 21.0)
+        np.testing.assert_array_equal(report.batch_clockwise, 10.5)
+        # the 39 rounds after the last batch count only in the totals
+        assert report.batch_displacement.sum() == 1050.0
+        assert report.displacement_sum == 1089.0
+
+    def test_time_batches_cover_the_window(self):
+        report = synthetic_run(1099.0)
+        assert len(report.batch_displacement) == 50
+        assert report.batch_duration == pytest.approx(1088.01 / 50, rel=1e-15)
+        assert report.batch_displacement.sum() == pytest.approx(1088.01, rel=1e-14)
+
+    def test_run_too_short_for_batches(self):
+        report = synthetic_run(40)
+        assert len(report.batch_displacement) == 0
+        assert report.batch_duration == 0.0
+
+    def test_samples_start_after_burn_in(self):
+        report = synthetic_run(1000, sample_every=100)
+        assert report.sample_positions.shape == (9, 2)  # 110, 210, .., 910
+
+    def test_cycles_from_contacts(self):
+        contacts = contacts_of(
+            time=[0, 4, 10, 30, 60],
+            disp=[0, 3, 5, 12, 20],
+            level=[0, 0, 2, 4, 4],
+            car=[1, 0, 1, 0, 0],
+        )
+        report = synthetic_run(1000, contacts=contacts)  # burn-in 10
+        # the contact at round 10 is kept and opens the first cycle
+        np.testing.assert_array_equal(report.cycle_lengths, [20.0, 30.0])
+        np.testing.assert_array_equal(report.cycle_carrier_sums, [7.0, 8.0])
+        np.testing.assert_array_equal(report.cycle_jumps, [True, False])
+        assert report.cycle_lengths.dtype == report.cycle_carrier_sums.dtype == float
+
+    def test_partner_displacement_sign_follows_the_carrier(self):
+        # walker 1 carrying moves around walker 0 as x1 - x0 does, and
+        # walker 0 carrying as x0 - x1 does; N = 5 sites
+        contacts = contacts_of(
+            time=[0, 1, 2, 3, 4],
+            disp=[0, 0, 0, 0, 0],
+            level=[0, 2, 0, -2, -2],
+            car=[1, 0, 1, 0, 1],
+        )
+        report = synthetic_run(50, in_contact=True, contacts=contacts)
+        np.testing.assert_array_equal(
+            report.cycle_displacements, [10.0, 10.0, -10.0, 0.0]
+        )
+
+    def test_start_contact_opens_a_cycle_only_without_burn_in(self):
+        def contacts():
+            return contacts_of(time=[0, 40], disp=[0, 7], level=[0, 2], car=[1, 1])
+
+        assert synthetic_run(1000, True, contacts()).n_cycles == 1
+        assert synthetic_run(1000, False, contacts()).n_cycles == 0
+
+    def test_no_contacts_no_cycles(self):
+        report = synthetic_run(1000, contacts=contacts_of([], [], [], []))
+        assert report.n_cycles == 0
+        assert report.cycle_jumps.dtype == bool
+        with pytest.raises(errors.NoCycles):
+            excursion_classifier(report)
+
+    def test_many_walkers_carry_no_cycles(self):
+        report = synthetic_run(1000, contacts=None)
+        assert report.cycle_lengths is None and report.n_cycles == 0
+
+
 class TestMerge:
     def run(self, seed):
         rng = np.random.default_rng(seed)
@@ -141,6 +251,19 @@ class TestMerge:
             merge(equal).batch_displacement,
             np.concatenate([r.batch_displacement for r in equal]),
         )
+
+    def test_merge_carries_no_trace(self):
+        # a trace is one replica's running average from time 0
+        runs = [
+            simulate_discrete(DiscreteConfig(5, 0.3), 2000, SeedSpec(3, k),
+                              trace_every=100)
+            for k in range(2)
+        ]
+        assert all(len(r.trace_times) == 20 for r in runs)
+        pooled = merge(runs)
+        assert pooled.trace_times is None
+        assert pooled.trace_speed is None and pooled.trace_cost is None
+        assert all(r.trace_speed is not None for r in runs)
 
     def test_merge_rejects_mismatched_models(self):
         a = self.run(1)

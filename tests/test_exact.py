@@ -83,6 +83,14 @@ class TestReducedChain:
         assert m.cost == pytest.approx(cf.cost_discrete(n, eps), abs=1e-12)
         assert m.residual < 1e-12
 
+    def test_large_ring_matches_closed_forms(self):
+        # beyond the CLI's size limit: the stationary solve stays sparse
+        m = exact.exact_metrics(3001, 0.1)
+        assert m.n_states == 8 * 3001 - 2
+        assert m.speed == pytest.approx(cf.speed_discrete(3001, 0.1), abs=1e-10)
+        assert m.cost == pytest.approx(cf.cost_discrete(3001, 0.1), abs=1e-10)
+        assert m.residual < 1e-12
+
     def test_mean_return_time_is_twice_n(self):
         # independent oracle: dense first-passage solve back to the
         # post-handoff contact states; Kac then forces E(T) = 2N
