@@ -152,23 +152,17 @@ def _build_initial(cfg: dict, kind: str):
         return spec
     if not isinstance(spec, dict):
         raise ConfigError("initial must be a mode string or a state object")
+    state, dtype = (
+        (DiscreteState, np.int64) if kind == "discrete" else (ContinuousState, float)
+    )
     try:
-        positions = spec["positions"]
-        directions = spec["directions"]
-        carrier = int(spec["carrier"])
+        return state(
+            np.asarray(spec["positions"], dtype=dtype),
+            np.asarray(spec["directions"], dtype=np.int64),
+            int(spec["carrier"]),
+        )
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad initial state: {err}") from err
-    if kind == "discrete":
-        return DiscreteState(
-            np.asarray(positions, dtype=np.int64),
-            np.asarray(directions, dtype=np.int64),
-            carrier,
-        )
-    return ContinuousState(
-        np.asarray(positions, dtype=float),
-        np.asarray(directions, dtype=np.int64),
-        carrier,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -10,16 +10,20 @@ only ever crosses sites clockwise.
 step() applies one round and is the reference implementation; the
 tests replay it against simulate_discrete, which runs one block engine
 for any number of walkers.  The message never changes how the walkers
-move, so the engine works in three layers: (a) each walker's flips are
-drawn in blocks from that walker's own stream, consuming randomness
-exactly as repeated step() calls do, and give (rounds x walkers) arrays
-of positions and directions; (b) the relay is resolved over the contact
-rounds only, where a clockwise and a counter-clockwise walker share a
-site: for two walkers the message then sits on the clockwise mover, for
-more the handoff rule of step() runs contact by contact, drawing its
-tie-breaks in round order; (c) carrier displacement and handoffs are
-cumulative sums read at the checkpoints of the shared accounting step,
-estimators.build_report, which also sets the burn-in and batches and
+move, so the engine works in three layers, with per-round work only on
+one array per walker: (a) each walker's flips are drawn in blocks from
+that walker's own stream, consuming randomness exactly as repeated
+step() calls do; its directions are the parity of the flips so far and
+its unwrapped positions one cumulative sum of them; (b) a pair is in
+contact, a clockwise and a counter-clockwise walker on one site, where
+their directions differ and their unwrapped gap is a multiple of N (a
+table lookup), and the relay is resolved over the contact rounds only:
+for two walkers the message then sits on the clockwise mover, for more
+the handoff rule of step() runs contact by contact, drawing its
+tie-breaks in round order; (c) the carrier displacement is read only at
+the checkpoints of the shared accounting step, estimators.build_report,
+as the message's unwrapped position, and handoffs are counted up to
+each checkpoint.  build_report also sets the burn-in and batches and
 cuts the two-walker contacts into regeneration cycles.
 """
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .model import (
 )
 
 # walker-rounds (rounds x walkers) in one block of the engine
-WALKER_ROUNDS = 1 << 14
+WALKER_ROUNDS = 1 << 17
 
 
 @dataclass
@@ -190,73 +194,87 @@ def _run_blocks(
 
     Round t contributes the direction of the carrier in the state after
     t updates, so the displacement read at checkpoint T covers rounds
-    0 .. T-1 and the handoffs those that produced states 1 .. T.  Walker
-    state, carrier and totals carry over from one block to the next.
+    0 .. T-1 and the handoffs those that produced states 1 .. T.  It is
+    read as the message's unwrapped position: the carrier's unwrapped
+    position plus an offset of whole laps, which changes at a handoff by
+    the old and new carriers' unwrapped difference (they share a site).
+    Walker state, carrier and offset carry over from block to block.
     """
     n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
     steps = int(checkpoints[-1])
     block = max(1, WALKER_ROUNDS // m)
-    x = state.positions.astype(np.int64)  # unwrapped positions at round t0
-    d = state.directions.astype(np.int64)
+    # unwrapped sites after round t0 + 1, the first round of a block
+    y = state.positions.astype(np.int64) + state.directions
+    d = state.directions.astype(np.int8)
     car = state.carrier
-    cum_disp = cum_jumps = 0  # over rounds before t0
-    read = [np.empty(len(checkpoints)) for _ in range(3)]
+    off = -int(state.positions[car])  # message position minus the carrier's
+    cum_jumps = 0  # over rounds before t0
+    read = [np.zeros(len(checkpoints)) for _ in range(3)]
     samples_x, samples_d = [], []
     # two walkers: round, displacement, gap level and carrier of each
     # contact, block by block; a contact start first
     zero = np.zeros(int(in_regen), dtype=np.int64)
     contacts = ([zero], [zero], [zero], [zero + car]) if m == 2 else None
-    t0 = icp = 0
+    t0, icp = 0, np.searchsorted(checkpoints, 0, side="right")  # round 0 reads 0
     while t0 < steps:
         b = min(block, steps - t0)
-        # (a) walker paths over rounds t0+1 .. t0+b, one row per round
-        flips = np.column_stack(
-            [streams.walker[j].random(b) < eps for j in range(m)]
-        )
-        dirs = np.cumprod(np.where(flips, -1, 1), axis=0)
-        dirs *= d
-        xs = np.cumsum(np.vstack((d, dirs[:-1])), axis=0)
-        xs += x
-        pos = xs % n
+        # (a) walker paths over rounds t0+1 .. t0+b, row k for round
+        # t0+1+k: directions from the parity of the flips so far, and
+        # unwrapped sites y + rel[:, k]
+        dirs = np.empty((m, b), dtype=np.int8)
+        rel = np.zeros((m, b), dtype=np.int64)
+        for j in range(m):
+            odd = np.logical_xor.accumulate(streams.walker[j].random(b) < eps)
+            np.multiply(odd.view(np.int8), -2 * d[j], out=dirs[j])
+            dirs[j] += d[j]
+            np.cumsum(dirs[j, :-1], out=rel[j, 1:])
 
-        # (b) contact rounds, and the carrier after each of them
+        # (b) contact rounds: opposite directions on one site, where the
+        # unwrapped gap is a multiple of n; tbl is n-periodic, so the
+        # relative gap indexes it directly, negative values included
         contact = np.zeros(b, dtype=bool)
         for j in range(m):
             for k in range(j + 1, m):
-                contact |= (pos[:, j] == pos[:, k]) & (dirs[:, j] != dirs[:, k])
+                tbl = np.zeros(n * (2 * b // n + 1), dtype=bool)
+                tbl[(y[j] - y[k]) % n::n] = True
+                contact |= (dirs[j] != dirs[k]) & tbl[rel[k] - rel[j]]
         ridx = np.flatnonzero(contact)
+        xs = y[:, None] + rel[:, ridx]  # unwrapped sites at the contacts
         if m == 2:
-            newcar = np.where(dirs[ridx, 0] == 1, 0, 1)
+            newcar = np.where(dirs[0, ridx] == 1, 0, 1)
         else:
             newcar = np.empty(len(ridx), dtype=np.int64)
-            c = car
+            c, pos = car, (xs % n).T
             for i, r in enumerate(ridx):
-                c, _ = _resolve_handoff(pos[r], dirs[r], c, streams)
+                c, _ = _resolve_handoff(pos[i], dirs[:, r], c, streams)
                 newcar[i] = c
         held = np.concatenate(([car], newcar))
         jump_t = t0 + 1 + ridx[held[1:] != held[:-1]]
-        carrier = np.repeat(held, np.diff(ridx, prepend=0, append=b))
-        dc = dirs[np.arange(b), carrier]
-        # displacement over the rounds before t0 + k, k = 0 .. b
-        disp = np.cumsum(np.concatenate(([cum_disp, d[car]], dc[:-1])))
+        cols = np.arange(len(ridx))
+        at = xs[newcar, cols]  # each new carrier's unwrapped site
+        offs = off + np.cumsum(np.concatenate(([0], xs[held[:-1], cols] - at)))
 
         # (c) readings at the checkpoints in this block
         stop = np.searchsorted(checkpoints, t0 + b, side="right")
         ts = checkpoints[icp:stop]
-        read[0][icp:stop] = disp[ts - t0]
+        rows = ts - t0 - 1
+        now = np.searchsorted(ridx, rows, side="right")  # contacts so far
+        disp = y[held[now]] + rel[held[now], rows] + offs[now]
+        read[0][icp:stop] = disp
         read[1][icp:stop] = cum_jumps + np.searchsorted(jump_t, ts, side="right")
-        read[2][icp:stop] = (ts + disp[ts - t0]) // 2  # every round moves +-1
-        rows = ts[is_sample[icp:stop]] - t0 - 1
-        samples_x.append(pos[rows])
-        samples_d.append(dirs[rows])
+        read[2][icp:stop] = (ts + disp) // 2  # every round moves +-1
+        rows = rows[is_sample[icp:stop]]
+        samples_x.append(((y[:, None] + rel[:, rows]) % n).T)
+        samples_d.append(dirs[:, rows].T.astype(np.int64))
         if m == 2:
-            found = (t0 + 1 + ridx, disp[ridx + 1], (xs[ridx, 1] - xs[ridx, 0]) // n,
-                     newcar)
+            found = (t0 + 1 + ridx, at + offs[1:],
+                     (xs[1] - xs[0]) // n, newcar)
             for blocks, values in zip(contacts, found):
                 blocks.append(values)
 
-        cum_disp, cum_jumps = int(disp[-1]), cum_jumps + len(jump_t)
-        x, d, car = xs[-1].copy(), dirs[-1].copy(), int(held[-1])
-        del flips, dirs, xs, pos  # free this block before drawing the next
+        cum_jumps += len(jump_t)
+        y += rel[:, -1] + dirs[:, -1]
+        d, car, off = dirs[:, -1].copy(), int(held[-1]), int(offs[-1])
+        del dirs, rel  # free this block before drawing the next
         t0, icp = t0 + b, stop
     return Readings(*read, samples_x, samples_d, contacts)

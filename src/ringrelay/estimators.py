@@ -204,9 +204,10 @@ def merge(reports: list[RunReport]) -> RunReport:
     Replicas may have batches of different lengths (a start in a contact
     state skips burn-in, so its window is longer).  Each replica's batch
     sums are rescaled to the first replica's batch duration, which keeps
-    every batch mean as it was.  A merged report carries no trace: a
-    trace is the running average of one replica from time 0, so traces
-    cannot be pooled; each replica keeps its own.
+    every batch mean as it was; a replica too short for batches adds
+    none.  A merged report carries no trace: a trace is the running
+    average of one replica from time 0, so traces cannot be pooled; each
+    replica keeps its own.
     """
     if not reports:
         raise errors.RelayError("nothing to merge")
@@ -222,6 +223,7 @@ def merge(reports: list[RunReport]) -> RunReport:
     def cat_batches(key):
         return np.concatenate([
             getattr(r, key) * (head.batch_duration / r.batch_duration)
+            if r.batch_duration else getattr(r, key)
             for r in reports
         ])
 

@@ -190,7 +190,7 @@ class TraceSolution:
 
 
 def solve_trace_bvp(n_sites: int, flip_prob: float) -> TraceSolution:
-    """Solve the excursion recursion as one dense linear system.
+    """Solve the excursion recursion as one sparse linear system.
 
     Unknowns are f(0..N-1) and g(-1..N-2).  Interior equations:
 
@@ -199,32 +199,23 @@ def solve_trace_bvp(n_sites: int, flip_prob: float) -> TraceSolution:
 
     with boundaries g(0) = 0 (a narrowing gap one rung up closes) and
     f(N-1) = 1 (a widening gap one rung short of a full lap wraps).
+    Each equation touches at most three unknowns.
     """
     n = validate_sites(n_sites)
     eps = validate_flip_prob(flip_prob)
 
-    size = 2 * n  # f block at 0..n-1, g block at n..2n-1 with offset 1
-    fi = lambda k: k
-    gi = lambda k: n + k + 1
-    a = np.zeros((size, size))
-    b = np.zeros(size)
-    row = 0
-    for k in range(n - 1):
-        a[row, fi(k)] = 1.0
-        a[row, fi(k + 1)] = -(1.0 - eps)
-        a[row, gi(k)] = -eps
-        row += 1
-    for k in range(-1, n - 2):
-        a[row, gi(k + 1)] = 1.0
-        a[row, gi(k)] = -(1.0 - eps)
-        a[row, fi(k + 1)] = -eps
-        row += 1
-    a[row, gi(0)] = 1.0
-    row += 1
-    a[row, fi(n - 1)] = 1.0
-    b[row] = 1.0
+    # f block at 0..n-1, g block at n..2n-1 with offset 1; rows k and
+    # n - 1 + k hold the two interior equations for k = 0 .. n-2
+    k = np.arange(n - 1)
+    r = n - 1 + k
+    rows = np.concatenate((k, k, k, r, r, r, [2 * n - 2, 2 * n - 1]))
+    cols = np.concatenate((k, k + 1, n + k + 1, n + k + 1, n + k, k, [n + 1, n - 1]))
+    vals = np.append(np.repeat([1.0, -(1.0 - eps), -eps] * 2, n - 1), [1.0, 1.0])
+    a = sp.csc_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+    b = np.zeros(2 * n)
+    b[-1] = 1.0
 
-    solution = np.linalg.solve(a, b)
+    solution = spla.spsolve(a, b)
     f = solution[:n].copy()
     g = solution[n:].copy()
     return TraceSolution(n, eps, float(f[0]), f, g)
@@ -232,18 +223,11 @@ def solve_trace_bvp(n_sites: int, flip_prob: float) -> TraceSolution:
 
 def bvp_residual(sol: TraceSolution) -> float:
     """Largest violation of the recursion and boundary conditions."""
-    n, eps = sol.n_sites, sol.flip_prob
-    worst = max(abs(sol.g_at(0)), abs(sol.f_at(n - 1) - 1.0))
-    for k in range(n - 1):
-        worst = max(
-            worst, abs(sol.f_at(k) - (1 - eps) * sol.f_at(k + 1) - eps * sol.g_at(k))
-        )
-    for k in range(-1, n - 2):
-        worst = max(
-            worst,
-            abs(sol.g_at(k + 1) - (1 - eps) * sol.g_at(k) - eps * sol.f_at(k + 1)),
-        )
-    return worst
+    n, eps, f, g = sol.n_sites, sol.flip_prob, sol.f, sol.g
+    widening = f[:-1] - (1 - eps) * f[1:] - eps * g[1:]  # k = 0 .. n-2
+    narrowing = g[1:] - (1 - eps) * g[:-1] - eps * f[:-1]  # k = -1 .. n-3
+    return float(max(abs(sol.g_at(0)), abs(sol.f_at(n - 1) - 1.0),
+                     np.abs(widening).max(), np.abs(narrowing).max()))
 
 
 def hitting_prob_oracle(n_sites: int, flip_prob: float) -> float:
@@ -252,9 +236,9 @@ def hitting_prob_oracle(n_sites: int, flip_prob: float) -> float:
     Builds the rung walk directly: from a widening rung the gap moves up
     one rung and the pattern then persists with probability 1 - eps or
     reverses with probability eps (narrowing rungs mirror this downward);
-    rung 0 and rung n_sites absorb.  Solving (I - Q) h = b for the start
-    state gives the wrap probability with no reference to the recursion
-    solved by solve_trace_bvp.
+    rung 0 and rung n_sites absorb.  Solving the sparse system
+    (I - Q) h = b for the start state gives the wrap probability with no
+    reference to the recursion solved by solve_trace_bvp.
     """
     n = validate_sites(n_sites)
     eps = validate_flip_prob(flip_prob)
@@ -267,7 +251,7 @@ def hitting_prob_oracle(n_sites: int, flip_prob: float) -> float:
     for k in range(1, n):
         idx[(k, -1)] = len(idx)
     size = len(idx)
-    q = np.zeros((size, size))
+    rows, cols, vals = [], [], []
     b = np.zeros(size)
 
     def add(src, rung, pattern, prob):
@@ -276,14 +260,17 @@ def hitting_prob_oracle(n_sites: int, flip_prob: float) -> float:
         elif rung == 0:
             pass  # absorbed: excursion closed
         else:
-            q[src, idx[(rung, pattern)]] += prob
+            rows.append(src)
+            cols.append(idx[(rung, pattern)])
+            vals.append(prob)
 
     for (k, pattern), src in idx.items():
         arrival = k + pattern
         add(src, arrival, pattern, 1.0 - eps)
         add(src, arrival, -pattern, eps)
 
-    h = np.linalg.solve(np.eye(size) - q, b)
+    q = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    h = spla.spsolve(sp.identity(size, format="csc") - q, b)
     return float(h[idx[(0, +1)]])
 
 

@@ -112,6 +112,18 @@ class TestConfigHandling:
                          "N must be an integer", id="sweep-fractional-N"),
             pytest.param("sweep", "discrete", "replicas=0", "replicas",
                          id="sweep-zero-replicas"),
+            pytest.param("simulate", "discrete",
+                         'initial={"positions": ["a", 1], "directions": [1, -1], '
+                         '"carrier": 0}', "initial",
+                         id="lattice-initial-not-a-number"),
+            pytest.param("simulate", "continuous",
+                         'initial={"positions": ["a", 1], "directions": [1, -1], '
+                         '"carrier": 0}', "initial",
+                         id="continuum-initial-not-a-number"),
+            pytest.param("simulate", "discrete",
+                         'initial={"positions": [[0], 1], "directions": [1, -1], '
+                         '"carrier": 0}', "initial",
+                         id="initial-nested-positions"),
         ],
     )
     def test_malformed_value_is_config_error(
@@ -212,6 +224,17 @@ class TestSimulate:
         _, serial, _ = run_cli(capsys, *args, "--threads", "1")
         _, parallel, _ = run_cli(capsys, *args, "--threads", "4")
         assert serial == parallel
+
+    def test_replicas_too_short_for_batches(self, capsys):
+        # steps < 50 leaves every replica without batches
+        code, out, err = run_cli(
+            capsys, "simulate", "--set", "model=discrete", "--set", "N=5",
+            "--set", "epsilon=0.3", "--set", "steps=5", "--set", "replicas=3",
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["speed"] is None and payload["cost"] is None
+        assert payload["total_time"] == 15.0
 
     def test_explicit_initial_state(self, capsys):
         code, out, _ = run_cli(

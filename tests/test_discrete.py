@@ -153,6 +153,12 @@ class TestRegenerationLaw:
             )
 
 
+# a head-on contact in round 1, the first row of a block of any size
+BLOCK_START_CONTACT = ((17, 0), (5, [0, 2], [1, -1], 0))
+# both walkers cross the wrap at once, so every contact has x1 - x0 < 0
+NEGATIVE_LEVEL = ((20, 0), (5, [4, 0], [1, -1], 0))
+
+
 class TestEngineAgainstStepLoop:
     @pytest.mark.parametrize(
         "seed,init",  # init: N, positions, directions, carrier
@@ -167,6 +173,8 @@ class TestEngineAgainstStepLoop:
             ((5, 1), (5, [0, 2, 4], [1, 1, -1], 2)),
             ((8, 3), (5, [1, 1, 3, 4], [1, -1, -1, 1], 0)),
             ((6, 2), (7, [0, 3, 3, 5], [-1, 1, -1, 1], 2)),
+            BLOCK_START_CONTACT,
+            NEGATIVE_LEVEL,
         ],
     )
     def test_trajectory_equality(self, seed, init, monkeypatch):
@@ -187,8 +195,9 @@ class TestEngineAgainstStepLoop:
         hops = np.cumsum(jumped)
         ts = np.arange(1, steps + 1)
 
-        # the engine in its own blocks, then in blocks of 17 rounds
-        for walker_rounds in (discrete.WALKER_ROUNDS, 17 * cfg.n_walkers):
+        # the engine in its own blocks, then in blocks of 17, 7 and 1 rounds
+        m = cfg.n_walkers
+        for walker_rounds in (discrete.WALKER_ROUNDS, 17 * m, 7 * m, 1):
             monkeypatch.setattr(discrete, "WALKER_ROUNDS", walker_rounds)
             report = discrete.simulate_discrete(
                 cfg, steps, SeedSpec(*seed), initial.copy(),
@@ -217,6 +226,24 @@ class TestEngineAgainstStepLoop:
             # carrier never changes strictly inside a cycle: handoffs land
             # exactly on regeneration visits
             assert set(np.flatnonzero(jumped)) <= set(visits)
+
+    def test_edge_cases_cover_what_they_name(self):
+        def reference(case):
+            seed, (n, positions, directions, carrier) = case
+            initial = discrete.DiscreteState(
+                np.array(positions), np.array(directions), carrier
+            )
+            return run_reference_loop(DiscreteConfig(n, 0.3), 1500, seed, initial)
+
+        *_, visits = reference(BLOCK_START_CONTACT)
+        assert visits[0] == 1  # the first row of the first block
+
+        _, (n, positions, _, _) = NEGATIVE_LEVEL
+        _, dirs, _, _, visits = reference(NEGATIVE_LEVEL)
+        # unwrapped positions: each round moves by the directions before it
+        x = positions + np.vstack(([0, 0], np.cumsum(dirs[:-1], axis=0)))
+        levels = (x[visits, 1] - x[visits, 0]) // n
+        assert len(levels) > 100 and np.all(levels < 0)
 
     def test_cycle_displacements_are_zero_or_full_laps(self):
         cfg = DiscreteConfig(5, 0.3)

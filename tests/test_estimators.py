@@ -265,6 +265,19 @@ class TestMerge:
         assert pooled.trace_speed is None and pooled.trace_cost is None
         assert all(r.trace_speed is not None for r in runs)
 
+    def test_merge_pools_replicas_too_short_for_batches(self):
+        # fewer rounds than batches: no batch, a zero batch duration
+        runs = [
+            simulate_discrete(DiscreteConfig(5, 0.3), 5, SeedSpec(20260815, k))
+            for k in range(3)
+        ]
+        assert all(r.batch_duration == 0.0 for r in runs)
+        pooled = merge(runs)
+        assert pooled.batch_duration == 0.0
+        assert pooled.total_time == 15.0
+        assert len(pooled.batch_displacement) == 0
+        assert pooled.jump_count == sum(r.jump_count for r in runs)
+
     def test_merge_rejects_mismatched_models(self):
         a = self.run(1)
         b = self.run(2)

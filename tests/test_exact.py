@@ -152,6 +152,15 @@ class TestTraceBvp:
         for n, eps in [(3, 0.5), (11, 0.1), (101, 0.9)]:
             assert exact.bvp_residual(exact.solve_trace_bvp(n, eps)) < 1e-12
 
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.9])
+    def test_large_ring_matches_closed_form(self, eps):
+        n = 2999
+        sol = exact.solve_trace_bvp(n, eps)
+        a = (1 - eps) / (1 + eps * (n - 2))
+        assert abs(sol.crossing_prob - a) <= 1e-10
+        assert abs(exact.hitting_prob_oracle(n, eps) - a) <= 1e-10
+        assert exact.bvp_residual(sol) < 1e-12
+
     def test_crossing_prob_decreasing_in_eps(self):
         vals = [exact.solve_trace_bvp(9, e).crossing_prob for e in EPS_GRID]
         assert all(a > b for a, b in zip(vals, vals[1:]))
