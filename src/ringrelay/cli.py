@@ -88,6 +88,15 @@ def _int_key(cfg: dict, key: str, default=None):
     return int(value)
 
 
+def _seed(cfg: dict) -> int:
+    """Master seed of simulate, sweep, validate and generator-check:
+    numpy seeds its streams from non-negative integers only."""
+    seed = _int_key(cfg, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _float_key(cfg: dict, key: str, default=None) -> float:
     value = _require(cfg, key) if default is None else cfg.get(key, default)
     try:
@@ -116,7 +125,7 @@ def _build_continuous(cfg: dict) -> ContinuousConfig:
 def _two_walker_config(cfg: dict, lattice_only: bool = False):
     """The model config of a run compared with the two-walker formulas or
     exact solves (exact, bvp, sweep): m must be 2, and a lattice ring
-    must be small enough for the dense exact solvers."""
+    must have at most EXACT_SIZE_LIMIT sites."""
     if _model_kind(cfg) == "discrete":
         config = validate_discrete(_build_discrete(cfg))
         if config.n_sites > EXACT_SIZE_LIMIT:
@@ -140,7 +149,7 @@ def _run_plan(cfg: dict, kind: str) -> tuple[int, int, int | float]:
     replicas = _int_key(cfg, "replicas", 1)
     if replicas < 1:
         raise ConfigError("replicas must be >= 1")
-    seed = _int_key(cfg, "seed")
+    seed = _seed(cfg)
     if kind == "discrete":
         return replicas, seed, _int_key(cfg, "steps", 100_000)
     return replicas, seed, _float_key(cfg, "horizon", 10_000.0)
@@ -159,7 +168,7 @@ def _build_initial(cfg: dict, kind: str):
         return state(
             np.asarray(spec["positions"], dtype=dtype),
             np.asarray(spec["directions"], dtype=np.int64),
-            int(spec["carrier"]),
+            _int_key(spec, "carrier"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad initial state: {err}") from err
@@ -418,7 +427,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    seed = _int_key(cfg, "seed")
+    seed = _seed(cfg)
     results = validation.run_all(
         seed, args.threads, emit=lambda line: print(line, file=sys.stderr, flush=True)
     )
@@ -433,7 +442,7 @@ def cmd_validate(args) -> int:
 
 def cmd_generator_check(args) -> int:
     cfg = _load_config(args)
-    seed = _int_key(cfg, "seed")
+    seed = _seed(cfg)
     ctx = validation.AcceptanceContext(seed, args.threads)
     result = validation.check_generator(ctx)
     _dump_json(result.to_dict(), args.out)

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import errors
 from .model import (
@@ -62,56 +60,40 @@ class ReducedChain:
         return len(self.states)
 
 
-def _excluded(gap: int, d1: int, d2: int, carrier: int) -> bool:
-    if gap != 0:
-        return False
-    if carrier == 0:
-        return d1 == -1 and d2 == 1
-    return d2 == -1 and d1 == 1
-
-
 def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
-    """Enumerate the 8 * n_sites - 2 states and their one-round kernel."""
+    """Enumerate the 8 * n_sites - 2 states and their one-round kernel.
+
+    State (gap, d1, d2, carrier) has code 8 gap + 4 [d1 < 0] + 2 [d2 < 0]
+    + carrier, and states are listed in code order.  Codes 3 and 4 are
+    the two excluded contact states, so code c sits at index c - 2 [c > 4].
+    """
+    import scipy.sparse as sp
+
     n = validate_sites(n_sites)
     eps = validate_flip_prob(flip_prob)
 
-    states = [
-        (gap, d1, d2, carrier)
-        for gap in range(n)
-        for d1 in (1, -1)
-        for d2 in (1, -1)
-        for carrier in (0, 1)
-        if not _excluded(gap, d1, d2, carrier)
-    ]
-    index = {s: k for k, s in enumerate(states)}
+    code = np.arange(8 * n)
+    code = code[(code != 3) & (code != 4)]
+    gap, carrier = code // 8, code % 2
+    d1, d2 = 1 - 2 * (code // 4 % 2), 1 - 2 * (code // 2 % 2)
+    states = list(zip(gap.tolist(), d1.tolist(), d2.tolist(), carrier.tolist()))
+    index = dict(zip(states, range(len(states))))
 
-    flip_outcomes = [
-        (1, 1, (1 - eps) * (1 - eps)),
-        (1, -1, (1 - eps) * eps),
-        (-1, 1, eps * (1 - eps)),
-        (-1, -1, eps * eps),
-    ]
-
-    rows, cols, vals = [], [], []
-    jump_prob = np.zeros(len(states))
-    for src, (gap, d1, d2, carrier) in enumerate(states):
-        new_gap = (gap + d1 - d2) % n
-        for s1, s2, prob in flip_outcomes:
-            nd1, nd2 = d1 * s1, d2 * s2
-            new_carrier = carrier
-            if new_gap == 0:
-                if carrier == 0 and nd1 == -1 and nd2 == 1:
-                    new_carrier = 1
-                elif carrier == 1 and nd2 == -1 and nd1 == 1:
-                    new_carrier = 0
-            if new_carrier != carrier:
-                jump_prob[src] += prob
-            rows.append(src)
-            cols.append(index[(new_gap, nd1, nd2, new_carrier)])
-            vals.append(prob)
-
+    # the four flip outcomes (s1, s2) of one round, in the order
+    # (keep, keep), (keep, flip), (flip, keep), (flip, flip)
+    s1, s2 = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
+    prob = np.array([(1 - eps) * (1 - eps), (1 - eps) * eps,
+                     eps * (1 - eps), eps * eps])
+    new_gap = ((gap + d1 - d2) % n)[:, None]
+    nd1, nd2 = d1[:, None] * s1, d2[:, None] * s2
+    # meeting with opposite directions: the clockwise mover carries on
+    new_carrier = np.where((new_gap == 0) & (nd1 != nd2), nd1 < 0, carrier[:, None])
+    jump_prob = ((new_carrier != carrier[:, None]) * prob).sum(axis=1)
+    dest = 8 * new_gap + 4 * (nd1 < 0) + 2 * (nd2 < 0) + new_carrier
     transition = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(len(states), len(states))
+        (np.tile(prob, len(states)),
+         (np.repeat(np.arange(len(states)), 4), (dest - 2 * (dest > 4)).ravel())),
+        shape=(len(states), len(states)),
     ).tocsr()
     return ReducedChain(n, eps, states, index, transition, jump_prob)
 
@@ -124,6 +106,9 @@ def stationary(chain: ReducedChain, residual_tol: float = 1e-10) -> np.ndarray:
     whenever the chain is irreducible, which the odd-site validation
     guarantees, and stays as sparse as P (a row of ones would fill in).
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = chain.n_states
     a = (chain.transition.T - sp.identity(n, format="csr")).tocsc()
     pi = np.ones(n)
@@ -201,6 +186,9 @@ def solve_trace_bvp(n_sites: int, flip_prob: float) -> TraceSolution:
     f(N-1) = 1 (a widening gap one rung short of a full lap wraps).
     Each equation touches at most three unknowns.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = validate_sites(n_sites)
     eps = validate_flip_prob(flip_prob)
 
@@ -240,6 +228,9 @@ def hitting_prob_oracle(n_sites: int, flip_prob: float) -> float:
     (I - Q) h = b for the start state gives the wrap probability with no
     reference to the recursion solved by solve_trace_bvp.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = validate_sites(n_sites)
     eps = validate_flip_prob(flip_prob)
 

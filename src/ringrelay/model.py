@@ -104,7 +104,7 @@ def check_state(state, m: int, size) -> None:
     carrier index."""
     if len(state.positions) != m or len(state.directions) != m:
         raise errors.RelayError(f"state must describe {m} walkers")
-    if np.any(state.positions < 0) or np.any(state.positions >= size):
+    if not np.all((state.positions >= 0) & (state.positions < size)):
         raise errors.NOutOfRange(f"positions must lie in [0, {size})")
     if not np.all(np.isin(state.directions, (1, -1))):
         raise errors.RelayError("directions must be +1 or -1")

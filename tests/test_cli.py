@@ -1,9 +1,15 @@
 """Command line contract: schemas, determinism, exit codes."""
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import ringrelay
 from ringrelay import validation
 from ringrelay.cli import main
 
@@ -124,6 +130,25 @@ class TestConfigHandling:
                          'initial={"positions": [[0], 1], "directions": [1, -1], '
                          '"carrier": 0}', "initial",
                          id="initial-nested-positions"),
+            pytest.param("simulate", "continuous",
+                         'initial={"positions": [0, "nan"], "directions": [1, -1], '
+                         '"carrier": 0}', "positions", id="continuum-nan-position"),
+            pytest.param("simulate", "continuous",
+                         'initial={"positions": [0, 0.5], "directions": [1, -1], '
+                         '"carrier": 1.7}', "carrier", id="continuum-fractional-carrier"),
+            pytest.param("simulate", "discrete",
+                         'initial={"positions": [0, 2], "directions": [1, -1], '
+                         '"carrier": true}', "carrier", id="lattice-bool-carrier"),
+            pytest.param("simulate", "discrete", "seed=-1", "seed",
+                         id="lattice-negative-seed"),
+            pytest.param("simulate", "continuous", "seed=-2", "seed",
+                         id="continuum-negative-seed"),
+            pytest.param("sweep", "discrete", "seed=-3", "seed",
+                         id="sweep-negative-seed"),
+            pytest.param("validate", "discrete", "seed=-5", "seed",
+                         id="validate-negative-seed"),
+            pytest.param("generator-check", "discrete", "seed=-1", "seed",
+                         id="generator-check-negative-seed"),
         ],
     )
     def test_malformed_value_is_config_error(
@@ -134,11 +159,21 @@ class TestConfigHandling:
             ("simulate", "continuous"): ["N=1", "horizon=50.0"],
             ("sweep", "discrete"): ["steps=500", 'grid={"N": [5], "epsilon": [0.3]}'],
             ("sweep", "continuous"): ["horizon=50.0", 'grid={"N": [1], "r": [0.5]}'],
+            ("validate", "discrete"): [],
+            ("generator-check", "discrete"): [],
         }[command, model]
         args = [a for kv in [f"model={model}", *base, override] for a in ("--set", kv)]
         code, out, err = run_cli(capsys, command, *args)
         assert code == 2
         assert err.startswith("error: ") and named in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "validate", "generator-check"])
+    def test_negative_seed_flag_is_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--set", "model=continuous",
+                                 "--set", "N=1", "--seed", "-2")
+        assert code == 2
+        assert err.startswith("error: ") and "seed" in err
         assert out == ""
 
     def test_unreadable_config_file(self, capsys, tmp_path):
@@ -399,3 +434,28 @@ class TestValidateCommand:
         assert r.line().startswith("PASS name")
         r2 = validation.CheckResult("name", False, {"v": 0.5}, "t", "r", 1.0)
         assert r2.line().startswith("FAIL name")
+
+
+def test_import_and_simulate_load_no_scipy():
+    # scipy is loaded only by the exact solvers and the chi-square, so
+    # start-up and simulate run on numpy alone; a fresh interpreter shows it
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        import ringrelay.cli as cli
+        loaded = [scipy_modules()]
+        for keys in (["model=discrete", "N=5", "epsilon=0.3", "steps=500"],
+                     ["model=continuous", "N=1", "horizon=50.0"]):
+            argv = ["simulate", *[a for kv in keys for a in ("--set", kv)]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            loaded.append(scipy_modules())
+        print(json.dumps(loaded))
+    """)
+    src = str(Path(ringrelay.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], [], []]

@@ -397,6 +397,22 @@ class TestChiSquare:
                 rejections += 1
         assert rejections <= 3
 
+    def test_matches_scipy_chisquare(self):
+        # one walker at cell centres: cell c is arc c // 2 with direction
+        # sign c % 2, so the count vector is known and scipy is the oracle
+        rng = np.random.default_rng(10)
+        for n_cells in (10, 100, 256):
+            for alpha in (1e4, 50.0, 5.0) * 23:
+                cells = rng.choice(n_cells, size=int(rng.integers(20, 60)) * n_cells,
+                                   p=rng.dirichlet(np.full(n_cells, alpha)))
+                result = chi_square_uniformity(
+                    (cells // 2 + 0.5)[:, None], np.where(cells % 2, 1, -1)[:, None],
+                    n_cells / 2, n_cells // 2, min_expected=0.0,
+                )
+                stat, pvalue = scipy.stats.chisquare(
+                    np.bincount(cells, minlength=n_cells))
+                assert (result.statistic, result.pvalue) == (stat, pvalue)
+
     def test_report_level_wiring(self):
         rng = np.random.default_rng(9)
         report = make_report(np.ones(50))

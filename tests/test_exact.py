@@ -8,6 +8,7 @@ gives a wrap probability of exactly 1/3).
 """
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,53 @@ def dense_stationary_by_powers(chain: exact.ReducedChain) -> np.ndarray:
     return p[0]
 
 
+def loop_chain(n: int, eps: float):
+    """The reduced chain enumerated state by state and outcome by outcome:
+    states, index, COO triplets in (state, outcome) order, jump_prob."""
+    states = [
+        (gap, d1, d2, carrier)
+        for gap in range(n)
+        for d1 in (1, -1)
+        for d2 in (1, -1)
+        for carrier in (0, 1)
+        if not (gap == 0 and (d1, d2) == ((-1, 1) if carrier == 0 else (1, -1)))
+    ]
+    index = {s: k for k, s in enumerate(states)}
+    outcomes = [(1, 1, (1 - eps) * (1 - eps)), (1, -1, (1 - eps) * eps),
+                (-1, 1, eps * (1 - eps)), (-1, -1, eps * eps)]
+    rows, cols, vals = [], [], []
+    jump_prob = np.zeros(len(states))
+    for src, (gap, d1, d2, carrier) in enumerate(states):
+        new_gap = (gap + d1 - d2) % n
+        for s1, s2, prob in outcomes:
+            nd1, nd2 = d1 * s1, d2 * s2
+            new_carrier = carrier
+            if new_gap == 0:
+                if carrier == 0 and nd1 == -1 and nd2 == 1:
+                    new_carrier = 1
+                elif carrier == 1 and nd2 == -1 and nd1 == 1:
+                    new_carrier = 0
+            if new_carrier != carrier:
+                jump_prob[src] += prob
+            rows.append(src)
+            cols.append(index[(new_gap, nd1, nd2, new_carrier)])
+            vals.append(prob)
+    return states, index, (vals, (rows, cols)), jump_prob
+
+
 class TestReducedChain:
+    @pytest.mark.parametrize("n", [3, 5, 11, 101, 999])
+    @pytest.mark.parametrize("eps", (0.1, 1 / 3, *EPS_GRID))
+    def test_matches_loop_enumeration_bit_for_bit(self, n, eps):
+        chain = exact.build_reduced_chain(n, eps)
+        states, index, triplets, jump_prob = loop_chain(n, eps)
+        oracle = scipy.sparse.coo_matrix(triplets, shape=(len(states),) * 2).tocsr()
+        assert chain.states == states and chain.index == index
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(chain.transition, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert chain.jump_prob.tobytes() == jump_prob.tobytes()
+
     @pytest.mark.parametrize("n", [3, 5, 11])
     def test_state_count(self, n):
         chain = exact.build_reduced_chain(n, 0.3)

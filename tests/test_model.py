@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringrelay import errors
+from ringrelay.continuous import ContinuousState
 from ringrelay.model import (
     ContinuousConfig,
     DiscreteConfig,
     SeedSpec,
     WalkerStreams,
     as_seed,
+    check_state,
     circle_delta,
     validate_continuous,
     validate_discrete,
@@ -56,6 +58,17 @@ class TestConfigs:
 
     def test_continuous_accepts_valid(self):
         validate_continuous(ContinuousConfig(2.0, 1.0, 1.0, 3))
+
+
+class TestCheckState:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 5.0])
+    def test_position_outside_ring_rejected(self, bad):
+        state = ContinuousState(np.array([0.0, bad]), np.array([1, -1]), 0)
+        with pytest.raises(errors.NOutOfRange):
+            check_state(state, 2, 5.0)
+
+    def test_valid_state_accepted(self):
+        check_state(ContinuousState(np.array([0.0, 4.5]), np.array([1, -1]), 1), 2, 5.0)
 
 
 class TestCircleDelta:
