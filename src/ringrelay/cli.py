@@ -161,17 +161,23 @@ def _build_initial(cfg: dict, kind: str):
         return spec
     if not isinstance(spec, dict):
         raise ConfigError("initial must be a mode string or a state object")
-    state, dtype = (
-        (DiscreteState, np.int64) if kind == "discrete" else (ContinuousState, float)
-    )
     try:
-        return state(
-            np.asarray(spec["positions"], dtype=dtype),
-            np.asarray(spec["directions"], dtype=np.int64),
-            _int_key(spec, "carrier"),
-        )
+        if kind == "discrete":
+            state, positions = DiscreteState, _whole(spec, "positions")
+        else:
+            state, positions = ContinuousState, np.asarray(spec["positions"], float)
+        return state(positions, _whole(spec, "directions"), _int_key(spec, "carrier"))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad initial state: {err}") from err
+
+
+def _whole(spec: dict, key: str) -> np.ndarray:
+    """spec[key] as int64: a fraction or a number past int64 is refused,
+    never truncated."""
+    values = np.asarray(spec[key], dtype=float)
+    if not np.all((values == np.round(values)) & (np.abs(values) < 2.0**63)):
+        raise ValueError(f"{key} must be whole numbers, got {spec[key]!r}")
+    return values.astype(np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -326,13 +326,17 @@ def _walk(x0: float, d0: int, bounds: np.ndarray, times: np.ndarray,
     """Position and direction at the given times of a walker that leaves
     x0 at time bounds[0] moving d0 and reverses at each later bound.
     At a reversal time the walker still has its old direction."""
-    signs = np.where(np.arange(len(bounds)) % 2 == 0, d0, -d0)
-    disp = np.concatenate(([0.0], np.cumsum(signs[:-1] * np.diff(bounds))))
+    seg = np.diff(bounds)  # signed in place: d0 on even segments, -d0 on odd
+    seg *= d0
+    seg[1::2] *= -1
+    disp = np.zeros(len(bounds))
+    np.cumsum(seg, out=disp[1:])
     idx = np.searchsorted(bounds[1:], times, side="left")
+    signs = np.where(idx % 2 == 0, d0, -d0)
     positions = (
-        x0 + speed * (disp[idx] + signs[idx] * (times - bounds[idx]))
+        x0 + speed * (disp[idx] + signs * (times - bounds[idx]))
     ) % circumference
-    return positions, signs[idx]
+    return positions, signs
 
 
 def _pass_message(car: int, meet_t: np.ndarray, cw: np.ndarray, ccw: np.ndarray,
@@ -394,9 +398,12 @@ def _run_blocks(
     # k switches per walker make about m k segments, each with a cell per
     # pair; k gives 4 SWITCH_CHUNK / m cells, so two walkers keep chunks of
     # SWITCH_CHUNK and more walkers take chunks whose arrays stay small
-    # next to the rest of the process.  A pair meets about v / (n r) times
-    # per switch, so on small rings fewer switches keep meetings in check.
-    k = max(1, int(8 * SWITCH_CHUNK // (m**3 * (m - 1)) * min(1.0, n * r / v)))
+    # next to the rest of the process, but no fewer than 16 (from m = 10),
+    # or Python work per chunk dominates.  A pair meets about v / (n r)
+    # times per switch, so on small rings fewer switches keep meetings in
+    # check.
+    k = max(1, int(max(16, 8 * SWITCH_CHUNK // (m**3 * (m - 1)))
+                   * min(1.0, n * r / v)))
 
     def settle(gap: np.ndarray, base: np.ndarray):
         """Rebase the gaps into [0, n), snapping them onto a level within tol."""
@@ -562,20 +569,17 @@ def sample_walker_states(
         config.n_walkers,
     )
     streams = WalkerStreams(as_seed(seed), m)
-    x0 = streams.aux.random(m) * n
-    d0 = 1 - 2 * streams.aux.integers(0, 2, size=m)
-    streams.aux.integers(m)  # the carrier draw; irrelevant here but keeps
-    # the auxiliary stream aligned with the simulator's
-
+    state = _initial_state(config, streams, "uniform-random", default_tol(config))
     positions = np.empty((len(times), m))
     directions = np.empty((len(times), m), dtype=np.int64)
     tmax = float(times[-1])
     for j in range(m):
-        bounds = [np.zeros(1)]
+        bounds = [np.zeros(1), state.next_switch[j:j + 1]]
         while bounds[-1][-1] <= tmax:
             size = 512 + int(r * (tmax - bounds[-1][-1]))
             bounds.append(_draw_switches(streams.walker[j], bounds[-1][-1], r, size))
         positions[:, j], directions[:, j] = _walk(
-            x0[j], d0[j], np.concatenate(bounds), times, v, n
+            state.positions[j], state.directions[j], np.concatenate(bounds),
+            times, v, n,
         )
     return positions, directions

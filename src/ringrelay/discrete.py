@@ -12,28 +12,33 @@ tests replay it against simulate_discrete, which runs one block engine
 for any number of walkers.  The message never changes how the walkers
 move, so the engine works in three layers, with per-round work only on
 one array per walker: (a) each walker's flips are drawn in blocks from
-that walker's own stream, consuming randomness exactly as repeated
-step() calls do; its directions are the parity of the flips so far and
-its unwrapped positions one cumulative sum of them; (b) a pair is in
-contact, a clockwise and a counter-clockwise walker on one site, where
-their directions differ and their unwrapped gap is a multiple of N (a
-table lookup), and the relay is resolved over the contact rounds only:
-for two walkers the message then sits on the clockwise mover, for more
-the handoff rule of step() runs contact by contact, drawing its
-tie-breaks in round order; (c) the carrier displacement is read only at
-the checkpoints of the shared accounting step, estimators.build_report,
-as the message's unwrapped position, and handoffs are counted up to
-each checkpoint.  build_report also sets the burn-in and batches and
-cuts the two-walker contacts into regeneration cycles.
+that walker's own stream (_flips), consuming randomness exactly as
+repeated step() calls do; its directions are the parity of the flips so
+far and its unwrapped positions one cumulative sum of them; (b) a pair
+is in contact, a clockwise and a counter-clockwise walker on one site,
+where their directions differ and their unwrapped gap is a multiple of
+N (a table lookup), and the relay is resolved over the contact rounds
+only: for two walkers the message then sits on the clockwise mover, for
+more the handoff rule of step() runs at the carrier's next round
+counter-clockwise on a clockwise walker's site, handoff by handoff,
+drawing its tie-breaks in round order; (c) the carrier displacement is
+read only at the checkpoints of the shared accounting step,
+estimators.build_report, as the message's unwrapped position, and
+handoffs are counted up to each checkpoint.  build_report also sets the
+burn-in and batches and cuts the two-walker contacts into regeneration
+cycles.  sample_walker_states keeps layer (a) alone: it gives the
+walker samples of a run without resolving the relay.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
-from .estimators import Readings, RunReport, build_report
+from .estimators import Readings, RunReport, build_report, window
 from .model import (
     DiscreteConfig,
     SeedSpec,
@@ -115,6 +120,20 @@ def in_regeneration_set(state: DiscreteState, config: DiscreteConfig) -> bool:
     )
 
 
+def _flips(stream: np.random.Generator, size: int, eps: float) -> np.ndarray:
+    """The next size flip draws of one walker, stream.random(size) < eps
+    bit for bit, read from the raw outputs: PCG64's random() maps an
+    output u to (u >> 11) * 2**-53, which is below eps exactly when u is
+    below ceil(eps * 2**53) << 11."""
+    cut = np.uint64(math.ceil(eps * 2**53) << 11)
+    return stream.bit_generator.random_raw(size) < cut
+
+
+def _check_steps(steps) -> None:
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise errors.RelayError(f"steps must be an integer >= 1, got {steps!r}")
+
+
 def _initial_state(
     config: DiscreteConfig, streams: WalkerStreams, initial
 ) -> DiscreteState:
@@ -160,8 +179,7 @@ def simulate_discrete(
     The window, batches and cycles are set by estimators.build_report.
     """
     validate_discrete(config)
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise errors.RelayError(f"steps must be an integer >= 1, got {steps!r}")
+    _check_steps(steps)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     state = _initial_state(config, streams, initial)
@@ -224,30 +242,37 @@ def _run_blocks(
         dirs = np.empty((m, b), dtype=np.int8)
         rel = np.zeros((m, b), dtype=np.int64)
         for j in range(m):
-            odd = np.logical_xor.accumulate(streams.walker[j].random(b) < eps)
+            odd = np.logical_xor.accumulate(_flips(streams.walker[j], b, eps))
             np.multiply(odd.view(np.int8), -2 * d[j], out=dirs[j])
             dirs[j] += d[j]
             np.cumsum(dirs[j, :-1], out=rel[j, 1:])
 
         # (b) contact rounds: opposite directions on one site, where the
         # unwrapped gap is a multiple of n; tbl is n-periodic, so the
-        # relative gap indexes it directly, negative values included
-        contact = np.zeros(b, dtype=bool)
+        # relative gap indexes it directly, negative values included.
+        # ccw[j] marks the rounds where walker j moves counter-clockwise
+        # on a clockwise walker's site, the only ones where it hands on
+        ccw = np.zeros((m, b), dtype=bool)
         for j in range(m):
             for k in range(j + 1, m):
                 tbl = np.zeros(n * (2 * b // n + 1), dtype=bool)
                 tbl[(y[j] - y[k]) % n::n] = True
-                contact |= (dirs[j] != dirs[k]) & tbl[rel[k] - rel[j]]
-        ridx = np.flatnonzero(contact)
-        xs = y[:, None] + rel[:, ridx]  # unwrapped sites at the contacts
-        if m == 2:
+                meet = (dirs[j] != dirs[k]) & tbl[rel[k] - rel[j]]
+                if m > 2:
+                    ccw[j] |= meet & (dirs[j] < 0)
+                    ccw[k] |= meet & (dirs[k] < 0)
+        if m == 2:  # every contact puts the message on the clockwise mover
+            ridx = np.flatnonzero(meet)
             newcar = np.where(dirs[0, ridx] == 1, 0, 1)
-        else:
-            newcar = np.empty(len(ridx), dtype=np.int64)
-            c, pos = car, (xs % n).T
-            for i, r in enumerate(ridx):
-                c, _ = _resolve_handoff(pos[i], dirs[:, r], c, streams)
-                newcar[i] = c
+        else:  # from handoff to handoff: the carrier's next such round
+            rows = [np.flatnonzero(c).tolist() for c in ccw]
+            hand, c, r = [], car, 0
+            while (i := bisect_left(rows[c], r)) < len(rows[c]):
+                r = rows[c][i]
+                c, _ = _resolve_handoff((y + rel[:, r]) % n, dirs[:, r], c, streams)
+                hand.append((r, c))
+            ridx, newcar = np.array(hand, dtype=np.int64).reshape(-1, 2).T
+        xs = y[:, None] + rel[:, ridx]  # unwrapped sites at the contacts
         held = np.concatenate(([car], newcar))
         jump_t = t0 + 1 + ridx[held[1:] != held[:-1]]
         cols = np.arange(len(ridx))
@@ -278,3 +303,40 @@ def _run_blocks(
         del dirs, rel  # free this block before drawing the next
         t0, icp = t0 + b, stop
     return Readings(*read, samples_x, samples_d, contacts)
+
+
+def sample_walker_states(
+    config: DiscreteConfig, steps: int, seed: SeedSpec | int, sample_every: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sample_positions and sample_directions that simulate_discrete(
+    config, steps, seed, sample_every=sample_every) records from the
+    uniform-random start, with no relay resolved: the message never
+    changes how the walkers move.  A walker's directions are the parity
+    of its flips, and its site after round T is its start moved T rounds,
+    less twice the rounds before T of odd parity (a prefix count)."""
+    validate_discrete(config)
+    _check_steps(steps)
+    n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
+    streams = WalkerStreams(as_seed(seed), m)
+    state = _initial_state(config, streams, "uniform-random")
+    _, _, ts, _ = window(steps, in_regeneration_set(state, config), sample_every)
+    last = int(ts[-1]) if len(ts) else 0
+    positions = np.empty((len(ts), m), dtype=np.int64)
+    directions = np.empty((len(ts), m), dtype=np.int64)
+    for j in range(m):
+        x, d = int(state.positions[j]), int(state.directions[j])  # after t0
+        for t0 in range(0, last, WALKER_ROUNDS):
+            b = min(WALKER_ROUNDS, last - t0)
+            # odd[k]: the direction after round t0 + k is -d
+            odd = np.zeros(b + 1, dtype=bool)
+            np.logical_xor.accumulate(_flips(streams.walker[j], b, eps), out=odd[1:])
+            lo, hi = np.searchsorted(ts, (t0, t0 + b), side="right")
+            k = ts[lo:hi] - t0
+            # before[i]: rounds of odd parity among t0 .. t0 + k[i] - 1, and
+            # before[-1] among all b + 1
+            before = np.cumsum(np.add.reduceat(odd, np.r_[0, k], dtype=np.int64))
+            positions[lo:hi, j] = (x + d * (k - 2 * before[:-1])) % n
+            directions[lo:hi, j] = np.where(odd[k], -d, d)
+            x = (x + d * (b - 2 * (before[-1] - odd[b]))) % n
+            d = -d if odd[b] else d
+    return positions, directions

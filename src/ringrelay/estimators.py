@@ -96,21 +96,17 @@ def _spacing(name: str, value, whole: bool):
     return value
 
 
-def build_report(
-    engine, *, params: dict, seed, lap_length: float, end, in_contact: bool,
-    sample_every=None, trace_every=None,
-) -> RunReport:
-    """The accounting step shared by both simulators.
+def window(end, in_contact: bool, sample_every=None, trace_every=None) -> tuple:
+    """The window rule of both simulators, for a run that ends at end:
+    its burn-in, batch edges, sample times and trace times.
 
     The recorded window runs from burn-in to end: none after a start in
     a contact state (a regeneration), else the first 1% of the run.  It
     is cut into N_BATCHES batches; for runs counted in rounds (an integer
     end) they hold whole rounds and leave the rounds after the last batch
     out.  Samples are taken every sample_every after burn-in and trace
-    points every trace_every from time 0.  All these checkpoints go to
-    engine(checkpoints, is_sample) as one sorted list, and the Readings
-    it returns are sliced back into a RunReport, with the cycles cut from
-    its contacts.  Runs counted in rounds need whole-number spacings.
+    points every trace_every from time 0, up to end.  Runs counted in
+    rounds need whole-number spacings.
     """
     whole = isinstance(end, (int, np.integer))
     burn = 0 if in_contact else end // 100 if whole else 0.01 * end
@@ -133,9 +129,23 @@ def build_report(
         else no_times
     )
     # the run ends at end, so a checkpoint rounded past it is dropped
-    sample_ts = sample_ts[sample_ts <= end]
-    trace_ts = trace_ts[trace_ts <= end]
+    return burn, edges, sample_ts[sample_ts <= end], trace_ts[trace_ts <= end]
 
+
+def build_report(
+    engine, *, params: dict, seed, lap_length: float, end, in_contact: bool,
+    sample_every=None, trace_every=None,
+) -> RunReport:
+    """The accounting step shared by both simulators.
+
+    The burn-in, batch edges, samples and trace points follow window().
+    All these checkpoints go to engine(checkpoints, is_sample) as one
+    sorted list, and the Readings it returns are sliced back into a
+    RunReport, with the cycles cut from its contacts.
+    """
+    burn, edges, sample_ts, trace_ts = window(
+        end, in_contact, sample_every, trace_every
+    )
     n_edges, n_samples = len(edges), len(sample_ts)
     checkpoints = np.concatenate((edges, [end], sample_ts, trace_ts))
     order = np.argsort(checkpoints, kind="stable")

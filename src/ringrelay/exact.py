@@ -20,6 +20,7 @@ Three independent exact routes live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +43,9 @@ class ReducedChain:
     """Transition structure of the gap/direction/carrier chain.
 
     States are tuples (gap, d1, d2, carrier) with gap = (x1 - x2) mod
-    n_sites and carrier in {0, 1}.  The two co-located states in which
+    n_sites and carrier in {0, 1}, held as the codes 8 gap + 4 [d1 < 0]
+    + 2 [d2 < 0] + carrier in ascending order; the tuples and their
+    index are built when first read.  The two co-located states in which
     the carrier moves counter-clockwise next to a clockwise partner are
     excluded: a handoff resolves them instantly, so they are never
     observed after an update.
@@ -50,14 +53,26 @@ class ReducedChain:
 
     n_sites: int
     flip_prob: float
-    states: list[tuple[int, int, int, int]]
-    index: dict[tuple[int, int, int, int], int] = field(repr=False)
+    codes: np.ndarray = field(repr=False)
     transition: sp.csr_matrix = field(repr=False)
     jump_prob: np.ndarray = field(repr=False)
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    @cached_property
+    def states(self) -> list[tuple[int, int, int, int]]:
+        return list(zip(*(a.tolist() for a in _decode(self.codes))))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, int, int, int], int]:
+        return dict(zip(self.states, range(len(self.states))))
+
+
+def _decode(code: np.ndarray) -> tuple:
+    """gap, d1, d2 and carrier of state codes."""
+    return code // 8, 1 - 2 * (code // 4 % 2), 1 - 2 * (code // 2 % 2), code % 2
 
 
 def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
@@ -74,10 +89,7 @@ def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
 
     code = np.arange(8 * n)
     code = code[(code != 3) & (code != 4)]
-    gap, carrier = code // 8, code % 2
-    d1, d2 = 1 - 2 * (code // 4 % 2), 1 - 2 * (code // 2 % 2)
-    states = list(zip(gap.tolist(), d1.tolist(), d2.tolist(), carrier.tolist()))
-    index = dict(zip(states, range(len(states))))
+    gap, d1, d2, carrier = _decode(code)
 
     # the four flip outcomes (s1, s2) of one round, in the order
     # (keep, keep), (keep, flip), (flip, keep), (flip, flip)
@@ -90,12 +102,13 @@ def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
     new_carrier = np.where((new_gap == 0) & (nd1 != nd2), nd1 < 0, carrier[:, None])
     jump_prob = ((new_carrier != carrier[:, None]) * prob).sum(axis=1)
     dest = 8 * new_gap + 4 * (nd1 < 0) + 2 * (nd2 < 0) + new_carrier
+    k = len(code)
     transition = sp.coo_matrix(
-        (np.tile(prob, len(states)),
-         (np.repeat(np.arange(len(states)), 4), (dest - 2 * (dest > 4)).ravel())),
-        shape=(len(states), len(states)),
+        (np.tile(prob, k),
+         (np.repeat(np.arange(k), 4), (dest - 2 * (dest > 4)).ravel())),
+        shape=(k, k),
     ).tocsr()
-    return ReducedChain(n, eps, states, index, transition, jump_prob)
+    return ReducedChain(n, eps, code, transition, jump_prob)
 
 
 def stationary(chain: ReducedChain, residual_tol: float = 1e-10) -> np.ndarray:
@@ -135,10 +148,8 @@ def exact_metrics(n_sites: int, flip_prob: float) -> ExactMetrics:
     """Speed and handoff rate from the stationary law, one solve."""
     chain = build_reduced_chain(n_sites, flip_prob)
     pi = stationary(chain)
-    carrier_dir = np.array(
-        [d1 if carrier == 0 else d2 for (_, d1, d2, carrier) in chain.states],
-        dtype=float,
-    )
+    _, d1, d2, carrier = _decode(chain.codes)
+    carrier_dir = np.where(carrier == 0, d1, d2).astype(float)
     speed = float(pi @ carrier_dir)
     cost = float(pi @ chain.jump_prob)
     residual = float(np.abs(chain.transition.T @ pi - pi).max())

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import closed_form, estimators, exact
+from . import closed_form, discrete, estimators, exact
 from .continuous import ContinuousState, sample_walker_states, simulate_continuous
 from .discrete import DiscreteState, simulate_discrete
 from .estimators import chi_square_uniformity, merge
@@ -428,11 +428,10 @@ def check_scaling(ctx: AcceptanceContext) -> CheckResult:
 
 def _lattice_uniformity_passes(seed: SeedSpec) -> bool:
     config = DiscreteConfig(5, 0.3)
-    # ~4000 samples at the 10N spacing after burn-in
-    report = simulate_discrete(
-        config, 205_000, seed, sample_every=10 * config.n_sites
-    )
-    return estimators.uniformity_test(report).pvalue > 0.01
+    n = config.n_sites
+    # ~4000 samples at the 10N spacing after burn-in, one cell per site
+    pos, dirs = discrete.sample_walker_states(config, 205_000, seed, 10 * n)
+    return chi_square_uniformity(pos, dirs, n, n).pvalue > 0.01
 
 
 def _uniformity_pass_count_discrete(ctx: AcceptanceContext) -> int:

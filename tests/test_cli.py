@@ -139,6 +139,21 @@ class TestConfigHandling:
             pytest.param("simulate", "discrete",
                          'initial={"positions": [0, 2], "directions": [1, -1], '
                          '"carrier": true}', "carrier", id="lattice-bool-carrier"),
+            pytest.param("simulate", "discrete",
+                         'initial={"positions": [0, 2.7], "directions": [1, -1], '
+                         '"carrier": 0}', "positions",
+                         id="lattice-fractional-position"),
+            pytest.param("simulate", "discrete",
+                         'initial={"positions": [0, 1e300], "directions": [1, -1], '
+                         '"carrier": 0}', "positions", id="lattice-huge-position"),
+            pytest.param("simulate", "discrete",
+                         'initial={"positions": [0, 2], "directions": [1, -1.5], '
+                         '"carrier": 0}', "directions",
+                         id="lattice-fractional-direction"),
+            pytest.param("simulate", "continuous",
+                         'initial={"positions": [0, 0.5], "directions": [1, -1.5], '
+                         '"carrier": 0}', "directions",
+                         id="continuum-fractional-direction"),
             pytest.param("simulate", "discrete", "seed=-1", "seed",
                          id="lattice-negative-seed"),
             pytest.param("simulate", "continuous", "seed=-2", "seed",

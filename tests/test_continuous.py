@@ -255,6 +255,17 @@ class TestSimulateContinuous:
             np.where(report.cycle_jumps, 0.0, config.circumference),
         )
 
+    def test_twenty_walkers_match_pure_op_reference(self):
+        # chunks of 16 switches per walker: the horizon spans several
+        config = ContinuousConfig(10.0, 1.0, 1.0, n_walkers=20)
+        (disp, jumps, cw), _, _ = reference_simulation(
+            config, 40.0, (85, 0), "uniform-random"
+        )
+        report = simulate_continuous(config, 40.0, SeedSpec(85, 0))
+        assert report.jump_count == jumps > 0
+        assert report.displacement_sum == pytest.approx(disp, abs=1e-9)
+        assert report.clockwise_time == pytest.approx(cw, abs=1e-9)
+
     @pytest.mark.parametrize("m", [pytest.param(2, id="m2"), pytest.param(4, id="m4")])
     def test_chunk_size_changes_nothing(self, monkeypatch, m):
         # the engine carries walker state, pair gaps, the carrier and the
@@ -390,6 +401,33 @@ class TestFastSampler:
             t = t + b.walker[1].exponential(1 / 0.7)
             scalars.append(t)
         np.testing.assert_array_equal(np.concatenate(blocks), scalars)
+
+    def test_walk_matches_segment_formula(self):
+        # the old formula, a sign for every segment, as the oracle
+        def walk(x0, d0, bounds, times, speed, circumference):
+            signs = np.where(np.arange(len(bounds)) % 2 == 0, d0, -d0)
+            disp = np.concatenate(([0.0], np.cumsum(signs[:-1] * np.diff(bounds))))
+            idx = np.searchsorted(bounds[1:], times, side="left")
+            positions = (
+                x0 + speed * (disp[idx] + signs[idx] * (times - bounds[idx]))
+            ) % circumference
+            return positions, signs[idx]
+
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            size = int(rng.integers(1, 2000))
+            bounds = rng.uniform(0, 5) + np.concatenate(
+                ([0.0], np.cumsum(rng.exponential(0.7, size - 1)))
+            )
+            times = np.sort(np.concatenate((
+                rng.uniform(bounds[0], bounds[-1] + 1, int(rng.integers(1, 300))),
+                rng.choice(bounds, 3),  # at a reversal: the old direction
+            )))
+            args = (rng.uniform(0, 3), np.int64(rng.choice([1, -1])), bounds,
+                    times, 1.3, 3.0)
+            for got, want in zip(continuous._walk(*args), walk(*args)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_direction_marginal_is_balanced(self):
         cfg = ContinuousConfig(2.0, 1.0, 0.5)

@@ -5,6 +5,8 @@ engine used by simulate_discrete for any number of walkers is not, so
 the central test here replays the same seed through both and demands
 the identical trajectory, round by round.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,88 @@ class TestEngineAgainstStepLoop:
     def test_rejects_bad_step_count(self, steps):
         with pytest.raises(errors.RelayError):
             discrete.simulate_discrete(DiscreteConfig(5, 0.3), steps, SeedSpec(0, 0))
+
+
+class TestFlips:
+    @pytest.mark.parametrize(
+        "eps", [1e-300, 2.0**-53, 1e-9, 0.1, 0.25, 0.3, 0.5, 1 / 3, 0.9,
+                1 - 1e-9, 1 - 2.0**-53],
+    )
+    def test_raw_threshold_equals_uniform_threshold(self, eps):
+        # the engines draw flips as raw outputs below a cut; step() draws
+        # them as random() < eps, one at a time
+        for seed in range(25):
+            a = WalkerStreams(SeedSpec(seed, 4), 1).walker[0]
+            b = WalkerStreams(SeedSpec(seed, 4), 1).walker[0]
+            for size in (1, 1000, 4099):
+                np.testing.assert_array_equal(
+                    discrete._flips(a, size, eps), b.random(size) < eps
+                )
+        # outputs at the cut: random() maps u to (u >> 11) * 2**-53
+        cut = int(math.ceil(eps * 2**53)) << 11
+        for u in (cut - 2049, cut - 2048, cut - 1, cut, cut + 1, cut + 2047):
+            if 0 <= u < 2**64:
+                assert (u < cut) == ((u >> 11) * 2.0**-53 < eps)
+
+
+class TestWalkerSampler:
+    """sample_walker_states against the samples simulate_discrete records."""
+
+    def check(self, cfg, steps, seed, sample_every):
+        report = discrete.simulate_discrete(
+            cfg, steps, seed, sample_every=sample_every
+        )
+        pos, dirs = discrete.sample_walker_states(cfg, steps, seed, sample_every)
+        for got, want in ((pos, report.sample_positions),
+                          (dirs, report.sample_directions)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        return report
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("walker_rounds", [discrete.WALKER_ROUNDS, 37])
+    def test_equals_engine_samples(self, m, walker_rounds, monkeypatch):
+        # small blocks make every run straddle many of them, in both
+        # the engine and the sampler
+        monkeypatch.setattr(discrete, "WALKER_ROUNDS", walker_rounds)
+        for n, eps in ((3, 0.4), (5, 0.3), (11, 0.05)):
+            for seed in range(2):
+                for every in (1, 7, 10 * n):
+                    self.check(DiscreteConfig(n, eps, m), 600,
+                               SeedSpec(seed, m), every)
+
+    def test_contact_start_has_no_burn_in(self):
+        # a uniform start on a head-on pair skips the burn-in, so the
+        # sample rounds start at round sample_every
+        cfg = DiscreteConfig(3, 0.4)
+        starts = [
+            self.check(cfg, 1000, SeedSpec(seed, 0), 3).burn_in
+            for seed in range(40)
+        ]
+        assert 0 in starts and 10 in starts
+
+    def test_gate_setting(self):
+        # the equilibrium-uniformity check's runs, at replicas with and
+        # (replica 1006) without a burn-in
+        cfg = DiscreteConfig(5, 0.3)
+        burns = {
+            self.check(cfg, 205_000, SeedSpec(20260815, 1000 + k), 50).burn_in
+            for k in (0, 6)
+        }
+        assert burns == {0, 2050}
+
+    def test_no_samples(self):
+        pos, dirs = discrete.sample_walker_states(
+            DiscreteConfig(5, 0.3, 3), 100, SeedSpec(1, 0), 500
+        )
+        assert pos.shape == dirs.shape == (0, 3)
+
+    @pytest.mark.parametrize("steps", [0, 10.5])
+    def test_rejects_bad_step_count(self, steps):
+        with pytest.raises(errors.RelayError):
+            discrete.sample_walker_states(
+                DiscreteConfig(5, 0.3), steps, SeedSpec(0, 0), 10
+            )
 
 
 class TestTraces:
