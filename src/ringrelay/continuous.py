@@ -2,19 +2,32 @@
 
 Walkers move at constant speed on a circle and reverse direction at the
 arrival times of independent Poisson clocks.  When the message holder
-meets a clockwise mover head-on, the message changes hands.  The message
-never changes how the walkers move, so one block engine serves any
-number of walkers: switch times are drawn in blocks, the meetings of
-each pair are the level crossings of its piecewise linear gap, the
-relay is resolved at the meetings only (for two walkers the message
-sits on the clockwise mover after each one), and all totals are
-cumulative sums over the merged timeline, processed in chunks of
-switches.  It reports readings and, for two walkers, contacts to the
-accounting step shared with the lattice simulator,
-estimators.build_report, which sets the burn-in and batches and cuts
-the contacts into regeneration cycles.  The pure event operations
-(next_event / advance_to / handle_event) are kept as a one-event-at-a-
-time reference for the tests.
+meets a clockwise mover head-on, the message changes hands.
+
+The pure event operations (next_event / advance_to / handle_event) take
+one event at a time and are the reference implementation; the tests
+replay them against simulate_continuous, which runs one block engine for
+any number of walkers.  The message never changes how the walkers move,
+so the engine works in three layers, over chunks of switches: (a) each
+walker's switch times are drawn in blocks from its own stream, exactly
+as the event operations schedule them, and merged into one timeline of
+segments; a walker's direction on a segment is the parity of its own
+flips so far, walker 0's unwrapped position is one cumulative sum, and
+any other walker sits at walker 0's plus its pair gap; (b) the meetings
+of a pair are the level crossings (multiples of the circumference) of
+its piecewise linear unwrapped gap, sought only on the segments where
+the pair's directions differ, and the relay is resolved at the meetings
+only: for two walkers the message then sits on the clockwise mover, for
+more _pass_message takes the meetings in time order and draws the
+tie-breaks of handle_event; (c) the message is its carrier's unwrapped
+position plus whole laps, which change at a handoff by the old and new
+carriers' distance, and it is read only at the checkpoints of the
+shared accounting step, estimators.build_report, with the handoffs
+counted up to each checkpoint and the clockwise time taken from the
+displacement, since the carrier always moves.  build_report also sets
+the burn-in and batches and cuts the two-walker contacts into
+regeneration cycles.  sample_walker_states keeps layer (a) alone: it
+gives the walker positions at given times without resolving the relay.
 
 Paths are right-continuous: at a switch time the walker already moves
 with its new direction, and at a meeting the handoff has already
@@ -366,26 +379,15 @@ def _run_blocks(
     config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
     checkpoints: np.ndarray, is_sample: np.ndarray, tol: float, in_f: bool,
 ) -> Readings:
-    """Block engine for any number of walkers.
-
-    (a) Each walker's switch times are drawn in blocks from its own
-    stream and merged into one timeline of segments, each with a row of
-    walker directions.  (b) The unwrapped gap x_k - x_j of every pair
-    j < k is piecewise linear with slope 0 or +-2v, and the pair meets
-    exactly when it crosses a multiple of the circumference; a level
-    within tol of a segment's start is where the pair already is, not a
-    meeting.  Meetings are merged by (time, pair), the order in which
-    next_event takes them.  For two walkers the message then sits on
-    the clockwise mover; for more, _pass_message resolves the meetings
-    one by one.  A jump is a change of carrier.  (c) Displacement,
-    clockwise time and handoffs are cumulative sums over the merged
-    timeline of switches and meetings, read at the checkpoints with
-    searchsorted (a checkpoint comes before an event at the same time).
-    For two walkers every meeting is a contact, reported with the level
-    its gap crossed.
-
-    The horizon is processed in chunks of switches; walker state, pair
-    gaps, carrier and totals carry over from one chunk to the next.
+    """Block engine for any number of walkers, layers (a) to (c) of the
+    module docstring.  Walker j > 0 sits at u0 + n base + gap of the pair
+    (0, j); the unwrapped gap x_k - x_j = n base + gap of a pair j < k has
+    slope 0 or +-2v, and a level within tol of a segment's start is where
+    the pair already is, not a meeting.  Meetings are taken in (time,
+    pair) order, the order of next_event; a checkpoint comes before an
+    event at the same time.  For two walkers every meeting is a contact,
+    reported with the message position and the level its gap crossed.
+    Walker state, pair gaps, carrier and laps carry over between chunks.
     """
     n, v, r, m = (
         config.circumference,
@@ -414,18 +416,17 @@ def _run_blocks(
 
     pending = [state.next_switch[j:j + 1].astype(float) for j in range(m)]
     drawn = [float(state.next_switch[j]) for j in range(m)]  # latest switch drawn
-    d = state.directions.astype(np.int64)
+    d = state.directions.astype(np.int8)
     x = state.positions.astype(float)
     # unwrapped gap of each pair is base * n + gap
     gap, base = settle(x[pk] - x[pj], np.zeros(len(pj), dtype=np.int64))
-    car = state.carrier
-    cum_disp = cum_clock = 0.0
+    car, laps, u0 = state.carrier, 0, x[0]
+    origin = u0 + (n * base[car - 1] + gap[car - 1] if car else 0.0)
     cum_jumps = 0
     contacts = None
     if m == 2:  # time, displacement, gap level, carrier; a contact start first
         zero = np.zeros(int(in_f))
         contacts = ([zero], [zero], [base[:len(zero)]], [zero.astype(np.int64) + car])
-    sampling = bool(is_sample.any())
     read = [np.empty(len(checkpoints)) for _ in range(3)]
     samples_x, samples_d = [], []
     t0, icp = 0.0, 0
@@ -448,100 +449,98 @@ def _run_blocks(
             switches.append(pending[j][:cut])
             pending[j] = pending[j][cut:]
 
-        # merged switches; segment i runs from bounds[i] to bounds[i + 1]
+        # merged switches; segment i runs from bounds[i] to bounds[i + 1],
+        # and row j of dirs holds walker j's direction on each segment
         times = np.concatenate(switches)
         order = np.argsort(times, kind="stable")  # ties: lower walker first
         bounds = np.concatenate(([t0], times[order], [t1]))
-        flipper = np.repeat(np.arange(m), [len(s) for s in switches])[order]
-        flips = np.ones((len(bounds) - 1, m), dtype=np.int64)
-        flips[np.arange(1, len(flips)), flipper] = -1
-        dirs = np.cumprod(flips, axis=0) * d  # (segments x walkers)
-        dt = np.diff(bounds)
-        slope = v * (dirs[:, pk] - dirs[:, pj])
-        g = np.cumsum(np.vstack((gap, slope * dt[:, None])), axis=0)
+        vdt = v * np.diff(bounds)
+        who = np.repeat(np.arange(m), [len(s) for s in switches])[order]
+        odd = np.zeros((m, len(vdt)), dtype=bool)  # odd flips so far
+        np.equal(who, np.arange(m)[:, None], out=odd[:, 1:])
+        np.logical_xor.accumulate(odd, axis=1, out=odd)
+        dirs = odd.view(np.int8) * (-2 * d)[:, None]
+        dirs += d[:, None]
+        u = np.cumsum(np.concatenate(([u0], vdt * dirs[0])))  # walker 0
 
-        # (b) meetings: levels crossed strictly inside each segment
-        a, b = g[:-1], g[1:]
-        rise = slope > 0
-        first = np.where(rise, np.floor((a + tol) / n) + 1, np.ceil((a - tol) / n) - 1)
-        last = np.where(rise, np.ceil(b / n) - 1, np.floor(b / n) + 1)
-        count = np.where(rise, last - first + 1, first - last + 1)
-        count = np.where(slope != 0, np.maximum(count, 0), 0).astype(np.int64).ravel()
-        cell = np.repeat(np.arange(len(count)), count)  # (segment, pair), flat
-        nth = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
-        seg, pair = np.divmod(cell, len(pj))
-        up = rise.ravel()[cell]
-        levels = (first.ravel()[cell] + np.where(up, nth, -nth)).astype(np.int64)
+        # (b) meetings: levels crossed strictly inside the cells (segment,
+        # pair) where the pair's directions differ, taken segment by
+        # segment; sgn is +1 where the gap rises and -1 where it falls, so
+        # that each crossing is counted on a rising gap times sgn
+        live = np.flatnonzero((dirs[pk] != dirs[pj]).T)
+        seg, pair = np.divmod(live, len(pj))
+        sgn = dirs[pk[pair], seg]  # the direction of k, the clockwise member
+        rise = 2.0 * vdt[seg]
+        g = np.zeros((len(bounds), len(pj)))  # each pair's gap at each bound
+        g[0] = gap
+        g.ravel()[live + len(pj)] = rise * sgn
+        np.cumsum(g, axis=0, out=g)
+        a = g.ravel()[live] * sgn
+        first = np.floor((a + tol) / n) + 1
+        count = np.maximum(np.ceil((a + rise) / n) - first, 0).astype(np.int64)
+        cell = np.repeat(np.arange(len(count)), count)
+        level = first[cell] + np.arange(len(cell)) - (np.cumsum(count) - count)[cell]
+        sgn, seg, pair = sgn[cell], seg[cell], pair[cell]
         meet_t = np.minimum(
-            bounds[seg] + (levels * n - a.ravel()[cell]) / slope.ravel()[cell],
-            bounds[seg + 1],
+            bounds[seg] + (level * n - a[cell]) / (2.0 * v), bounds[seg + 1]
         )
-        cw = np.where(up, pk[pair], pj[pair])  # the clockwise member
+        cw = np.where(sgn > 0, pk[pair], pj[pair])  # the clockwise member
         if m == 2:
             meet_car = cw
         else:
-            # (time, pair) order: the flat order runs segment by segment,
-            # and a stable sort by time keeps ties in pair order
+            # (time, pair) order: a stable sort by time keeps ties in pair order
             by_time = np.argsort(meet_t, kind="stable")
-            ccw = np.where(up, pj[pair], pk[pair])[by_time]
+            ccw = np.where(sgn > 0, pj[pair], pk[pair])[by_time]
             seg, meet_t, cw = seg[by_time], meet_t[by_time], cw[by_time]
             meet_car = _pass_message(car, meet_t, cw, ccw, tol / v, streams)
-        jumped = meet_car != np.concatenate(([car], meet_car[:-1]))
+        held = np.concatenate(([car], meet_car))
+        jumped = held[1:] != held[:-1]
 
-        # (c) merged timeline: each segment start, then its meetings; the
-        # i-th meeting follows the starts of segments 0 .. seg[i]
-        per_seg = count.reshape(len(dt), -1).sum(axis=1)
-        at_start = np.arange(len(dt)) + np.cumsum(per_seg) - per_seg
-        at_meet = seg + np.arange(1, len(seg) + 1)
-        points = np.empty(len(bounds) + len(seg))
-        points[at_start] = bounds[:-1]
-        points[at_meet] = meet_t
-        points[-1] = t1
-        seg_of = np.repeat(np.arange(len(dt)), per_seg + 1)
-        latest = np.zeros(len(seg_of), dtype=np.int64)
-        latest[at_meet] = np.arange(1, len(seg) + 1)
-        carrier = np.concatenate(([car], meet_car))[np.maximum.accumulate(latest)]
-        dc = dirs[seg_of, carrier]
-        span = np.diff(points)
-        disp = np.cumsum(np.concatenate(([cum_disp], v * dc * span)))
-        clock = np.cumsum(
-            np.concatenate(([cum_clock], np.where(dc == 1, span, 0.0)))
-        )
-        hops = np.zeros(len(points), dtype=np.int64)
-        hops[at_meet] = jumped
-        hops = cum_jumps + np.cumsum(hops)
+        def at(walker, s, t):
+            """Unwrapped positions of walkers at times t in segments s."""
+            off = (walker > 0) * (n * base[walker - 1] + g[s, walker - 1])
+            return u[s] + off + v * dirs[walker, s] * (t - bounds[s])
+
+        # (c) the message: its laps change at a handoff by the old carrier's
+        # unwrapped distance from the new one; for two walkers it is found
+        # at every meeting, where walker 1 is level laps ahead of walker 0
+        if m == 2:
+            level = base[0] + (level * sgn).astype(np.int64)
+            lap = laps + np.cumsum(jumped * (1 - 2 * cw) * level)
+            message = at(0, seg, meet_t) + n * (lap + cw * level)
+            keep = slice(None)
+        else:
+            keep = np.flatnonzero(jumped)
+            step = at(held[:-1][keep], seg[keep], meet_t[keep])
+            step -= at(meet_car[keep], seg[keep], meet_t[keep])
+            lap = laps + np.cumsum(np.rint(step / n).astype(np.int64))
+        # the carrier and laps after each of those meetings
+        carriers = np.concatenate(([car], meet_car[keep]))
+        lap = np.concatenate(([laps], lap))
 
         stop = np.searchsorted(checkpoints, t1, side="right")
         ts = checkpoints[icp:stop]
-        p = np.maximum(np.searchsorted(points, ts, side="left") - 1, 0)
-        held = ts - points[p]
-        read[0][icp:stop] = disp[p] + v * dc[p] * held
-        read[1][icp:stop] = hops[p]
-        read[2][icp:stop] = clock[p] + np.where(dc[p] == 1, held, 0.0)
-        if sampling:
-            wanted = ts[is_sample[icp:stop]]
-            walked = [
-                _walk(x[j], d[j], np.concatenate(([t0], switches[j])),
-                      np.append(wanted, t1), v, n)
-                for j in range(m)
-            ]
-            pos = np.column_stack([w[0] for w in walked])
-            dirs_at = np.column_stack([w[1] for w in walked])
-            samples_x.extend(pos[:-1])
-            samples_d.extend(dirs_at[:-1])
-            x = pos[-1]
-
+        s = np.maximum(np.searchsorted(bounds, ts, side="left") - 1, 0)
+        h = np.searchsorted(meet_t[keep], ts, side="left")
+        read[0][icp:stop] = at(carriers[h], s, ts) + n * lap[h] - origin
+        read[1][icp:stop] = cum_jumps + np.searchsorted(
+            meet_t[jumped], ts, side="left")
+        read[2][icp:stop] = (ts + read[0][icp:stop] / v) / 2
+        if is_sample[icp:stop].any():
+            s, ts = s[is_sample[icp:stop]], ts[is_sample[icp:stop]]
+            samples_x.append((at(np.arange(m)[:, None], s, ts) % n).T)
+            samples_d.append(dirs[:, s].T.astype(np.int64))
         if m == 2:
-            found = (meet_t, disp[at_meet], base[0] + levels, meet_car)
+            found = (meet_t, message - origin, level, meet_car)
             for blocks, values in zip(contacts, found):
                 blocks.append(values)
 
         icp, t0 = stop, t1
         if final:
             break
-        car = int(carrier[-1])
-        cum_disp, cum_clock, cum_jumps = disp[-1], clock[-1], int(hops[-1])
-        d = dirs[-1].copy()
+        car, laps, u0 = int(carriers[-1]), int(lap[-1]), u[-1]
+        cum_jumps += int(jumped.sum())
+        d = dirs[:, -1].copy()
         gap, base = settle(g[-1], base)
     return Readings(*read, samples_x, samples_d, contacts)
 

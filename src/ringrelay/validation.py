@@ -13,6 +13,7 @@ run) see literally the same trajectory.
 """
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -60,15 +61,25 @@ class CheckResult:
         }
 
 
-def pool_map(func, jobs: list, threads: int) -> list:
-    """func(*job) for every job (a tuple of arguments), in that many
-    worker processes when threads > 1.  Results come back in job order,
-    and every job carries its own seed, so the thread count never
-    changes a result."""
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, *zip(*jobs)))
-    return [func(*job) for job in jobs]
+def open_pool(threads: int, n_jobs: int) -> ProcessPoolExecutor | None:
+    """Workers for n_jobs jobs, no more than threads, jobs or usable CPUs
+    (a forked pool starts them all at once), or None if one serves."""
+    usable = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    workers = min(threads, n_jobs, len(usable(0)))
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+
+
+def pool_map(func, jobs: list, threads: int, pool=None) -> list:
+    """func(*job) for every job (a tuple of arguments), in pool or in one
+    that open_pool sizes for them.  Results come in job order, and every
+    job carries its own seed, so the thread count never changes a result."""
+    if pool is not None:
+        return list(pool.map(func, *zip(*jobs)))
+    pool = open_pool(threads, len(jobs))
+    if pool is None:
+        return [func(*job) for job in jobs]
+    with pool:
+        return list(pool.map(func, *zip(*jobs)))
 
 
 class AcceptanceContext:
@@ -78,6 +89,19 @@ class AcceptanceContext:
         self.master_seed = master_seed
         self.threads = threads
         self._cache: dict = {}
+        self._pool = None
+
+    def map(self, func, jobs: list) -> list:
+        """pool_map in one pool for all checks, opened on first use (before
+        the continuum run grows the heap forked workers inherit)."""
+        if self._pool is None:
+            self._pool = open_pool(self.threads, len(jobs))
+        return pool_map(func, jobs, 1, self._pool)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+        self._pool = None
 
     def _memo(self, key, builder):
         if key not in self._cache:
@@ -101,7 +125,7 @@ class AcceptanceContext:
             jobs = [
                 (config, 10**6, SeedSpec(self.master_seed, k)) for k in range(8)
             ]
-            return merge(pool_map(simulate_discrete, jobs, self.threads))
+            return merge(self.map(simulate_discrete, jobs))
 
         return self._memo("discrete_reference", build)
 
@@ -426,38 +450,29 @@ def check_scaling(ctx: AcceptanceContext) -> CheckResult:
     )
 
 
-def _lattice_uniformity_passes(seed: SeedSpec) -> bool:
-    config = DiscreteConfig(5, 0.3)
-    n = config.n_sites
-    # ~4000 samples at the 10N spacing after burn-in, one cell per site
-    pos, dirs = discrete.sample_walker_states(config, 205_000, seed, 10 * n)
-    return chi_square_uniformity(pos, dirs, n, n).pvalue > 0.01
-
-
-def _uniformity_pass_count_discrete(ctx: AcceptanceContext) -> int:
-    seeds = [(SeedSpec(ctx.master_seed, 1000 + k),) for k in range(100)]
-    return sum(pool_map(_lattice_uniformity_passes, seeds, ctx.threads))
-
-
-def _uniformity_pass_count_continuous(ctx: AcceptanceContext) -> int:
+def _uniformity_passes(model: str, seed: SeedSpec) -> bool:
+    """Whether one replica's walker samples pass the chi-square test."""
+    if model == "discrete":
+        config = DiscreteConfig(5, 0.3)
+        n = config.n_sites
+        # ~4000 samples at the 10N spacing after burn-in, one cell per site
+        pos, dirs = discrete.sample_walker_states(config, 205_000, seed, 10 * n)
+        return chi_square_uniformity(pos, dirs, n, n).pvalue > 0.01
     config = ContinuousConfig(1.0)
     spacing = 10 * config.circumference / config.speed
     # 16 arcs-by-direction cells per walker -> 256 joint cells; 6000
     # samples keeps every expected count above 20
     times = 10 * config.circumference + spacing * np.arange(1, 6001)
-    passes = 0
-    for k in range(100):
-        pos, dirs = sample_walker_states(
-            config, times, SeedSpec(ctx.master_seed, 2000 + k)
-        )
-        result = chi_square_uniformity(pos, dirs, config.circumference, 8)
-        passes += result.pvalue > 0.01
-    return passes
+    pos, dirs = sample_walker_states(config, times, seed)
+    return chi_square_uniformity(pos, dirs, config.circumference, 8).pvalue > 0.01
 
 
 def check_uniformity(ctx: AcceptanceContext) -> CheckResult:
-    d_passes = _uniformity_pass_count_discrete(ctx)
-    c_passes = _uniformity_pass_count_continuous(ctx)
+    jobs = [(model, SeedSpec(ctx.master_seed, first + k))
+            for model, first in (("discrete", 1000), ("continuous", 2000))
+            for k in range(100)]
+    passes = ctx.map(_uniformity_passes, jobs)
+    d_passes, c_passes = sum(passes[:100]), sum(passes[100:])
     ok = d_passes >= 95 and c_passes >= 95
     return CheckResult(
         "equilibrium-uniformity",
@@ -483,7 +498,7 @@ def check_initial_independence(ctx: AcceptanceContext) -> CheckResult:
         (config, 10**6, SeedSpec(ctx.master_seed, 3000 + k), state)
         for k, state in enumerate(INDEPENDENCE_STATES)
     ]
-    reports = pool_map(simulate_discrete, jobs, ctx.threads)
+    reports = ctx.map(simulate_discrete, jobs)
     ests = [estimators.speed_estimate(r) for r in reports]
     worst = 0.0
     ok = True
@@ -526,11 +541,14 @@ def run_all(
 ) -> list[CheckResult]:
     ctx = AcceptanceContext(master_seed, threads)
     results = []
-    for check in ALL_CHECKS:
-        start = time.perf_counter()
-        result = check(ctx)
-        result.seconds = time.perf_counter() - start
-        results.append(result)
-        if emit is not None:
-            emit(result.line())
+    try:
+        for check in ALL_CHECKS:
+            start = time.perf_counter()
+            result = check(ctx)
+            result.seconds = time.perf_counter() - start
+            results.append(result)
+            if emit is not None:
+                emit(result.line())
+    finally:
+        ctx.close()
     return results

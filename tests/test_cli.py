@@ -451,6 +451,84 @@ class TestValidateCommand:
         assert r2.line().startswith("FAIL name")
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size and shutdown,
+    runs the jobs in this process and starts no worker."""
+
+    def __init__(self, made, max_workers):
+        self.max_workers, self.shut = max_workers, False
+        made.append(self)
+
+    def map(self, func, *iterables):
+        return map(func, *iterables)
+
+    def shutdown(self):
+        self.shut = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(
+            validation, "ProcessPoolExecutor",
+            lambda max_workers: FakePool(made, max_workers),
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        return made
+
+    @pytest.mark.parametrize("threads,n_jobs,workers", [
+        (10**6, 3, 3), (10**6, 100, 8), (2, 100, 2), (1, 100, None),
+        (10**6, 1, None), (4, 0, None),
+    ])
+    def test_no_more_workers_than_threads_jobs_or_cpus(
+        self, made, threads, n_jobs, workers
+    ):
+        jobs = [(k,) for k in range(n_jobs)]
+        assert validation.pool_map(abs, jobs, threads) == list(range(n_jobs))
+        assert [p.max_workers for p in made] == ([workers] if workers else [])
+        assert all(p.shut for p in made)
+
+    def test_huge_thread_count_opens_a_small_pool(self, capsys, made):
+        code, _, _ = run_cli(
+            capsys, "simulate", "--threads", str(10**9), "--set", "model=discrete",
+            "--set", "N=5", "--set", "epsilon=0.3", "--set", "steps=200",
+            "--set", "replicas=3",
+        )
+        assert code == 0
+        assert [p.max_workers for p in made] == [3]
+
+    def test_context_keeps_one_pool_until_closed(self, made):
+        ctx = validation.AcceptanceContext(threads=4)
+        assert ctx.map(abs, [(-1,), (-2,)]) == [1, 2]
+        assert ctx.map(abs, [(k,) for k in range(-9, 0)]) == list(range(9, 0, -1))
+        assert [p.max_workers for p in made] == [2]
+        assert not made[0].shut
+        ctx.close()
+        assert made[0].shut
+
+    def test_generator_check_starts_no_workers(self, capsys, made):
+        code, _, _ = run_cli(capsys, "generator-check", "--threads", "2")
+        assert code == 0
+        assert made == []
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_config_error(self, capsys, made, threads):
+        code, out, err = run_cli(
+            capsys, "simulate", "--threads", threads, "--set", "model=discrete",
+            "--set", "N=5", "--set", "epsilon=0.3", "--set", "steps=200",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--threads" in err
+        assert made == []
+
+
 def test_import_and_simulate_load_no_scipy():
     # scipy is loaded only by the exact solvers and the chi-square, so
     # start-up and simulate run on numpy alone; a fresh interpreter shows it

@@ -230,15 +230,22 @@ class TestSimulateContinuous:
     def test_matches_pure_op_reference(self, case):
         config, seed, initial = ORACLE_CASES[case]
         horizon = 200.0
-        (disp, jumps, cw), cycles, _ = reference_simulation(
-            config, horizon, seed, initial
+        times = 7.0 * np.arange(1, 29)  # checkpoints read along the run
+        (disp, jumps, cw), cycles, at = reference_simulation(
+            config, horizon, seed, initial, list(times)
         )
-        report = simulate_continuous(config, horizon, SeedSpec(*seed), initial)
+        report = simulate_continuous(
+            config, horizon, SeedSpec(*seed), initial, trace_every=7.0
+        )
         in_contact = case in ("regeneration", "contact-across-the-wrap")
         assert report.burn_in == (0.0 if in_contact else 0.01 * horizon)
         assert report.jump_count == jumps > 0
         assert report.displacement_sum == pytest.approx(disp, abs=1e-9)
         assert report.clockwise_time == pytest.approx(cw, abs=1e-9)
+        np.testing.assert_array_equal(report.trace_times, times)
+        at_disp, at_jumps = np.array(at).T
+        np.testing.assert_array_equal(report.trace_cost, at_jumps / times)
+        np.testing.assert_allclose(report.trace_speed * times, at_disp, atol=1e-9)
         if config.n_walkers > 2:
             # regeneration cycles are a two-walker construction
             assert report.cycle_lengths is None
@@ -265,6 +272,25 @@ class TestSimulateContinuous:
         assert report.jump_count == jumps > 0
         assert report.displacement_sum == pytest.approx(disp, abs=1e-9)
         assert report.clockwise_time == pytest.approx(cw, abs=1e-9)
+
+    def test_checkpoint_at_a_meeting_reads_before_it(self):
+        # walkers half a lap apart close head-on and meet at t = 0.25 and
+        # 0.75 exactly, where trace checkpoints fall; the first meeting
+        # hands the message on, and the checkpoint reads the state before
+        config = ContinuousConfig(1.0, 1.0, 0.01)
+        state = ContinuousState(np.array([0.25, 0.75]), np.array([1, -1]), 1)
+        times = [0.25, 0.5, 0.75, 1.0]
+        _, _, at = reference_simulation(config, 1.0, (3, 0), state, times)
+        report = simulate_continuous(
+            config, 1.0, SeedSpec(3, 0), state, trace_every=0.25
+        )
+        np.testing.assert_array_equal(report.trace_cost * times, [0, 1, 1, 1])
+        np.testing.assert_array_equal(
+            report.trace_cost * times, [jumps for _, jumps in at]
+        )
+        np.testing.assert_allclose(
+            report.trace_speed * times, [disp for disp, _ in at], atol=1e-12
+        )
 
     @pytest.mark.parametrize("m", [pytest.param(2, id="m2"), pytest.param(4, id="m4")])
     def test_chunk_size_changes_nothing(self, monkeypatch, m):
