@@ -2,6 +2,8 @@
 
 One JSON config document drives everything; `--set key=value` overrides
 individual keys (values are parsed as JSON, falling back to raw strings).
+`_KEYS` is the one table of config keys; a key that the subcommand does
+not read on its model is refused.
 Outputs are plain CSV and JSON, deterministic byte for byte for a fixed
 config: floats are emitted with `repr`, JSON keys are sorted, CSV rows
 end with a newline.
@@ -33,16 +35,79 @@ from .model import (
     validate_discrete,
 )
 
-EXACT_SIZE_LIMIT = 1000
+EXACT_SIZE_LIMIT = 30001
 
 
 # ----------------------------------------------------------------------
-# config plumbing
+# config keys
+
+
+def _int64(key: str, value, low: int = -(2**63)) -> int:
+    """An integer, not a bool, that numpy takes as int64, and at least low."""
+    if type(value) is not int or not low <= value < 2**63:
+        bounds = "int64 range" if low < 0 else f"[{low}, 2**63)"
+        raise ConfigError(f"{key} must be an integer in {bounds}, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    """A number, not a bool; a string is read as float() reads it."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _json(name: str, *types):
+    """The check of a JSON value of the given Python types."""
+    def check(key: str, value):
+        if not isinstance(value, types):
+            raise ConfigError(f"{key} must be {name}, got {value!r}")
+        return value
+
+    return check
+
+
+REQUIRED = object()
+ALL = "simulate sweep exact bvp validate generator-check"
+# The models each subcommand takes: exact and bvp the lattice only, and by
+# default; validate and generator-check read no model.
+BOTH, LATTICE = ("discrete", "continuous"), ("discrete",)
+_MODELS = {"simulate": BOTH, "sweep": BOTH, "exact": LATTICE, "bvp": LATTICE}
+_STR, _OBJ = _json("a string", str), _json("an object", dict)
+_INITIAL = _json("a mode string or a state object", str, dict)
+_COUNT, _SEED = functools.partial(_int64, low=1), functools.partial(_int64, low=0)
+
+# key: (subcommands that read it, type on the lattice, type on the
+# continuum, default).  A type of None: the model has no such key.
+# validate and generator-check read only the seed; they take every known
+# key and ignore the others, so one config document serves every command.
+_KEYS = {
+    "model": ("simulate sweep exact bvp", _STR, _STR, REQUIRED),
+    "N": ("simulate exact bvp", _int64, _number, REQUIRED),
+    "epsilon": ("simulate exact bvp", _number, None, REQUIRED),
+    "v": ("simulate sweep", None, _number, 1.0),
+    "r": ("simulate", None, _number, 1.0),
+    "m": ("simulate sweep exact bvp", _int64, _int64, 2),
+    "steps": ("simulate sweep", _int64, None, 100_000),
+    "horizon": ("simulate sweep", None, _number, 10_000.0),
+    "replicas": ("simulate sweep", _COUNT, _COUNT, 1),
+    "seed": (ALL, _SEED, _SEED, validation.DEFAULT_SEED),
+    "initial": ("simulate", _INITIAL, _INITIAL, "uniform-random"),
+    "sample_every": ("simulate", _int64, _number, None),
+    "trace_every": ("simulate", _int64, _number, None),
+    "grid": ("sweep", _OBJ, _OBJ, REQUIRED),
+}
 
 
 def _load_config(args) -> dict:
+    """The config of args.command: the file, then the --set overrides,
+    then --seed.  Every key it reads is typed or defaulted; null leaves a
+    key at its default."""
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             cfg = json.loads(Path(args.config).read_text())
         except OSError as err:
@@ -51,123 +116,68 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config is not valid JSON: {err}") from err
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-    for item in getattr(args, "overrides", None) or []:
+    for item in args.overrides:
         key, sep, raw = item.partition("=")
         if not sep or not key:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         try:
-            value = json.loads(raw)
+            cfg[key.strip()] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        cfg[key.strip()] = value
-    if getattr(args, "seed", None) is not None:
+            cfg[key.strip()] = raw
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    cfg.setdefault("seed", validation.DEFAULT_SEED)
-    return cfg
+    for key in sorted(cfg.keys() - _KEYS.keys()):
+        raise ConfigError(f"unknown config key: {key!r}")
+    models = _MODELS.get(args.command, ())
+    if len(models) == 1 and cfg.get("model") is None:
+        cfg["model"] = models[0]
+    model = cfg.get("model")
+    if models and model not in models:
+        names = " or ".join(map(repr, models))
+        raise ConfigError(f"{args.command} takes model {names}, got {model!r}")
+    typed = {}
+    for key, (commands, *types, default) in _KEYS.items():
+        check, value = types[model == "continuous"], cfg.get(key)
+        if args.command not in commands.split() or check is None:
+            if key in cfg and models:
+                raise ConfigError(f"{args.command} does not read config key "
+                                  f"{key!r} on the {model} model")
+        elif value is None and default is REQUIRED:
+            raise ConfigError(f"missing config key: {key!r}")
+        else:
+            typed[key] = default if value is None else check(key, value)
+    return typed
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config key: {key!r}")
-    return cfg[key]
+def _model_config(cfg: dict):
+    """The checked model parameters of a typed config."""
+    if cfg["model"] == "discrete":
+        return validate_discrete(DiscreteConfig(cfg["N"], cfg["epsilon"], cfg["m"]))
+    return validate_continuous(ContinuousConfig(cfg["N"], cfg["v"], cfg["r"], cfg["m"]))
 
 
-def _model_kind(cfg: dict) -> str:
-    kind = _require(cfg, "model")
-    if kind not in ("discrete", "continuous"):
-        raise ConfigError(f"model must be 'discrete' or 'continuous', got {kind!r}")
-    return kind
-
-
-def _int_key(cfg: dict, key: str, default=None):
-    value = cfg.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing config key: {key!r}")
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _seed(cfg: dict) -> int:
-    """Master seed of simulate, sweep, validate and generator-check:
-    numpy seeds its streams from non-negative integers only."""
-    seed = _int_key(cfg, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _float_key(cfg: dict, key: str, default=None) -> float:
-    value = _require(cfg, key) if default is None else cfg.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from err
-
-
-def _build_discrete(cfg: dict) -> DiscreteConfig:
-    return DiscreteConfig(
-        n_sites=_int_key(cfg, "N"),
-        flip_prob=_float_key(cfg, "epsilon"),
-        n_walkers=_int_key(cfg, "m", 2),
-    )
-
-
-def _build_continuous(cfg: dict) -> ContinuousConfig:
-    return ContinuousConfig(
-        circumference=_float_key(cfg, "N"),
-        speed=_float_key(cfg, "v", 1.0),
-        switch_rate=_float_key(cfg, "r", 1.0),
-        n_walkers=_int_key(cfg, "m", 2),
-    )
-
-
-def _two_walker_config(cfg: dict, lattice_only: bool = False):
+def _two_walker_config(cfg: dict):
     """The model config of a run compared with the two-walker formulas or
     exact solves (exact, bvp, sweep): m must be 2, and a lattice ring
     must have at most EXACT_SIZE_LIMIT sites."""
-    if _model_kind(cfg) == "discrete":
-        config = validate_discrete(_build_discrete(cfg))
-        if config.n_sites > EXACT_SIZE_LIMIT:
-            raise ConfigError(
-                f"size limit exceeded: N={config.n_sites} > {EXACT_SIZE_LIMIT}"
-            )
-    elif lattice_only:
-        raise ConfigError("exact computation is defined for the discrete model")
-    else:
-        config = validate_continuous(_build_continuous(cfg))
-    if config.n_walkers != 2:
-        raise ConfigError(
-            f"two-walker formulas and exact solves need m=2, got m={config.n_walkers}"
-        )
-    return config
+    if cfg["model"] == "discrete" and cfg["N"] > EXACT_SIZE_LIMIT:
+        raise ConfigError(f"size limit exceeded: N={cfg['N']} > {EXACT_SIZE_LIMIT}")
+    if cfg["m"] != 2:
+        raise ConfigError(f"the two-walker formulas need m=2, got m={cfg['m']}")
+    return _model_config(cfg)
 
 
-def _run_plan(cfg: dict, kind: str) -> tuple[int, int, int | float]:
-    """Replica count, master seed and run length (rounds or time) of
-    simulate and sweep."""
-    replicas = _int_key(cfg, "replicas", 1)
-    if replicas < 1:
-        raise ConfigError("replicas must be >= 1")
-    seed = _seed(cfg)
-    if kind == "discrete":
-        return replicas, seed, _int_key(cfg, "steps", 100_000)
-    return replicas, seed, _float_key(cfg, "horizon", 10_000.0)
-
-
-def _build_initial(cfg: dict, kind: str):
-    spec = cfg.get("initial", "uniform-random")
+def _build_initial(spec, kind: str):
     if isinstance(spec, str):
         return spec
-    if not isinstance(spec, dict):
-        raise ConfigError("initial must be a mode string or a state object")
     try:
         if kind == "discrete":
             state, positions = DiscreteState, _whole(spec, "positions")
         else:
             state, positions = ContinuousState, np.asarray(spec["positions"], float)
-        return state(positions, _whole(spec, "directions"), _int_key(spec, "carrier"))
-    except (KeyError, TypeError, ValueError) as err:
+        directions = _whole(spec, "directions")
+        return state(positions, directions, _int64("carrier", spec["carrier"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad initial state: {err}") from err
 
 
@@ -279,24 +289,24 @@ def _report_payload(report) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    kind = _model_kind(cfg)
-    replicas, seed, length = _run_plan(cfg, kind)
-    config = _build_discrete(cfg) if kind == "discrete" else _build_continuous(cfg)
-    initial = _build_initial(cfg, kind)
+    kind = cfg["model"]
+    config = _model_config(cfg)
+    length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
+    initial = _build_initial(cfg["initial"], kind)
     simulate = functools.partial(
         simulate_discrete if kind == "discrete" else simulate_continuous,
-        sample_every=cfg.get("sample_every"),
-        trace_every=cfg.get("trace_every"),
+        sample_every=cfg["sample_every"],
+        trace_every=cfg["trace_every"],
     )
+    seed, replicas = cfg["seed"], cfg["replicas"]
     jobs = [(config, length, SeedSpec(seed, k), initial) for k in range(replicas)]
     reports = validation.pool_map(simulate, jobs, args.threads)
     merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
 
-    out_dir = args.out or cfg.get("out")
+    out_dir = args.out
     if out_dir is None:
         _dump_json(_report_payload(merged), None)
         return 0
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, report in enumerate(reports):
         _dump_json(_report_payload(report), out_dir / f"replica_{k:03d}.json")
@@ -318,8 +328,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    cfg = {"model": "discrete", **_load_config(args)}
-    config = _two_walker_config(cfg, lattice_only=True)
+    config = _two_walker_config(_load_config(args))
     n, eps = config.n_sites, config.flip_prob
     metrics = exact.exact_metrics(n, eps)
     sol = exact.solve_trace_bvp(n, eps)
@@ -353,8 +362,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_bvp(args) -> int:
-    cfg = {"model": "discrete", **_load_config(args)}
-    config = _two_walker_config(cfg, lattice_only=True)
+    config = _two_walker_config(_load_config(args))
     n, eps = config.n_sites, config.flip_prob
     sol = exact.solve_trace_bvp(n, eps)
     payload = {
@@ -371,29 +379,23 @@ def cmd_bvp(args) -> int:
     return 0
 
 
-def _sweep_grid(cfg: dict, kind: str):
-    grid = cfg.get("grid")
-    if not isinstance(grid, dict):
-        raise ConfigError("sweep needs a 'grid' object in the config")
-    sizes = grid.get("N")
-    var_key = "epsilon" if kind == "discrete" else "r"
-    values = grid.get(var_key)
-    if not (isinstance(sizes, list) and isinstance(values, list) and sizes and values):
-        raise ConfigError(f"grid must list 'N' and '{var_key}' values")
-    return sizes, var_key, values
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    kind = _model_kind(cfg)
-    sizes, var_key, values = _sweep_grid(cfg, kind)
-    replicas, seed, length = _run_plan(cfg, kind)
+    kind, grid = cfg["model"], cfg["grid"]
+    var_key = "epsilon" if kind == "discrete" else "r"
+    for key in [*grid, "N", var_key]:
+        if key not in ("N", var_key):
+            raise ConfigError(f"a {kind} sweep grid has no key {key!r}")
+        if not (isinstance(grid.get(key), list) and grid[key]):
+            raise ConfigError(f"grid must list 'N' and '{var_key}' values")
     # every grid point is checked before any of them runs
+    n_type, var_type = (_KEYS[k][1 + (kind == "continuous")] for k in ("N", var_key))
     configs = [
-        _two_walker_config({**cfg, "N": n, var_key: value})
-        for n in sizes
-        for value in values
+        _two_walker_config({**cfg, "N": n_type("N", n), var_key: var_type(var_key, v)})
+        for n in grid["N"]
+        for v in grid[var_key]
     ]
+    length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
     simulate = simulate_discrete if kind == "discrete" else simulate_continuous
     exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []
     header = ["N", var_key, "s_formula", "c_formula", *exact_columns,
@@ -416,8 +418,8 @@ def cmd_sweep(args) -> int:
                 closed_form.cost_continuous(n, config.speed, value),
             ]
         jobs = [
-            (config, length, SeedSpec(seed, point * replicas + k))
-            for k in range(replicas)
+            (config, length, SeedSpec(cfg["seed"], point * cfg["replicas"] + k))
+            for k in range(cfg["replicas"])
         ]
         reports = validation.pool_map(simulate, jobs, args.threads)
         merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
@@ -432,8 +434,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args)
-    seed = _seed(cfg)
+    seed = _load_config(args)["seed"]
     results = validation.run_all(
         seed, args.threads, emit=lambda line: print(line, file=sys.stderr, flush=True)
     )
@@ -447,8 +448,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_generator_check(args) -> int:
-    cfg = _load_config(args)
-    seed = _seed(cfg)
+    seed = _load_config(args)["seed"]
     ctx = validation.AcceptanceContext(seed, args.threads)
     result = validation.check_generator(ctx)
     _dump_json(result.to_dict(), args.out)

@@ -1,5 +1,6 @@
 """Command line contract: schemas, determinism, exit codes."""
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import ringrelay
-from ringrelay import validation
+from ringrelay import cli, validation
 from ringrelay.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DISCRETE_SWEEP = {
     "model": "discrete",
@@ -52,10 +55,21 @@ class TestExact:
 
     def test_size_limit(self, capsys):
         code, _, err = run_cli(
-            capsys, "exact", "--set", "N=1001", "--set", "epsilon=0.3"
+            capsys, "exact", "--set", "N=30003", "--set", "epsilon=0.3"
         )
         assert code == 2
         assert "size limit exceeded" in err
+
+    def test_large_ring_matches_formula(self, capsys):
+        # rings past 1000 sites are within the size limit
+        code, out, _ = run_cli(
+            capsys, "exact", "--set", "N=1001", "--set", "epsilon=0.3"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["N"] == 1001
+        for dev in payload["deviations"].values():
+            assert dev < 1e-10
 
     def test_rejects_continuous(self, capsys):
         code, _, _ = run_cli(
@@ -146,6 +160,10 @@ class TestConfigHandling:
             pytest.param("simulate", "discrete",
                          'initial={"positions": [0, 1e300], "directions": [1, -1], '
                          '"carrier": 0}', "positions", id="lattice-huge-position"),
+            pytest.param("simulate", "continuous",
+                         'initial={"positions": [0, %d], "directions": [1, -1], '
+                         '"carrier": 0}' % 10**400, "initial",
+                         id="continuum-position-past-float"),
             pytest.param("simulate", "discrete",
                          'initial={"positions": [0, 2], "directions": [1, -1.5], '
                          '"carrier": 0}', "directions",
@@ -164,6 +182,38 @@ class TestConfigHandling:
                          id="validate-negative-seed"),
             pytest.param("generator-check", "discrete", "seed=-1", "seed",
                          id="generator-check-negative-seed"),
+            pytest.param("simulate", "discrete", "stesp=10",
+                         "unknown config key: 'stesp'", id="misspelt-key"),
+            pytest.param("generator-check", "discrete", "foo=1",
+                         "unknown config key: 'foo'", id="generator-check-unknown-key"),
+            pytest.param("sweep", "discrete", "trace_every=10", "'trace_every'",
+                         id="sweep-trace"),
+            pytest.param("sweep", "discrete", "N=7", "'N'", id="sweep-top-level-N"),
+            pytest.param("simulate", "continuous", "epsilon=0.1", "'epsilon'",
+                         id="continuum-epsilon"),
+            pytest.param("simulate", "discrete", "horizon=5", "'horizon'",
+                         id="lattice-horizon"),
+            pytest.param("simulate", "continuous", "N=true", "N must be a number",
+                         id="bool-N"),
+            pytest.param("simulate", "continuous", "v=true", "v must be a number",
+                         id="bool-speed"),
+            pytest.param("simulate", "continuous", f"v={10**400}", "v must be a number",
+                         id="speed-past-float"),
+            pytest.param("simulate", "continuous", "horizon=true",
+                         "horizon must be a number", id="bool-horizon"),
+            pytest.param("simulate", "discrete", f"steps={2**63}", "steps must be",
+                         id="steps-past-int64"),
+            pytest.param("simulate", "discrete", f"N={2**63 + 1}", "N must be",
+                         id="N-past-int64"),
+            pytest.param("simulate", "discrete", f"m={2**63}", "m must be",
+                         id="m-past-int64"),
+            pytest.param("simulate", "discrete", f"replicas={2**63}",
+                         "replicas must be", id="replicas-past-int64"),
+            pytest.param("simulate", "discrete", "out=5", "unknown config key: 'out'",
+                         id="out-key"),
+            pytest.param("sweep", "discrete",
+                         'grid={"N": [5], "epsilon": [0.3], "r": [1.0]}', "'r'",
+                         id="sweep-extra-grid-key"),
         ],
     )
     def test_malformed_value_is_config_error(
@@ -216,6 +266,37 @@ class TestConfigHandling:
         )
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["seeds"] != r2["seeds"]
+
+
+class TestConfigTable:
+    def test_readme_table_is_the_key_table(self):
+        section = (ROOT / "README.md").read_text().split("### Configuration keys")[1]
+        rows = {}
+        for line in section.split("\n## ")[0].splitlines():
+            if line.startswith("| `"):
+                key, commands, models = (c.strip() for c in line.split("|")[1:4])
+                rows[key.strip("`")] = (commands, models)
+        assert list(rows) == list(cli._KEYS)
+        for key, (commands, *types, _) in cli._KEYS.items():
+            listed, models = rows[key]
+            listed = cli.ALL if listed == "all" else listed.replace(",", " ")
+            assert sorted(listed.split()) == sorted(commands.split()), key
+            read_on = [m for m, t in zip(("discrete", "continuous"), types) if t]
+            assert models == ("both" if len(read_on) == 2 else read_on[0]), key
+
+    @pytest.mark.parametrize("workload", ["gate", "lattice-exact", "many-walkers"])
+    def test_benchmark_invocations_load(self, monkeypatch, tmp_path, workload):
+        # every benchmark argv parses and loads; nothing runs
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        for seed in (0, 1):
+            for inv in workloads.WORKLOADS[workload](tmp_path, seed, 2):
+                args = cli.build_parser().parse_args(inv.argv)
+                assert cli._load_config(args)["seed"] == int(args.seed), inv.label
 
 
 class TestSimulate:
@@ -355,9 +436,10 @@ class TestSweep:
     )
     def test_rejects_many_walkers(self, capsys, model, var):
         # the formula and exact columns are two-walker values
+        length = "steps=500" if model == "discrete" else "horizon=50.0"
         code, out, err = run_cli(
             capsys, "sweep", "--set", f"model={model}", "--set", "m=3",
-            "--set", "steps=500", "--set", "horizon=50.0",
+            "--set", length,
             "--set", f'grid={{"N": [5], "{var}": [0.3]}}',
         )
         assert code == 2
@@ -369,7 +451,7 @@ class TestSweep:
         )
         code, out, err = run_cli(
             capsys, "sweep", "--set", "model=discrete",
-            "--set", 'grid={"N": [5, 1001], "epsilon": [0.3]}',
+            "--set", 'grid={"N": [5, 30003], "epsilon": [0.3]}',
         )
         assert code == 2
         assert "size limit exceeded" in err and out == ""
@@ -392,7 +474,7 @@ class TestBvpCommand:
         [
             pytest.param(["model=continuous", "m=4"], id="continuous"),
             pytest.param(["m=3"], id="many-walkers"),
-            pytest.param(["N=1001"], id="size-limit"),
+            pytest.param(["N=30003"], id="size-limit"),
         ],
     )
     def test_two_walker_lattice_only(self, capsys, override):
