@@ -36,16 +36,18 @@ from .model import (
 )
 
 EXACT_SIZE_LIMIT = 30001
+MAX_REPLICAS = 10_000  # one job, and one report held until the merge, each
 
 
 # ----------------------------------------------------------------------
 # config keys
 
 
-def _int64(key: str, value, low: int = -(2**63)) -> int:
-    """An integer, not a bool, that numpy takes as int64, and at least low."""
-    if type(value) is not int or not low <= value < 2**63:
-        bounds = "int64 range" if low < 0 else f"[{low}, 2**63)"
+def _int64(key: str, value, low: int = -(2**63), high: int = 2**63) -> int:
+    """An integer, not a bool, in [low, high), which numpy takes as int64."""
+    if type(value) is not int or not low <= value < high:
+        top = "2**63" if high == 2**63 else high
+        bounds = "int64 range" if low < 0 else f"[{low}, {top})"
         raise ConfigError(f"{key} must be an integer in {bounds}, got {value!r}")
     return value
 
@@ -78,7 +80,8 @@ BOTH, LATTICE = ("discrete", "continuous"), ("discrete",)
 _MODELS = {"simulate": BOTH, "sweep": BOTH, "exact": LATTICE, "bvp": LATTICE}
 _STR, _OBJ = _json("a string", str), _json("an object", dict)
 _INITIAL = _json("a mode string or a state object", str, dict)
-_COUNT, _SEED = functools.partial(_int64, low=1), functools.partial(_int64, low=0)
+_SEED = functools.partial(_int64, low=0)
+_REPLICAS = functools.partial(_int64, low=1, high=MAX_REPLICAS + 1)
 
 # key: (subcommands that read it, type on the lattice, type on the
 # continuum, default).  A type of None: the model has no such key.
@@ -93,7 +96,7 @@ _KEYS = {
     "m": ("simulate sweep exact bvp", _int64, _int64, 2),
     "steps": ("simulate sweep", _int64, None, 100_000),
     "horizon": ("simulate sweep", None, _number, 10_000.0),
-    "replicas": ("simulate sweep", _COUNT, _COUNT, 1),
+    "replicas": ("simulate sweep", _REPLICAS, _REPLICAS, 1),
     "seed": (ALL, _SEED, _SEED, validation.DEFAULT_SEED),
     "initial": ("simulate", _INITIAL, _INITIAL, "uniform-random"),
     "sample_every": ("simulate", _int64, _number, None),

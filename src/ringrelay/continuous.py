@@ -16,16 +16,14 @@ flips so far, walker 0's unwrapped position is one cumulative sum, and
 any other walker sits at walker 0's plus its pair gap; (b) the meetings
 of a pair are the level crossings (multiples of the circumference) of
 its piecewise linear unwrapped gap, sought only on the segments where
-the pair's directions differ, and the relay is resolved at the meetings
-only: for two walkers the message then sits on the clockwise mover, for
-more _pass_message takes the meetings in time order and draws the
-tie-breaks of handle_event; (c) the message is its carrier's unwrapped
-position plus whole laps, which change at a handoff by the old and new
-carriers' distance, and it is read only at the checkpoints of the
-shared accounting step, estimators.build_report, with the handoffs
-counted up to each checkpoint and the clockwise time taken from the
-displacement, since the carrier always moves.  build_report also sets
-the burn-in and batches and cuts the two-walker contacts into
+the pair's directions differ, and model.pass_message resolves the relay
+over the meetings in (time, pair) order, drawing the tie-breaks of
+handle_event; (c) the message is its carrier's unwrapped position plus
+whole laps, which change at a handoff by the old and new carriers'
+distance, and it is read only at the checkpoints of the shared
+accounting step, estimators.build_report, with the handoffs counted up
+to each checkpoint.  build_report also sets the burn-in and batches,
+derives the clockwise time and cuts the two-walker contacts into
 regeneration cycles.  sample_walker_states keeps layer (a) alone: it
 gives the walker positions at given times without resolving the relay.
 
@@ -49,6 +47,8 @@ from .model import (
     as_seed,
     check_state,
     circle_delta,
+    pass_message,
+    resolve_handoff,
     validate_continuous,
 )
 
@@ -166,15 +166,6 @@ def advance_to(
     return out
 
 
-def _handoff_candidates(
-    positions: np.ndarray, directions: np.ndarray, carrier: int,
-    circumference: float, tol: float,
-) -> np.ndarray:
-    gaps = (positions - positions[carrier]) % circumference
-    dist = np.minimum(gaps, circumference - gaps)
-    return np.nonzero((dist <= tol) & (directions == 1))[0]
-
-
 def handle_event(
     state: ContinuousState, event: Event, config: ContinuousConfig,
     streams: WalkerStreams, tol: float | None = None,
@@ -201,14 +192,10 @@ def handle_event(
     elif event.kind == "meeting":
         j, k = event.walkers
         out.positions[k] = out.positions[j]  # snap away float drift
-        if out.directions[out.carrier] == -1:
-            cands = _handoff_candidates(
-                out.positions, out.directions, out.carrier,
-                config.circumference, tol,
-            )
-            if cands.size:
-                out.carrier = int(cands[streams.choose(cands.size)])
-                jumped = True
+        out.carrier, jumped = resolve_handoff(
+            out.positions, out.directions, out.carrier, config.circumference,
+            streams, tol,
+        )
     else:
         raise errors.RelayError(f"unknown event kind {event.kind!r}")
     return out, jumped
@@ -259,12 +246,10 @@ def _initial_state(
         state = sample_contact(config, streams)
     else:
         raise errors.RelayError(f"unknown initial condition {initial!r}")
-    if state.directions[state.carrier] == -1:
-        cands = _handoff_candidates(
-            state.positions, state.directions, state.carrier, n, tol
-        )
-        if cands.size:  # resolve, uncounted, as for the lattice model
-            state.carrier = int(cands[streams.choose(cands.size)])
+    # resolve, uncounted, as for the lattice model
+    state.carrier, _ = resolve_handoff(
+        state.positions, state.directions, state.carrier, n, streams, tol
+    )
     if state.next_switch is None:
         state.next_switch = np.array(
             [
@@ -352,29 +337,6 @@ def _walk(x0: float, d0: int, bounds: np.ndarray, times: np.ndarray,
     return positions, signs
 
 
-def _pass_message(car: int, meet_t: np.ndarray, cw: np.ndarray, ccw: np.ndarray,
-                  window: float, streams: WalkerStreams) -> np.ndarray:
-    """The carrier after each meeting, for three or more walkers.
-
-    The message moves only at a meeting whose counter-clockwise member
-    is the carrier.  It goes to one of the clockwise walkers that meet
-    the carrier at that instant (up to window), taken in ascending index
-    and chosen with streams.choose, as handle_event does."""
-    t, cw, ccw = meet_t.tolist(), cw.tolist(), ccw.tolist()
-    after = []
-    for i, loser in enumerate(ccw):
-        if loser == car:
-            cands, h = set(), i
-            while h < len(t) and t[h] - t[i] <= window:
-                if ccw[h] == car:
-                    cands.add(cw[h])
-                h += 1
-            cands = sorted(cands)
-            car = cands[streams.choose(len(cands))]
-        after.append(car)
-    return np.array(after, dtype=np.int64)
-
-
 def _run_blocks(
     config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
     checkpoints: np.ndarray, is_sample: np.ndarray, tol: float, in_f: bool,
@@ -427,7 +389,7 @@ def _run_blocks(
     if m == 2:  # time, displacement, gap level, carrier; a contact start first
         zero = np.zeros(int(in_f))
         contacts = ([zero], [zero], [base[:len(zero)]], [zero.astype(np.int64) + car])
-    read = [np.empty(len(checkpoints)) for _ in range(3)]
+    read = [np.empty(len(checkpoints)) for _ in range(2)]
     samples_x, samples_d = [], []
     t0, icp = 0.0, 0
     while True:
@@ -484,17 +446,16 @@ def _run_blocks(
         meet_t = np.minimum(
             bounds[seg] + (level * n - a[cell]) / (2.0 * v), bounds[seg + 1]
         )
+        # (time, pair) order: a stable sort by time keeps ties in pair order
+        by_time = np.argsort(meet_t, kind="stable")
+        sgn, seg, pair, level, meet_t = (
+            values[by_time] for values in (sgn, seg, pair, level, meet_t))
         cw = np.where(sgn > 0, pk[pair], pj[pair])  # the clockwise member
-        if m == 2:
-            meet_car = cw
-        else:
-            # (time, pair) order: a stable sort by time keeps ties in pair order
-            by_time = np.argsort(meet_t, kind="stable")
-            ccw = np.where(sgn > 0, pj[pair], pk[pair])[by_time]
-            seg, meet_t, cw = seg[by_time], meet_t[by_time], cw[by_time]
-            meet_car = _pass_message(car, meet_t, cw, ccw, tol / v, streams)
-        held = np.concatenate(([car], meet_car))
+        hit, newcar = pass_message(
+            car, meet_t, cw, pj[pair] + pk[pair] - cw, tol / v, streams)
+        held = np.concatenate(([car], newcar))
         jumped = held[1:] != held[:-1]
+        hit_t = meet_t[hit]
 
         def at(walker, s, t):
             """Unwrapped positions of walkers at times t in segments s."""
@@ -508,37 +469,31 @@ def _run_blocks(
             level = base[0] + (level * sgn).astype(np.int64)
             lap = laps + np.cumsum(jumped * (1 - 2 * cw) * level)
             message = at(0, seg, meet_t) + n * (lap + cw * level)
-            keep = slice(None)
         else:
-            keep = np.flatnonzero(jumped)
-            step = at(held[:-1][keep], seg[keep], meet_t[keep])
-            step -= at(meet_car[keep], seg[keep], meet_t[keep])
+            step = at(held[:-1], seg[hit], hit_t) - at(newcar, seg[hit], hit_t)
             lap = laps + np.cumsum(np.rint(step / n).astype(np.int64))
-        # the carrier and laps after each of those meetings
-        carriers = np.concatenate(([car], meet_car[keep]))
-        lap = np.concatenate(([laps], lap))
+        lap = np.concatenate(([laps], lap))  # after each deciding meeting
 
         stop = np.searchsorted(checkpoints, t1, side="right")
         ts = checkpoints[icp:stop]
         s = np.maximum(np.searchsorted(bounds, ts, side="left") - 1, 0)
-        h = np.searchsorted(meet_t[keep], ts, side="left")
-        read[0][icp:stop] = at(carriers[h], s, ts) + n * lap[h] - origin
+        h = np.searchsorted(hit_t, ts, side="left")
+        read[0][icp:stop] = at(held[h], s, ts) + n * lap[h] - origin
         read[1][icp:stop] = cum_jumps + np.searchsorted(
-            meet_t[jumped], ts, side="left")
-        read[2][icp:stop] = (ts + read[0][icp:stop] / v) / 2
+            hit_t[jumped], ts, side="left")
         if is_sample[icp:stop].any():
             s, ts = s[is_sample[icp:stop]], ts[is_sample[icp:stop]]
             samples_x.append((at(np.arange(m)[:, None], s, ts) % n).T)
             samples_d.append(dirs[:, s].T.astype(np.int64))
         if m == 2:
-            found = (meet_t, message - origin, level, meet_car)
+            found = (meet_t, message - origin, level, newcar)
             for blocks, values in zip(contacts, found):
                 blocks.append(values)
 
         icp, t0 = stop, t1
         if final:
             break
-        car, laps, u0 = int(carriers[-1]), int(lap[-1]), u[-1]
+        car, laps, u0 = int(held[-1]), int(lap[-1]), u[-1]
         cum_jumps += int(jumped.sum())
         d = dirs[:, -1].copy()
         gap, base = settle(g[-1], base)

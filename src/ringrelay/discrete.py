@@ -15,24 +15,22 @@ one array per walker: (a) each walker's flips are drawn in blocks from
 that walker's own stream (_flips), consuming randomness exactly as
 repeated step() calls do; its directions are the parity of the flips so
 far and its unwrapped positions one cumulative sum of them; (b) a pair
-is in contact, a clockwise and a counter-clockwise walker on one site,
-where their directions differ and their unwrapped gap is a multiple of
-N (a table lookup), and the relay is resolved over the contact rounds
-only: for two walkers the message then sits on the clockwise mover, for
-more the handoff rule of step() runs at the carrier's next round
-counter-clockwise on a clockwise walker's site, handoff by handoff,
-drawing its tie-breaks in round order; (c) the carrier displacement is
-read only at the checkpoints of the shared accounting step,
-estimators.build_report, as the message's unwrapped position, and
-handoffs are counted up to each checkpoint.  build_report also sets the
-burn-in and batches and cuts the two-walker contacts into regeneration
-cycles.  sample_walker_states keeps layer (a) alone: it gives the
-walker samples of a run without resolving the relay.
+meets, a clockwise and a counter-clockwise walker on one site, where
+their directions differ and their unwrapped gap is a multiple of N (a
+table lookup), and model.pass_message resolves the relay over the
+meetings in (round, pair) order, drawing the tie-breaks of step(); (c)
+the carrier displacement is read only at the checkpoints of the shared
+accounting step, estimators.build_report, as the message's unwrapped
+position, and handoffs are counted up to each checkpoint.  build_report
+also sets the burn-in and batches, derives the clockwise time and cuts
+the two-walker contacts into regeneration cycles.  sample_walker_states
+keeps layer (a) alone: it gives the walker samples of a run without
+resolving the relay.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +43,8 @@ from .model import (
     WalkerStreams,
     as_seed,
     check_state,
+    pass_message,
+    resolve_handoff,
     validate_discrete,
 )
 
@@ -65,20 +65,6 @@ class DiscreteState:
         )
 
 
-def _resolve_handoff(
-    positions: np.ndarray, directions: np.ndarray, carrier: int,
-    streams: WalkerStreams,
-) -> tuple[int, bool]:
-    if directions[carrier] != -1:
-        return carrier, False
-    candidates = np.nonzero(
-        (positions == positions[carrier]) & (directions == 1)
-    )[0]
-    if candidates.size == 0:
-        return carrier, False
-    return int(candidates[streams.choose(candidates.size)]), True
-
-
 def step(
     state: DiscreteState, config: DiscreteConfig, streams: WalkerStreams
 ) -> tuple[DiscreteState, bool]:
@@ -90,7 +76,9 @@ def step(
     for j in range(m):
         signs[j] = -1 if streams.walker[j].random() < config.flip_prob else 1
     directions = state.directions * signs
-    carrier, jumped = _resolve_handoff(positions, directions, state.carrier, streams)
+    carrier, jumped = resolve_handoff(
+        positions, directions, state.carrier, config.n_sites, streams
+    )
     return DiscreteState(positions, directions, carrier, state.t + 1), jumped
 
 
@@ -153,8 +141,8 @@ def _initial_state(
         raise errors.RelayError(f"unknown initial condition {initial!r}")
     # A holder moving counter-clockwise on top of a clockwise mover is
     # never observed after an update; resolve it now, uncounted.
-    state.carrier, _ = _resolve_handoff(
-        state.positions, state.directions, state.carrier, streams
+    state.carrier, _ = resolve_handoff(
+        state.positions, state.directions, state.carrier, n, streams
     )
     return state
 
@@ -227,7 +215,7 @@ def _run_blocks(
     car = state.carrier
     off = -int(state.positions[car])  # message position minus the carrier's
     cum_jumps = 0  # over rounds before t0
-    read = [np.zeros(len(checkpoints)) for _ in range(3)]
+    read = [np.zeros(len(checkpoints)) for _ in range(2)]
     samples_x, samples_d = [], []
     # two walkers: round, displacement, gap level and carrier of each
     # contact, block by block; a contact start first
@@ -247,32 +235,22 @@ def _run_blocks(
             dirs[j] += d[j]
             np.cumsum(dirs[j, :-1], out=rel[j, 1:])
 
-        # (b) contact rounds: opposite directions on one site, where the
+        # (b) meetings: opposite directions on one site, where the
         # unwrapped gap is a multiple of n; tbl is n-periodic, so the
-        # relative gap indexes it directly, negative values included.
-        # ccw[j] marks the rounds where walker j moves counter-clockwise
-        # on a clockwise walker's site, the only ones where it hands on
-        ccw = np.zeros((m, b), dtype=bool)
-        for j in range(m):
-            for k in range(j + 1, m):
-                tbl = np.zeros(n * (2 * b // n + 1), dtype=bool)
-                tbl[(y[j] - y[k]) % n::n] = True
-                meet = (dirs[j] != dirs[k]) & tbl[rel[k] - rel[j]]
-                if m > 2:
-                    ccw[j] |= meet & (dirs[j] < 0)
-                    ccw[k] |= meet & (dirs[k] < 0)
-        if m == 2:  # every contact puts the message on the clockwise mover
-            ridx = np.flatnonzero(meet)
-            newcar = np.where(dirs[0, ridx] == 1, 0, 1)
-        else:  # from handoff to handoff: the carrier's next such round
-            rows = [np.flatnonzero(c).tolist() for c in ccw]
-            hand, c, r = [], car, 0
-            while (i := bisect_left(rows[c], r)) < len(rows[c]):
-                r = rows[c][i]
-                c, _ = _resolve_handoff((y + rel[:, r]) % n, dirs[:, r], c, streams)
-                hand.append((r, c))
-            ridx, newcar = np.array(hand, dtype=np.int64).reshape(-1, 2).T
-        xs = y[:, None] + rel[:, ridx]  # unwrapped sites at the contacts
+        # relative gap indexes it directly, negative values included
+        meets = []
+        for j, k in itertools.combinations(range(m), 2):
+            tbl = np.zeros(n * (2 * b // n + 1), dtype=bool)
+            tbl[(y[j] - y[k]) % n::n] = True
+            r = np.flatnonzero((dirs[j] != dirs[k]) & tbl[rel[k] - rel[j]])
+            cw = k + (j - k) * (dirs[j, r] > 0)  # the clockwise member
+            meets.append((r, cw, j + k - cw))
+        when, cw, ccw = (np.concatenate(f) for f in zip(*meets))
+        by_time = np.argsort(when, kind="stable")  # ties stay in pair order
+        when = when[by_time]
+        hit, newcar = pass_message(car, when, cw[by_time], ccw[by_time], 0, streams)
+        ridx = when[hit]  # rows of the meetings that decide the message
+        xs = y[:, None] + rel[:, ridx]  # unwrapped sites at those meetings
         held = np.concatenate(([car], newcar))
         jump_t = t0 + 1 + ridx[held[1:] != held[:-1]]
         cols = np.arange(len(ridx))
@@ -283,11 +261,10 @@ def _run_blocks(
         stop = np.searchsorted(checkpoints, t0 + b, side="right")
         ts = checkpoints[icp:stop]
         rows = ts - t0 - 1
-        now = np.searchsorted(ridx, rows, side="right")  # contacts so far
+        now = np.searchsorted(ridx, rows, side="right")  # meetings so far
         disp = y[held[now]] + rel[held[now], rows] + offs[now]
         read[0][icp:stop] = disp
         read[1][icp:stop] = cum_jumps + np.searchsorted(jump_t, ts, side="right")
-        read[2][icp:stop] = (ts + disp) // 2  # every round moves +-1
         rows = rows[is_sample[icp:stop]]
         samples_x.append(((y[:, None] + rel[:, rows]) % n).T)
         samples_d.append(dirs[:, rows].T.astype(np.int64))

@@ -19,6 +19,7 @@ import numpy as np
 from . import errors
 
 N_BATCHES = 50
+MAX_CHECKPOINTS = 10**6  # samples and trace points in a run, ~100 B each
 
 
 @dataclass
@@ -66,17 +67,16 @@ class RunReport:
 
 class Readings(NamedTuple):
     """What a simulation engine hands to build_report: cumulative carrier
-    displacement, handoffs and clockwise time at each checkpoint, walker
-    positions and directions at the sample checkpoints (as rows or blocks
-    of rows), and, for two walkers, the pair's head-on contacts in time
-    order, a contact start first, as four lists of per-block arrays
-    (emptied as build_report joins them): the time, the carrier's
-    cumulative displacement, the unwrapped gap x1 - x0 in whole
-    circumferences and the carrier after each contact."""
+    displacement and handoffs at each checkpoint, walker positions and
+    directions at the sample checkpoints (as rows or blocks of rows),
+    and, for two walkers, the pair's head-on contacts in time order, a
+    contact start first, as four lists of per-block arrays (emptied as
+    build_report joins them): the time, the carrier's cumulative
+    displacement, the unwrapped gap x1 - x0 in whole circumferences and
+    the carrier after each contact."""
 
     displacement: np.ndarray
     jumps: np.ndarray
-    clockwise: np.ndarray
     positions: list
     directions: list
     contacts: tuple | None = None
@@ -105,8 +105,9 @@ def window(end, in_contact: bool, sample_every=None, trace_every=None) -> tuple:
     is cut into N_BATCHES batches; for runs counted in rounds (an integer
     end) they hold whole rounds and leave the rounds after the last batch
     out.  Samples are taken every sample_every after burn-in and trace
-    points every trace_every from time 0, up to end.  Runs counted in
-    rounds need whole-number spacings.
+    points every trace_every from time 0, up to end, at most
+    MAX_CHECKPOINTS of them together.  Runs counted in rounds need
+    whole-number spacings.
     """
     whole = isinstance(end, (int, np.integer))
     burn = 0 if in_contact else end // 100 if whole else 0.01 * end
@@ -117,6 +118,11 @@ def window(end, in_contact: bool, sample_every=None, trace_every=None) -> tuple:
         edges = np.linspace(burn, end, N_BATCHES + 1)
     sample_every = _spacing("sample_every", sample_every, whole)
     trace_every = _spacing("trace_every", trace_every, whole)
+    count = (end - burn) / (sample_every or np.inf) + end / (trace_every or np.inf)
+    if count > MAX_CHECKPOINTS:
+        raise errors.RelayError(
+            f"sample_every and trace_every ask for {count:.3g} checkpoints, "
+            f"more than {MAX_CHECKPOINTS}")
     no_times = np.zeros(0, dtype=np.int64)
     sample_ts = (
         burn + sample_every * np.arange(1, int((end - burn) / sample_every) + 1)
@@ -141,7 +147,9 @@ def build_report(
     The burn-in, batch edges, samples and trace points follow window().
     All these checkpoints go to engine(checkpoints, is_sample) as one
     sorted list, and the Readings it returns are sliced back into a
-    RunReport, with the cycles cut from its contacts.
+    RunReport, with the cycles cut from its contacts.  The carrier always
+    moves, at speed v (1 on the lattice), so its clockwise time up to t
+    is (t + displacement / v) / 2.
     """
     burn, edges, sample_ts, trace_ts = window(
         end, in_contact, sample_every, trace_every
@@ -157,7 +165,8 @@ def build_report(
         out[order] = values
         return out
 
-    disp, jumps, clock = map(unsort, run[:3])
+    disp, jumps = map(unsort, run[:2])
+    clock = (checkpoints + disp / params.get("v", 1)) / 2
     batch = slice(0, n_edges)
     traced = slice(n_edges + 1 + n_samples, None)
     return RunReport(

@@ -1,4 +1,4 @@
-"""Shared model vocabulary: parameter sets, directions, geometry, seeding.
+"""Shared model vocabulary: parameter sets, the relay rule, geometry, seeding.
 
 Two variants of the same relay mechanism are covered.  In the lattice
 variant, walkers sit on the integers modulo an odd number of sites and
@@ -7,19 +7,19 @@ fixed speed on a circle of arbitrary positive length and reverse at the
 arrivals of independent Poisson clocks.  Exactly one walker carries a
 message at any time, and the message is handed off on contact from a
 counter-clockwise mover to a clockwise mover, so the message itself only
-ever travels clockwise.
+ever travels clockwise.  resolve_handoff and pass_message write that
+rule once for both variants.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 
-CLOCKWISE = 1
-COUNTER_CLOCKWISE = -1
-DIRECTIONS = (CLOCKWISE, COUNTER_CLOCKWISE)
+MAX_WALKERS = 100  # all-pairs engines: at this m a continuum chunk takes 250 MiB
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,18 @@ def validate_flip_prob(flip_prob: float) -> float:
     return float(flip_prob)
 
 
+def validate_walkers(n_walkers: int) -> None:
+    if n_walkers < 2:
+        raise errors.MTooSmall(f"need at least 2 walkers, got {n_walkers}")
+    if n_walkers > MAX_WALKERS:
+        raise errors.RelayError(f"at most {MAX_WALKERS} walkers, got {n_walkers}")
+
+
 def validate_discrete(config: DiscreteConfig) -> DiscreteConfig:
     """Check a lattice parameter set, returning it unchanged."""
     validate_sites(config.n_sites)
     validate_flip_prob(config.flip_prob)
-    if config.n_walkers < 2:
-        raise errors.MTooSmall(f"need at least 2 walkers, got {config.n_walkers}")
+    validate_walkers(config.n_walkers)
     return config
 
 
@@ -93,8 +99,7 @@ def validate_continuous(config: ContinuousConfig) -> ContinuousConfig:
         raise errors.RateOutOfRange(
             f"switch rate must be > 0, got {config.switch_rate!r}"
         )
-    if config.n_walkers < 2:
-        raise errors.MTooSmall(f"need at least 2 walkers, got {config.n_walkers}")
+    validate_walkers(config.n_walkers)
     return config
 
 
@@ -172,3 +177,52 @@ def as_seed(seed) -> SeedSpec:
     if isinstance(seed, SeedSpec):
         return seed
     return SeedSpec(int(seed))
+
+
+def resolve_handoff(
+    positions: np.ndarray, directions: np.ndarray, carrier: int,
+    circumference, streams: WalkerStreams, tol=0,
+) -> tuple[int, bool]:
+    """The relay rule at one instant: a carrier moving counter-clockwise
+    within tol of clockwise movers hands the message to one of them,
+    taken in ascending index and chosen with streams.choose.  Returns
+    the carrier and whether the message changed hands."""
+    if directions[carrier] != -1:
+        return carrier, False
+    gaps = (positions - positions[carrier]) % circumference
+    near = np.minimum(gaps, circumference - gaps) <= tol
+    candidates = np.flatnonzero(near & (directions == 1))
+    if candidates.size == 0:
+        return carrier, False
+    return int(candidates[streams.choose(candidates.size)]), True
+
+
+def pass_message(
+    car: int, when: np.ndarray, cw: np.ndarray, ccw: np.ndarray, window,
+    streams: WalkerStreams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The relay rule over meetings in (time, pair) order, given by their
+    times and clockwise and counter-clockwise members: the indices of the
+    meetings that decide the message and the carrier after each one.
+
+    The message moves at a meeting whose counter-clockwise member is the
+    carrier, to one of the clockwise walkers that meet the carrier within
+    window of it, as resolve_handoff chooses.  With two walkers every
+    meeting leaves the message on its clockwise member; with more, a
+    bisect finds the carrier's next meeting as the counter-clockwise one."""
+    if streams.n_walkers == 2:
+        return np.arange(len(cw)), cw
+    rows = [np.flatnonzero(ccw == w).tolist() for w in range(streams.n_walkers)]
+    when, cw = when.tolist(), cw.tolist()
+    decided, i = [], 0
+    while (j := bisect_left(rows[car], i)) < len(rows[car]):
+        i = rows[car][j]
+        cands = set()
+        for h in rows[car][j:]:
+            if when[h] - when[i] > window:
+                break
+            cands.add(cw[h])
+        car = sorted(cands)[streams.choose(len(cands))]
+        decided.append((i, car))
+        i += 1
+    return tuple(np.array(decided, dtype=np.int64).reshape(-1, 2).T)

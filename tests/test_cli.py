@@ -214,6 +214,20 @@ class TestConfigHandling:
             pytest.param("sweep", "discrete",
                          'grid={"N": [5], "epsilon": [0.3], "r": [1.0]}', "'r'",
                          id="sweep-extra-grid-key"),
+            pytest.param("simulate", "discrete", f"m={10**12}", "walkers",
+                         id="lattice-m-past-bound"),
+            pytest.param("simulate", "continuous", f"m={10**12}", "walkers",
+                         id="continuum-m-past-bound"),
+            pytest.param("simulate", "discrete", f"replicas={10**12}",
+                         "replicas must be", id="replicas-past-bound"),
+            pytest.param("sweep", "continuous", f"replicas={10**12}",
+                         "replicas must be", id="sweep-replicas-past-bound"),
+            pytest.param("simulate", "discrete", (f"steps={10**12}", "trace_every=1"),
+                         "checkpoints", id="lattice-trace-past-bound"),
+            pytest.param("simulate", "discrete", (f"steps={10**12}", "sample_every=1"),
+                         "checkpoints", id="lattice-samples-past-bound"),
+            pytest.param("simulate", "continuous", ("horizon=1e12", "trace_every=1"),
+                         "checkpoints", id="continuum-trace-past-bound"),
         ],
     )
     def test_malformed_value_is_config_error(
@@ -227,7 +241,8 @@ class TestConfigHandling:
             ("validate", "discrete"): [],
             ("generator-check", "discrete"): [],
         }[command, model]
-        args = [a for kv in [f"model={model}", *base, override] for a in ("--set", kv)]
+        overrides = (override,) if isinstance(override, str) else override
+        args = [a for kv in [f"model={model}", *base, *overrides] for a in ("--set", kv)]
         code, out, err = run_cli(capsys, command, *args)
         assert code == 2
         assert err.startswith("error: ") and named in err
@@ -297,6 +312,19 @@ class TestConfigTable:
             for inv in workloads.WORKLOADS[workload](tmp_path, seed, 2):
                 args = cli.build_parser().parse_args(inv.argv)
                 assert cli._load_config(args)["seed"] == int(args.seed), inv.label
+
+    def test_traced_functions_exist(self):
+        # Tracer.install fails on a missing name, so a traced benchmark run
+        # breaks when a refactor renames or removes one of these
+        spec = importlib.util.spec_from_file_location(
+            "tracing", ROOT / "perfbench" / "tracing.py"
+        )
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module_name, functions in tracing.TRACED.items():
+            module = importlib.import_module(f"ringrelay.{module_name}")
+            for name in functions:
+                assert callable(getattr(module, name, None)), (module_name, name)
 
 
 class TestSimulate:

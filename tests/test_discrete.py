@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringrelay import discrete, errors, estimators
+from ringrelay import discrete, errors, estimators, model
 from ringrelay.model import DiscreteConfig, SeedSpec, WalkerStreams
 
 TINY = 1e-12  # flip probability small enough to make rounds deterministic
@@ -25,8 +25,8 @@ def run_reference_loop(config, steps, seed, initial):
     does), plus the rounds in the regeneration set."""
     streams = WalkerStreams(SeedSpec(*seed), config.n_walkers)
     state = initial.copy()
-    state.carrier, _ = discrete._resolve_handoff(
-        state.positions, state.directions, state.carrier, streams
+    state.carrier, _ = model.resolve_handoff(
+        state.positions, state.directions, state.carrier, config.n_sites, streams
     )
     rows = [(state.positions, state.directions, state.carrier, False)]
     for _ in range(steps):

@@ -91,13 +91,12 @@ class TestBatchEstimates:
 
 def synthetic_run(end, in_contact=False, contacts=None, sample_every=None):
     """build_report over an engine whose carrier moves clockwise at unit
-    speed, hands off every 10 time units and sits still half the time."""
+    speed and hands off every 10 time units."""
 
     def engine(checkpoints, is_sample):
         t = checkpoints.astype(float)
         k = int(is_sample.sum())
-        return Readings(t, t // 10, t / 2, [np.zeros((k, 2))], [np.ones((k, 2))],
-                        contacts)
+        return Readings(t, t // 10, [np.zeros((k, 2))], [np.ones((k, 2))], contacts)
 
     return build_report(
         engine, params={"model": "discrete", "N": 5}, seed=SeedSpec(1, 0),
@@ -130,7 +129,7 @@ class TestBuildReport:
         assert report.batch_duration == 21.0  # 1089 // 50
         assert len(report.batch_displacement) == 50
         np.testing.assert_array_equal(report.batch_displacement, 21.0)
-        np.testing.assert_array_equal(report.batch_clockwise, 10.5)
+        np.testing.assert_array_equal(report.batch_clockwise, 21.0)
         # the 39 rounds after the last batch count only in the totals
         assert report.batch_displacement.sum() == 1050.0
         assert report.displacement_sum == 1089.0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ringrelay import errors
 from ringrelay.continuous import ContinuousState
 from ringrelay.model import (
+    MAX_WALKERS,
     ContinuousConfig,
     DiscreteConfig,
     SeedSpec,
@@ -14,6 +15,8 @@ from ringrelay.model import (
     as_seed,
     check_state,
     circle_delta,
+    pass_message,
+    resolve_handoff,
     validate_continuous,
     validate_discrete,
 )
@@ -33,6 +36,8 @@ class TestConfigs:
             (dict(n_sites=5, flip_prob=0.0), errors.EpsilonOutOfRange),
             (dict(n_sites=5, flip_prob=1.0), errors.EpsilonOutOfRange),
             (dict(n_sites=5, flip_prob=0.1, n_walkers=1), errors.MTooSmall),
+            (dict(n_sites=5, flip_prob=0.1, n_walkers=MAX_WALKERS + 1),
+             errors.RelayError),
         ],
     )
     def test_discrete_rejects(self, kwargs, exc):
@@ -50,6 +55,7 @@ class TestConfigs:
             (dict(circumference=1.0, speed=0.0), errors.SpeedOutOfRange),
             (dict(circumference=1.0, switch_rate=-1.0), errors.RateOutOfRange),
             (dict(circumference=1.0, n_walkers=0), errors.MTooSmall),
+            (dict(circumference=1.0, n_walkers=10**12), errors.RelayError),
         ],
     )
     def test_continuous_rejects(self, kwargs, exc):
@@ -58,6 +64,110 @@ class TestConfigs:
 
     def test_continuous_accepts_valid(self):
         validate_continuous(ContinuousConfig(2.0, 1.0, 1.0, 3))
+
+
+def loop_pass_message(car, meet_t, cw, ccw, window, streams):
+    """The carrier after each meeting, one meeting at a time: the walk the
+    continuum engine ran before model.pass_message, kept as its reference.
+    The message moves only at a meeting whose counter-clockwise member is
+    the carrier, to one of the clockwise walkers that meet the carrier
+    within window, in ascending index, chosen with streams.choose."""
+    t, cw, ccw = meet_t.tolist(), cw.tolist(), ccw.tolist()
+    after = []
+    for i, loser in enumerate(ccw):
+        if loser == car:
+            cands, h = set(), i
+            while h < len(t) and t[h] - t[i] <= window:
+                if ccw[h] == car:
+                    cands.add(cw[h])
+                h += 1
+            cands = sorted(cands)
+            car = cands[streams.choose(len(cands))]
+        after.append(car)
+    return np.array(after, dtype=np.int64)
+
+
+def lattice_candidates(positions, directions, carrier):
+    """The lattice engine's candidate rule before model.resolve_handoff."""
+    if directions[carrier] != -1:
+        return np.zeros(0, dtype=np.int64)
+    return np.nonzero((positions == positions[carrier]) & (directions == 1))[0]
+
+
+def continuum_candidates(positions, directions, carrier, circumference, tol):
+    """The continuum engine's candidate rule before model.resolve_handoff."""
+    if directions[carrier] != -1:
+        return np.zeros(0, dtype=np.int64)
+    gaps = (positions - positions[carrier]) % circumference
+    dist = np.minimum(gaps, circumference - gaps)
+    return np.nonzero((dist <= tol) & (directions == 1))[0]
+
+
+def same_aux(a: WalkerStreams, b: WalkerStreams) -> bool:
+    return a.aux.bit_generator.state == b.aux.bit_generator.state
+
+
+class TestRelayRule:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("window", [0.0, 0.25])
+    def test_pass_message_matches_the_loop(self, m, window):
+        rng = np.random.default_rng(m)
+        pj, pk = np.triu_indices(m, 1)
+        for case in range(60):
+            size = int(rng.integers(0, 120))
+            # whole times repeat (exact ties); offsets of 0.1 fall inside a
+            # window of 0.25 and offsets of 0.6 outside it
+            when = np.sort(rng.integers(0, size // 3 + 1, size)
+                           + rng.choice([0.0, 0.1, 0.6], size))
+            pair = rng.integers(0, len(pj), size)
+            up = rng.random(size) < 0.5
+            cw = np.where(up, pk[pair], pj[pair])
+            ccw = np.where(up, pj[pair], pk[pair])
+            car = int(rng.integers(m))
+            a, b = (WalkerStreams(SeedSpec(case, m), m) for _ in range(2))
+            expected = loop_pass_message(car, when, cw, ccw, window, a)
+            hit, after = pass_message(car, when, cw, ccw, window, b)
+            # the carrier after each meeting is the one after its last
+            # deciding meeting
+            held = np.concatenate(([car], after))
+            now = np.searchsorted(hit, np.arange(size), side="right")
+            np.testing.assert_array_equal(held[now], expected)
+            assert np.all(held[1:] != held[:-1]) or m == 2
+            assert same_aux(a, b)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_resolve_handoff_matches_the_lattice_rule(self, m):
+        rng = np.random.default_rng(10 + m)
+        n = 5
+        for case in range(300):
+            positions = rng.integers(0, n, m)
+            directions = rng.choice([-1, 1], m)
+            carrier = int(rng.integers(m))
+            a, b = (WalkerStreams(SeedSpec(case, m), m) for _ in range(2))
+            cands = lattice_candidates(positions, directions, carrier)
+            expected = int(cands[a.choose(len(cands))]) if len(cands) else carrier
+            got = resolve_handoff(positions, directions, carrier, n, b)
+            assert got == (expected, len(cands) > 0)
+            assert same_aux(a, b)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_resolve_handoff_matches_the_continuum_rule(self, m):
+        rng = np.random.default_rng(20 + m)
+        n, tol = 2.5, 1e-9
+        for case in range(300):
+            # walkers on three points, each moved by less than tol or by
+            # more, across 0 as well
+            points = rng.choice([0.0, 1.0, n - 1e-10], m)
+            moves = rng.choice([0.0, 0.4 * tol, -0.4 * tol, 3 * tol], m)
+            positions = (points + moves) % n
+            directions = rng.choice([-1, 1], m)
+            carrier = int(rng.integers(m))
+            a, b = (WalkerStreams(SeedSpec(case, m), m) for _ in range(2))
+            cands = continuum_candidates(positions, directions, carrier, n, tol)
+            expected = int(cands[a.choose(len(cands))]) if len(cands) else carrier
+            got = resolve_handoff(positions, directions, carrier, n, b, tol)
+            assert got == (expected, len(cands) > 0)
+            assert same_aux(a, b)
 
 
 class TestCheckState:
