@@ -55,6 +55,7 @@ from .model import (
 
 # switches per walker in one chunk of the engine with two walkers
 SWITCH_CHUNK = 1 << 14
+MAX_MEETINGS = 10**6  # in one chunk, ~110 B each; only a ring tiny next to v/r
 
 
 def default_tol(config: ContinuousConfig) -> float:
@@ -439,8 +440,12 @@ def _run_blocks(
         np.cumsum(g, axis=0, out=g)
         a = g.ravel()[live] * sgn
         first = np.floor((a + tol) / n) + 1
-        count = np.maximum(np.ceil((a + rise) / n) - first, 0).astype(np.int64)
-        cell = np.repeat(np.arange(len(count)), count)
+        count = np.maximum(np.ceil((a + rise) / n) - first, 0)
+        if not count.sum() <= MAX_MEETINGS:  # also nan, where the levels overflow
+            raise errors.RelayError(
+                f"a chunk of walker paths asks for {count.sum():.3g} meetings, more "
+                f"than {MAX_MEETINGS}: N={n!r} is too small next to v/r={v / r!r}")
+        cell = np.repeat(np.arange(len(count)), count.astype(np.int64))
         level = first[cell] + np.arange(len(cell)) - (np.cumsum(count) - count)[cell]
         sgn, seg, pair = sgn[cell], seg[cell], pair[cell]
         meet_t = np.minimum(

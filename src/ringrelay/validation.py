@@ -7,22 +7,23 @@ against all of them.  The command line `validate` subcommand and the
 acceptance test suite both run exactly these functions, so a pass here
 is a pass there.
 
-Heavy simulations are cached on the context object; checks that share a
-run (for example the excursion law reuses the continuum regeneration
-run) see literally the same trajectory.
+The simulations the checks read form one run table, queued on one
+worker pool before the first check; checks that share a run (the
+excursion law reuses the continuum regeneration run) see one trajectory.
 """
 from __future__ import annotations
 
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import closed_form, discrete, estimators, exact
-from .continuous import ContinuousState, sample_walker_states, simulate_continuous
+from .continuous import sample_walker_states, simulate_continuous
 from .discrete import DiscreteState, simulate_discrete
 from .estimators import chi_square_uniformity, merge
 from .model import ContinuousConfig, DiscreteConfig, SeedSpec
@@ -69,12 +70,10 @@ def open_pool(threads: int, n_jobs: int) -> ProcessPoolExecutor | None:
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
 
-def pool_map(func, jobs: list, threads: int, pool=None) -> list:
-    """func(*job) for every job (a tuple of arguments), in pool or in one
-    that open_pool sizes for them.  Results come in job order, and every
-    job carries its own seed, so the thread count never changes a result."""
-    if pool is not None:
-        return list(pool.map(func, *zip(*jobs)))
+def pool_map(func, jobs: list, threads: int) -> list:
+    """func(*job) for every job (a tuple of arguments), in a pool that
+    open_pool sizes for them.  Results come in job order, and every job
+    carries its own seed, so the thread count never changes a result."""
     pool = open_pool(threads, len(jobs))
     if pool is None:
         return [func(*job) for job in jobs]
@@ -82,86 +81,113 @@ def pool_map(func, jobs: list, threads: int, pool=None) -> list:
         return list(pool.map(func, *zip(*jobs)))
 
 
+def _uniformity_passes(model: str, seed: SeedSpec) -> bool:
+    """Whether one replica's walker samples pass the chi-square test."""
+    if model == "discrete":
+        config = DiscreteConfig(5, 0.3)
+        n = config.n_sites
+        # ~4000 samples at the 10N spacing after burn-in, one cell per site
+        pos, dirs = discrete.sample_walker_states(config, 205_000, seed, 10 * n)
+        return chi_square_uniformity(pos, dirs, n, n).pvalue > 0.01
+    config = ContinuousConfig(1.0)
+    spacing = 10 * config.circumference / config.speed
+    # 16 arcs-by-direction cells per walker -> 256 joint cells; 6000
+    # samples keeps every expected count above 20
+    times = 10 * config.circumference + spacing * np.arange(1, 6001)
+    pos, dirs = sample_walker_states(config, times, seed)
+    return chi_square_uniformity(pos, dirs, config.circumference, 8).pvalue > 0.01
+
+
+INDEPENDENCE_STATES = [
+    DiscreteState(np.array([0, 0]), np.array([1, 1]), 0),
+    DiscreteState(np.array([0, 2]), np.array([1, -1]), 0),
+    DiscreteState(np.array([1, 4]), np.array([-1, -1]), 1),
+    DiscreteState(np.array([2, 2]), np.array([-1, 1]), 0),
+    DiscreteState(np.array([3, 1]), np.array([-1, 1]), 1),
+]
+
+
+def _batches(simulate, *args):
+    """simulate(*args) less the cycle arrays, which no check of the run
+    reads: the continuum reference's 500 000 cycles are 12 MB to send."""
+    return replace(simulate(*args), cycle_lengths=None, cycle_displacements=None,
+                   cycle_carrier_sums=None, cycle_jumps=None)
+
+
+def run_table(seed: int) -> dict:
+    """The simulations the checks read at master seed `seed`, in queue
+    order: run name -> (function, jobs).  The continuum reference, the
+    longest single job, goes first."""
+    small = DiscreteConfig(5, 0.3)
+    return {
+        "continuous_reference": (_batches, [
+            (simulate_continuous, ContinuousConfig(2.0), 1e6, SeedSpec(seed, 30))]),
+        "discrete_reference": (_batches, [
+            (simulate_discrete, DiscreteConfig(11, 0.1), 10**6, SeedSpec(seed, k))
+            for k in range(8)]),
+        "discrete_regen": (simulate_discrete, [
+            (small, 3 * 10**5, SeedSpec(seed, 10 + k), "regeneration")
+            for k in range(2)]),
+        "continuous_regen": (simulate_continuous, [
+            (ContinuousConfig(1.0), 2e4, SeedSpec(seed, 20 + k), "regeneration")
+            for k in range(2)]),
+        "independence": (_batches, [
+            (simulate_discrete, small, 10**6, SeedSpec(seed, 3000 + k), state)
+            for k, state in enumerate(INDEPENDENCE_STATES)]),
+        "uniformity": (_uniformity_passes, [
+            (model, SeedSpec(seed, first + k))
+            for model, first in (("discrete", 1000), ("continuous", 2000))
+            for k in range(100)]),
+    }
+
+
 class AcceptanceContext:
-    """Seeded, memoised runner for the simulations the checks share."""
+    """The run table of one master seed, each run made once.  start()
+    queues every job on one pool; a run not queued is computed here, in
+    job order, when a check first reads it.  Every job carries its own
+    SeedSpec, so where it runs never changes a result."""
 
     def __init__(self, master_seed: int = DEFAULT_SEED, threads: int = 1):
         self.master_seed = master_seed
         self.threads = threads
-        self._cache: dict = {}
+        self.table = run_table(master_seed)
+        self._results: dict = {}
+        self._queued: dict = {}
         self._pool = None
 
-    def map(self, func, jobs: list) -> list:
-        """pool_map in one pool for all checks, opened on first use (before
-        the continuum run grows the heap forked workers inherit)."""
-        if self._pool is None:
-            self._pool = open_pool(self.threads, len(jobs))
-        return pool_map(func, jobs, 1, self._pool)
+    def start(self) -> None:
+        """Queue the whole table on one pool, if more than one worker serves."""
+        # imported before the fork, so no worker pays it on its first chi-square
+        import scipy.special  # noqa: F401
 
-    def close(self) -> None:
+        n_jobs = sum(len(jobs) for _, jobs in self.table.values())
+        self._pool = open_pool(self.threads, n_jobs)
         if self._pool is not None:
-            self._pool.shutdown()
-        self._pool = None
-
-    def _memo(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    def exact_grid(self):
-        def build():
-            return {
-                (n, eps): exact.exact_metrics(n, eps)
-                for n in GRID_N
-                for eps in GRID_EPS
+            self._queued = {
+                name: [self._pool.submit(func, *job) for job in jobs]
+                for name, (func, jobs) in self.table.items()
             }
 
-        return self._memo("exact_grid", build)
+    def close(self) -> None:
+        """Shut the pool down, cancelling the jobs no worker has taken yet."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
-    def discrete_reference_run(self):
-        # N=11, eps=0.1, 8 replicas of 1e6 rounds, pooled
-        def build():
-            config = DiscreteConfig(11, 0.1)
-            jobs = [
-                (config, 10**6, SeedSpec(self.master_seed, k)) for k in range(8)
-            ]
-            return merge(self.map(simulate_discrete, jobs))
-
-        return self._memo("discrete_reference", build)
-
-    def continuous_reference_run(self):
-        def build():
-            config = ContinuousConfig(2.0)
-            return simulate_continuous(
-                config, 1e6, SeedSpec(self.master_seed, 30)
+    def run(self, name: str) -> list:
+        """The named run's results, in job order."""
+        if name not in self._results:
+            func, jobs = self.table[name]
+            queued = self._queued.pop(name, None)
+            self._results[name] = (
+                [future.result() for future in queued] if queued is not None
+                else [func(*job) for job in jobs]
             )
+        return self._results[name]
 
-        return self._memo("continuous_reference", build)
-
-    def discrete_regen_runs(self):
-        def build():
-            config = DiscreteConfig(5, 0.3)
-            return [
-                simulate_discrete(
-                    config, 3 * 10**5, SeedSpec(self.master_seed, 10 + k),
-                    "regeneration",
-                )
-                for k in range(2)
-            ]
-
-        return self._memo("discrete_regen", build)
-
-    def continuous_regen_runs(self):
-        def build():
-            config = ContinuousConfig(1.0)
-            return [
-                simulate_continuous(
-                    config, 2e4, SeedSpec(self.master_seed, 20 + k), "regeneration"
-                )
-                for k in range(2)
-            ]
-
-        return self._memo("continuous_regen", build)
+    @cached_property
+    def exact_grid(self) -> dict:
+        return {(n, eps): exact.exact_metrics(n, eps)
+                for n in GRID_N for eps in GRID_EPS}
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +196,7 @@ class AcceptanceContext:
 
 def check_exact_stationary(ctx: AcceptanceContext) -> CheckResult:
     worst_s = worst_c = worst_res = 0.0
-    for (n, eps), metrics in ctx.exact_grid().items():
+    for (n, eps), metrics in ctx.exact_grid.items():
         s = closed_form.speed_discrete(n, eps)
         worst_s = max(worst_s, abs(metrics.speed - s))
         worst_c = max(worst_c, abs(metrics.cost - eps * s))
@@ -193,7 +219,7 @@ def check_exact_stationary(ctx: AcceptanceContext) -> CheckResult:
 
 def check_crossing_prob(ctx: AcceptanceContext) -> CheckResult:
     worst_oracle = worst_closed = worst_speed = worst_res = 0.0
-    metrics = ctx.exact_grid()
+    metrics = ctx.exact_grid
     for n in GRID_N:
         for eps in GRID_EPS:
             sol = exact.solve_trace_bvp(n, eps)
@@ -225,7 +251,7 @@ def check_crossing_prob(ctx: AcceptanceContext) -> CheckResult:
 
 
 def check_discrete_mc(ctx: AcceptanceContext) -> CheckResult:
-    report = ctx.discrete_reference_run()
+    report = merge(ctx.run("discrete_reference"))
     s_target = closed_form.speed_discrete(11, 0.1)
     c_target = closed_form.cost_discrete(11, 0.1)
     s = estimators.speed_estimate(report)
@@ -253,7 +279,7 @@ def check_discrete_mc(ctx: AcceptanceContext) -> CheckResult:
 
 
 def check_continuous_mc(ctx: AcceptanceContext) -> CheckResult:
-    report = ctx.continuous_reference_run()
+    report, = ctx.run("continuous_reference")
     s_target = closed_form.speed_continuous(2.0, 1.0, 1.0)
     c_target = closed_form.cost_continuous(2.0, 1.0, 1.0)
     s = estimators.speed_estimate(report)
@@ -278,8 +304,8 @@ def check_continuous_mc(ctx: AcceptanceContext) -> CheckResult:
 
 
 def check_regeneration(ctx: AcceptanceContext) -> CheckResult:
-    d_run, d_indep = ctx.discrete_regen_runs()
-    c_run, c_indep = ctx.continuous_regen_runs()
+    d_run, d_indep = ctx.run("discrete_regen")
+    c_run, c_indep = ctx.run("continuous_regen")
 
     measured: dict = {}
     ok = True
@@ -320,7 +346,7 @@ def check_regeneration(ctx: AcceptanceContext) -> CheckResult:
 
 
 def check_excursions(ctx: AcceptanceContext) -> CheckResult:
-    report = ctx.continuous_regen_runs()[0]
+    report = ctx.run("continuous_regen")[0]
     summary = estimators.excursion_classifier(report)
     n = summary.n_cycles
     wrap = summary.wrap_fraction
@@ -386,10 +412,10 @@ def check_generator(ctx: AcceptanceContext) -> CheckResult:
 
 
 def check_direction(ctx: AcceptanceContext) -> CheckResult:
-    d_report = merge(ctx.discrete_regen_runs())
+    d_report = merge(ctx.run("discrete_regen"))
     d_target = closed_form.direction_prob_discrete(5, 0.3)
     d = estimators.direction_estimate(d_report)
-    c_report = ctx.continuous_reference_run()
+    c_report, = ctx.run("continuous_reference")
     c_target = closed_form.direction_prob_continuous(2.0, 1.0, 1.0)
     c = estimators.direction_estimate(c_report)
     ok = (
@@ -450,28 +476,8 @@ def check_scaling(ctx: AcceptanceContext) -> CheckResult:
     )
 
 
-def _uniformity_passes(model: str, seed: SeedSpec) -> bool:
-    """Whether one replica's walker samples pass the chi-square test."""
-    if model == "discrete":
-        config = DiscreteConfig(5, 0.3)
-        n = config.n_sites
-        # ~4000 samples at the 10N spacing after burn-in, one cell per site
-        pos, dirs = discrete.sample_walker_states(config, 205_000, seed, 10 * n)
-        return chi_square_uniformity(pos, dirs, n, n).pvalue > 0.01
-    config = ContinuousConfig(1.0)
-    spacing = 10 * config.circumference / config.speed
-    # 16 arcs-by-direction cells per walker -> 256 joint cells; 6000
-    # samples keeps every expected count above 20
-    times = 10 * config.circumference + spacing * np.arange(1, 6001)
-    pos, dirs = sample_walker_states(config, times, seed)
-    return chi_square_uniformity(pos, dirs, config.circumference, 8).pvalue > 0.01
-
-
 def check_uniformity(ctx: AcceptanceContext) -> CheckResult:
-    jobs = [(model, SeedSpec(ctx.master_seed, first + k))
-            for model, first in (("discrete", 1000), ("continuous", 2000))
-            for k in range(100)]
-    passes = ctx.map(_uniformity_passes, jobs)
+    passes = ctx.run("uniformity")
     d_passes, c_passes = sum(passes[:100]), sum(passes[100:])
     ok = d_passes >= 95 and c_passes >= 95
     return CheckResult(
@@ -483,23 +489,8 @@ def check_uniformity(ctx: AcceptanceContext) -> CheckResult:
     )
 
 
-INDEPENDENCE_STATES = [
-    DiscreteState(np.array([0, 0]), np.array([1, 1]), 0),
-    DiscreteState(np.array([0, 2]), np.array([1, -1]), 0),
-    DiscreteState(np.array([1, 4]), np.array([-1, -1]), 1),
-    DiscreteState(np.array([2, 2]), np.array([-1, 1]), 0),
-    DiscreteState(np.array([3, 1]), np.array([-1, 1]), 1),
-]
-
-
 def check_initial_independence(ctx: AcceptanceContext) -> CheckResult:
-    config = DiscreteConfig(5, 0.3)
-    jobs = [
-        (config, 10**6, SeedSpec(ctx.master_seed, 3000 + k), state)
-        for k, state in enumerate(INDEPENDENCE_STATES)
-    ]
-    reports = ctx.map(simulate_discrete, jobs)
-    ests = [estimators.speed_estimate(r) for r in reports]
+    ests = [estimators.speed_estimate(r) for r in ctx.run("independence")]
     worst = 0.0
     ok = True
     for i in range(len(ests)):
@@ -542,6 +533,7 @@ def run_all(
     ctx = AcceptanceContext(master_seed, threads)
     results = []
     try:
+        ctx.start()
         for check in ALL_CHECKS:
             start = time.perf_counter()
             result = check(ctx)

@@ -107,3 +107,13 @@ def test_criterion_11_initial_state_independence(ctx):
     result = run_check(validation.check_initial_independence, ctx)
     assert result.measured["runs"] == 5
     assert result.measured["max_pairwise_sigmas"] <= 3.0
+
+
+def test_threads_do_not_change_the_gate(ctx):
+    # the pooled gate reads its runs from futures, this module's context
+    # computes them in process: every pass and measured value is the same
+    pooled = validation.run_all(validation.DEFAULT_SEED, threads=2)
+    serial = [check(ctx) for check in validation.ALL_CHECKS]
+    assert [(r.name, r.passed, r.measured) for r in pooled] == [
+        (r.name, r.passed, r.measured) for r in serial
+    ]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,10 @@ class TestConfigHandling:
                          "checkpoints", id="lattice-samples-past-bound"),
             pytest.param("simulate", "continuous", ("horizon=1e12", "trace_every=1"),
                          "checkpoints", id="continuum-trace-past-bound"),
+            pytest.param("simulate", "continuous", ("N=1e-300", "horizon=1"),
+                         "meetings", id="continuum-levels-overflow"),
+            pytest.param("simulate", "continuous", ("N=1e-17", "horizon=1"),
+                         "meetings", id="continuum-meetings-past-bound"),
         ],
     )
     def test_malformed_value_is_config_error(
@@ -561,19 +566,41 @@ class TestValidateCommand:
         assert r2.line().startswith("FAIL name")
 
 
+class FakeFuture(Future):
+    """A queued job that runs in this process when its result is read."""
+
+    def __init__(self, func, args):
+        super().__init__()
+        self.job = func, args
+
+    def result(self, timeout=None):
+        if not self.done():
+            func, args = self.job
+            self.set_result(func(*args))
+        return super().result(timeout)
+
+
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size and shutdown,
-    runs the jobs in this process and starts no worker."""
+    """Stands in for ProcessPoolExecutor: records its size, the jobs queued
+    on it and its shutdown, runs the jobs in this process and starts no
+    worker."""
 
     def __init__(self, made, max_workers):
-        self.max_workers, self.shut = max_workers, False
+        self.max_workers, self.shut, self.queued = max_workers, False, []
         made.append(self)
 
     def map(self, func, *iterables):
         return map(func, *iterables)
 
-    def shutdown(self):
+    def submit(self, func, *args):
+        self.queued.append(FakeFuture(func, args))
+        return self.queued[-1]
+
+    def shutdown(self, cancel_futures=False):
         self.shut = True
+        if cancel_futures:
+            for future in self.queued:
+                future.cancel()
 
     def __enter__(self):
         return self
@@ -614,14 +641,56 @@ class TestWorkerPool:
         assert code == 0
         assert [p.max_workers for p in made] == [3]
 
-    def test_context_keeps_one_pool_until_closed(self, made):
+    @pytest.fixture
+    def small_table(self, monkeypatch):
+        table = {"two": (abs, [(-1,), (-2,)]),
+                 "nine": (abs, [(k,) for k in range(-9, 0)])}
+        monkeypatch.setattr(validation, "run_table", lambda seed: table)
+        return table
+
+    def test_context_keeps_one_pool_until_closed(self, made, small_table):
         ctx = validation.AcceptanceContext(threads=4)
-        assert ctx.map(abs, [(-1,), (-2,)]) == [1, 2]
-        assert ctx.map(abs, [(k,) for k in range(-9, 0)]) == list(range(9, 0, -1))
-        assert [p.max_workers for p in made] == [2]
+        ctx.start()
+        assert ctx.run("two") == [1, 2]
+        assert ctx.run("nine") == list(range(9, 0, -1))
+        assert [p.max_workers for p in made] == [4]
         assert not made[0].shut
         ctx.close()
         assert made[0].shut
+
+    def test_gate_queues_the_run_table_before_the_first_check(
+        self, made, monkeypatch
+    ):
+        seen = []
+
+        def first_check(ctx):
+            seen.append([(f.job[0], repr(f.job[1])) for f in made[0].queued])
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(validation, "ALL_CHECKS", [first_check])
+        with pytest.raises(RuntimeError, match="check failed"):
+            validation.run_all(threads=2)
+        table = validation.run_table(validation.DEFAULT_SEED)
+        assert seen == [[(func, repr(job)) for func, jobs in table.values()
+                         for job in jobs]]
+        assert list(table)[0] == "continuous_reference"
+        assert [p.max_workers for p in made] == [2]
+        # the raising check leaves the pool shut and no queued job run
+        assert made[0].shut
+        assert all(f.cancelled() for f in made[0].queued)
+
+    @pytest.mark.parametrize("threads,pools", [(1, 0), (2, 1)])
+    def test_threads_choose_pool_or_in_process(
+        self, made, small_table, monkeypatch, threads, pools
+    ):
+        def check(ctx):
+            return validation.CheckResult("small", True, {"two": ctx.run("two")},
+                                          "", "")
+
+        monkeypatch.setattr(validation, "ALL_CHECKS", [check])
+        results = validation.run_all(threads=threads)
+        assert [r.measured for r in results] == [{"two": [1, 2]}]
+        assert len(made) == pools and all(p.shut for p in made)
 
     def test_generator_check_starts_no_workers(self, capsys, made):
         code, _, _ = run_cli(capsys, "generator-check", "--threads", "2")
@@ -637,6 +706,33 @@ class TestWorkerPool:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--threads" in err
         assert made == []
+
+
+def run_fresh(script: str) -> str:
+    """stdout of script in a fresh interpreter that imports this ringrelay."""
+    src = str(Path(ringrelay.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_gate_imports_the_chi_square_before_forking_its_pool():
+    # forked workers inherit what the parent has imported, so each does
+    # not pay the scipy.special import on its first chi-square
+    script = textwrap.dedent("""
+        import json, os, sys
+        from ringrelay import validation
+        os.sched_getaffinity = lambda pid: {0, 1}
+        seen = []
+        validation.ProcessPoolExecutor = (
+            lambda max_workers: seen.append("scipy.special" in sys.modules))
+        validation.ALL_CHECKS = []
+        validation.run_all(threads=2)
+        print(json.dumps(seen))
+    """)
+    assert json.loads(run_fresh(script)) == [True]
 
 
 def test_import_and_simulate_load_no_scipy():
@@ -656,9 +752,4 @@ def test_import_and_simulate_load_no_scipy():
             loaded.append(scipy_modules())
         print(json.dumps(loaded))
     """)
-    src = str(Path(ringrelay.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], [], []]
+    assert json.loads(run_fresh(script)) == [[], [], []]
