@@ -173,6 +173,8 @@ def _two_walker_config(cfg: dict):
 def _build_initial(spec, kind: str):
     if isinstance(spec, str):
         return spec
+    for key in sorted(spec.keys() - {"positions", "directions", "carrier"}):
+        raise ConfigError(f"unknown initial state key: {key!r}")
     try:
         if kind == "discrete":
             state, positions = DiscreteState, _whole(spec, "positions")
@@ -312,21 +314,20 @@ def cmd_simulate(args) -> int:
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, report in enumerate(reports):
-        _dump_json(_report_payload(report), out_dir / f"replica_{k:03d}.json")
+        payload = _report_payload(report)
+        _dump_json(payload, out_dir / f"replica_{k:03d}.json")
         if report.trace_times is not None:
             time_col = "step" if kind == "discrete" else "time"
-            rows = [
-                (_num(t), repr(float(s)), repr(float(c)))
-                for t, s, c in zip(
-                    report.trace_times, report.trace_speed, report.trace_cost
-                )
-            ]
+            rows = zip(map(_num, report.trace_times.tolist()),
+                       map(repr, report.trace_speed.tolist()),
+                       map(repr, report.trace_cost.tolist()))
             _write_csv(
                 rows,
                 [time_col, "running_speed", "running_cost"],
                 out_dir / f"trace_{k:03d}.csv",
             )
-    _dump_json(_report_payload(merged), out_dir / "report.json")
+    _dump_json(payload if len(reports) == 1 else _report_payload(merged),
+               out_dir / "report.json")
     return 0
 
 

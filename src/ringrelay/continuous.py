@@ -338,6 +338,16 @@ def _walk(x0: float, d0: int, bounds: np.ndarray, times: np.ndarray,
     return positions, signs
 
 
+def _chunk_switches(m: int, laps_per_switch: float) -> int:
+    """Switches per walker in one chunk.  k of them make about m k segments
+    with a cell per pair, m^2 (m - 1) k / 2 cells, so every m up to 10 gets
+    the 2 SWITCH_CHUNK cells of two walkers, and from m = 17 on 16 switches,
+    lest Python work per chunk dominate.  A pair meets about v / (n r) times
+    per switch, so rings with laps_per_switch = n r / v < 1 take fewer."""
+    k = max(16, 4 * SWITCH_CHUNK // (m**2 * (m - 1)))
+    return max(1, int(k * min(1.0, laps_per_switch)))
+
+
 def _run_blocks(
     config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
     checkpoints: np.ndarray, is_sample: np.ndarray, tol: float, in_f: bool,
@@ -360,15 +370,7 @@ def _run_blocks(
     )
     horizon = float(checkpoints[-1])
     pj, pk = np.triu_indices(m, 1)  # pairs j < k in lexicographic order
-    # k switches per walker make about m k segments, each with a cell per
-    # pair; k gives 4 SWITCH_CHUNK / m cells, so two walkers keep chunks of
-    # SWITCH_CHUNK and more walkers take chunks whose arrays stay small
-    # next to the rest of the process, but no fewer than 16 (from m = 10),
-    # or Python work per chunk dominates.  A pair meets about v / (n r)
-    # times per switch, so on small rings fewer switches keep meetings in
-    # check.
-    k = max(1, int(max(16, 8 * SWITCH_CHUNK // (m**3 * (m - 1)))
-                   * min(1.0, n * r / v)))
+    k = _chunk_switches(m, n * r / v)
 
     def settle(gap: np.ndarray, base: np.ndarray):
         """Rebase the gaps into [0, n), snapping them onto a level within tol."""

@@ -105,10 +105,10 @@ def validate_continuous(config: ContinuousConfig) -> ContinuousConfig:
 
 def check_state(state, m: int, size) -> None:
     """Check an explicit start of either variant: one position in
-    [0, size) and one direction +1 / -1 for each of m walkers, and a
-    carrier index."""
-    if len(state.positions) != m or len(state.directions) != m:
-        raise errors.RelayError(f"state must describe {m} walkers")
+    [0, size) and one direction +1 / -1 for each of m walkers, as 1-D
+    arrays, and a carrier index."""
+    if np.shape(state.positions) != (m,) or np.shape(state.directions) != (m,):
+        raise errors.RelayError(f"positions and directions must list {m} walkers")
     if not np.all((state.positions >= 0) & (state.positions < size)):
         raise errors.NOutOfRange(f"positions must lie in [0, {size})")
     if not np.all(np.isin(state.directions, (1, -1))):
@@ -209,20 +209,29 @@ def pass_message(
     carrier, to one of the clockwise walkers that meet the carrier within
     window of it, as resolve_handoff chooses.  With two walkers every
     meeting leaves the message on its clockwise member; with more, a
-    bisect finds the carrier's next meeting as the counter-clockwise one."""
+    bisect finds the carrier's next meeting as the counter-clockwise one.
+    It can have several candidates only if its counter-clockwise member
+    meets again within window; only there is anything drawn."""
     if streams.n_walkers == 2:
         return np.arange(len(cw)), cw
-    rows = [np.flatnonzero(ccw == w).tolist() for w in range(streams.n_walkers)]
-    when, cw = when.tolist(), cw.tolist()
+    rows = [np.flatnonzero(ccw == w) for w in range(streams.n_walkers)]
+    tie = np.zeros(len(cw), dtype=bool)
+    for row in rows:  # each walker's meetings in time order
+        tie[row[:-1]] = np.diff(when[row]) <= window
+    rows = [row.tolist() for row in rows]
+    when, cw, tie = when.tolist(), cw.tolist(), tie.tolist()
     decided, i = [], 0
     while (j := bisect_left(rows[car], i)) < len(rows[car]):
         i = rows[car][j]
-        cands = set()
-        for h in rows[car][j:]:
-            if when[h] - when[i] > window:
-                break
-            cands.add(cw[h])
-        car = sorted(cands)[streams.choose(len(cands))]
+        if tie[i]:
+            cands = set()
+            for h in rows[car][j:]:
+                if when[h] - when[i] > window:
+                    break
+                cands.add(cw[h])
+            car = sorted(cands)[streams.choose(len(cands))]
+        else:
+            car = cw[i]
         decided.append((i, car))
         i += 1
     return tuple(np.array(decided, dtype=np.int64).reshape(-1, 2).T)

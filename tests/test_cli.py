@@ -145,6 +145,22 @@ class TestConfigHandling:
                          'initial={"positions": [[0], 1], "directions": [1, -1], '
                          '"carrier": 0}', "initial",
                          id="initial-nested-positions"),
+            *(
+                pytest.param("simulate", model, ("m=3", f"initial={state}"), named,
+                             id=f"{model}-initial-{name}")
+                for model in ("discrete", "continuous")
+                for name, state, named in [
+                    ("column-positions", '{"positions": [[0], [1], [2]], '
+                     '"directions": [1, -1, 1], "carrier": 0}', "3 walkers"),
+                    ("column-directions", '{"positions": [0, 1, 2], '
+                     '"directions": [[1], [-1], [1]], "carrier": 0}', "3 walkers"),
+                    ("scalar-positions", '{"positions": 3, '
+                     '"directions": [1, -1, 1], "carrier": 0}', "3 walkers"),
+                    ("unknown-key", '{"positions": [0, 1, 2], '
+                     '"directions": [1, -1, 1], "carrier": 0, "x": 1}',
+                     "unknown initial state key: 'x'"),
+                ]
+            ),
             pytest.param("simulate", "continuous",
                          'initial={"positions": [0, "nan"], "directions": [1, -1], '
                          '"carrier": 0}', "positions", id="continuum-nan-position"),

@@ -21,7 +21,7 @@ from ringrelay.continuous import (
     sample_walker_states,
     simulate_continuous,
 )
-from ringrelay.model import ContinuousConfig, SeedSpec, WalkerStreams
+from ringrelay.model import MAX_WALKERS, ContinuousConfig, SeedSpec, WalkerStreams
 
 CFG1 = ContinuousConfig(1.0, 1.0, 1.0)
 
@@ -323,6 +323,21 @@ class TestSimulateContinuous:
             np.testing.assert_allclose(
                 getattr(cut, key), getattr(whole, key), rtol=1e-12, atol=1e-12
             )
+
+    def test_chunk_rule(self):
+        # two walkers keep SWITCH_CHUNK switches each; m up to 10 take at
+        # most the 2 SWITCH_CHUNK (segment, pair) cells of two walkers,
+        # about m^2 (m - 1) k / 2; from m = 20 on the 16-switch floor holds
+        chunk = continuous._chunk_switches
+        assert chunk(2, 1.0) == chunk(2, 40.0) == continuous.SWITCH_CHUNK
+        for m in range(3, 11):
+            k = chunk(m, 1.0)
+            assert 16 < k and m**2 * (m - 1) * k / 2 <= 2 * continuous.SWITCH_CHUNK
+        assert chunk(5, 1.0) == 655
+        for m in (20, 50, MAX_WALKERS):
+            assert chunk(m, 1.0) == 16
+        # small rings take fewer switches, but always at least one
+        assert chunk(5, 0.5) == 327 and chunk(50, 1e-9) == 1
 
     def test_deterministic_given_seed(self):
         r1 = simulate_continuous(CFG1, 500.0, SeedSpec(5, 0))

@@ -46,6 +46,26 @@ def test_long_run_traces(tmp_path):
         assert (tmp_path / f"N{n}" / "report.json").exists()
 
 
+def test_walker_scaling(capsys):
+    code = load("walker_scaling").main([
+        "--walkers", "3", "5", "--steps", "300", "--horizon", "5", "--repeats", "2",
+    ])
+    assert code == 0
+    header, *rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert header == ["m", "lattice_s", "lattice_walker_rounds_per_s",
+                      "continuum_s", "continuum_time_per_s"]
+    assert [row[0] for row in rows] == ["3", "5"]
+    for row in rows:
+        lattice_s, lattice_rate, continuum_s, continuum_rate = map(float, row[1:])
+        assert lattice_rate == pytest.approx(int(row[0]) * 300 / lattice_s, rel=2e-3)
+        assert continuum_rate == pytest.approx(5 / continuum_s, rel=2e-3)
+
+
+@pytest.mark.parametrize("argv", [["--walkers", "1"], ["--repeats", "0"]])
+def test_walker_scaling_bad_argument_exits_2(argv):
+    assert load("walker_scaling").main([*argv, "--steps", "100", "--horizon", "1"]) == 2
+
+
 @pytest.mark.parametrize("name", ["speed_cost_curves", "long_run_traces"])
 def test_bad_config_exits_2(tmp_path, name):
     # an even ring is rejected by the CLI the scripts call
