@@ -214,18 +214,14 @@ def pass_message(
     meets again within window; only there is anything drawn."""
     if streams.n_walkers == 2:
         return np.arange(len(cw)), cw
-    rows = [np.flatnonzero(ccw == w) for w in range(streams.n_walkers)]
-    tie = np.zeros(len(cw), dtype=bool)
-    for row in rows:  # each walker's meetings in time order
-        tie[row[:-1]] = np.diff(when[row]) <= window
-    rows = [row.tolist() for row in rows]
-    when, cw, tie = when.tolist(), cw.tolist(), tie.tolist()
+    rows = [np.flatnonzero(ccw == w).tolist() for w in range(streams.n_walkers)]
+    when, cw = when.tolist(), cw.tolist()
     decided, i = [], 0
-    while (j := bisect_left(rows[car], i)) < len(rows[car]):
-        i = rows[car][j]
-        if tie[i]:
+    while (j := bisect_left(row := rows[car], i)) < len(row):
+        i = row[j]
+        if j + 1 < len(row) and when[row[j + 1]] - when[i] <= window:
             cands = set()
-            for h in rows[car][j:]:
+            for h in row[j:]:
                 if when[h] - when[i] > window:
                     break
                 cands.add(cw[h])

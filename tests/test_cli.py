@@ -14,6 +14,9 @@ import pytest
 import ringrelay
 from ringrelay import cli, validation
 from ringrelay.cli import main
+from ringrelay.continuous import simulate_continuous
+from ringrelay.discrete import simulate_discrete
+from ringrelay.model import ContinuousConfig, DiscreteConfig, SeedSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -384,6 +387,34 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "running_speed", "running_cost"]
         assert len(rows) == 1 + 2000 // 200
+
+    @pytest.mark.parametrize("model", ["discrete", "continuous"])
+    def test_one_replica_files(self, capsys, tmp_path, model):
+        if model == "discrete":
+            sets, length, trace = ["N=11", "epsilon=0.2", "steps=2000"], 2000, 100
+            config, simulate = DiscreteConfig(11, 0.2, 3), simulate_discrete
+        else:
+            sets, length, trace = ["N=4", "v=1", "r=0.5", "horizon=300"], 300, 7.5
+            config, simulate = ContinuousConfig(4.0, 1.0, 0.5, 3), simulate_continuous
+        argv = ["simulate", "--seed", "5", "--set", f"model={model}", "--set", "m=3",
+                "--set", f"trace_every={trace}"]
+        for item in sets:
+            argv += ["--set", item]
+        _, printed, _ = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--out", str(tmp_path))[0] == 0
+        # one replica: report.json is its replica file and the printed report
+        report_json = (tmp_path / "report.json").read_text()
+        assert report_json == (tmp_path / "replica_000.json").read_text()
+        assert report_json == printed
+        # trace rows: the step or time as cli._num prints it, the running
+        # speed and cost as repr of the float
+        report = simulate(config, length, SeedSpec(5, 0), trace_every=trace)
+        with open(tmp_path / "trace_000.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(report.trace_times) > 10
+        for row, t, speed, cost in zip(rows, report.trace_times,
+                                       report.trace_speed, report.trace_cost):
+            assert row == [cli._num(t), repr(float(speed)), repr(float(cost))]
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = [

@@ -113,12 +113,20 @@ class TestRelayRule:
     def test_pass_message_matches_the_loop(self, m, window):
         rng = np.random.default_rng(m)
         pj, pk = np.triu_indices(m, 1)
-        for case in range(60):
-            size = int(rng.integers(0, 120))
-            # whole times repeat (exact ties); offsets of 0.1 fall inside a
-            # window of 0.25 and offsets of 0.6 outside it
-            when = np.sort(rng.integers(0, size // 3 + 1, size)
-                           + rng.choice([0.0, 0.1, 0.6], size))
+        mixed = 0
+        for case in range(100):
+            if case < 60:
+                size = int(rng.integers(0, 120))
+                # whole times repeat (exact ties); offsets of 0.1 fall inside
+                # a window of 0.25 and offsets of 0.6 outside it
+                when = np.sort(rng.integers(0, size // 3 + 1, size)
+                               + rng.choice([0.0, 0.1, 0.6], size))
+            else:
+                # dense ties, 300 meetings on 60 whole times: within one
+                # call, deciding meetings with one candidate (no draw) and
+                # with several (a draw from aux) alternate
+                size = 300
+                when = np.sort(rng.integers(0, 60, size)).astype(float)
             pair = rng.integers(0, len(pj), size)
             up = rng.random(size) < 0.5
             cw = np.where(up, pk[pair], pj[pair])
@@ -134,35 +142,13 @@ class TestRelayRule:
             np.testing.assert_array_equal(held[now], expected)
             assert np.all(held[1:] != held[:-1]) or m == 2
             assert same_aux(a, b)
-
-    @pytest.mark.parametrize("m", [3, 5, 8])
-    def test_pass_message_dense_ties(self, m):
-        # a few meetings at each of few times, window 0: within one call,
-        # deciding meetings with one candidate (no draw) and with several
-        # (a draw from aux) alternate
-        rng = np.random.default_rng(30 + m)
-        pj, pk = np.triu_indices(m, 1)
-        mixed = 0
-        for case in range(40):
-            size = 300
-            when = np.sort(rng.integers(0, 60, size)).astype(float)
-            pair = rng.integers(0, len(pj), size)
-            up = rng.random(size) < 0.5
-            cw = np.where(up, pk[pair], pj[pair])
-            ccw = np.where(up, pj[pair], pk[pair])
-            car = int(rng.integers(m))
-            a, b = (WalkerStreams(SeedSpec(case, m), m) for _ in range(2))
-            expected = loop_pass_message(car, when, cw, ccw, 0.0, a)
-            hit, after = pass_message(car, when, cw, ccw, 0.0, b)
-            held = np.concatenate(([car], after))
-            now = np.searchsorted(hit, np.arange(size), side="right")
-            np.testing.assert_array_equal(held[now], expected)
-            assert same_aux(a, b)
-            later = np.arange(size)[None, :] >= hit[:, None]
-            same = (when == when[hit, None]) & (ccw == ccw[hit, None]) & later
+            # the candidates of each deciding meeting
+            same = ((np.arange(size) >= hit[:, None]) & (ccw == ccw[hit, None])
+                    & (when - when[hit, None] <= window))
             cands = [len(set(cw[row])) for row in same]
-            mixed += min(cands) == 1 and max(cands) > 1
-        assert mixed >= 30
+            mixed += case >= 60 and min(cands) == 1 and max(cands) > 1
+        # in at least half of the 40 dense calls
+        assert mixed >= 20 or m == 2
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_resolve_handoff_matches_the_lattice_rule(self, m):
