@@ -18,12 +18,8 @@ from .closed_form import (
     speed_continuous,
     speed_discrete,
 )
-from .continuous import (
-    ContinuousState,
-    sample_walker_states,
-    simulate_continuous,
-)
-from .discrete import DiscreteState, simulate_discrete
+from .continuous import sample_walker_states, simulate_continuous
+from .discrete import simulate_discrete
 from .errors import RelayError
 from .estimators import (
     RunReport,
@@ -42,18 +38,17 @@ from .exact import (
     hitting_prob_oracle,
     solve_trace_bvp,
 )
-from .model import ContinuousConfig, DiscreteConfig, SeedSpec
+from .model import ContinuousConfig, DiscreteConfig, SeedSpec, State
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ContinuousConfig",
-    "ContinuousState",
     "DiscreteConfig",
-    "DiscreteState",
     "RelayError",
     "RunReport",
     "SeedSpec",
+    "State",
     "apply_generator",
     "build_reduced_chain",
     "cost_continuous",

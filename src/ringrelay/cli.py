@@ -24,13 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_form, estimators, exact, validation
-from .continuous import ContinuousState, simulate_continuous
-from .discrete import DiscreteState, simulate_discrete
+from .continuous import simulate_continuous
+from .discrete import simulate_discrete
 from .errors import ConfigError, RelayError
 from .model import (
     ContinuousConfig,
     DiscreteConfig,
     SeedSpec,
+    State,
     validate_continuous,
     validate_discrete,
 )
@@ -176,12 +177,10 @@ def _build_initial(spec, kind: str):
     for key in sorted(spec.keys() - {"positions", "directions", "carrier"}):
         raise ConfigError(f"unknown initial state key: {key!r}")
     try:
-        if kind == "discrete":
-            state, positions = DiscreteState, _whole(spec, "positions")
-        else:
-            state, positions = ContinuousState, np.asarray(spec["positions"], float)
+        positions = (_whole(spec, "positions") if kind == "discrete"
+                     else np.asarray(spec["positions"], float))
         directions = _whole(spec, "directions")
-        return state(positions, directions, _int64("carrier", spec["carrier"]))
+        return State(positions, directions, _int64("carrier", spec["carrier"]))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad initial state: {err}") from err
 
@@ -199,20 +198,6 @@ def _whole(spec: dict, key: str) -> np.ndarray:
 # serialization helpers
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -222,7 +207,8 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _dump_json(payload, out: Path | None) -> None:
-    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", out)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    _emit(text + "\n", out)
 
 
 def _num(x) -> str:

@@ -2,7 +2,10 @@
 
 Walkers move at constant speed on a circle and reverse direction at the
 arrival times of independent Poisson clocks.  When the message holder
-meets a clockwise mover head-on, the message changes hands.
+meets a clockwise mover head-on, the message changes hands.  The state,
+the start rule and the contact test are model.State, model.start_state
+and model.in_contact, shared with the lattice; _start schedules the
+first switches.
 
 The pure event operations (next_event / advance_to / handle_event) take
 one event at a time and are the reference implementation; the tests
@@ -43,12 +46,14 @@ from .estimators import Readings, RunReport, build_report
 from .model import (
     ContinuousConfig,
     SeedSpec,
+    State,
     WalkerStreams,
     as_seed,
-    check_state,
     circle_delta,
+    in_contact,
     pass_message,
     resolve_handoff,
+    start_state,
     validate_continuous,
 )
 
@@ -64,24 +69,6 @@ def default_tol(config: ContinuousConfig) -> float:
     return 1e-12 * config.circumference
 
 
-@dataclass
-class ContinuousState:
-    positions: np.ndarray  # floats in [0, circumference), shape (m,)
-    directions: np.ndarray  # +1 / -1, shape (m,)
-    carrier: int
-    clock: float = 0.0
-    next_switch: np.ndarray | None = None  # absolute times, shape (m,)
-
-    def copy(self) -> "ContinuousState":
-        return ContinuousState(
-            self.positions.copy(),
-            self.directions.copy(),
-            self.carrier,
-            self.clock,
-            None if self.next_switch is None else self.next_switch.copy(),
-        )
-
-
 @dataclass(frozen=True)
 class Event:
     time: float
@@ -90,15 +77,14 @@ class Event:
 
 
 def meeting_time(
-    gap: float, d_a: int, d_b: int, config: ContinuousConfig,
-    tol: float | None = None,
+    gap: float, d_a: int, d_b: int, config: ContinuousConfig
 ) -> float | None:
     """Time until two walkers meet, or None if they never do.
 
     gap is the clockwise distance from walker a to walker b, in
     [0, circumference).  Walkers moving the same way keep their gap
     forever.  Opposite walkers close their gap at twice the speed; a gap
-    within tol of 0 or of the full circle means the pair is co-located
+    within default_tol of 0 or of the full circle means the pair is co-located
     right now (fresh from a meeting), so the next meeting is half a lap
     away, not instantaneous.
     """
@@ -107,17 +93,14 @@ def meeting_time(
     n, v = config.circumference, config.speed
     if not (0.0 <= gap < n):
         raise errors.NOutOfRange(f"gap must lie in [0, circumference), got {gap!r}")
-    if tol is None:
-        tol = default_tol(config)
+    tol = default_tol(config)
     if d_a == 1:  # gap shrinks
         return gap / (2.0 * v) if gap > tol else n / (2.0 * v)
     # gap grows to a full circle
     return (n - gap) / (2.0 * v) if gap < n - tol else n / (2.0 * v)
 
 
-def next_event(
-    state: ContinuousState, config: ContinuousConfig, tol: float | None = None
-) -> Event:
+def next_event(state: State, config: ContinuousConfig) -> Event:
     """Earliest pending switch or pairwise meeting after state.clock."""
     if state.next_switch is None:
         raise errors.RelayError("state has no scheduled switch times")
@@ -134,7 +117,7 @@ def next_event(
                 )
             )
             dt = meeting_time(
-                gap, int(state.directions[j]), int(state.directions[k]), config, tol
+                gap, int(state.directions[j]), int(state.directions[k]), config
             )
             if dt is None:
                 continue
@@ -144,9 +127,7 @@ def next_event(
     return Event(best[0], "switch" if best[1] == 0 else "meeting", best[2])
 
 
-def advance_to(
-    state: ContinuousState, t: float, config: ContinuousConfig
-) -> ContinuousState:
+def advance_to(state: State, t: float, config: ContinuousConfig) -> State:
     """Deterministic transport of every walker to time t.
 
     Refuses to move backwards or to fly past a scheduled switch (an
@@ -168,16 +149,14 @@ def advance_to(
 
 
 def handle_event(
-    state: ContinuousState, event: Event, config: ContinuousConfig,
-    streams: WalkerStreams, tol: float | None = None,
-) -> tuple[ContinuousState, bool]:
+    state: State, event: Event, config: ContinuousConfig, streams: WalkerStreams
+) -> tuple[State, bool]:
     """Apply a switch or meeting at the current clock.
 
     The state must already have been advanced to event.time.  Returns
     the new state and whether the message changed hands.
     """
-    if tol is None:
-        tol = default_tol(config)
+    tol = default_tol(config)
     if abs(event.time - state.clock) > tol / config.speed:
         raise errors.EventSkipped(
             f"state clock {state.clock} does not match event time {event.time}"
@@ -202,61 +181,15 @@ def handle_event(
     return out, jumped
 
 
-def sample_contact(config: ContinuousConfig, streams: WalkerStreams) -> ContinuousState:
-    """Draw from the regeneration law: both walkers at one uniform point,
-    opposite directions, message on the clockwise mover (two walkers
-    only).  Switch clocks are left for the simulator to schedule."""
-    if config.n_walkers != 2:
-        raise errors.MNotTwo("contact start is defined for 2 walkers")
-    point = float(streams.aux.random() * config.circumference)
-    variant = int(streams.aux.integers(2))
-    positions = np.array([point, point])
-    if variant == 0:
-        return ContinuousState(positions, np.array([1, -1]), 0)
-    return ContinuousState(positions, np.array([-1, 1]), 1)
-
-
-def in_contact_state(state: ContinuousState, config: ContinuousConfig,
-                     tol: float | None = None) -> bool:
-    if config.n_walkers != 2:
-        return False
-    if tol is None:
-        tol = default_tol(config)
-    gap = float(
-        circle_delta(state.positions[0], state.positions[1], config.circumference)
-    )
-    return min(gap, config.circumference - gap) <= tol and (
-        state.directions[0] * state.directions[1] == -1
-    )
-
-
-def _initial_state(
-    config: ContinuousConfig, streams: WalkerStreams, initial, tol: float
-) -> ContinuousState:
+def _start(config: ContinuousConfig, streams: WalkerStreams, initial) -> State:
+    """model.start_state on the circle, with each walker's first switch
+    drawn from its own stream unless the start has them."""
     n, m = config.circumference, config.n_walkers
-    if isinstance(initial, ContinuousState):
-        check_state(initial, m, n)
-        state = initial.copy()
-        state.clock = 0.0
-    elif initial == "uniform-random":
-        positions = streams.aux.random(m) * n
-        directions = (1 - 2 * streams.aux.integers(0, 2, size=m)).astype(np.int64)
-        carrier = int(streams.aux.integers(m))
-        state = ContinuousState(positions, directions, carrier)
-    elif initial == "regeneration":
-        state = sample_contact(config, streams)
-    else:
-        raise errors.RelayError(f"unknown initial condition {initial!r}")
-    # resolve, uncounted, as for the lattice model
-    state.carrier, _ = resolve_handoff(
-        state.positions, state.directions, state.carrier, n, streams, tol
-    )
+    state = start_state(initial, m, n, streams, lambda k: streams.aux.random(k) * n,
+                        default_tol(config))
     if state.next_switch is None:
         state.next_switch = np.array(
-            [
-                streams.walker[j].exponential(1.0 / config.switch_rate)
-                for j in range(m)
-            ]
+            [streams.walker[j].exponential(1.0 / config.switch_rate) for j in range(m)]
         )
     return state
 
@@ -279,11 +212,16 @@ def simulate_continuous(
     validate_continuous(config)
     if not (0.0 < horizon < np.inf):
         raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
+    switches = config.n_walkers * config.switch_rate * horizon
+    if not switches < 2**53:
+        raise errors.RelayError(
+            f"{config.n_walkers} walkers switching at rate {config.switch_rate!r} "
+            f"up to horizon {horizon!r} ask for {switches:.3g} switches, at least 2**53")
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     tol = default_tol(config)
-    state = _initial_state(config, streams, initial, tol)
-    in_f = in_contact_state(state, config, tol)
+    state = _start(config, streams, initial)
+    in_f = in_contact(state, config.circumference, tol)
     return build_report(
         lambda checkpoints, is_sample: _run_blocks(
             config, streams, state, checkpoints, is_sample, tol, in_f
@@ -349,7 +287,7 @@ def _chunk_switches(m: int, laps_per_switch: float) -> int:
 
 
 def _run_blocks(
-    config: ContinuousConfig, streams: WalkerStreams, state: ContinuousState,
+    config: ContinuousConfig, streams: WalkerStreams, state: State,
     checkpoints: np.ndarray, is_sample: np.ndarray, tol: float, in_f: bool,
 ) -> Readings:
     """Block engine for any number of walkers, layers (a) to (c) of the
@@ -362,12 +300,8 @@ def _run_blocks(
     reported with the message position and the level its gap crossed.
     Walker state, pair gaps, carrier and laps carry over between chunks.
     """
-    n, v, r, m = (
-        config.circumference,
-        config.speed,
-        config.switch_rate,
-        config.n_walkers,
-    )
+    n, v = config.circumference, config.speed
+    r, m = config.switch_rate, config.n_walkers
     horizon = float(checkpoints[-1])
     pj, pk = np.triu_indices(m, 1)  # pairs j < k in lexicographic order
     k = _chunk_switches(m, n * r / v)
@@ -523,14 +457,10 @@ def sample_walker_states(
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times < 0) or np.any(np.diff(times) < 0):
         raise errors.RelayError("times must be nonnegative and sorted")
-    n, v, r, m = (
-        config.circumference,
-        config.speed,
-        config.switch_rate,
-        config.n_walkers,
-    )
+    n, v = config.circumference, config.speed
+    r, m = config.switch_rate, config.n_walkers
     streams = WalkerStreams(as_seed(seed), m)
-    state = _initial_state(config, streams, "uniform-random", default_tol(config))
+    state = _start(config, streams, "uniform-random")
     positions = np.empty((len(times), m))
     directions = np.empty((len(times), m), dtype=np.int64)
     tmax = float(times[-1])

@@ -7,6 +7,8 @@ sharing its site with a clockwise mover, the message jumps to one such
 mover (chosen uniformly if there are several).  The message therefore
 only ever crosses sites clockwise.
 
+The state, the start rule and the contact test are model.State,
+model.start_state and model.in_contact, shared with the continuum.
 step() applies one round and is the reference implementation; the
 tests replay it against simulate_discrete, which runs one block engine
 for any number of walkers.  The message never changes how the walkers
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +41,13 @@ from .estimators import Readings, RunReport, build_report, window
 from .model import (
     DiscreteConfig,
     SeedSpec,
+    State,
     WalkerStreams,
     as_seed,
-    check_state,
+    in_contact,
     pass_message,
     resolve_handoff,
+    start_state,
     validate_discrete,
 )
 
@@ -52,22 +55,9 @@ from .model import (
 WALKER_ROUNDS = 1 << 17
 
 
-@dataclass
-class DiscreteState:
-    positions: np.ndarray  # site indices, shape (m,)
-    directions: np.ndarray  # +1 / -1, shape (m,)
-    carrier: int  # walker index holding the message
-    t: int = 0
-
-    def copy(self) -> "DiscreteState":
-        return DiscreteState(
-            self.positions.copy(), self.directions.copy(), self.carrier, self.t
-        )
-
-
 def step(
-    state: DiscreteState, config: DiscreteConfig, streams: WalkerStreams
-) -> tuple[DiscreteState, bool]:
+    state: State, config: DiscreteConfig, streams: WalkerStreams
+) -> tuple[State, bool]:
     """One synchronous round; returns the new state and whether the
     message changed hands."""
     m = config.n_walkers
@@ -79,33 +69,7 @@ def step(
     carrier, jumped = resolve_handoff(
         positions, directions, state.carrier, config.n_sites, streams
     )
-    return DiscreteState(positions, directions, carrier, state.t + 1), jumped
-
-
-def sample_nu(config: DiscreteConfig, streams: WalkerStreams) -> DiscreteState:
-    """Draw from the regeneration law: both walkers on one uniform site,
-    opposite directions, message on the clockwise mover (two walkers
-    only)."""
-    if config.n_walkers != 2:
-        raise errors.MNotTwo("regeneration start is defined for 2 walkers")
-    site = int(streams.aux.integers(config.n_sites))
-    variant = int(streams.aux.integers(2))
-    positions = np.array([site, site], dtype=np.int64)
-    if variant == 0:
-        return DiscreteState(positions, np.array([1, -1], dtype=np.int64), 0)
-    return DiscreteState(positions, np.array([-1, 1], dtype=np.int64), 1)
-
-
-def in_regeneration_set(state: DiscreteState, config: DiscreteConfig) -> bool:
-    """Contact states: both walkers co-located with opposite directions
-    (after handoff resolution the carrier is the clockwise mover)."""
-    if config.n_walkers != 2:
-        return False
-    return (
-        int(state.positions[0]) % config.n_sites
-        == int(state.positions[1]) % config.n_sites
-        and state.directions[0] * state.directions[1] == -1
-    )
+    return State(positions, directions, carrier, state.clock + 1), jumped
 
 
 def _flips(stream: np.random.Generator, size: int, eps: float) -> np.ndarray:
@@ -117,34 +81,19 @@ def _flips(stream: np.random.Generator, size: int, eps: float) -> np.ndarray:
     return stream.bit_generator.random_raw(size) < cut
 
 
-def _check_steps(steps) -> None:
+def _check_steps(steps, m: int) -> None:
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise errors.RelayError(f"steps must be an integer >= 1, got {steps!r}")
+    if m * int(steps) >= 2**53:
+        raise errors.RelayError(
+            f"{steps} steps of {m} walkers are at least 2**53 walker-rounds")
 
 
-def _initial_state(
-    config: DiscreteConfig, streams: WalkerStreams, initial
-) -> DiscreteState:
-    n, m = config.n_sites, config.n_walkers
-    if isinstance(initial, DiscreteState):
-        check_state(initial, m, n)
-        state = initial.copy()
-        state.t = 0
-    elif initial == "uniform-random":
-        positions = streams.aux.integers(0, n, size=m).astype(np.int64)
-        directions = (1 - 2 * streams.aux.integers(0, 2, size=m)).astype(np.int64)
-        carrier = int(streams.aux.integers(m))
-        state = DiscreteState(positions, directions, carrier)
-    elif initial == "regeneration":
-        state = sample_nu(config, streams)
-    else:
-        raise errors.RelayError(f"unknown initial condition {initial!r}")
-    # A holder moving counter-clockwise on top of a clockwise mover is
-    # never observed after an update; resolve it now, uncounted.
-    state.carrier, _ = resolve_handoff(
-        state.positions, state.directions, state.carrier, n, streams
-    )
-    return state
+def _start(config: DiscreteConfig, streams: WalkerStreams, initial) -> State:
+    """model.start_state on the lattice, whose points are sites."""
+    n = config.n_sites
+    return start_state(initial, config.n_walkers, n, streams,
+                       lambda k: streams.aux.integers(0, n, size=k))
 
 
 def simulate_discrete(
@@ -167,11 +116,11 @@ def simulate_discrete(
     The window, batches and cycles are set by estimators.build_report.
     """
     validate_discrete(config)
-    _check_steps(steps)
+    _check_steps(steps, config.n_walkers)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
-    state = _initial_state(config, streams, initial)
-    in_regen = in_regeneration_set(state, config)
+    state = _start(config, streams, initial)
+    in_regen = in_contact(state, config.n_sites)
     return build_report(
         lambda checkpoints, is_sample: _run_blocks(
             config, streams, state, checkpoints, is_sample, in_regen
@@ -193,7 +142,7 @@ def simulate_discrete(
 
 
 def _run_blocks(
-    config: DiscreteConfig, streams: WalkerStreams, state: DiscreteState,
+    config: DiscreteConfig, streams: WalkerStreams, state: State,
     checkpoints: np.ndarray, is_sample: np.ndarray, in_regen: bool,
 ) -> Readings:
     """Block engine over rounds 1 .. checkpoints[-1].
@@ -236,13 +185,13 @@ def _run_blocks(
             np.cumsum(dirs[j, :-1], out=rel[j, 1:])
 
         # (b) meetings: opposite directions on one site, where the
-        # unwrapped gap is a multiple of n; tbl is n-periodic, so the
-        # relative gap indexes it directly, negative values included
+        # unwrapped gap is a multiple of n; tbl marks the relative gaps
+        # rel[k] - rel[j], which lie in (-2b, 2b), shifted by 2b
         meets = []
         for j, k in itertools.combinations(range(m), 2):
-            tbl = np.zeros(n * (2 * b // n + 1), dtype=bool)
-            tbl[(y[j] - y[k]) % n::n] = True
-            r = np.flatnonzero((dirs[j] != dirs[k]) & tbl[rel[k] - rel[j]])
+            tbl = np.zeros(4 * b, dtype=bool)
+            tbl[(y[j] - y[k] + 2 * b) % n::n] = True
+            r = np.flatnonzero((dirs[j] != dirs[k]) & tbl[rel[k] - rel[j] + 2 * b])
             cw = k + (j - k) * (dirs[j, r] > 0)  # the clockwise member
             meets.append((r, cw, j + k - cw))
         when, cw, ccw = (np.concatenate(f) for f in zip(*meets))
@@ -292,11 +241,11 @@ def sample_walker_states(
     of its flips, and its site after round T is its start moved T rounds,
     less twice the rounds before T of odd parity (a prefix count)."""
     validate_discrete(config)
-    _check_steps(steps)
     n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
+    _check_steps(steps, m)
     streams = WalkerStreams(as_seed(seed), m)
-    state = _initial_state(config, streams, "uniform-random")
-    _, _, ts, _ = window(steps, in_regeneration_set(state, config), sample_every)
+    state = _start(config, streams, "uniform-random")
+    _, _, ts, _ = window(steps, in_contact(state, n), sample_every)
     last = int(ts[-1]) if len(ts) else 0
     positions = np.empty((len(ts), m), dtype=np.int64)
     directions = np.empty((len(ts), m), dtype=np.int64)

@@ -2,7 +2,8 @@
 
 Domain errors (bad parameters, bad states) derive from ValueError so that
 call sites which only care about "the input was unusable" can catch one
-base class.  Numerical failures derive from RuntimeError.
+base class.  A stationary solve that fails on its input is one of them;
+other numerical failures derive from RuntimeError.
 """
 
 
@@ -56,8 +57,10 @@ class EventSkipped(RuntimeError):
     """A deterministic advance tried to jump past a scheduled event."""
 
 
-class SolverSingular(RuntimeError):
-    """Linear solve for the stationary law failed its residual check."""
+class SolverSingular(RelayError):
+    """Linear solve for the stationary law failed: its factor is singular
+    or its solution fails the residual check (a flip probability too
+    close to 0 for double precision)."""
 
 
 class NoCycles(RelayError):

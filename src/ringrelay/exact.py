@@ -125,10 +125,13 @@ def stationary(chain: ReducedChain, residual_tol: float = 1e-10) -> np.ndarray:
     n = chain.n_states
     a = (chain.transition.T - sp.identity(n, format="csr")).tocsc()
     pi = np.ones(n)
-    pi[1:] = spla.splu(a[1:, 1:]).solve(-a[1:, 0].toarray().ravel())
+    try:
+        pi[1:] = spla.splu(a[1:, 1:]).solve(-a[1:, 0].toarray().ravel())
+    except RuntimeError as err:  # an exactly singular factor
+        raise errors.SolverSingular(f"stationary solve failed: {err}") from err
 
     residual = np.abs(chain.transition.T @ pi - pi).max()
-    if residual > residual_tol or pi.min() < -1e-12:
+    if not (residual <= residual_tol and pi.min() >= -1e-12):
         raise errors.SolverSingular(
             f"stationary solve failed: residual {residual:.3e}, min {pi.min():.3e}"
         )

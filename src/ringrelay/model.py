@@ -1,4 +1,5 @@
-"""Shared model vocabulary: parameter sets, the relay rule, geometry, seeding.
+"""Shared model vocabulary: parameter sets, walker state, the start and
+relay rules, geometry, seeding.
 
 Two variants of the same relay mechanism are covered.  In the lattice
 variant, walkers sit on the integers modulo an odd number of sites and
@@ -7,8 +8,9 @@ fixed speed on a circle of arbitrary positive length and reverse at the
 arrivals of independent Poisson clocks.  Exactly one walker carries a
 message at any time, and the message is handed off on contact from a
 counter-clockwise mover to a clockwise mover, so the message itself only
-ever travels clockwise.  resolve_handoff and pass_message write that
-rule once for both variants.
+ever travels clockwise.  Both variants share one State, one start rule
+(start_state), one contact test (in_contact) and one relay rule
+(resolve_handoff, and pass_message over many meetings).
 """
 from __future__ import annotations
 
@@ -59,6 +61,8 @@ def validate_sites(n_sites: int) -> int:
         raise errors.NOutOfRange(f"need at least 3 sites, got {n_sites}")
     if n_sites % 2 == 0:
         raise errors.EvenN(f"site count must be odd, got {n_sites}")
+    if n_sites >= 2**62:  # the engine's unwrapped int64 sites stay in range
+        raise errors.NOutOfRange(f"site count must be below 2**62, got {n_sites}")
     return int(n_sites)
 
 
@@ -101,20 +105,6 @@ def validate_continuous(config: ContinuousConfig) -> ContinuousConfig:
         )
     validate_walkers(config.n_walkers)
     return config
-
-
-def check_state(state, m: int, size) -> None:
-    """Check an explicit start of either variant: one position in
-    [0, size) and one direction +1 / -1 for each of m walkers, as 1-D
-    arrays, and a carrier index."""
-    if np.shape(state.positions) != (m,) or np.shape(state.directions) != (m,):
-        raise errors.RelayError(f"positions and directions must list {m} walkers")
-    if not np.all((state.positions >= 0) & (state.positions < size)):
-        raise errors.NOutOfRange(f"positions must lie in [0, {size})")
-    if not np.all(np.isin(state.directions, (1, -1))):
-        raise errors.RelayError("directions must be +1 or -1")
-    if not (0 <= state.carrier < m):
-        raise errors.RelayError(f"carrier must be in [0, {m})")
 
 
 def circle_delta(x_from, x_to, circumference):
@@ -177,6 +167,82 @@ def as_seed(seed) -> SeedSpec:
     if isinstance(seed, SeedSpec):
         return seed
     return SeedSpec(int(seed))
+
+
+@dataclass
+class State:
+    """Walkers and message at one instant, on either ring: positions
+    (sites, or points in [0, circumference)) and directions +1 / -1 as
+    arrays of shape (m,), the carrier's index, the clock (rounds on the
+    lattice) and on the continuum each walker's next switch time."""
+
+    positions: np.ndarray
+    directions: np.ndarray
+    carrier: int
+    clock: float = 0
+    next_switch: np.ndarray | None = None
+
+    def copy(self) -> "State":
+        return State(
+            self.positions.copy(), self.directions.copy(), self.carrier, self.clock,
+            None if self.next_switch is None else self.next_switch.copy(),
+        )
+
+
+def start_state(
+    initial, m: int, size, streams: WalkerStreams, draw, tol=0,
+) -> State:
+    """The start of a run of m walkers on a ring of the given size.
+
+    initial is an explicit State, checked and copied at clock 0;
+    "uniform-random": m points from draw(m), fair directions and a
+    uniform carrier; or "regeneration", the law nu of two walkers: both
+    at the point draw(1) gives, moving apart, the message on the
+    clockwise mover.  draw(k) is the ring's uniform law on streams.aux,
+    which also gives the directions, the carrier and nu's variant, in
+    that order.  A carrier moving counter-clockwise within tol of a
+    clockwise mover is never observed after an update, so it is resolved
+    here, uncounted.
+    """
+    aux = streams.aux
+    if isinstance(initial, State):
+        if np.shape(initial.positions) != (m,) or np.shape(initial.directions) != (m,):
+            raise errors.RelayError(f"positions and directions must list {m} walkers")
+        if not np.all((initial.positions >= 0) & (initial.positions < size)):
+            raise errors.NOutOfRange(f"positions must lie in [0, {size})")
+        if not np.all(np.isin(initial.directions, (1, -1))):
+            raise errors.RelayError("directions must be +1 or -1")
+        if not (0 <= initial.carrier < m):
+            raise errors.RelayError(f"carrier must be in [0, {m})")
+        state = initial.copy()
+        state.clock = 0
+    elif initial == "uniform-random":
+        positions = draw(m)
+        directions = (1 - 2 * aux.integers(0, 2, size=m)).astype(np.int64)
+        state = State(positions, directions, int(aux.integers(m)))
+    elif initial == "regeneration":
+        if m != 2:
+            raise errors.MNotTwo("regeneration start is defined for 2 walkers")
+        point = draw(1)[0]
+        variant = int(aux.integers(2))
+        directions = np.array([1, -1], dtype=np.int64) * (1 - 2 * variant)
+        state = State(np.array([point, point]), directions, variant)
+    else:
+        raise errors.RelayError(f"unknown initial condition {initial!r}")
+    state.carrier, _ = resolve_handoff(
+        state.positions, state.directions, state.carrier, size, streams, tol
+    )
+    return state
+
+
+def in_contact(state: State, size, tol=0) -> bool:
+    """Whether a state of two walkers is a contact, the walkers within
+    tol of each other in opposite directions; more walkers have none."""
+    if len(state.positions) != 2:
+        return False
+    gap = circle_delta(state.positions[0], state.positions[1], size)
+    return bool(min(gap, size - gap) <= tol
+                and state.directions[0] != state.directions[1])
 
 
 def resolve_handoff(

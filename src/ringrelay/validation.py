@@ -24,9 +24,9 @@ import numpy as np
 
 from . import closed_form, discrete, estimators, exact
 from .continuous import sample_walker_states, simulate_continuous
-from .discrete import DiscreteState, simulate_discrete
+from .discrete import simulate_discrete
 from .estimators import chi_square_uniformity, merge
-from .model import ContinuousConfig, DiscreteConfig, SeedSpec
+from .model import ContinuousConfig, DiscreteConfig, SeedSpec, State
 
 DEFAULT_SEED = 20260815
 
@@ -99,11 +99,11 @@ def _uniformity_passes(model: str, seed: SeedSpec) -> bool:
 
 
 INDEPENDENCE_STATES = [
-    DiscreteState(np.array([0, 0]), np.array([1, 1]), 0),
-    DiscreteState(np.array([0, 2]), np.array([1, -1]), 0),
-    DiscreteState(np.array([1, 4]), np.array([-1, -1]), 1),
-    DiscreteState(np.array([2, 2]), np.array([-1, 1]), 0),
-    DiscreteState(np.array([3, 1]), np.array([-1, 1]), 1),
+    State(np.array([0, 0]), np.array([1, 1]), 0),
+    State(np.array([0, 2]), np.array([1, -1]), 0),
+    State(np.array([1, 4]), np.array([-1, -1]), 1),
+    State(np.array([2, 2]), np.array([-1, 1]), 0),
+    State(np.array([3, 1]), np.array([-1, 1]), 1),
 ]
 
 

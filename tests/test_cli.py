@@ -252,6 +252,22 @@ class TestConfigHandling:
                          "meetings", id="continuum-levels-overflow"),
             pytest.param("simulate", "continuous", ("N=1e-17", "horizon=1"),
                          "meetings", id="continuum-meetings-past-bound"),
+            pytest.param("exact", "discrete", "epsilon=1e-17", "stationary solve",
+                         id="exact-tiny-epsilon"),
+            pytest.param("exact", "discrete", "epsilon=1e-300", "stationary solve",
+                         id="exact-singular-factor"),
+            pytest.param("sweep", "discrete", 'grid={"N": [5], "epsilon": [1e-17]}',
+                         "stationary solve", id="sweep-tiny-epsilon"),
+            pytest.param("simulate", "discrete", f"N={2**62 + 1}", "2**62",
+                         id="lattice-N-past-bound"),
+            pytest.param("simulate", "discrete", f"steps={2**52}", "2**53",
+                         id="lattice-walker-rounds-past-bound"),
+            pytest.param("simulate", "continuous", ("r=1e300", "horizon=1"), "2**53",
+                         id="continuum-rate-past-bound"),
+            pytest.param("simulate", "continuous", "horizon=1e300", "2**53",
+                         id="continuum-horizon-past-bound"),
+            pytest.param("sweep", "continuous", 'grid={"N": [1], "r": [1e300]}',
+                         "2**53", id="sweep-rate-past-bound"),
         ],
     )
     def test_malformed_value_is_config_error(
@@ -262,6 +278,7 @@ class TestConfigHandling:
             ("simulate", "continuous"): ["N=1", "horizon=50.0"],
             ("sweep", "discrete"): ["steps=500", 'grid={"N": [5], "epsilon": [0.3]}'],
             ("sweep", "continuous"): ["horizon=50.0", 'grid={"N": [1], "r": [0.5]}'],
+            ("exact", "discrete"): ["N=5"],
             ("validate", "discrete"): [],
             ("generator-check", "discrete"): [],
         }[command, model]

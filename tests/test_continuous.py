@@ -11,17 +11,22 @@ import pytest
 
 from ringrelay import continuous, errors, estimators
 from ringrelay.continuous import (
-    ContinuousState,
     advance_to,
+    default_tol,
     handle_event,
-    in_contact_state,
     meeting_time,
     next_event,
-    sample_contact,
     sample_walker_states,
     simulate_continuous,
 )
-from ringrelay.model import MAX_WALKERS, ContinuousConfig, SeedSpec, WalkerStreams
+from ringrelay.model import (
+    MAX_WALKERS,
+    ContinuousConfig,
+    SeedSpec,
+    State,
+    WalkerStreams,
+    in_contact,
+)
 
 CFG1 = ContinuousConfig(1.0, 1.0, 1.0)
 
@@ -52,7 +57,7 @@ class TestMeetingTime:
 
 class TestEventOps:
     def make_state(self, positions, directions, carrier, switches):
-        return ContinuousState(
+        return State(
             np.array(positions, dtype=float),
             np.array(directions, dtype=np.int64),
             carrier,
@@ -136,8 +141,8 @@ class TestEventOps:
         carriers = set()
         for rep in range(100):
             streams = WalkerStreams(SeedSpec(3, rep), 2)
-            state = sample_contact(CFG1, streams)
-            assert in_contact_state(state, CFG1)
+            state = continuous._start(CFG1, streams, "regeneration")
+            assert in_contact(state, CFG1.circumference, default_tol(CFG1))
             assert state.directions[state.carrier] == 1
             carriers.add(state.carrier)
         assert carriers == {0, 1}
@@ -153,10 +158,8 @@ def reference_simulation(config, horizon, seed, initial, checkpoints=()):
     the simulator, a checkpoint comes before an event at the same time.
     """
     streams = WalkerStreams(SeedSpec(*seed), config.n_walkers)
-    state = continuous._initial_state(
-        config, streams, initial, continuous.default_tol(config)
-    )
-    in_f = in_contact_state(state, config)
+    state = continuous._start(config, streams, initial)
+    in_f = in_contact(state, config.circumference, default_tol(config))
     burn = 0.0 if in_f else 0.01 * horizon
     marks = sorted({burn, horizon, *checkpoints})
     totals = {}
@@ -198,13 +201,13 @@ ORACLE_CASES = {
     ),
     "co-located-same-direction": (
         ContinuousConfig(1.0, 1.0, 1.0), (79, 0),
-        ContinuousState(np.array([0.4, 0.4]), np.array([1, 1]), 0),
+        State(np.array([0.4, 0.4]), np.array([1, 1]), 0),
     ),
     "non-unit-v-and-r": (ContinuousConfig(1.7, 0.6, 2.3), (80, 0), "uniform-random"),
     # a contact state whose gap is a hair short of the full circle
     "contact-across-the-wrap": (
         ContinuousConfig(1.0, 1.0, 1.0), (81, 0),
-        ContinuousState(np.array([0.0, 1.0 - 1e-13]), np.array([1, -1]), 0),
+        State(np.array([0.0, 1.0 - 1e-13]), np.array([1, -1]), 0),
     ),
     "m3-uniform": (
         ContinuousConfig(1.0, 1.0, 1.0, n_walkers=3), (82, 0), "uniform-random"
@@ -220,7 +223,7 @@ ORACLE_CASES = {
     # and the first would change the totals
     "m3-co-located-tie-break": (
         ContinuousConfig(1.0, 1.0, 1.0, n_walkers=3), (96, 0),
-        ContinuousState(np.array([0.4, 0.4, 0.9]), np.array([1, 1, -1]), 2),
+        State(np.array([0.4, 0.4, 0.9]), np.array([1, 1, -1]), 2),
     ),
 }
 
@@ -278,7 +281,7 @@ class TestSimulateContinuous:
         # 0.75 exactly, where trace checkpoints fall; the first meeting
         # hands the message on, and the checkpoint reads the state before
         config = ContinuousConfig(1.0, 1.0, 0.01)
-        state = ContinuousState(np.array([0.25, 0.75]), np.array([1, -1]), 1)
+        state = State(np.array([0.25, 0.75]), np.array([1, -1]), 1)
         times = [0.25, 0.5, 0.75, 1.0]
         _, _, at = reference_simulation(config, 1.0, (3, 0), state, times)
         report = simulate_continuous(
@@ -362,7 +365,7 @@ class TestSimulateContinuous:
         np.testing.assert_array_equal(report.cycle_jumps, ~wrapped)
 
     def test_explicit_initial_state(self):
-        state = ContinuousState(
+        state = State(
             np.array([0.1, 0.7]), np.array([1, -1]), 0
         )
         report = simulate_continuous(CFG1, 300.0, SeedSpec(2, 0), state)
@@ -382,7 +385,7 @@ class TestSimulateContinuous:
             simulate_continuous(CFG1, horizon, SeedSpec(0, 0))
 
     def test_rejects_bad_initial(self):
-        bad = ContinuousState(np.array([0.1, 1.7]), np.array([1, -1]), 0)
+        bad = State(np.array([0.1, 1.7]), np.array([1, -1]), 0)
         with pytest.raises(errors.RelayError):
             simulate_continuous(CFG1, 10.0, SeedSpec(0, 0), bad)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ringrelay import continuous
-from ringrelay.model import ContinuousConfig, SeedSpec
+from ringrelay.model import ContinuousConfig, SeedSpec, State
 
 COUNTS = ["jump_count", "batch_jumps", "cycle_jumps", "cycle_displacements",
           "sample_directions", "trace_cost"]
@@ -72,7 +72,7 @@ def counts_digest(report) -> str:
 def run_case(params, horizon, seed, initial, sample_every, trace_every):
     if not isinstance(initial, str):
         positions, directions, carrier = initial
-        initial = continuous.ContinuousState(
+        initial = State(
             np.array(positions), np.array(directions), carrier
         )
     return continuous.simulate_continuous(

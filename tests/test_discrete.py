@@ -34,7 +34,7 @@ def run_reference_loop(config, steps, seed, initial):
         rows.append((state.positions, state.directions, state.carrier, jumped))
     visits = [
         t for t, (x, d, c, _) in enumerate(rows)
-        if discrete.in_regeneration_set(discrete.DiscreteState(x, d, c), config)
+        if model.in_contact(model.State(x, d, c), config.n_sites)
     ]
     positions, directions, carriers, jumps = map(np.array, zip(*rows))
     return positions, directions, carriers, jumps, visits
@@ -43,37 +43,37 @@ def run_reference_loop(config, steps, seed, initial):
 class TestStep:
     def test_plain_move(self):
         cfg = DiscreteConfig(5, TINY)
-        state = discrete.DiscreteState(np.array([1, 3]), np.array([-1, 1]), 0)
+        state = model.State(np.array([1, 3]), np.array([-1, 1]), 0)
         out, jumped = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 4]
         assert not jumped
         assert out.carrier == 0
-        assert out.t == 1
+        assert out.clock == 1
 
     def test_positions_wrap(self):
         cfg = DiscreteConfig(5, TINY)
-        state = discrete.DiscreteState(np.array([4, 0]), np.array([1, -1]), 1)
+        state = model.State(np.array([4, 0]), np.array([1, -1]), 1)
         out, _ = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 4]
 
     def test_handoff_on_contact(self):
         # walkers collide head-on; the counter-clockwise carrier hands off
         cfg = DiscreteConfig(5, TINY)
-        state = discrete.DiscreteState(np.array([1, 4]), np.array([-1, 1]), 0)
+        state = model.State(np.array([1, 4]), np.array([-1, 1]), 0)
         out, jumped = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 0]
         assert jumped and out.carrier == 1
 
     def test_no_handoff_when_carrier_clockwise(self):
         cfg = DiscreteConfig(5, TINY)
-        state = discrete.DiscreteState(np.array([1, 4]), np.array([-1, 1]), 1)
+        state = model.State(np.array([1, 4]), np.array([-1, 1]), 1)
         out, jumped = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert not jumped and out.carrier == 1
 
     def test_crossing_without_meeting_keeps_message(self):
         # adjacent walkers swap sites without ever sharing one
         cfg = DiscreteConfig(5, TINY)
-        state = discrete.DiscreteState(np.array([1, 2]), np.array([1, -1]), 1)
+        state = model.State(np.array([1, 2]), np.array([1, -1]), 1)
         out, jumped = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [2, 1]
         assert not jumped
@@ -82,7 +82,7 @@ class TestStep:
         cfg = DiscreteConfig(5, TINY, n_walkers=3)
         picks = []
         for rep in range(200):
-            state = discrete.DiscreteState(
+            state = model.State(
                 np.array([1, 4, 4]), np.array([-1, 1, 1]), 0
             )
             out, jumped = discrete.step(
@@ -104,7 +104,7 @@ class TestStep:
     def test_step_preserves_invariants(self, n, eps, seed, m):
         cfg = DiscreteConfig(n, eps, m)
         streams = WalkerStreams(SeedSpec(seed, 0), m)
-        state = discrete.DiscreteState(
+        state = model.State(
             streams.aux.integers(0, n, size=m),
             1 - 2 * streams.aux.integers(0, 2, size=m),
             int(streams.aux.integers(m)),
@@ -130,8 +130,8 @@ class TestRegenerationLaw:
         sites = set()
         for rep in range(300):
             streams = WalkerStreams(SeedSpec(23, rep), 2)
-            state = discrete.sample_nu(cfg, streams)
-            assert discrete.in_regeneration_set(state, cfg)
+            state = discrete._start(cfg, streams, "regeneration")
+            assert model.in_contact(state, cfg.n_sites)
             assert state.positions[0] == state.positions[1]
             assert state.directions[state.carrier] == 1
             variants.add(state.carrier)
@@ -141,17 +141,18 @@ class TestRegenerationLaw:
 
     def test_regeneration_set_membership(self):
         cfg = DiscreteConfig(5, 0.3)
-        yes = discrete.DiscreteState(np.array([2, 2]), np.array([1, -1]), 0)
-        no_dir = discrete.DiscreteState(np.array([2, 2]), np.array([1, 1]), 0)
-        no_pos = discrete.DiscreteState(np.array([2, 3]), np.array([1, -1]), 0)
-        assert discrete.in_regeneration_set(yes, cfg)
-        assert not discrete.in_regeneration_set(no_dir, cfg)
-        assert not discrete.in_regeneration_set(no_pos, cfg)
+        yes = model.State(np.array([2, 2]), np.array([1, -1]), 0)
+        no_dir = model.State(np.array([2, 2]), np.array([1, 1]), 0)
+        no_pos = model.State(np.array([2, 3]), np.array([1, -1]), 0)
+        assert model.in_contact(yes, cfg.n_sites)
+        assert not model.in_contact(no_dir, cfg.n_sites)
+        assert not model.in_contact(no_pos, cfg.n_sites)
 
     def test_sample_nu_needs_two_walkers(self):
         with pytest.raises(errors.MNotTwo):
-            discrete.sample_nu(
-                DiscreteConfig(5, 0.3, 3), WalkerStreams(SeedSpec(0, 0), 3)
+            discrete._start(
+                DiscreteConfig(5, 0.3, 3), WalkerStreams(SeedSpec(0, 0), 3),
+                "regeneration",
             )
 
 
@@ -177,13 +178,16 @@ class TestEngineAgainstStepLoop:
             ((6, 2), (7, [0, 3, 3, 5], [-1, 1, -1, 1], 2)),
             BLOCK_START_CONTACT,
             NEGATIVE_LEVEL,
+            # the largest ring, walkers next to each other across the wrap
+            ((10, 0), (2**62 - 1, [0, 2**62 - 2], [-1, 1], 0)),
+            ((11, 0), (2**62 - 1, [0, 2**62 - 2, 2**62 - 2], [-1, 1, -1], 0)),
         ],
     )
     def test_trajectory_equality(self, seed, init, monkeypatch):
         n, positions, directions, carrier = init
         cfg = DiscreteConfig(n, 0.3, len(positions))
         steps = 1500
-        initial = discrete.DiscreteState(
+        initial = model.State(
             np.array(positions), np.array(directions), carrier
         )
         pos, dirs, car, jumped, visits = run_reference_loop(
@@ -232,7 +236,7 @@ class TestEngineAgainstStepLoop:
     def test_edge_cases_cover_what_they_name(self):
         def reference(case):
             seed, (n, positions, directions, carrier) = case
-            initial = discrete.DiscreteState(
+            initial = model.State(
                 np.array(positions), np.array(directions), carrier
             )
             return run_reference_loop(DiscreteConfig(n, 0.3), 1500, seed, initial)
@@ -279,8 +283,8 @@ class TestEngineAgainstStepLoop:
 
     def test_relabeled_start_converges_to_same_speed(self):
         cfg = DiscreteConfig(5, 0.3)
-        a = discrete.DiscreteState(np.array([1, 3]), np.array([1, -1]), 0)
-        b = discrete.DiscreteState(np.array([3, 1]), np.array([-1, 1]), 1)
+        a = model.State(np.array([1, 3]), np.array([1, -1]), 0)
+        b = model.State(np.array([3, 1]), np.array([-1, 1]), 1)
         ra = discrete.simulate_discrete(cfg, 200_000, SeedSpec(3, 0), a)
         rb = discrete.simulate_discrete(cfg, 200_000, SeedSpec(3, 1), b)
         ea = estimators.speed_estimate(ra)
@@ -308,14 +312,14 @@ class TestEngineAgainstStepLoop:
 
     def test_rejects_bad_initial(self):
         cfg = DiscreteConfig(5, 0.3)
-        bad = discrete.DiscreteState(np.array([9, 0]), np.array([1, -1]), 0)
+        bad = model.State(np.array([9, 0]), np.array([1, -1]), 0)
         with pytest.raises(errors.RelayError):
             discrete.simulate_discrete(cfg, 10, SeedSpec(0, 0), bad)
         with pytest.raises(errors.RelayError):
             discrete.simulate_discrete(cfg, 10, SeedSpec(0, 0), "nonsense")
 
 
-    @pytest.mark.parametrize("steps", [0, 10.5])
+    @pytest.mark.parametrize("steps", [0, 10.5, 2**52])
     def test_rejects_bad_step_count(self, steps):
         with pytest.raises(errors.RelayError):
             discrete.simulate_discrete(DiscreteConfig(5, 0.3), steps, SeedSpec(0, 0))
@@ -395,7 +399,7 @@ class TestWalkerSampler:
         )
         assert pos.shape == dirs.shape == (0, 3)
 
-    @pytest.mark.parametrize("steps", [0, 10.5])
+    @pytest.mark.parametrize("steps", [0, 10.5, 2**52])
     def test_rejects_bad_step_count(self, steps):
         with pytest.raises(errors.RelayError):
             discrete.sample_walker_states(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ringrelay import discrete
-from ringrelay.model import DiscreteConfig, SeedSpec
+from ringrelay.model import DiscreteConfig, SeedSpec, State
 
 # N, epsilon, m, steps, (master, replica), initial, sample_every, trace_every;
 # an explicit initial is (positions, directions, carrier)
@@ -101,7 +101,7 @@ def report_digest(report) -> str:
 def run_case(n, eps, m, steps, seed, initial, sample_every, trace_every):
     if not isinstance(initial, str):
         positions, directions, carrier = initial
-        initial = discrete.DiscreteState(
+        initial = State(
             np.array(positions), np.array(directions), carrier
         )
     return discrete.simulate_discrete(

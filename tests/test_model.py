@@ -5,18 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringrelay import errors
-from ringrelay.continuous import ContinuousState
 from ringrelay.model import (
     MAX_WALKERS,
     ContinuousConfig,
     DiscreteConfig,
     SeedSpec,
+    State,
     WalkerStreams,
     as_seed,
-    check_state,
     circle_delta,
     pass_message,
     resolve_handoff,
+    start_state,
     validate_continuous,
     validate_discrete,
 )
@@ -38,6 +38,7 @@ class TestConfigs:
             (dict(n_sites=5, flip_prob=0.1, n_walkers=1), errors.MTooSmall),
             (dict(n_sites=5, flip_prob=0.1, n_walkers=MAX_WALKERS + 1),
              errors.RelayError),
+            (dict(n_sites=2**62 + 1, flip_prob=0.1), errors.NOutOfRange),
         ],
     )
     def test_discrete_rejects(self, kwargs, exc):
@@ -185,15 +186,20 @@ class TestRelayRule:
             assert same_aux(a, b)
 
 
+def check_state(state, m, size):
+    """An explicit start through the start rule, which checks it."""
+    start_state(state, m, size, WalkerStreams(SeedSpec(0), m), draw=None)
+
+
 class TestCheckState:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 5.0])
     def test_position_outside_ring_rejected(self, bad):
-        state = ContinuousState(np.array([0.0, bad]), np.array([1, -1]), 0)
+        state = State(np.array([0.0, bad]), np.array([1, -1]), 0)
         with pytest.raises(errors.NOutOfRange):
             check_state(state, 2, 5.0)
 
     def test_valid_state_accepted(self):
-        check_state(ContinuousState(np.array([0.0, 4.5]), np.array([1, -1]), 1), 2, 5.0)
+        check_state(State(np.array([0.0, 4.5]), np.array([1, -1]), 1), 2, 5.0)
 
 
 class TestCircleDelta:
