@@ -26,7 +26,7 @@ import numpy as np
 from . import closed_form, estimators, exact, validation
 from .continuous import simulate_continuous
 from .discrete import simulate_discrete
-from .errors import ConfigError, RelayError
+from .errors import RelayError
 from .model import (
     ContinuousConfig,
     DiscreteConfig,
@@ -49,7 +49,7 @@ def _int64(key: str, value, low: int = -(2**63), high: int = 2**63) -> int:
     if type(value) is not int or not low <= value < high:
         top = "2**63" if high == 2**63 else high
         bounds = "int64 range" if low < 0 else f"[{low}, {top})"
-        raise ConfigError(f"{key} must be an integer in {bounds}, got {value!r}")
+        raise RelayError(f"{key} must be an integer in {bounds}, got {value!r}")
     return value
 
 
@@ -60,14 +60,14 @@ def _number(key: str, value) -> float:
             return float(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{key} must be a number, got {value!r}")
+    raise RelayError(f"{key} must be a number, got {value!r}")
 
 
 def _json(name: str, *types):
     """The check of a JSON value of the given Python types."""
     def check(key: str, value):
         if not isinstance(value, types):
-            raise ConfigError(f"{key} must be {name}, got {value!r}")
+            raise RelayError(f"{key} must be {name}, got {value!r}")
         return value
 
     return check
@@ -100,7 +100,6 @@ _KEYS = {
     "replicas": ("simulate sweep", _REPLICAS, _REPLICAS, 1),
     "seed": (ALL, _SEED, _SEED, validation.DEFAULT_SEED),
     "initial": ("simulate", _INITIAL, _INITIAL, "uniform-random"),
-    "sample_every": ("simulate", _int64, _number, None),
     "trace_every": ("simulate", _int64, _number, None),
     "grid": ("sweep", _OBJ, _OBJ, REQUIRED),
 }
@@ -115,15 +114,15 @@ def _load_config(args) -> dict:
         try:
             cfg = json.loads(Path(args.config).read_text())
         except OSError as err:
-            raise ConfigError(f"cannot read config: {err}") from err
+            raise RelayError(f"cannot read config: {err}") from err
         except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from err
+            raise RelayError(f"config is not valid JSON: {err}") from err
         if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise RelayError("config root must be a JSON object")
     for item in args.overrides:
         key, sep, raw = item.partition("=")
         if not sep or not key:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+            raise RelayError(f"--set expects KEY=VALUE, got {item!r}")
         try:
             cfg[key.strip()] = json.loads(raw)
         except json.JSONDecodeError:
@@ -131,23 +130,23 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     for key in sorted(cfg.keys() - _KEYS.keys()):
-        raise ConfigError(f"unknown config key: {key!r}")
+        raise RelayError(f"unknown config key: {key!r}")
     models = _MODELS.get(args.command, ())
     if len(models) == 1 and cfg.get("model") is None:
         cfg["model"] = models[0]
     model = cfg.get("model")
     if models and model not in models:
         names = " or ".join(map(repr, models))
-        raise ConfigError(f"{args.command} takes model {names}, got {model!r}")
+        raise RelayError(f"{args.command} takes model {names}, got {model!r}")
     typed = {}
     for key, (commands, *types, default) in _KEYS.items():
         check, value = types[model == "continuous"], cfg.get(key)
         if args.command not in commands.split() or check is None:
             if key in cfg and models:
-                raise ConfigError(f"{args.command} does not read config key "
-                                  f"{key!r} on the {model} model")
+                raise RelayError(f"{args.command} does not read config key "
+                                 f"{key!r} on the {model} model")
         elif value is None and default is REQUIRED:
-            raise ConfigError(f"missing config key: {key!r}")
+            raise RelayError(f"missing config key: {key!r}")
         else:
             typed[key] = default if value is None else check(key, value)
     return typed
@@ -165,9 +164,9 @@ def _two_walker_config(cfg: dict):
     exact solves (exact, bvp, sweep): m must be 2, and a lattice ring
     must have at most EXACT_SIZE_LIMIT sites."""
     if cfg["model"] == "discrete" and cfg["N"] > EXACT_SIZE_LIMIT:
-        raise ConfigError(f"size limit exceeded: N={cfg['N']} > {EXACT_SIZE_LIMIT}")
+        raise RelayError(f"size limit exceeded: N={cfg['N']} > {EXACT_SIZE_LIMIT}")
     if cfg["m"] != 2:
-        raise ConfigError(f"the two-walker formulas need m=2, got m={cfg['m']}")
+        raise RelayError(f"the two-walker formulas need m=2, got m={cfg['m']}")
     return _model_config(cfg)
 
 
@@ -175,14 +174,14 @@ def _build_initial(spec, kind: str):
     if isinstance(spec, str):
         return spec
     for key in sorted(spec.keys() - {"positions", "directions", "carrier"}):
-        raise ConfigError(f"unknown initial state key: {key!r}")
+        raise RelayError(f"unknown initial state key: {key!r}")
     try:
         positions = (_whole(spec, "positions") if kind == "discrete"
                      else np.asarray(spec["positions"], float))
         directions = _whole(spec, "directions")
         return State(positions, directions, _int64("carrier", spec["carrier"]))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"bad initial state: {err}") from err
+        raise RelayError(f"bad initial state: {err}") from err
 
 
 def _whole(spec: dict, key: str) -> np.ndarray:
@@ -286,7 +285,6 @@ def cmd_simulate(args) -> int:
     initial = _build_initial(cfg["initial"], kind)
     simulate = functools.partial(
         simulate_discrete if kind == "discrete" else simulate_continuous,
-        sample_every=cfg["sample_every"],
         trace_every=cfg["trace_every"],
     )
     seed, replicas = cfg["seed"], cfg["replicas"]
@@ -375,9 +373,9 @@ def cmd_sweep(args) -> int:
     var_key = "epsilon" if kind == "discrete" else "r"
     for key in [*grid, "N", var_key]:
         if key not in ("N", var_key):
-            raise ConfigError(f"a {kind} sweep grid has no key {key!r}")
+            raise RelayError(f"a {kind} sweep grid has no key {key!r}")
         if not (isinstance(grid.get(key), list) and grid[key]):
-            raise ConfigError(f"grid must list 'N' and '{var_key}' values")
+            raise RelayError(f"grid must list 'N' and '{var_key}' values")
     # every grid point is checked before any of them runs
     n_type, var_type = (_KEYS[k][1 + (kind == "continuous")] for k in ("N", var_key))
     configs = [
@@ -486,7 +484,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+            raise RelayError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except RelayError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -74,7 +74,7 @@ def dimensionless(alpha: float) -> Dimensionless:
     while covering one full circle.
     """
     if not (alpha > 0.0):
-        raise errors.AlphaNonpositive(f"alpha must be > 0, got {alpha!r}")
+        raise errors.RelayError(f"alpha must be > 0, got {alpha!r}")
     value = 1.0 / (2.0 + alpha)
     return Dimensionless(value, value)
 

@@ -7,23 +7,22 @@ the start rule and the contact test are model.State, model.start_state
 and model.in_contact, shared with the lattice; _start schedules the
 first switches.
 
-The pure event operations (next_event / advance_to / handle_event) take
-one event at a time and are the reference implementation; the tests
-replay them against simulate_continuous, which runs one block engine for
-any number of walkers.  The message never changes how the walkers move,
-so the engine works in three layers, over chunks of switches: (a) each
-walker's switch times are drawn in blocks from its own stream, exactly
-as the event operations schedule them, and merged into one timeline of
+simulate_continuous runs one block engine for any number of walkers; the
+tests replay it against the event operations of tests/oracles.py, which
+take one event at a time.  The message never changes how the walkers
+move, so the engine works in three layers, over chunks of switches: (a)
+each walker's switch times are drawn in blocks from its own stream,
+exactly as the oracle schedules them, and merged into one timeline of
 segments; a walker's direction on a segment is the parity of its own
 flips so far, walker 0's unwrapped position is one cumulative sum, and
 any other walker sits at walker 0's plus its pair gap; (b) the meetings
 of a pair are the level crossings (multiples of the circumference) of
 its piecewise linear unwrapped gap, sought only on the segments where
 the pair's directions differ, and model.pass_message resolves the relay
-over the meetings in (time, pair) order, drawing the tie-breaks of
-handle_event; (c) the message is its carrier's unwrapped position plus
-whole laps, which change at a handoff by the old and new carriers'
-distance, and it is read only at the checkpoints of the shared
+over the meetings in (time, pair) order, drawing the tie-breaks of the
+oracle's handle_event; (c) the message is its carrier's unwrapped
+position plus whole laps, which change at a handoff by the old and new
+carriers' distance, and it is read only at the checkpoints of the shared
 accounting step, estimators.build_report, with the handoffs counted up
 to each checkpoint.  build_report also sets the burn-in and batches,
 derives the clockwise time and cuts the two-walker contacts into
@@ -37,8 +36,6 @@ events, switches before meetings, lower walker indices first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import errors
@@ -49,10 +46,8 @@ from .model import (
     State,
     WalkerStreams,
     as_seed,
-    circle_delta,
     in_contact,
     pass_message,
-    resolve_handoff,
     start_state,
     validate_continuous,
 )
@@ -69,116 +64,15 @@ def default_tol(config: ContinuousConfig) -> float:
     return 1e-12 * config.circumference
 
 
-@dataclass(frozen=True)
-class Event:
-    time: float
-    kind: str  # "switch" | "meeting"
-    walkers: tuple[int, ...]
-
-
-def meeting_time(
-    gap: float, d_a: int, d_b: int, config: ContinuousConfig
-) -> float | None:
-    """Time until two walkers meet, or None if they never do.
-
-    gap is the clockwise distance from walker a to walker b, in
-    [0, circumference).  Walkers moving the same way keep their gap
-    forever.  Opposite walkers close their gap at twice the speed; a gap
-    within default_tol of 0 or of the full circle means the pair is co-located
-    right now (fresh from a meeting), so the next meeting is half a lap
-    away, not instantaneous.
-    """
-    if d_a == d_b:
-        return None
-    n, v = config.circumference, config.speed
-    if not (0.0 <= gap < n):
-        raise errors.NOutOfRange(f"gap must lie in [0, circumference), got {gap!r}")
-    tol = default_tol(config)
-    if d_a == 1:  # gap shrinks
-        return gap / (2.0 * v) if gap > tol else n / (2.0 * v)
-    # gap grows to a full circle
-    return (n - gap) / (2.0 * v) if gap < n - tol else n / (2.0 * v)
-
-
-def next_event(state: State, config: ContinuousConfig) -> Event:
-    """Earliest pending switch or pairwise meeting after state.clock."""
-    if state.next_switch is None:
-        raise errors.RelayError("state has no scheduled switch times")
-    best: tuple | None = None
-    for j in range(config.n_walkers):
-        key = (float(state.next_switch[j]), 0, (j,))
-        if best is None or key < best:
-            best = key
-    for j in range(config.n_walkers):
-        for k in range(j + 1, config.n_walkers):
-            gap = float(
-                circle_delta(
-                    state.positions[j], state.positions[k], config.circumference
-                )
-            )
-            dt = meeting_time(
-                gap, int(state.directions[j]), int(state.directions[k]), config
-            )
-            if dt is None:
-                continue
-            key = (state.clock + dt, 1, (j, k))
-            if key < best:
-                best = key
-    return Event(best[0], "switch" if best[1] == 0 else "meeting", best[2])
-
-
-def advance_to(state: State, t: float, config: ContinuousConfig) -> State:
-    """Deterministic transport of every walker to time t.
-
-    Refuses to move backwards or to fly past a scheduled switch (an
-    event strictly inside the interval would be silently lost).
-    """
-    if t < state.clock:
-        raise errors.RelayError(f"cannot advance from {state.clock} back to {t}")
-    if state.next_switch is not None and np.any(state.next_switch < t):
-        raise errors.EventSkipped(
-            f"a switch is scheduled before t={t}; handle it first"
-        )
-    out = state.copy()
-    seg = t - state.clock
-    out.positions = (out.positions + config.speed * out.directions * seg) % (
-        config.circumference
-    )
-    out.clock = t
-    return out
-
-
-def handle_event(
-    state: State, event: Event, config: ContinuousConfig, streams: WalkerStreams
-) -> tuple[State, bool]:
-    """Apply a switch or meeting at the current clock.
-
-    The state must already have been advanced to event.time.  Returns
-    the new state and whether the message changed hands.
-    """
-    tol = default_tol(config)
-    if abs(event.time - state.clock) > tol / config.speed:
-        raise errors.EventSkipped(
-            f"state clock {state.clock} does not match event time {event.time}"
-        )
-    out = state.copy()
-    jumped = False
-    if event.kind == "switch":
-        (j,) = event.walkers
-        out.directions[j] = -out.directions[j]
-        out.next_switch[j] = event.time + streams.walker[j].exponential(
-            1.0 / config.switch_rate
-        )
-    elif event.kind == "meeting":
-        j, k = event.walkers
-        out.positions[k] = out.positions[j]  # snap away float drift
-        out.carrier, jumped = resolve_handoff(
-            out.positions, out.directions, out.carrier, config.circumference,
-            streams, tol,
-        )
-    else:
-        raise errors.RelayError(f"unknown event kind {event.kind!r}")
-    return out, jumped
+def _check_switches(config: ContinuousConfig, horizon: float) -> None:
+    """The work bound of every run of walker paths: the expected switches
+    of m walkers up to horizon, m r horizon, stay below 2**53."""
+    switches = config.n_walkers * config.switch_rate * horizon
+    if not switches < 2**53:
+        raise errors.RelayError(
+            f"{config.n_walkers} walkers switching at rate {config.switch_rate!r} "
+            f"up to horizon {horizon!r} ask for {switches:.3g} switches, "
+            "at least 2**53")
 
 
 def _start(config: ContinuousConfig, streams: WalkerStreams, initial) -> State:
@@ -212,11 +106,7 @@ def simulate_continuous(
     validate_continuous(config)
     if not (0.0 < horizon < np.inf):
         raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
-    switches = config.n_walkers * config.switch_rate * horizon
-    if not switches < 2**53:
-        raise errors.RelayError(
-            f"{config.n_walkers} walkers switching at rate {config.switch_rate!r} "
-            f"up to horizon {horizon!r} ask for {switches:.3g} switches, at least 2**53")
+    _check_switches(config, horizon)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     tol = default_tol(config)
@@ -295,7 +185,7 @@ def _run_blocks(
     (0, j); the unwrapped gap x_k - x_j = n base + gap of a pair j < k has
     slope 0 or +-2v, and a level within tol of a segment's start is where
     the pair already is, not a meeting.  Meetings are taken in (time,
-    pair) order, the order of next_event; a checkpoint comes before an
+    pair) order, as the oracle's next_event; a checkpoint comes before an
     event at the same time.  For two walkers every meeting is a contact,
     reported with the message position and the level its gap crossed.
     Walker state, pair gaps, carrier and laps carry over between chunks.
@@ -457,6 +347,7 @@ def sample_walker_states(
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times < 0) or np.any(np.diff(times) < 0):
         raise errors.RelayError("times must be nonnegative and sorted")
+    _check_switches(config, float(times[-1]))
     n, v = config.circumference, config.speed
     r, m = config.switch_rate, config.n_walkers
     streams = WalkerStreams(as_seed(seed), m)

@@ -9,13 +9,13 @@ only ever crosses sites clockwise.
 
 The state, the start rule and the contact test are model.State,
 model.start_state and model.in_contact, shared with the continuum.
-step() applies one round and is the reference implementation; the
-tests replay it against simulate_discrete, which runs one block engine
-for any number of walkers.  The message never changes how the walkers
-move, so the engine works in three layers, with per-round work only on
-one array per walker: (a) each walker's flips are drawn in blocks from
-that walker's own stream (_flips), consuming randomness exactly as
-repeated step() calls do; its directions are the parity of the flips so
+simulate_discrete runs one block engine for any number of walkers; the
+tests replay it against step() in tests/oracles.py, which applies one
+round.  The message never changes how the walkers move, so the engine
+works in three layers, with per-round work only on one array per
+walker: (a) each walker's flips are drawn in blocks from that walker's
+own stream (_flips), consuming randomness exactly as repeated step()
+calls do; its directions are the parity of the flips so
 far and its unwrapped positions one cumulative sum of them; (b) a pair
 meets, a clockwise and a counter-clockwise walker on one site, where
 their directions differ and their unwrapped gap is a multiple of N (a
@@ -46,30 +46,12 @@ from .model import (
     as_seed,
     in_contact,
     pass_message,
-    resolve_handoff,
     start_state,
     validate_discrete,
 )
 
 # walker-rounds (rounds x walkers) in one block of the engine
 WALKER_ROUNDS = 1 << 17
-
-
-def step(
-    state: State, config: DiscreteConfig, streams: WalkerStreams
-) -> tuple[State, bool]:
-    """One synchronous round; returns the new state and whether the
-    message changed hands."""
-    m = config.n_walkers
-    positions = (state.positions + state.directions) % config.n_sites
-    signs = np.empty(m, dtype=np.int64)
-    for j in range(m):
-        signs[j] = -1 if streams.walker[j].random() < config.flip_prob else 1
-    directions = state.directions * signs
-    carrier, jumped = resolve_handoff(
-        positions, directions, state.carrier, config.n_sites, streams
-    )
-    return State(positions, directions, carrier, state.clock + 1), jumped
 
 
 def _flips(stream: np.random.Generator, size: int, eps: float) -> np.ndarray:

@@ -278,7 +278,7 @@ class Estimate(NamedTuple):
 def _batch_estimate(report: RunReport, batch_sums: np.ndarray, total: float) -> Estimate:
     n = len(batch_sums)
     if n < 20:
-        raise errors.TooFewBatches(f"need at least 20 batches, got {n}")
+        raise errors.RelayError(f"need at least 20 batches, got {n}")
     means = batch_sums / report.batch_duration
     stderr = float(means.std(ddof=1) / np.sqrt(n))
     return Estimate(float(total / report.total_time), stderr, n)
@@ -324,7 +324,7 @@ def kac_check(
     routes agree when gap is within a few stderr of zero.
     """
     if report.n_cycles < 100:
-        raise errors.TooFewCycles(
+        raise errors.RelayError(
             f"need at least 100 cycles, got {report.n_cycles}"
         )
     sums = (
@@ -363,7 +363,7 @@ def excursion_classifier(report: RunReport) -> ExcursionSummary:
     """Split cycles into closed (relative displacement 0) and wrapped
     (one full lap), reporting the worst distance to either target."""
     if report.n_cycles == 0:
-        raise errors.NoCycles("report has no completed cycles")
+        raise errors.RelayError("report has no completed cycles")
     disp = report.cycle_displacements
     lap = report.lap_length
     wrapped = disp > lap / 2.0
@@ -408,7 +408,7 @@ def chi_square_uniformity(
         cell = cell * cells_per_walker + bins[:, j] * 2 + (dirs[:, j] > 0)
     n_cells = cells_per_walker**m
     if k / n_cells < min_expected:
-        raise errors.TooFewSamples(
+        raise errors.RelayError(
             f"{k} samples over {n_cells} cells leaves expected count "
             f"{k / n_cells:.1f} < {min_expected}"
         )
@@ -434,7 +434,7 @@ def uniformity_test(
     lattice, max(8, ceil(circumference)) equal arcs for the continuum.
     """
     if report.sample_positions is None or len(report.sample_positions) == 0:
-        raise errors.TooFewSamples("report carries no equilibrium samples")
+        raise errors.RelayError("report carries no equilibrium samples")
     circumference = float(report.params["N"])
     if position_bins is None:
         if report.kind == "discrete":

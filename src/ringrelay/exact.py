@@ -20,7 +20,6 @@ Three independent exact routes live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from . import errors
 from .model import (
     ContinuousConfig,
-    circle_delta,
     validate_continuous,
     validate_flip_prob,
     validate_sites,
@@ -44,11 +42,10 @@ class ReducedChain:
 
     States are tuples (gap, d1, d2, carrier) with gap = (x1 - x2) mod
     n_sites and carrier in {0, 1}, held as the codes 8 gap + 4 [d1 < 0]
-    + 2 [d2 < 0] + carrier in ascending order; the tuples and their
-    index are built when first read.  The two co-located states in which
-    the carrier moves counter-clockwise next to a clockwise partner are
-    excluded: a handoff resolves them instantly, so they are never
-    observed after an update.
+    + 2 [d2 < 0] + carrier in ascending order (_decode reads them back).
+    The two co-located states in which the carrier moves
+    counter-clockwise next to a clockwise partner are excluded: a handoff
+    resolves them instantly, so they are never observed after an update.
     """
 
     n_sites: int
@@ -60,14 +57,6 @@ class ReducedChain:
     @property
     def n_states(self) -> int:
         return len(self.codes)
-
-    @cached_property
-    def states(self) -> list[tuple[int, int, int, int]]:
-        return list(zip(*(a.tolist() for a in _decode(self.codes))))
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int, int, int], int]:
-        return dict(zip(self.states, range(len(self.states))))
 
 
 def _decode(code: np.ndarray) -> tuple:
@@ -128,11 +117,11 @@ def stationary(chain: ReducedChain, residual_tol: float = 1e-10) -> np.ndarray:
     try:
         pi[1:] = spla.splu(a[1:, 1:]).solve(-a[1:, 0].toarray().ravel())
     except RuntimeError as err:  # an exactly singular factor
-        raise errors.SolverSingular(f"stationary solve failed: {err}") from err
+        raise errors.RelayError(f"stationary solve failed: {err}") from err
 
     residual = np.abs(chain.transition.T @ pi - pi).max()
     if not (residual <= residual_tol and pi.min() >= -1e-12):
-        raise errors.SolverSingular(
+        raise errors.RelayError(
             f"stationary solve failed: residual {residual:.3e}, min {pi.min():.3e}"
         )
     pi = np.clip(pi, 0.0, None)
@@ -169,10 +158,11 @@ class TraceSolution:
 
     f[k] (k = 0..n_sites-1) is the wrap probability from rung k with the
     gap widening; g holds the narrowing-pattern values for k = -1 ..
-    n_sites-2, stored with offset 1 (g_at(-1) is the formal value that
-    closes the recursion at the lower boundary).  crossing_prob is the
-    wrap probability of a fresh excursion, f[0]; the difference f - g is
-    constant and equals it.
+    n_sites-2, stored with offset 1, so g(k) is g[k + 1] (g[0], for
+    k = -1, is the formal value that closes the recursion at the lower
+    boundary).  crossing_prob is the wrap probability of a fresh
+    excursion, f[0]; the difference f(k) - g(k) is constant and equals
+    it.
     """
 
     n_sites: int
@@ -180,12 +170,6 @@ class TraceSolution:
     crossing_prob: float
     f: np.ndarray
     g: np.ndarray
-
-    def f_at(self, k: int) -> float:
-        return float(self.f[k])
-
-    def g_at(self, k: int) -> float:
-        return float(self.g[k + 1])
 
 
 def solve_trace_bvp(n_sites: int, flip_prob: float) -> TraceSolution:
@@ -228,7 +212,7 @@ def bvp_residual(sol: TraceSolution) -> float:
     n, eps, f, g = sol.n_sites, sol.flip_prob, sol.f, sol.g
     widening = f[:-1] - (1 - eps) * f[1:] - eps * g[1:]  # k = 0 .. n-2
     narrowing = g[1:] - (1 - eps) * g[:-1] - eps * f[:-1]  # k = -1 .. n-3
-    return float(max(abs(sol.g_at(0)), abs(sol.f_at(n - 1) - 1.0),
+    return float(max(abs(sol.g[1]), abs(sol.f[n - 1] - 1.0),
                      np.abs(widening).max(), np.abs(narrowing).max()))
 
 
@@ -280,43 +264,23 @@ def hitting_prob_oracle(n_sites: int, flip_prob: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Continuum pair state, harmonic-type functions, generator
+# Continuum potentials of two walkers, generator
+#
+# Both potentials are (func, partials) pairs for apply_generator, and
+# both read two walkers through the gap (x0 - x1) mod circumference, the
+# clockwise distance from walker 1 to walker 0; the contact set is gap
+# 0 with opposite directions.
 
 
-@dataclass(frozen=True)
-class Phi2State:
-    """Two-walker continuum state seen relative to walker 1.
-
-    gap is the clockwise distance from walker 2 to walker 1, i.e.
-    (x1 - x2) mod circumference, in [0, circumference).  carrier is 0 or
-    1.  Contact states (gap 0 with opposite directions) are represented
-    post-handoff, so the carrier there moves clockwise.
-    """
-
-    gap: float
-    d1: int
-    d2: int
-    carrier: int
+def _gap(x, n: float) -> float:
+    if len(x) != 2:
+        raise errors.RelayError("the potentials need exactly 2 walkers")
+    gap = (float(x[0]) - float(x[1])) % n
+    return 0.0 if gap >= n else gap  # a tiny negative difference can round to n
 
 
-def in_contact_set(state: Phi2State) -> bool:
-    return state.gap == 0.0 and state.d1 * state.d2 == -1
-
-
-def _check_phi2(state: Phi2State, config: ContinuousConfig) -> None:
-    validate_continuous(config)
-    if not (0.0 <= state.gap < config.circumference):
-        raise errors.NOutOfRange(
-            f"gap must lie in [0, circumference), got {state.gap!r}"
-        )
-    if state.d1 not in (1, -1) or state.d2 not in (1, -1):
-        raise errors.RelayError("directions must be +1 or -1")
-    if state.carrier not in (0, 1):
-        raise errors.RelayError("carrier must be 0 or 1")
-
-
-def H_value(state: Phi2State, config: ContinuousConfig) -> float:
-    """Expected-contact-time potential: its generator drift is -1.
+def h_field(config: ContinuousConfig):
+    """Expected-contact-time potential H: its generator drift is -1.
 
     On the contact set the value is pinned to -circumference / (2 *
     speed); elsewhere it is a quadratic in the gap plus direction terms.
@@ -324,57 +288,55 @@ def H_value(state: Phi2State, config: ContinuousConfig) -> float:
     contact, which is what makes mean excursion lengths computable by
     optional stopping.
     """
-    _check_phi2(state, config)
-    if in_contact_set(state):
-        return -config.circumference / (2.0 * config.speed)
-    return _h_formula(state.gap, state.d1, state.d2, config)
-
-
-def _h_formula(gap: float, d1: int, d2: int, config: ContinuousConfig) -> float:
+    validate_continuous(config)
     n, v, r = config.circumference, config.speed, config.switch_rate
-    return (
-        (n - 2.0 * gap) / (4.0 * v) * (d1 - d2)
-        + (1.0 + d1 * d2) / (4.0 * r)
-        + r * gap * (n - gap) / (2.0 * v * v)
-    )
+
+    def func(x, d, carrier):
+        gap, d0, d1 = _gap(x, n), int(d[0]), int(d[1])
+        if gap == 0.0 and d0 != d1:
+            return -n / (2.0 * v)
+        return (
+            (n - 2.0 * gap) / (4.0 * v) * (d0 - d1)
+            + (1.0 + d0 * d1) / (4.0 * r)
+            + r * gap * (n - gap) / (2.0 * v * v)
+        )
+
+    def partials(x, d, carrier):
+        dh_dgap = -(int(d[0]) - int(d[1])) / (2.0 * v) + r * (
+            n - 2.0 * _gap(x, n)
+        ) / (2.0 * v * v)
+        return dh_dgap, -dh_dgap
+
+    return func, partials
 
 
-def V_value(state: Phi2State, config: ContinuousConfig) -> float:
-    """Wrap probability of the running excursion: generator drift 0.
+def v_field(config: ContinuousConfig):
+    """Wrap probability V of the running excursion: generator drift 0.
 
     Measured relative to the carrier: the value is the probability that
     the carrier completes a net full lap around its partner before their
-    next contact.  Undefined on the contact set itself (the excursion
-    there has just ended), hence StateInF.
+    next contact.  It is undefined on the contact set itself (the
+    excursion there has just ended), so func raises there.
     """
-    _check_phi2(state, config)
-    if in_contact_set(state):
-        raise errors.StateInF("wrap probability is undefined at a contact")
+    validate_continuous(config)
     n, v, r = config.circumference, config.speed, config.switch_rate
-    if state.carrier == 0:
-        gap_c, dd = state.gap, state.d1 - state.d2
-    else:
-        gap_c = (n - state.gap) if state.gap > 0.0 else 0.0
-        dd = state.d2 - state.d1
-    return (r * gap_c + v * (1.0 + dd / 2.0)) / (r * n + 2.0 * v)
+    norm = r * n + 2.0 * v
+    slope = r / norm
 
+    def func(x, d, carrier):
+        gap, d0, d1 = _gap(x, n), int(d[0]), int(d[1])
+        if gap == 0.0 and d0 != d1:
+            raise errors.RelayError("wrap probability is undefined at a contact")
+        if carrier == 0:
+            gap_c, dd = gap, d0 - d1
+        else:
+            gap_c, dd = (n - gap) if gap > 0.0 else 0.0, d1 - d0
+        return (r * gap_c + v * (1.0 + dd / 2.0)) / norm
 
-def h_gradient(state: Phi2State, config: ContinuousConfig) -> np.ndarray:
-    """(dH/dx1, dH/dx2) away from the contact set."""
-    n, v, r = config.circumference, config.speed, config.switch_rate
-    dh_dgap = -(state.d1 - state.d2) / (2.0 * v) + r * (n - 2.0 * state.gap) / (
-        2.0 * v * v
-    )
-    return np.array([dh_dgap, -dh_dgap])
+    def partials(x, d, carrier):
+        return (slope, -slope) if carrier == 0 else (-slope, slope)
 
-
-def v_gradient(state: Phi2State, config: ContinuousConfig) -> np.ndarray:
-    """(dV/dx1, dV/dx2) away from the contact set."""
-    n, v, r = config.circumference, config.speed, config.switch_rate
-    slope = r / (r * n + 2.0 * v)
-    if state.carrier == 0:
-        return np.array([slope, -slope])
-    return np.array([-slope, slope])
+    return func, partials
 
 
 def apply_generator(
@@ -421,37 +383,3 @@ def apply_generator(
         switch += func(x, flipped, carrier) - base
     return drift + r * switch
 
-
-def pair_state(
-    positions: Sequence[float], directions: Sequence[int], carrier: int,
-    config: ContinuousConfig,
-) -> Phi2State:
-    """Fold a full two-walker state into its relative description."""
-    if len(positions) != 2:
-        raise errors.MNotTwo("relative description needs exactly 2 walkers")
-    gap = float(circle_delta(positions[1], positions[0], config.circumference))
-    return Phi2State(gap, int(directions[0]), int(directions[1]), carrier)
-
-
-def h_field(config: ContinuousConfig):
-    """(func, partials) pair exposing H as a full-state function."""
-
-    def func(x, d, i):
-        return H_value(pair_state(x, d, i, config), config)
-
-    def partials(x, d, i):
-        return h_gradient(pair_state(x, d, i, config), config)
-
-    return func, partials
-
-
-def v_field(config: ContinuousConfig):
-    """(func, partials) pair exposing V as a full-state function."""
-
-    def func(x, d, i):
-        return V_value(pair_state(x, d, i, config), config)
-
-    def partials(x, d, i):
-        return v_gradient(pair_state(x, d, i, config), config)
-
-    return func, partials

@@ -10,7 +10,9 @@ message at any time, and the message is handed off on contact from a
 counter-clockwise mover to a clockwise mover, so the message itself only
 ever travels clockwise.  Both variants share one State, one start rule
 (start_state), one contact test (in_contact) and one relay rule
-(resolve_handoff, and pass_message over many meetings).
+(resolve_handoff, and pass_message over many meetings).  The reference
+step() and continuum event operations in tests/oracles.py, which the
+engines are replayed against, build on the same State and relay rule.
 """
 from __future__ import annotations
 
@@ -56,13 +58,13 @@ class ContinuousConfig:
 
 def validate_sites(n_sites: int) -> int:
     if not isinstance(n_sites, (int, np.integer)):
-        raise errors.NOutOfRange(f"site count must be an integer, got {n_sites!r}")
+        raise errors.RelayError(f"site count must be an integer, got {n_sites!r}")
     if n_sites < 3:
-        raise errors.NOutOfRange(f"need at least 3 sites, got {n_sites}")
+        raise errors.RelayError(f"need at least 3 sites, got {n_sites}")
     if n_sites % 2 == 0:
-        raise errors.EvenN(f"site count must be odd, got {n_sites}")
+        raise errors.RelayError(f"site count must be odd, got {n_sites}")
     if n_sites >= 2**62:  # the engine's unwrapped int64 sites stay in range
-        raise errors.NOutOfRange(f"site count must be below 2**62, got {n_sites}")
+        raise errors.RelayError(f"site count must be below 2**62, got {n_sites}")
     return int(n_sites)
 
 
@@ -70,7 +72,7 @@ def validate_flip_prob(flip_prob: float) -> float:
     # Both endpoints are excluded: at 0 the walkers never turn, at 1 the
     # relative motion is periodic, and either way ergodicity is lost.
     if not (0.0 < flip_prob < 1.0):
-        raise errors.EpsilonOutOfRange(
+        raise errors.RelayError(
             f"flip probability must lie in (0, 1), got {flip_prob!r}"
         )
     return float(flip_prob)
@@ -78,7 +80,7 @@ def validate_flip_prob(flip_prob: float) -> float:
 
 def validate_walkers(n_walkers: int) -> None:
     if n_walkers < 2:
-        raise errors.MTooSmall(f"need at least 2 walkers, got {n_walkers}")
+        raise errors.RelayError(f"need at least 2 walkers, got {n_walkers}")
     if n_walkers > MAX_WALKERS:
         raise errors.RelayError(f"at most {MAX_WALKERS} walkers, got {n_walkers}")
 
@@ -94,13 +96,13 @@ def validate_discrete(config: DiscreteConfig) -> DiscreteConfig:
 def validate_continuous(config: ContinuousConfig) -> ContinuousConfig:
     """Check a continuum parameter set, returning it unchanged."""
     if not (config.circumference > 0.0):
-        raise errors.NOutOfRange(
+        raise errors.RelayError(
             f"circumference must be > 0, got {config.circumference!r}"
         )
     if not (config.speed > 0.0):
-        raise errors.SpeedOutOfRange(f"speed must be > 0, got {config.speed!r}")
+        raise errors.RelayError(f"speed must be > 0, got {config.speed!r}")
     if not (config.switch_rate > 0.0):
-        raise errors.RateOutOfRange(
+        raise errors.RelayError(
             f"switch rate must be > 0, got {config.switch_rate!r}"
         )
     validate_walkers(config.n_walkers)
@@ -209,7 +211,7 @@ def start_state(
         if np.shape(initial.positions) != (m,) or np.shape(initial.directions) != (m,):
             raise errors.RelayError(f"positions and directions must list {m} walkers")
         if not np.all((initial.positions >= 0) & (initial.positions < size)):
-            raise errors.NOutOfRange(f"positions must lie in [0, {size})")
+            raise errors.RelayError(f"positions must lie in [0, {size})")
         if not np.all(np.isin(initial.directions, (1, -1))):
             raise errors.RelayError("directions must be +1 or -1")
         if not (0 <= initial.carrier < m):
@@ -222,7 +224,7 @@ def start_state(
         state = State(positions, directions, int(aux.integers(m)))
     elif initial == "regeneration":
         if m != 2:
-            raise errors.MNotTwo("regeneration start is defined for 2 walkers")
+            raise errors.RelayError("regeneration start is defined for 2 walkers")
         point = draw(1)[0]
         variant = int(aux.integers(2))
         directions = np.array([1, -1], dtype=np.int64) * (1 - 2 * variant)

@@ -120,9 +120,11 @@ class TestConfigHandling:
                          id="lattice-fractional-trace"),
             pytest.param("simulate", "discrete", "trace_every=-3", "trace_every",
                          id="lattice-negative-trace"),
-            pytest.param("simulate", "discrete", "sample_every=-5", "sample_every",
+            pytest.param("simulate", "discrete", "sample_every=-5",
+                         "unknown config key: 'sample_every'",
                          id="lattice-negative-sample"),
-            pytest.param("simulate", "continuous", "sample_every=-2.5", "sample_every",
+            pytest.param("simulate", "continuous", "sample_every=-2.5",
+                         "unknown config key: 'sample_every'",
                          id="continuum-negative-sample"),
             pytest.param("simulate", "discrete", "epsilon=abc", "epsilon",
                          id="epsilon-not-a-number"),
@@ -245,7 +247,7 @@ class TestConfigHandling:
             pytest.param("simulate", "discrete", (f"steps={10**12}", "trace_every=1"),
                          "checkpoints", id="lattice-trace-past-bound"),
             pytest.param("simulate", "discrete", (f"steps={10**12}", "sample_every=1"),
-                         "checkpoints", id="lattice-samples-past-bound"),
+                         "unknown config key", id="lattice-samples-past-bound"),
             pytest.param("simulate", "continuous", ("horizon=1e12", "trace_every=1"),
                          "checkpoints", id="continuum-trace-past-bound"),
             pytest.param("simulate", "continuous", ("N=1e-300", "horizon=1"),

@@ -91,13 +91,13 @@ class TestDiscreteForms:
             assert all(d < 0 for d in second)
 
     def test_validation(self):
-        with pytest.raises(errors.EvenN):
+        with pytest.raises(errors.RelayError, match="must be odd"):
             cf.speed_discrete(4, 0.1)
-        with pytest.raises(errors.NOutOfRange):
+        with pytest.raises(errors.RelayError, match="at least 3 sites"):
             cf.speed_discrete(1, 0.1)
-        with pytest.raises(errors.EpsilonOutOfRange):
+        with pytest.raises(errors.RelayError, match="flip probability must lie in"):
             cf.speed_discrete(5, 0.0)
-        with pytest.raises(errors.EpsilonOutOfRange):
+        with pytest.raises(errors.RelayError, match="flip probability must lie in"):
             cf.speed_discrete(5, 1.0)
 
 
@@ -133,13 +133,13 @@ class TestContinuousForms:
             assert 0.5 < p < 0.75 + 1e-12
 
     def test_validation(self):
-        with pytest.raises(errors.NOutOfRange):
+        with pytest.raises(errors.RelayError, match="circumference must be > 0"):
             cf.speed_continuous(0.0, 1.0, 1.0)
-        with pytest.raises(errors.SpeedOutOfRange):
+        with pytest.raises(errors.RelayError, match="speed must be > 0"):
             cf.speed_continuous(1.0, -1.0, 1.0)
-        with pytest.raises(errors.RateOutOfRange):
+        with pytest.raises(errors.RelayError, match="switch rate must be > 0"):
             cf.speed_continuous(1.0, 1.0, 0.0)
-        with pytest.raises(errors.AlphaNonpositive):
+        with pytest.raises(errors.RelayError, match="alpha must be > 0"):
             cf.dimensionless(0.0)
 
 
@@ -176,7 +176,7 @@ class TestScalingLimit:
 
     def test_rejects_unusable_lattice(self):
         # flip probability must stay inside (0, 1)
-        with pytest.raises(errors.EpsilonOutOfRange):
+        with pytest.raises(errors.RelayError, match="flip probability must lie in"):
             cf.scaling_limit_error(3, 10.0, 1.0, 0.1)
 
 

@@ -1,21 +1,18 @@
-"""Continuum simulators: pure event ops, then the engine built on them.
+"""Continuum simulators: pure event ops, then the engine checked by them.
 
 simulate_continuous resolves the relay over walker paths drawn in
 blocks, without stepping from event to event, so the suite drives the
-pure operations (next_event / advance_to / handle_event) as an
-independent reference simulator and checks the engine against it on a
-shared seed, for two walkers and for more.
+pure operations of tests/oracles.py (next_event / advance_to /
+handle_event) as an independent reference simulator and checks the
+engine against it on a shared seed, for two walkers and for more.
 """
 import numpy as np
 import pytest
 
+from oracles import EventSkipped, advance_to, handle_event, meeting_time, next_event
 from ringrelay import continuous, errors, estimators
 from ringrelay.continuous import (
-    advance_to,
     default_tol,
-    handle_event,
-    meeting_time,
-    next_event,
     sample_walker_states,
     simulate_continuous,
 )
@@ -51,7 +48,7 @@ class TestMeetingTime:
         assert meeting_time(1.0, 1, -1, cfg) == pytest.approx(1.0 / 8.0)
 
     def test_rejects_gap_outside_ring(self):
-        with pytest.raises(errors.NOutOfRange):
+        with pytest.raises(errors.RelayError, match="gap must lie in"):
             meeting_time(1.5, 1, -1, CFG1)
 
 
@@ -88,7 +85,7 @@ class TestEventOps:
 
     def test_advance_refuses_to_skip_switch(self):
         state = self.make_state([0.0, 0.5], [1, -1], 0, [0.05, 10.0])
-        with pytest.raises(errors.EventSkipped):
+        with pytest.raises(EventSkipped):
             advance_to(state, 0.2, CFG1)
 
     def test_advance_refuses_backwards(self):
@@ -134,7 +131,7 @@ class TestEventOps:
     def test_handle_rejects_stale_clock(self):
         state = self.make_state([0.5, 0.0], [-1, 1], 0, [10.0, 10.0])
         ev = next_event(state, CFG1)
-        with pytest.raises(errors.EventSkipped):
+        with pytest.raises(EventSkipped):
             handle_event(state, ev, CFG1, WalkerStreams(SeedSpec(0, 0), 2))
 
     def test_contact_sampler(self):
@@ -384,6 +381,11 @@ class TestSimulateContinuous:
         with pytest.raises(errors.RelayError):
             simulate_continuous(CFG1, horizon, SeedSpec(0, 0))
 
+    @pytest.mark.parametrize("spacing", ["sample_every", "trace_every"])
+    def test_rejects_negative_spacing(self, spacing):
+        with pytest.raises(errors.RelayError, match=rf"{spacing} must be 0 \(off\)"):
+            simulate_continuous(CFG1, 50.0, SeedSpec(0, 0), **{spacing: -2.5})
+
     def test_rejects_bad_initial(self):
         bad = State(np.array([0.1, 1.7]), np.array([1, -1]), 0)
         with pytest.raises(errors.RelayError):
@@ -472,6 +474,12 @@ class TestFastSampler:
             for got, want in zip(continuous._walk(*args), walk(*args)):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+    def test_rejects_switch_counts_past_bound(self):
+        # r t = 1e300 asks for more than 2**53 switches; the check comes
+        # before any switch is drawn
+        with pytest.raises(errors.RelayError, match=r"2\*\*53"):
+            sample_walker_states(ContinuousConfig(1.0, 1.0, 1e300), [1.0], 0)
 
     def test_direction_marginal_is_balanced(self):
         cfg = ContinuousConfig(2.0, 1.0, 0.5)

@@ -1,9 +1,9 @@
 """Lattice simulator: single-round semantics and the vectorised engine.
 
-The one-round step() function is simple enough to eyeball; the block
-engine used by simulate_discrete for any number of walkers is not, so
-the central test here replays the same seed through both and demands
-the identical trajectory, round by round.
+The one-round step() of tests/oracles.py is simple enough to eyeball;
+the block engine used by simulate_discrete for any number of walkers is
+not, so the central test here replays the same seed through both and
+demands the identical trajectory, round by round.
 """
 import math
 
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import step
 from ringrelay import discrete, errors, estimators, model
 from ringrelay.model import DiscreteConfig, SeedSpec, WalkerStreams
 
@@ -30,7 +31,7 @@ def run_reference_loop(config, steps, seed, initial):
     )
     rows = [(state.positions, state.directions, state.carrier, False)]
     for _ in range(steps):
-        state, jumped = discrete.step(state, config, streams)
+        state, jumped = step(state, config, streams)
         rows.append((state.positions, state.directions, state.carrier, jumped))
     visits = [
         t for t, (x, d, c, _) in enumerate(rows)
@@ -44,7 +45,7 @@ class TestStep:
     def test_plain_move(self):
         cfg = DiscreteConfig(5, TINY)
         state = model.State(np.array([1, 3]), np.array([-1, 1]), 0)
-        out, jumped = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
+        out, jumped = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 4]
         assert not jumped
         assert out.carrier == 0
@@ -53,28 +54,28 @@ class TestStep:
     def test_positions_wrap(self):
         cfg = DiscreteConfig(5, TINY)
         state = model.State(np.array([4, 0]), np.array([1, -1]), 1)
-        out, _ = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
+        out, _ = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 4]
 
     def test_handoff_on_contact(self):
         # walkers collide head-on; the counter-clockwise carrier hands off
         cfg = DiscreteConfig(5, TINY)
         state = model.State(np.array([1, 4]), np.array([-1, 1]), 0)
-        out, jumped = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
+        out, jumped = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 0]
         assert jumped and out.carrier == 1
 
     def test_no_handoff_when_carrier_clockwise(self):
         cfg = DiscreteConfig(5, TINY)
         state = model.State(np.array([1, 4]), np.array([-1, 1]), 1)
-        out, jumped = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
+        out, jumped = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert not jumped and out.carrier == 1
 
     def test_crossing_without_meeting_keeps_message(self):
         # adjacent walkers swap sites without ever sharing one
         cfg = DiscreteConfig(5, TINY)
         state = model.State(np.array([1, 2]), np.array([1, -1]), 1)
-        out, jumped = discrete.step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
+        out, jumped = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [2, 1]
         assert not jumped
 
@@ -85,7 +86,7 @@ class TestStep:
             state = model.State(
                 np.array([1, 4, 4]), np.array([-1, 1, 1]), 0
             )
-            out, jumped = discrete.step(
+            out, jumped = step(
                 state, cfg, WalkerStreams(SeedSpec(17, rep), 3)
             )
             assert jumped
@@ -111,7 +112,7 @@ class TestStep:
         )
         for _ in range(60):
             prev_carrier = state.carrier
-            state, jumped = discrete.step(state, cfg, streams)
+            state, jumped = step(state, cfg, streams)
             assert np.all((0 <= state.positions) & (state.positions < n))
             assert np.all(np.isin(state.directions, (1, -1)))
             if jumped:
@@ -149,7 +150,7 @@ class TestRegenerationLaw:
         assert not model.in_contact(no_pos, cfg.n_sites)
 
     def test_sample_nu_needs_two_walkers(self):
-        with pytest.raises(errors.MNotTwo):
+        with pytest.raises(errors.RelayError, match="defined for 2 walkers"):
             discrete._start(
                 DiscreteConfig(5, 0.3, 3), WalkerStreams(SeedSpec(0, 0), 3),
                 "regeneration",
@@ -426,3 +427,17 @@ class TestTraces:
             full.displacement_sum / 4000
         )
         assert report.trace_cost[-1] == pytest.approx(full.jump_count / 4000)
+
+    def test_samples_past_the_checkpoint_cap_rejected(self):
+        # 10**12 rounds sampled every round: refused before a round runs
+        with pytest.raises(errors.RelayError, match="checkpoints"):
+            discrete.simulate_discrete(
+                DiscreteConfig(5, 0.3), 10**12, SeedSpec(0, 0), sample_every=1
+            )
+
+    @pytest.mark.parametrize("spacing", ["sample_every", "trace_every"])
+    def test_negative_spacing_rejected(self, spacing):
+        with pytest.raises(errors.RelayError, match=rf"{spacing} must be 0 \(off\)"):
+            discrete.simulate_discrete(
+                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), **{spacing: -5}
+            )

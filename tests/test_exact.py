@@ -27,6 +27,15 @@ def dense_stationary_by_powers(chain: exact.ReducedChain) -> np.ndarray:
     return p[0]
 
 
+def chain_states(chain: exact.ReducedChain) -> list:
+    """The chain's states (gap, d1, d2, carrier), in index order."""
+    return list(zip(*(a.tolist() for a in exact._decode(chain.codes))))
+
+
+def chain_index(chain: exact.ReducedChain) -> dict:
+    return {state: k for k, state in enumerate(chain_states(chain))}
+
+
 def loop_chain(n: int, eps: float):
     """The reduced chain enumerated state by state and outcome by outcome:
     states, index, COO triplets in (state, outcome) order, jump_prob."""
@@ -68,7 +77,7 @@ class TestReducedChain:
         chain = exact.build_reduced_chain(n, eps)
         states, index, triplets, jump_prob = loop_chain(n, eps)
         oracle = scipy.sparse.coo_matrix(triplets, shape=(len(states),) * 2).tocsr()
-        assert chain.states == states and chain.index == index
+        assert chain_states(chain) == states and chain_index(chain) == index
         for name in ("data", "indices", "indptr"):
             got, want = getattr(chain.transition, name), getattr(oracle, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -80,11 +89,11 @@ class TestReducedChain:
         assert chain.n_states == 8 * n - 2
 
     def test_excluded_states_absent(self):
-        chain = exact.build_reduced_chain(5, 0.3)
-        assert (0, -1, 1, 0) not in chain.index
-        assert (0, 1, -1, 1) not in chain.index
-        assert (0, 1, -1, 0) in chain.index
-        assert (0, -1, 1, 1) in chain.index
+        index = chain_index(exact.build_reduced_chain(5, 0.3))
+        assert (0, -1, 1, 0) not in index
+        assert (0, 1, -1, 1) not in index
+        assert (0, 1, -1, 0) in index
+        assert (0, -1, 1, 1) in index
 
     @pytest.mark.parametrize("n", [3, 7])
     @pytest.mark.parametrize("eps", EPS_GRID)
@@ -110,7 +119,7 @@ class TestReducedChain:
         chain = exact.build_reduced_chain(n, eps)
         pi = exact.stationary(chain)
         marginal = {}
-        for state, idx in chain.index.items():
+        for state, idx in chain_index(chain).items():
             key = state[:3]
             marginal[key] = marginal.get(key, 0.0) + pi[idx]
         assert len(marginal) == 4 * n
@@ -144,7 +153,8 @@ class TestReducedChain:
         for n, eps in [(3, 0.5), (5, 0.3), (7, 0.8)]:
             chain = exact.build_reduced_chain(n, eps)
             p = chain.transition.toarray()
-            regen = [chain.index[(0, 1, -1, 0)], chain.index[(0, -1, 1, 1)]]
+            index = chain_index(chain)
+            regen = [index[(0, 1, -1, 0)], index[(0, -1, 1, 1)]]
             mask = np.ones(chain.n_states, dtype=bool)
             mask[regen] = False
             q = p[np.ix_(mask, mask)]
@@ -157,9 +167,9 @@ class TestReducedChain:
                 assert ret == pytest.approx(2 * n, rel=1e-12)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(errors.EvenN):
+        with pytest.raises(errors.RelayError, match="must be odd"):
             exact.build_reduced_chain(6, 0.3)
-        with pytest.raises(errors.EpsilonOutOfRange):
+        with pytest.raises(errors.RelayError, match="flip probability must lie in"):
             exact.build_reduced_chain(5, 1.0)
 
 
@@ -184,16 +194,16 @@ class TestTraceBvp:
     def test_difference_is_constant(self, n, eps):
         # f(k) - g(k) is independent of k and equals the wrap probability
         sol = exact.solve_trace_bvp(n, eps)
-        diffs = [sol.f_at(k) - sol.g_at(k) for k in range(n - 1)]
+        diffs = [sol.f[k] - sol.g[k + 1] for k in range(n - 1)]
         np.testing.assert_allclose(diffs, sol.crossing_prob, atol=1e-12)
 
     def test_boundary_values(self):
         sol = exact.solve_trace_bvp(7, 0.25)
-        assert sol.g_at(0) == pytest.approx(0.0, abs=1e-14)
-        assert sol.f_at(6) == pytest.approx(1.0, abs=1e-14)
+        assert sol.g[1] == pytest.approx(0.0, abs=1e-14)
+        assert sol.f[6] == pytest.approx(1.0, abs=1e-14)
         # the formal k=-1 value that closes the recursion
         a = sol.crossing_prob
-        assert sol.g_at(-1) == pytest.approx(-a * 0.25 / 0.75, abs=1e-12)
+        assert sol.g[0] == pytest.approx(-a * 0.25 / 0.75, abs=1e-12)
 
     def test_residual_small(self):
         for n, eps in [(3, 0.5), (11, 0.1), (101, 0.9)]:
@@ -216,33 +226,61 @@ class TestTraceBvp:
 class TestPotentials:
     CFG = ContinuousConfig(1.0, 1.0, 1.0)
 
+    @staticmethod
+    def value(field, gap, d1, d2, carrier, cfg=CFG):
+        """A potential at walker 0 a clockwise gap ahead of walker 1."""
+        func, _ = field(cfg)
+        return func(np.array([gap, 0.0]), np.array([d1, d2]), carrier)
+
     def test_h_frozen_example(self):
-        state = exact.Phi2State(0.25, 1, 1, 0)
-        assert exact.H_value(state, self.CFG) == pytest.approx(0.59375, abs=1e-15)
+        h = self.value(exact.h_field, 0.25, 1, 1, 0)
+        assert h == pytest.approx(0.59375, abs=1e-15)
 
     def test_h_on_contact_set(self):
-        state = exact.Phi2State(0.0, 1, -1, 0)
-        assert exact.H_value(state, self.CFG) == pytest.approx(-0.5, abs=1e-15)
+        h = self.value(exact.h_field, 0.0, 1, -1, 0)
+        assert h == pytest.approx(-0.5, abs=1e-15)
 
     def test_v_frozen_example(self):
-        state = exact.Phi2State(0.5, 1, -1, 0)
-        assert exact.V_value(state, self.CFG) == pytest.approx(2.5 / 3, abs=1e-15)
+        v = self.value(exact.v_field, 0.5, 1, -1, 0)
+        assert v == pytest.approx(2.5 / 3, abs=1e-15)
 
     def test_v_undefined_on_contact_set(self):
-        with pytest.raises(errors.StateInF):
-            exact.V_value(exact.Phi2State(0.0, 1, -1, 0), self.CFG)
+        with pytest.raises(errors.RelayError, match="undefined at a contact"):
+            self.value(exact.v_field, 0.0, 1, -1, 0)
+
+    def test_gap_convention(self):
+        # the gap is (x0 - x1) mod circumference: walkers at 0.3 and 1.8
+        # on a ring of 2 are 0.5 apart, and V is linear in the carrier's
+        # gap, (r gap + v) / (r N + 2 v) here, not (r 1.5 + v) / (r N + 2 v)
+        cfg = ContinuousConfig(2.0)
+        x, d = np.array([0.3, 1.8]), np.array([1, 1])
+        v_func, _ = exact.v_field(cfg)
+        assert v_func(x, d, 0) == pytest.approx(1.5 / 4, abs=1e-15)
+        assert v_func(x, d, 1) == pytest.approx(2.5 / 4, abs=1e-15)
+        h_func, _ = exact.h_field(cfg)
+        d = np.array([1, -1])
+        assert h_func(x, d, 1) == pytest.approx(
+            self.value(exact.h_field, 0.5, 1, -1, 1, cfg), abs=1e-15)
+
+    @pytest.mark.parametrize("field", ["h_field", "v_field"])
+    def test_two_walkers_only(self, field):
+        func, _ = getattr(exact, field)(self.CFG)
+        with pytest.raises(errors.RelayError, match="exactly 2 walkers"):
+            func(np.array([0.1, 0.5, 0.7]), np.array([1, 1, -1]), 0)
 
     def test_v_is_a_probability(self):
         cfg = ContinuousConfig(2.0, 1.3, 0.7)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            state = exact.Phi2State(
+            v = self.value(
+                exact.v_field,
                 float(rng.uniform(1e-6, 2.0 - 1e-6)),
                 int(1 - 2 * rng.integers(2)),
                 int(1 - 2 * rng.integers(2)),
                 int(rng.integers(2)),
+                cfg,
             )
-            assert 0.0 <= exact.V_value(state, cfg) <= 1.0
+            assert 0.0 <= v <= 1.0
 
     @given(
         gap=st.floats(min_value=1e-3, max_value=0.999),
@@ -253,17 +291,12 @@ class TestPotentials:
     def test_relabel_invariance(self, gap, d1, d2, carrier):
         # swapping walker labels flips the gap and the carrier index but
         # must leave both potentials unchanged
-        cfg = self.CFG
-        state = exact.Phi2State(gap, d1, d2, carrier)
-        swapped = exact.Phi2State(
-            (cfg.circumference - gap) % cfg.circumference, d2, d1, 1 - carrier
-        )
-        assert exact.H_value(state, cfg) == pytest.approx(
-            exact.H_value(swapped, cfg), rel=1e-12
-        )
-        assert exact.V_value(state, cfg) == pytest.approx(
-            exact.V_value(swapped, cfg), rel=1e-12
-        )
+        for field in (exact.h_field, exact.v_field):
+            func, _ = field(self.CFG)
+            x = np.array([gap, 0.0])
+            assert func(x, np.array([d1, d2]), carrier) == pytest.approx(
+                func(x[::-1], np.array([d2, d1]), 1 - carrier), rel=1e-12
+            )
 
 
 class TestGenerator:
@@ -314,11 +347,3 @@ class TestGenerator:
             analytic = exact.apply_generator(h_func, x, d, 0, cfg, h_part)
             numeric = exact.apply_generator(h_func, x, d, 0, cfg)
             assert numeric == pytest.approx(analytic, abs=1e-6)
-
-    def test_pair_state_roundtrip(self):
-        cfg = ContinuousConfig(2.0)
-        state = exact.pair_state(
-            np.array([0.3, 1.8]), np.array([1, -1]), 1, cfg
-        )
-        assert state.gap == pytest.approx(0.5)
-        assert (state.d1, state.d2, state.carrier) == (1, -1, 1)

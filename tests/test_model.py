@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import loop_pass_message
 from ringrelay import errors
 from ringrelay.model import (
     MAX_WALKERS,
@@ -29,20 +30,24 @@ class TestConfigs:
         assert cfg.n_walkers == 2
 
     @pytest.mark.parametrize(
-        "kwargs,exc",
+        "kwargs,match",
         [
-            (dict(n_sites=4, flip_prob=0.1), errors.EvenN),
-            (dict(n_sites=1, flip_prob=0.1), errors.NOutOfRange),
-            (dict(n_sites=5, flip_prob=0.0), errors.EpsilonOutOfRange),
-            (dict(n_sites=5, flip_prob=1.0), errors.EpsilonOutOfRange),
-            (dict(n_sites=5, flip_prob=0.1, n_walkers=1), errors.MTooSmall),
+            (dict(n_sites=4, flip_prob=0.1), "must be odd"),
+            (dict(n_sites=1, flip_prob=0.1), "at least 3 sites"),
+            (dict(n_sites=5, flip_prob=0.0), "flip probability must lie in"),
+            (dict(n_sites=5, flip_prob=1.0), "flip probability must lie in"),
+            (dict(n_sites=5, flip_prob=0.1, n_walkers=1), "at least 2 walkers"),
             (dict(n_sites=5, flip_prob=0.1, n_walkers=MAX_WALKERS + 1),
-             errors.RelayError),
-            (dict(n_sites=2**62 + 1, flip_prob=0.1), errors.NOutOfRange),
+             f"at most {MAX_WALKERS} walkers"),
+            (dict(n_sites=2**62 + 1, flip_prob=0.1), r"below 2\*\*62"),
         ],
+        # each id names the cause its row tells apart by message
+        ids=["kwargs0-EvenN", "kwargs1-NOutOfRange", "kwargs2-EpsilonOutOfRange",
+             "kwargs3-EpsilonOutOfRange", "kwargs4-MTooSmall", "kwargs5-RelayError",
+             "kwargs6-NOutOfRange"],
     )
-    def test_discrete_rejects(self, kwargs, exc):
-        with pytest.raises(exc):
+    def test_discrete_rejects(self, kwargs, match):
+        with pytest.raises(errors.RelayError, match=match):
             validate_discrete(DiscreteConfig(**kwargs))
 
     def test_discrete_rejects_non_integer_sites(self):
@@ -50,42 +55,23 @@ class TestConfigs:
             validate_discrete(DiscreteConfig(5.5, 0.1))
 
     @pytest.mark.parametrize(
-        "kwargs,exc",
+        "kwargs,match",
         [
-            (dict(circumference=0.0), errors.NOutOfRange),
-            (dict(circumference=1.0, speed=0.0), errors.SpeedOutOfRange),
-            (dict(circumference=1.0, switch_rate=-1.0), errors.RateOutOfRange),
-            (dict(circumference=1.0, n_walkers=0), errors.MTooSmall),
-            (dict(circumference=1.0, n_walkers=10**12), errors.RelayError),
+            (dict(circumference=0.0), "circumference must be > 0"),
+            (dict(circumference=1.0, speed=0.0), "speed must be > 0"),
+            (dict(circumference=1.0, switch_rate=-1.0), "switch rate must be > 0"),
+            (dict(circumference=1.0, n_walkers=0), "at least 2 walkers"),
+            (dict(circumference=1.0, n_walkers=10**12), "at most"),
         ],
+        ids=["kwargs0-NOutOfRange", "kwargs1-SpeedOutOfRange", "kwargs2-RateOutOfRange",
+             "kwargs3-MTooSmall", "kwargs4-RelayError"],
     )
-    def test_continuous_rejects(self, kwargs, exc):
-        with pytest.raises(exc):
+    def test_continuous_rejects(self, kwargs, match):
+        with pytest.raises(errors.RelayError, match=match):
             validate_continuous(ContinuousConfig(**kwargs))
 
     def test_continuous_accepts_valid(self):
         validate_continuous(ContinuousConfig(2.0, 1.0, 1.0, 3))
-
-
-def loop_pass_message(car, meet_t, cw, ccw, window, streams):
-    """The carrier after each meeting, one meeting at a time: the walk the
-    continuum engine ran before model.pass_message, kept as its reference.
-    The message moves only at a meeting whose counter-clockwise member is
-    the carrier, to one of the clockwise walkers that meet the carrier
-    within window, in ascending index, chosen with streams.choose."""
-    t, cw, ccw = meet_t.tolist(), cw.tolist(), ccw.tolist()
-    after = []
-    for i, loser in enumerate(ccw):
-        if loser == car:
-            cands, h = set(), i
-            while h < len(t) and t[h] - t[i] <= window:
-                if ccw[h] == car:
-                    cands.add(cw[h])
-                h += 1
-            cands = sorted(cands)
-            car = cands[streams.choose(len(cands))]
-        after.append(car)
-    return np.array(after, dtype=np.int64)
 
 
 def lattice_candidates(positions, directions, carrier):
@@ -195,7 +181,7 @@ class TestCheckState:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 5.0])
     def test_position_outside_ring_rejected(self, bad):
         state = State(np.array([0.0, bad]), np.array([1, -1]), 0)
-        with pytest.raises(errors.NOutOfRange):
+        with pytest.raises(errors.RelayError, match="positions must lie in"):
             check_state(state, 2, 5.0)
 
     def test_valid_state_accepted(self):
