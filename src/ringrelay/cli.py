@@ -256,20 +256,14 @@ def _report_payload(report) -> dict:
         "cycles": None,
     }
     if report.cycle_lengths is not None and report.n_cycles >= 1:
-        lengths = report.cycle_lengths
-        cycles = {
+        summary = estimators.excursion_classifier(report)
+        payload["cycles"] = {
             "count": int(report.n_cycles),
-            "mean_length": float(lengths.mean()),
+            "mean_length": float(report.cycle_lengths.mean()),
             "jump_fraction": float(report.cycle_jumps.mean()),
+            "wrap_fraction": float(summary.wrap_fraction),
+            "max_displacement_dev": float(summary.max_deviation),
         }
-        try:
-            summary = estimators.excursion_classifier(report)
-        except RelayError:
-            summary = None
-        if summary is not None:
-            cycles["wrap_fraction"] = float(summary.wrap_fraction)
-            cycles["max_displacement_dev"] = float(summary.max_deviation)
-        payload["cycles"] = cycles
     return payload
 
 

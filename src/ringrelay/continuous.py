@@ -27,7 +27,8 @@ accounting step, estimators.build_report, with the handoffs counted up
 to each checkpoint.  build_report also sets the burn-in and batches,
 derives the clockwise time and cuts the two-walker contacts into
 regeneration cycles.  sample_walker_states keeps layer (a) alone: it
-gives the walker positions at given times without resolving the relay.
+gives walker samples at given times without resolving the relay, the
+one source of them.
 
 Paths are right-continuous: at a switch time the walker already moves
 with its new direction, and at a meeting the handoff has already
@@ -66,13 +67,18 @@ def default_tol(config: ContinuousConfig) -> float:
 
 def _check_switches(config: ContinuousConfig, horizon: float) -> None:
     """The work bound of every run of walker paths: the expected switches
-    of m walkers up to horizon, m r horizon, stay below 2**53."""
+    of m walkers up to horizon, m r horizon, stay below 2**53, and the
+    unwrapped positions, within v horizon + N, stay finite floats."""
     switches = config.n_walkers * config.switch_rate * horizon
     if not switches < 2**53:
         raise errors.RelayError(
             f"{config.n_walkers} walkers switching at rate {config.switch_rate!r} "
             f"up to horizon {horizon!r} ask for {switches:.3g} switches, "
             "at least 2**53")
+    if not config.speed * horizon + config.circumference < np.inf:
+        raise errors.RelayError(
+            f"speed {config.speed!r} up to horizon {horizon!r} on a ring of "
+            f"{config.circumference!r} leaves the float range")
 
 
 def _start(config: ContinuousConfig, streams: WalkerStreams, initial) -> State:
@@ -94,13 +100,13 @@ def simulate_continuous(
     seed: SeedSpec | int,
     initial="uniform-random",
     *,
-    sample_every: float | None = None,
     trace_every: float | None = None,
 ) -> RunReport:
     """Run the continuum relay up to the given time horizon.
 
     Statistics cover the window after a 1% burn-in, skipped when the
-    start is a contact state.  Cycle records are kept for two walkers:
+    start is a contact state.  trace_every records the running speed and
+    handoff rate from time 0.  Cycle records are kept for two walkers:
     one entry per contact-to-contact excursion of the carrier.
     """
     validate_continuous(config)
@@ -113,9 +119,7 @@ def simulate_continuous(
     state = _start(config, streams, initial)
     in_f = in_contact(state, config.circumference, tol)
     return build_report(
-        lambda checkpoints, is_sample: _run_blocks(
-            config, streams, state, checkpoints, is_sample, tol, in_f
-        ),
+        lambda checkpoints: _run_blocks(config, streams, state, checkpoints, tol, in_f),
         params={
             "model": "continuous",
             "N": config.circumference,
@@ -128,7 +132,6 @@ def simulate_continuous(
         lap_length=config.circumference,
         end=float(horizon),
         in_contact=in_f,
-        sample_every=sample_every,
         trace_every=trace_every,
     )
 
@@ -178,7 +181,7 @@ def _chunk_switches(m: int, laps_per_switch: float) -> int:
 
 def _run_blocks(
     config: ContinuousConfig, streams: WalkerStreams, state: State,
-    checkpoints: np.ndarray, is_sample: np.ndarray, tol: float, in_f: bool,
+    checkpoints: np.ndarray, tol: float, in_f: bool,
 ) -> Readings:
     """Block engine for any number of walkers, layers (a) to (c) of the
     module docstring.  Walker j > 0 sits at u0 + n base + gap of the pair
@@ -217,7 +220,6 @@ def _run_blocks(
         zero = np.zeros(int(in_f))
         contacts = ([zero], [zero], [base[:len(zero)]], [zero.astype(np.int64) + car])
     read = [np.empty(len(checkpoints)) for _ in range(2)]
-    samples_x, samples_d = [], []
     t0, icp = 0.0, 0
     while True:
         # (a) walker paths: switches up to the chunk end t1
@@ -312,10 +314,6 @@ def _run_blocks(
         read[0][icp:stop] = at(held[h], s, ts) + n * lap[h] - origin
         read[1][icp:stop] = cum_jumps + np.searchsorted(
             hit_t[jumped], ts, side="left")
-        if is_sample[icp:stop].any():
-            s, ts = s[is_sample[icp:stop]], ts[is_sample[icp:stop]]
-            samples_x.append((at(np.arange(m)[:, None], s, ts) % n).T)
-            samples_d.append(dirs[:, s].T.astype(np.int64))
         if m == 2:
             found = (meet_t, message - origin, level, newcar)
             for blocks, values in zip(contacts, found):
@@ -328,20 +326,21 @@ def _run_blocks(
         cum_jumps += int(jumped.sum())
         d = dirs[:, -1].copy()
         gap, base = settle(g[-1], base)
-    return Readings(*read, samples_x, samples_d, contacts)
+    return Readings(*read, contacts)
 
 
 def sample_walker_states(
     config: ContinuousConfig, times: np.ndarray, seed: SeedSpec | int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and directions of the walker motion at given times.
+    """Positions and directions of the walkers at given times.
 
     The message plays no part in where walkers are, so equilibrium
-    checks of the walker ensemble can skip the relay entirely: each
-    walker's switch times are drawn in blocks and its piecewise linear
-    path evaluated directly.  Streams are consumed exactly as by
-    simulate_continuous with the uniform-random start, so on a shared
-    seed the two agree pointwise (up to float roundoff in positions).
+    checks of the walker ensemble skip the relay entirely: each walker's
+    switch times are drawn in blocks and its piecewise linear path
+    evaluated directly.  Streams are consumed exactly as by
+    simulate_continuous and the event operations of tests/oracles.py
+    with the uniform-random start, so on a shared seed they agree
+    pointwise (up to float roundoff in positions).
     """
     validate_continuous(config)
     times = np.asarray(times, dtype=float)

@@ -26,8 +26,8 @@ accounting step, estimators.build_report, as the message's unwrapped
 position, and handoffs are counted up to each checkpoint.  build_report
 also sets the burn-in and batches, derives the clockwise time and cuts
 the two-walker contacts into regeneration cycles.  sample_walker_states
-keeps layer (a) alone: it gives the walker samples of a run without
-resolving the relay.
+keeps layer (a) alone: it gives walker samples without resolving the
+relay, the one source of them.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from . import errors
-from .estimators import Readings, RunReport, build_report, window
+from .estimators import Readings, RunReport, build_report, spaced_times, window
 from .model import (
     DiscreteConfig,
     SeedSpec,
@@ -84,18 +84,16 @@ def simulate_discrete(
     seed: SeedSpec | int,
     initial="uniform-random",
     *,
-    sample_every: int | None = None,
     trace_every: int | None = None,
 ) -> RunReport:
     """Run the lattice relay for a fixed number of rounds.
 
     Statistics cover rounds after a 1% burn-in, skipped entirely when
     the start is a contact state (the regeneration law needs none).
-    sample_every records the walker state at that spacing for
-    distribution tests; trace_every records the running speed and
-    handoff rate from round 0 for convergence plots.  Regeneration
-    cycles are a two-walker construction, recorded only for m = 2.
-    The window, batches and cycles are set by estimators.build_report.
+    trace_every records the running speed and handoff rate from round 0
+    for convergence plots.  Regeneration cycles are a two-walker
+    construction, recorded only for m = 2.  The window, batches and
+    cycles are set by estimators.build_report.
     """
     validate_discrete(config)
     _check_steps(steps, config.n_walkers)
@@ -104,9 +102,7 @@ def simulate_discrete(
     state = _start(config, streams, initial)
     in_regen = in_contact(state, config.n_sites)
     return build_report(
-        lambda checkpoints, is_sample: _run_blocks(
-            config, streams, state, checkpoints, is_sample, in_regen
-        ),
+        lambda checkpoints: _run_blocks(config, streams, state, checkpoints, in_regen),
         params={
             "model": "discrete",
             "N": config.n_sites,
@@ -118,14 +114,13 @@ def simulate_discrete(
         lap_length=2.0 * config.n_sites,
         end=steps,
         in_contact=in_regen,
-        sample_every=sample_every,
         trace_every=trace_every,
     )
 
 
 def _run_blocks(
     config: DiscreteConfig, streams: WalkerStreams, state: State,
-    checkpoints: np.ndarray, is_sample: np.ndarray, in_regen: bool,
+    checkpoints: np.ndarray, in_regen: bool,
 ) -> Readings:
     """Block engine over rounds 1 .. checkpoints[-1].
 
@@ -147,7 +142,6 @@ def _run_blocks(
     off = -int(state.positions[car])  # message position minus the carrier's
     cum_jumps = 0  # over rounds before t0
     read = [np.zeros(len(checkpoints)) for _ in range(2)]
-    samples_x, samples_d = [], []
     # two walkers: round, displacement, gap level and carrier of each
     # contact, block by block; a contact start first
     zero = np.zeros(int(in_regen), dtype=np.int64)
@@ -196,9 +190,6 @@ def _run_blocks(
         disp = y[held[now]] + rel[held[now], rows] + offs[now]
         read[0][icp:stop] = disp
         read[1][icp:stop] = cum_jumps + np.searchsorted(jump_t, ts, side="right")
-        rows = rows[is_sample[icp:stop]]
-        samples_x.append(((y[:, None] + rel[:, rows]) % n).T)
-        samples_d.append(dirs[:, rows].T.astype(np.int64))
         if m == 2:
             found = (t0 + 1 + ridx, at + offs[1:],
                      (xs[1] - xs[0]) // n, newcar)
@@ -210,24 +201,27 @@ def _run_blocks(
         d, car, off = dirs[:, -1].copy(), int(held[-1]), int(offs[-1])
         del dirs, rel  # free this block before drawing the next
         t0, icp = t0 + b, stop
-    return Readings(*read, samples_x, samples_d, contacts)
+    return Readings(*read, contacts)
 
 
 def sample_walker_states(
     config: DiscreteConfig, steps: int, seed: SeedSpec | int, sample_every: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sample_positions and sample_directions that simulate_discrete(
-    config, steps, seed, sample_every=sample_every) records from the
-    uniform-random start, with no relay resolved: the message never
-    changes how the walkers move.  A walker's directions are the parity
-    of its flips, and its site after round T is its start moved T rounds,
-    less twice the rounds before T of odd parity (a prefix count)."""
+    """Walker positions and directions of a run of steps rounds from the
+    uniform-random start, on the streams simulate_discrete would use, one
+    row per sample round: every sample_every rounds after the window's
+    burn-in (none after a contact start, else steps // 100).  No relay is
+    resolved, since the message never changes how the walkers move.  A
+    walker's directions are the parity of its flips, and its site after
+    round T is its start moved T rounds, less twice the rounds before T
+    of odd parity (a prefix count)."""
     validate_discrete(config)
     n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
     _check_steps(steps, m)
     streams = WalkerStreams(as_seed(seed), m)
     state = _start(config, streams, "uniform-random")
-    _, _, ts, _ = window(steps, in_contact(state, n), sample_every)
+    burn, _, _ = window(steps, in_contact(state, n))
+    ts = spaced_times("sample_every", sample_every, burn, steps)
     last = int(ts[-1]) if len(ts) else 0
     positions = np.empty((len(ts), m), dtype=np.int64)
     directions = np.empty((len(ts), m), dtype=np.int64)

@@ -3,10 +3,12 @@
 A RunReport is the common currency between the two simulators, the
 estimators, and the command line tools: windowed totals for the three
 long-run observables, fixed-count batch sums for error bars, per-cycle
-records between successive regeneration contacts, and optional raw
-equilibrium samples.  build_report makes them for both models: it
-decides the burn-in, the batches and the cycles from what an engine
-reads at checkpoints.  Merging reports concatenates trajectories in the
+records between successive regeneration contacts, and optional running
+traces.  build_report makes them for both models: it decides the
+burn-in, the batches and the cycles from what an engine reads at
+checkpoints.  Walker samples are not part of a run: the two
+sample_walker_states draw them without the relay, and uniformity_test
+tests them.  Merging reports concatenates trajectories in the
 obvious way, so replica parallelism never changes any count or sum.
 """
 from __future__ import annotations
@@ -17,9 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
+from .model import DiscreteConfig
 
 N_BATCHES = 50
-MAX_CHECKPOINTS = 10**6  # samples and trace points in a run, ~100 B each
+MAX_CHECKPOINTS = 10**6  # trace points, or lattice sampler rows, ~100 B each
+MIN_EXPECTED = 20.0  # the least expected count per chi-square cell
 
 
 @dataclass
@@ -53,8 +57,6 @@ class RunReport:
     cycle_displacements: np.ndarray | None = None
     cycle_carrier_sums: np.ndarray | None = None
     cycle_jumps: np.ndarray | None = None
-    sample_positions: np.ndarray | None = None
-    sample_directions: np.ndarray | None = None
     trace_times: np.ndarray | None = None
     trace_speed: np.ndarray | None = None
     trace_cost: np.ndarray | None = None
@@ -67,47 +69,48 @@ class RunReport:
 
 class Readings(NamedTuple):
     """What a simulation engine hands to build_report: cumulative carrier
-    displacement and handoffs at each checkpoint, walker positions and
-    directions at the sample checkpoints (as rows or blocks of rows),
-    and, for two walkers, the pair's head-on contacts in time order, a
-    contact start first, as four lists of per-block arrays (emptied as
-    build_report joins them): the time, the carrier's cumulative
-    displacement, the unwrapped gap x1 - x0 in whole circumferences and
-    the carrier after each contact."""
+    displacement and handoffs at each checkpoint and, for two walkers,
+    the pair's head-on contacts in time order, a contact start first, as
+    four lists of per-block arrays (emptied as build_report joins them):
+    the time, the carrier's cumulative displacement, the unwrapped gap
+    x1 - x0 in whole circumferences and the carrier after each contact."""
 
     displacement: np.ndarray
     jumps: np.ndarray
-    positions: list
-    directions: list
     contacts: tuple | None = None
 
 
-def _spacing(name: str, value, whole: bool):
-    """A checkpoint spacing: None or 0 is off, anything else must be a
-    finite number > 0, and a whole one for runs counted in rounds."""
-    if value is None or value == 0:
-        return None
+def spaced_times(name: str, every, start, end) -> np.ndarray:
+    """start + every, start + 2 every, .. up to end, at most
+    MAX_CHECKPOINTS of them; none if every is None or 0.  Otherwise every
+    must be a finite number > 0, and a whole one for runs counted in
+    rounds (an integer end)."""
+    if every is None or every == 0:
+        return np.zeros(0, dtype=np.int64)
+    whole = isinstance(end, (int, np.integer))
     kinds = (int, np.integer) if whole else (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not (
-        0 < value < np.inf
+    if isinstance(every, bool) or not isinstance(every, kinds) or not (
+        0 < every < np.inf
     ):
         unit = "a whole number of rounds" if whole else "a finite number"
-        raise errors.RelayError(f"{name} must be 0 (off) or {unit} > 0, got {value!r}")
-    return value
+        raise errors.RelayError(f"{name} must be 0 (off) or {unit} > 0, got {every!r}")
+    count = (end - start) / every
+    if count > MAX_CHECKPOINTS:
+        raise errors.RelayError(
+            f"{name} asks for {count:.3g} checkpoints, more than {MAX_CHECKPOINTS}")
+    times = start + every * np.arange(1, int(count) + 1)
+    return times[times <= end]  # the run ends at end: a time rounded past it goes
 
 
-def window(end, in_contact: bool, sample_every=None, trace_every=None) -> tuple:
+def window(end, in_contact: bool, trace_every=None) -> tuple:
     """The window rule of both simulators, for a run that ends at end:
-    its burn-in, batch edges, sample times and trace times.
+    its burn-in, batch edges and trace times.
 
     The recorded window runs from burn-in to end: none after a start in
     a contact state (a regeneration), else the first 1% of the run.  It
     is cut into N_BATCHES batches; for runs counted in rounds (an integer
     end) they hold whole rounds and leave the rounds after the last batch
-    out.  Samples are taken every sample_every after burn-in and trace
-    points every trace_every from time 0, up to end, at most
-    MAX_CHECKPOINTS of them together.  Runs counted in rounds need
-    whole-number spacings.
+    out.  Trace points are the spaced_times of trace_every from time 0.
     """
     whole = isinstance(end, (int, np.integer))
     burn = 0 if in_contact else end // 100 if whole else 0.01 * end
@@ -116,49 +119,27 @@ def window(end, in_contact: bool, sample_every=None, trace_every=None) -> tuple:
         edges = burn + size * np.arange(N_BATCHES + 1 if size else 1)
     else:
         edges = np.linspace(burn, end, N_BATCHES + 1)
-    sample_every = _spacing("sample_every", sample_every, whole)
-    trace_every = _spacing("trace_every", trace_every, whole)
-    count = (end - burn) / (sample_every or np.inf) + end / (trace_every or np.inf)
-    if count > MAX_CHECKPOINTS:
-        raise errors.RelayError(
-            f"sample_every and trace_every ask for {count:.3g} checkpoints, "
-            f"more than {MAX_CHECKPOINTS}")
-    no_times = np.zeros(0, dtype=np.int64)
-    sample_ts = (
-        burn + sample_every * np.arange(1, int((end - burn) / sample_every) + 1)
-        if sample_every
-        else no_times
-    )
-    trace_ts = (
-        trace_every * np.arange(1, int(end / trace_every) + 1)
-        if trace_every
-        else no_times
-    )
-    # the run ends at end, so a checkpoint rounded past it is dropped
-    return burn, edges, sample_ts[sample_ts <= end], trace_ts[trace_ts <= end]
+    return burn, edges, spaced_times("trace_every", trace_every, 0, end)
 
 
 def build_report(
     engine, *, params: dict, seed, lap_length: float, end, in_contact: bool,
-    sample_every=None, trace_every=None,
+    trace_every=None,
 ) -> RunReport:
     """The accounting step shared by both simulators.
 
-    The burn-in, batch edges, samples and trace points follow window().
-    All these checkpoints go to engine(checkpoints, is_sample) as one
-    sorted list, and the Readings it returns are sliced back into a
-    RunReport, with the cycles cut from its contacts.  The carrier always
-    moves, at speed v (1 on the lattice), so its clockwise time up to t
-    is (t + displacement / v) / 2.
+    The burn-in, batch edges and trace points follow window().  All
+    these checkpoints go to engine(checkpoints) as one sorted list, and
+    the Readings it returns are sliced back into a RunReport, with the
+    cycles cut from its contacts.  The carrier always moves, at speed v
+    (1 on the lattice), so its clockwise time up to t is
+    (t + displacement / v) / 2.
     """
-    burn, edges, sample_ts, trace_ts = window(
-        end, in_contact, sample_every, trace_every
-    )
-    n_edges, n_samples = len(edges), len(sample_ts)
-    checkpoints = np.concatenate((edges, [end], sample_ts, trace_ts))
+    burn, edges, trace_ts = window(end, in_contact, trace_every)
+    n_edges = len(edges)
+    checkpoints = np.concatenate((edges, [end], trace_ts))
     order = np.argsort(checkpoints, kind="stable")
-    is_sample = (order > n_edges) & (order <= n_edges + n_samples)
-    run = engine(checkpoints[order], is_sample)
+    run = engine(checkpoints[order])
 
     def unsort(values):
         out = np.empty(len(values))
@@ -168,7 +149,7 @@ def build_report(
     disp, jumps = map(unsort, run[:2])
     clock = (checkpoints + disp / params.get("v", 1)) / 2
     batch = slice(0, n_edges)
-    traced = slice(n_edges + 1 + n_samples, None)
+    traced = slice(n_edges + 1, None)
     return RunReport(
         kind=params["model"],
         params=params,
@@ -183,8 +164,6 @@ def build_report(
         batch_jumps=np.diff(jumps[batch]),
         batch_clockwise=np.diff(clock[batch]),
         **_cycles(run.contacts, burn, params["N"]),
-        sample_positions=np.vstack(run.positions) if n_samples else None,
-        sample_directions=np.vstack(run.directions) if n_samples else None,
         trace_times=trace_ts.astype(float) if trace_every else None,
         trace_speed=disp[traced] / trace_ts if trace_every else None,
         trace_cost=jumps[traced] / trace_ts if trace_every else None,
@@ -263,8 +242,6 @@ def merge(reports: list[RunReport]) -> RunReport:
         cycle_displacements=cat("cycle_displacements"),
         cycle_carrier_sums=cat("cycle_carrier_sums"),
         cycle_jumps=cat("cycle_jumps"),
-        sample_positions=cat("sample_positions"),
-        sample_directions=cat("sample_directions"),
         seeds=[s for r in reports for s in r.seeds],
     )
 
@@ -280,7 +257,9 @@ def _batch_estimate(report: RunReport, batch_sums: np.ndarray, total: float) -> 
     if n < 20:
         raise errors.RelayError(f"need at least 20 batches, got {n}")
     means = batch_sums / report.batch_duration
-    stderr = float(means.std(ddof=1) / np.sqrt(n))
+    big = np.abs(means).max()  # scaled first only where the squares overflow
+    scale = big if big > 1e150 else 1.0
+    stderr = float(scale * (means / scale).std(ddof=1) / np.sqrt(n))
     return Estimate(float(total / report.total_time), stderr, n)
 
 
@@ -308,44 +287,28 @@ class KacCheck(NamedTuple):
     n_cycles: int
 
 
-def kac_check(
-    report: RunReport,
-    f_cycle_sums: np.ndarray | None = None,
-    f_time_average: float | None = None,
-    f_time_stderr: float | None = None,
-) -> KacCheck:
-    """Cycle-sum identity: mean per-cycle sum of f against the product
-    of mean cycle length and the long-run time average of f.
+def kac_check(report: RunReport, time_average: float, time_stderr: float) -> KacCheck:
+    """Cycle-sum identity: the mean carrier displacement per cycle against
+    the product of the mean cycle length and the long-run speed.
 
-    Defaults check the carrier displacement itself, using the report's
-    own windowed average; for a sharper test pass a time average (and
-    its standard error) obtained from an independent run.  The returned
-    stderr combines the cycle-side and product-side errors, so the two
-    routes agree when gap is within a few stderr of zero.
+    time_average and its standard error time_stderr should come from an
+    independent run.  The returned stderr combines the cycle-side and
+    product-side errors, so the two routes agree when gap is within a few
+    stderr of zero.
     """
     if report.n_cycles < 100:
         raise errors.RelayError(
             f"need at least 100 cycles, got {report.n_cycles}"
         )
-    sums = (
-        report.cycle_carrier_sums if f_cycle_sums is None else np.asarray(f_cycle_sums)
-    )
-    if len(sums) != report.n_cycles:
-        raise errors.RelayError("one sum per cycle required")
-    if f_time_average is None:
-        est = speed_estimate(report)
-        f_time_average, f_time_stderr = est.point, est.stderr
-    if f_time_stderr is None:
-        f_time_stderr = 0.0
-
+    sums = report.cycle_carrier_sums
     n = report.n_cycles
     lengths = report.cycle_lengths
     cycle_mean = float(sums.mean())
     se_cycle = float(sums.std(ddof=1) / np.sqrt(n))
     mean_len = float(lengths.mean())
     se_len = float(lengths.std(ddof=1) / np.sqrt(n))
-    product = mean_len * f_time_average
-    se_product = np.hypot(f_time_average * se_len, mean_len * f_time_stderr)
+    product = mean_len * time_average
+    se_product = np.hypot(time_average * se_len, mean_len * time_stderr)
     gap = cycle_mean - product
     stderr = float(np.hypot(se_cycle, se_product))
     rel = abs(gap) / max(abs(product), np.finfo(float).tiny)
@@ -388,14 +351,13 @@ def chi_square_uniformity(
     directions: np.ndarray,
     circumference: float,
     position_bins: int,
-    min_expected: float = 20.0,
 ) -> UniformityResult:
     """Chi-square test of joint uniformity of positions and directions.
 
-    Positions are cut into equal arcs (for the lattice pass n_sites as
-    position_bins so each site is its own cell) and crossed with the
+    Positions are cut into position_bins equal arcs and crossed with the
     direction signs of every walker, giving (position_bins * 2)^m
-    equiprobable cells under the product-uniform law.
+    equiprobable cells under the product-uniform law, each of which must
+    expect at least MIN_EXPECTED samples.
     """
     pos = np.asarray(positions, dtype=float)
     dirs = np.asarray(directions)
@@ -407,10 +369,10 @@ def chi_square_uniformity(
     for j in range(m):
         cell = cell * cells_per_walker + bins[:, j] * 2 + (dirs[:, j] > 0)
     n_cells = cells_per_walker**m
-    if k / n_cells < min_expected:
+    if k / n_cells < MIN_EXPECTED:
         raise errors.RelayError(
             f"{k} samples over {n_cells} cells leaves expected count "
-            f"{k / n_cells:.1f} < {min_expected}"
+            f"{k / n_cells:.1f} < {MIN_EXPECTED}"
         )
     import scipy.special
 
@@ -422,29 +384,13 @@ def chi_square_uniformity(
 
 
 def uniformity_test(
-    report: RunReport,
-    position_bins: int | None = None,
-    min_expected: float = 20.0,
+    config, positions: np.ndarray, directions: np.ndarray
 ) -> UniformityResult:
-    """Equilibrium check on the samples a simulator recorded.
-
-    The simulators take samples at wide spacings (at least ten rounds
-    per site, or ten crossing times) precisely so this test sees nearly
-    independent draws.  Default binning: one cell per site for the
-    lattice, max(8, ceil(circumference)) equal arcs for the continuum.
-    """
-    if report.sample_positions is None or len(report.sample_positions) == 0:
-        raise errors.RelayError("report carries no equilibrium samples")
-    circumference = float(report.params["N"])
-    if position_bins is None:
-        if report.kind == "discrete":
-            position_bins = int(report.params["N"])
-        else:
-            position_bins = max(8, int(np.ceil(circumference)))
-    return chi_square_uniformity(
-        report.sample_positions,
-        report.sample_directions,
-        circumference,
-        position_bins,
-        min_expected,
-    )
+    """Equilibrium check on walker samples of a model, such as its
+    sample_walker_states draws at spacings wide enough (ten rounds per
+    site, or ten crossing times) that the samples are nearly independent:
+    one cell per site on the lattice, 8 equal arcs on the continuum."""
+    if isinstance(config, DiscreteConfig):
+        return chi_square_uniformity(positions, directions, config.n_sites,
+                                     config.n_sites)
+    return chi_square_uniformity(positions, directions, config.circumference, 8)

@@ -100,13 +100,14 @@ def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
     return ReducedChain(n, eps, code, transition, jump_prob)
 
 
-def stationary(chain: ReducedChain, residual_tol: float = 1e-10) -> np.ndarray:
+def stationary(chain: ReducedChain) -> np.ndarray:
     """Stationary distribution of the reduced chain.
 
     Solves (P^T - I) pi = 0 with pi_0 pinned to 1 and its first, redundant
     equation dropped, then normalises.  The system is nonsingular
     whenever the chain is irreducible, which the odd-site validation
     guarantees, and stays as sparse as P (a row of ones would fill in).
+    A residual max |P^T pi - pi| above 1e-10 fails the solve.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -120,7 +121,7 @@ def stationary(chain: ReducedChain, residual_tol: float = 1e-10) -> np.ndarray:
         raise errors.RelayError(f"stationary solve failed: {err}") from err
 
     residual = np.abs(chain.transition.T @ pi - pi).max()
-    if not (residual <= residual_tol and pi.min() >= -1e-12):
+    if not (residual <= 1e-10 and pi.min() >= -1e-12):
         raise errors.RelayError(
             f"stationary solve failed: residual {residual:.3e}, min {pi.min():.3e}"
         )
@@ -345,16 +346,15 @@ def apply_generator(
     directions: Sequence[int],
     carrier: int,
     config: ContinuousConfig,
-    partials: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None,
-    fd_step: float | None = None,
+    partials: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
 ) -> float:
     """Generator of the continuum relay applied to a state function.
 
     func(positions, directions, carrier) must be smooth in positions
-    (circle-periodic) at the given state.  The transport part uses the
-    supplied partials when given, otherwise central finite differences
-    with step fd_step (default 1e-6 * circumference).  The switching
-    part sums r * (func with walker j's direction reversed - func).
+    (circle-periodic) at the given state, with partials(positions,
+    directions, carrier) its derivatives in each walker's position: the
+    transport part is v * sum(d_j * partials_j).  The switching part
+    sums r * (func with walker j's direction reversed - func).
     The carrier is held fixed: handoffs occur only on the contact set,
     which has measure zero and is excluded by the harmonic identities.
     """
@@ -363,17 +363,7 @@ def apply_generator(
     d = np.asarray(directions, dtype=int)
     v, r = config.speed, config.switch_rate
 
-    if partials is not None:
-        grad = np.asarray(partials(x, d, carrier), dtype=float)
-    else:
-        h = fd_step if fd_step is not None else 1e-6 * config.circumference
-        grad = np.empty(len(x))
-        for j in range(len(x)):
-            up, down = x.copy(), x.copy()
-            up[j] = (up[j] + h) % config.circumference
-            down[j] = (down[j] - h) % config.circumference
-            grad[j] = (func(up, d, carrier) - func(down, d, carrier)) / (2.0 * h)
-
+    grad = np.asarray(partials(x, d, carrier), dtype=float)
     drift = float(np.sum(v * d * grad))
     base = func(x, d, carrier)
     switch = 0.0

@@ -44,9 +44,9 @@ class DiscreteConfig:
 class ContinuousConfig:
     """Continuum variant parameters.
 
-    circumference: circle length, > 0.
-    speed: walker speed, > 0.
-    switch_rate: Poisson rate of direction reversals, > 0.
+    circumference: circle length, finite and > 0.
+    speed: walker speed, finite and > 0.
+    switch_rate: Poisson rate of direction reversals, finite and > 0.
     n_walkers: number of walkers, >= 2.
     """
 
@@ -95,16 +95,10 @@ def validate_discrete(config: DiscreteConfig) -> DiscreteConfig:
 
 def validate_continuous(config: ContinuousConfig) -> ContinuousConfig:
     """Check a continuum parameter set, returning it unchanged."""
-    if not (config.circumference > 0.0):
-        raise errors.RelayError(
-            f"circumference must be > 0, got {config.circumference!r}"
-        )
-    if not (config.speed > 0.0):
-        raise errors.RelayError(f"speed must be > 0, got {config.speed!r}")
-    if not (config.switch_rate > 0.0):
-        raise errors.RelayError(
-            f"switch rate must be > 0, got {config.switch_rate!r}"
-        )
+    for name, value in (("circumference", config.circumference),
+                        ("speed", config.speed), ("switch rate", config.switch_rate)):
+        if not (0.0 < value < np.inf):
+            raise errors.RelayError(f"{name} must be > 0 and finite, got {value!r}")
     validate_walkers(config.n_walkers)
     return config
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import closed_form, discrete, estimators, exact
 from .continuous import sample_walker_states, simulate_continuous
 from .discrete import simulate_discrete
-from .estimators import chi_square_uniformity, merge
+from .estimators import merge, uniformity_test
 from .model import ContinuousConfig, DiscreteConfig, SeedSpec, State
 
 DEFAULT_SEED = 20260815
@@ -85,17 +85,14 @@ def _uniformity_passes(model: str, seed: SeedSpec) -> bool:
     """Whether one replica's walker samples pass the chi-square test."""
     if model == "discrete":
         config = DiscreteConfig(5, 0.3)
-        n = config.n_sites
-        # ~4000 samples at the 10N spacing after burn-in, one cell per site
-        pos, dirs = discrete.sample_walker_states(config, 205_000, seed, 10 * n)
-        return chi_square_uniformity(pos, dirs, n, n).pvalue > 0.01
-    config = ContinuousConfig(1.0)
-    spacing = 10 * config.circumference / config.speed
-    # 16 arcs-by-direction cells per walker -> 256 joint cells; 6000
-    # samples keeps every expected count above 20
-    times = 10 * config.circumference + spacing * np.arange(1, 6001)
-    pos, dirs = sample_walker_states(config, times, seed)
-    return chi_square_uniformity(pos, dirs, config.circumference, 8).pvalue > 0.01
+        # ~4000 samples 10N = 50 rounds apart after burn-in, over 100 cells
+        pos, dirs = discrete.sample_walker_states(config, 205_000, seed, 50)
+    else:
+        config = ContinuousConfig(1.0)
+        # 6000 samples 10 crossing times N / v apart, over 256 cells
+        times = 10.0 + 10.0 * np.arange(1, 6001)
+        pos, dirs = sample_walker_states(config, times, seed)
+    return uniformity_test(config, pos, dirs).pvalue > 0.01
 
 
 INDEPENDENCE_STATES = [
@@ -325,12 +322,12 @@ def check_regeneration(ctx: AcceptanceContext) -> CheckResult:
     ok &= abs(cl.mean() - 1.0) <= 3 * se
 
     d_avg = estimators.speed_estimate(d_indep)
-    kd = estimators.kac_check(d_run, None, d_avg.point, d_avg.stderr)
+    kd = estimators.kac_check(d_run, d_avg.point, d_avg.stderr)
     measured["d_kac_sigmas"] = abs(kd.gap) / kd.stderr
     ok &= abs(kd.gap) <= 3 * kd.stderr
 
     c_avg = estimators.speed_estimate(c_indep)
-    kc = estimators.kac_check(c_run, None, c_avg.point, c_avg.stderr)
+    kc = estimators.kac_check(c_run, c_avg.point, c_avg.stderr)
     measured["c_kac_sigmas"] = abs(kc.gap) / kc.stderr
     ok &= abs(kc.gap) <= 3 * kc.stderr
 

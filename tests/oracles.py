@@ -7,10 +7,13 @@ src/ringrelay against them on a shared seed:
 * the continuum event operations (meeting_time / next_event /
   advance_to / handle_event), driven from event to event;
 * the lattice round, step();
-* loop_pass_message, the relay walk over meetings one at a time.
+* loop_pass_message, the relay walk over meetings one at a time;
+* fd_partials, central differences in place of a potential's partials
+  in exact.apply_generator.
 
-They consume the walker streams exactly as the engines do, so on a
-shared seed an engine and its oracle must give the same path.
+The simulation oracles consume the walker streams exactly as the
+engines do, so on a shared seed an engine and its oracle must give the
+same path.
 """
 from __future__ import annotations
 
@@ -194,3 +197,26 @@ def loop_pass_message(car, meet_t, cw, ccw, window, streams):
             car = cands[streams.choose(len(cands))]
         after.append(car)
     return np.array(after, dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# the generator's transport part by finite differences
+
+
+def fd_partials(func, config: ContinuousConfig):
+    """Partials of func(positions, directions, carrier) in each walker's
+    position by central differences with step 1e-6 * circumference, in
+    the form exact.apply_generator takes."""
+    n = config.circumference
+    h = 1e-6 * n
+
+    def partials(x, d, carrier):
+        grad = np.empty(len(x))
+        for j in range(len(x)):
+            up, down = x.copy(), x.copy()
+            up[j] = (up[j] + h) % n
+            down[j] = (down[j] - h) % n
+            grad[j] = (func(up, d, carrier) - func(down, d, carrier)) / (2.0 * h)
+        return grad
+
+    return partials

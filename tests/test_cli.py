@@ -254,6 +254,12 @@ class TestConfigHandling:
                          "meetings", id="continuum-levels-overflow"),
             pytest.param("simulate", "continuous", ("N=1e-17", "horizon=1"),
                          "meetings", id="continuum-meetings-past-bound"),
+            pytest.param("simulate", "continuous", ("N=1e308", "v=1e308", "r=1e-308"),
+                         "float range", id="continuum-ring-and-speed-overflow"),
+            pytest.param("simulate", "continuous", ("v=1e308", "r=1e-308"),
+                         "float range", id="continuum-speed-overflow"),
+            pytest.param("simulate", "continuous", "v=inf",
+                         "speed must be > 0 and finite", id="continuum-infinite-speed"),
             pytest.param("exact", "discrete", "epsilon=1e-17", "stationary solve",
                          id="exact-tiny-epsilon"),
             pytest.param("exact", "discrete", "epsilon=1e-300", "stationary solve",
@@ -371,6 +377,16 @@ class TestConfigTable:
 
 
 class TestSimulate:
+    def test_huge_ring_prints_finite_numbers(self, capsys):
+        # batch means near 1e160 overflow their squares unless scaled
+        code, out, _ = run_cli(
+            capsys, "simulate", "--set", "model=continuous", "--set", "N=1e160",
+            "--set", "v=1e160", "--set", "horizon=100",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=pytest.fail)  # no NaN, Infinity
+        assert 0 < payload["speed"]["stderr"] < payload["speed"]["point"]
+
     def test_stdout_report_schema(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate",

@@ -303,17 +303,15 @@ class TestSimulateContinuous:
 
         def run():
             return simulate_continuous(
-                config, 500.0, SeedSpec(12, 0), initial,
-                sample_every=2.5, trace_every=5.0,
+                config, 500.0, SeedSpec(12, 0), initial, trace_every=5.0
             )
 
         whole = run()
         monkeypatch.setattr(continuous, "SWITCH_CHUNK", 7)
         cut = run()
         assert cut.jump_count == whole.jump_count > 0
-        counts = ["batch_jumps", "sample_directions", "trace_cost"]
-        sums = ["batch_displacement", "batch_clockwise", "sample_positions",
-                "trace_speed"]
+        counts = ["batch_jumps", "trace_cost"]
+        sums = ["batch_displacement", "batch_clockwise", "trace_speed"]
         if m == 2:
             counts += ["cycle_jumps", "cycle_displacements"]
             sums += ["cycle_lengths", "cycle_carrier_sums"]
@@ -383,8 +381,14 @@ class TestSimulateContinuous:
 
     @pytest.mark.parametrize("spacing", ["sample_every", "trace_every"])
     def test_rejects_negative_spacing(self, spacing):
-        with pytest.raises(errors.RelayError, match=rf"{spacing} must be 0 \(off\)"):
-            simulate_continuous(CFG1, 50.0, SeedSpec(0, 0), **{spacing: -2.5})
+        # sample times are the sampler's, spaced -2.5 apart here; trace
+        # points are the engine's
+        if spacing == "sample_every":
+            with pytest.raises(errors.RelayError, match="nonnegative and sorted"):
+                sample_walker_states(CFG1, 50.0 - 2.5 * np.arange(3), SeedSpec(0, 0))
+            return
+        with pytest.raises(errors.RelayError, match=r"trace_every must be 0 \(off\)"):
+            simulate_continuous(CFG1, 50.0, SeedSpec(0, 0), trace_every=-2.5)
 
     def test_rejects_bad_initial(self):
         bad = State(np.array([0.1, 1.7]), np.array([1, -1]), 0)
@@ -398,32 +402,40 @@ class TestSimulateContinuous:
         assert report.params["m"] == 3
 
 
+def oracle_walkers(config, times, seed):
+    """Walker positions and directions at the given sorted times, from
+    the uniform-random start, one event at a time through the event ops;
+    as in the simulator, a time comes before an event at the same time."""
+    streams = WalkerStreams(seed, config.n_walkers)
+    state = continuous._start(config, streams, "uniform-random")
+    positions, directions = [], []
+    for t in times:
+        while (ev := next_event(state, config)).time < t:
+            state = advance_to(state, ev.time, config)
+            state, _ = handle_event(state, ev, config, streams)
+        at = advance_to(state, t, config)
+        positions.append(at.positions)
+        directions.append(at.directions)
+    return np.array(positions), np.array(directions)
+
+
 class TestFastSampler:
     def test_agrees_with_simulator_on_shared_seed(self):
-        cfg = ContinuousConfig(1.0, 1.0, 1.0)
-        horizon = 80.0
-        # trace checkpoints interleaved with the samples change nothing
-        for trace_every in (None, 0.5):
-            report = simulate_continuous(
-                cfg, horizon, SeedSpec(99, 0), sample_every=0.35,
-                trace_every=trace_every,
-            )
-            k = report.sample_positions.shape[0]
-            times = report.burn_in + 0.35 * np.arange(1, k + 1)
-            pos, dirs = sample_walker_states(cfg, times, SeedSpec(99, 0))
-            np.testing.assert_array_equal(report.sample_directions, dirs)
-            gap = np.abs(
-                ((report.sample_positions - pos) + 0.5) % 1.0 - 0.5
-            ).max()
-            assert gap < 1e-9
+        # the event-op simulator: equal directions, and positions within
+        # 1e-9 of it around the ring
+        times = 0.8 + 0.35 * np.arange(1, 226)
+        for case in ("uniform-with-burn-in", "non-unit-v-and-r", "m3-uniform",
+                     "m4-non-unit-v-and-r"):
+            cfg, seed, _ = ORACLE_CASES[case]
+            pos, dirs = sample_walker_states(cfg, times, SeedSpec(*seed))
+            want_pos, want_dirs = oracle_walkers(cfg, times, SeedSpec(*seed))
+            np.testing.assert_array_equal(dirs, want_dirs)
+            n = cfg.circumference
+            assert np.abs((pos - want_pos + n / 2) % n - n / 2).max() < 1e-9
 
-    @pytest.mark.parametrize("sample_every", [None, 0.35])
-    def test_traces_match_oracle(self, sample_every):
+    def test_traces_match_oracle(self):
         cfg = ContinuousConfig(1.0, 1.0, 1.0)
-        report = simulate_continuous(
-            cfg, 80.0, SeedSpec(99, 0), sample_every=sample_every,
-            trace_every=0.5,
-        )
+        report = simulate_continuous(cfg, 80.0, SeedSpec(99, 0), trace_every=0.5)
         times = report.trace_times
         np.testing.assert_array_equal(times, 0.5 * np.arange(1, 161))
         _, _, at = reference_simulation(

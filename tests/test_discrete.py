@@ -207,14 +207,11 @@ class TestEngineAgainstStepLoop:
         for walker_rounds in (discrete.WALKER_ROUNDS, 17 * m, 7 * m, 1):
             monkeypatch.setattr(discrete, "WALKER_ROUNDS", walker_rounds)
             report = discrete.simulate_discrete(
-                cfg, steps, SeedSpec(*seed), initial.copy(),
-                sample_every=1, trace_every=1,
+                cfg, steps, SeedSpec(*seed), initial.copy(), trace_every=1
             )
             burn = int(report.burn_in)
             edges = burn + int(report.batch_duration) * np.arange(51)
 
-            np.testing.assert_array_equal(report.sample_positions, pos[burn + 1:])
-            np.testing.assert_array_equal(report.sample_directions, dirs[burn + 1:])
             assert report.displacement_sum == disp[steps] - disp[burn]
             assert report.clockwise_time == cw[steps] - cw[burn]
             assert report.jump_count == hops[steps] - hops[burn]
@@ -349,24 +346,33 @@ class TestFlips:
 
 
 class TestWalkerSampler:
-    """sample_walker_states against the samples simulate_discrete records."""
+    """sample_walker_states against the walker states of the step() loop
+    from the same uniform-random start, at every sample round."""
 
-    def check(self, cfg, steps, seed, sample_every):
-        report = discrete.simulate_discrete(
-            cfg, steps, seed, sample_every=sample_every
-        )
+    def check(self, cfg, steps, seed, sample_every, rounds=None):
+        """The sampler's rows are step()'s states at rounds burn +
+        sample_every, burn + 2 sample_every, .. up to steps, compared over
+        the first rounds (all by default); returns the burn-in."""
         pos, dirs = discrete.sample_walker_states(cfg, steps, seed, sample_every)
-        for got, want in ((pos, report.sample_positions),
-                          (dirs, report.sample_directions)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-        return report
+        streams = WalkerStreams(seed, cfg.n_walkers)
+        states = [discrete._start(cfg, streams, "uniform-random")]
+        burn = 0 if model.in_contact(states[0], cfg.n_sites) else steps // 100
+        ts = np.arange(burn + sample_every, steps + 1, sample_every)
+        assert pos.shape == dirs.shape == (len(ts), cfg.n_walkers)
+        assert pos.dtype == dirs.dtype == np.int64
+        for _ in range(rounds or steps):
+            states.append(step(states[-1], cfg, streams)[0])
+        seen = ts[ts < len(states)]
+        for got, field in ((pos, "positions"), (dirs, "directions")):
+            want = [getattr(states[t], field) for t in seen]
+            np.testing.assert_array_equal(
+                got[:len(seen)], np.reshape(want, (len(seen), cfg.n_walkers)))
+        return burn
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("walker_rounds", [discrete.WALKER_ROUNDS, 37])
     def test_equals_engine_samples(self, m, walker_rounds, monkeypatch):
-        # small blocks make every run straddle many of them, in both
-        # the engine and the sampler
+        # small blocks make every run straddle many of them
         monkeypatch.setattr(discrete, "WALKER_ROUNDS", walker_rounds)
         for n, eps in ((3, 0.4), (5, 0.3), (11, 0.05)):
             for seed in range(2):
@@ -378,18 +384,15 @@ class TestWalkerSampler:
         # a uniform start on a head-on pair skips the burn-in, so the
         # sample rounds start at round sample_every
         cfg = DiscreteConfig(3, 0.4)
-        starts = [
-            self.check(cfg, 1000, SeedSpec(seed, 0), 3).burn_in
-            for seed in range(40)
-        ]
+        starts = [self.check(cfg, 1000, SeedSpec(seed, 0), 3) for seed in range(40)]
         assert 0 in starts and 10 in starts
 
     def test_gate_setting(self):
         # the equilibrium-uniformity check's runs, at replicas with and
-        # (replica 1006) without a burn-in
+        # (replica 1006) without a burn-in, held to step() over 5000 rounds
         cfg = DiscreteConfig(5, 0.3)
         burns = {
-            self.check(cfg, 205_000, SeedSpec(20260815, 1000 + k), 50).burn_in
+            self.check(cfg, 205_000, SeedSpec(20260815, 1000 + k), 50, 5000)
             for k in (0, 6)
         }
         assert burns == {0, 2050}
@@ -407,6 +410,13 @@ class TestWalkerSampler:
                 DiscreteConfig(5, 0.3), steps, SeedSpec(0, 0), 10
             )
 
+    @pytest.mark.parametrize("every", [-5, 2.5, np.nan, True, "7"])
+    def test_rejects_bad_sample_every(self, every):
+        with pytest.raises(errors.RelayError, match="whole number of rounds"):
+            discrete.sample_walker_states(
+                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), every
+            )
+
 
 class TestTraces:
     def test_running_averages_match_definition(self):
@@ -418,11 +428,7 @@ class TestTraces:
         assert report.burn_in == 0
         ts = report.trace_times
         np.testing.assert_array_equal(ts, np.arange(100, 4001, 100))
-        full = discrete.simulate_discrete(
-            cfg, 4000, SeedSpec(21, 0), "regeneration", sample_every=1
-        )
-        # recompute the displacement prefix from the sampled directions:
-        # contribution of round t is the carrier direction entering it
+        full = discrete.simulate_discrete(cfg, 4000, SeedSpec(21, 0), "regeneration")
         assert report.trace_speed[-1] == pytest.approx(
             full.displacement_sum / 4000
         )
@@ -431,13 +437,18 @@ class TestTraces:
     def test_samples_past_the_checkpoint_cap_rejected(self):
         # 10**12 rounds sampled every round: refused before a round runs
         with pytest.raises(errors.RelayError, match="checkpoints"):
-            discrete.simulate_discrete(
-                DiscreteConfig(5, 0.3), 10**12, SeedSpec(0, 0), sample_every=1
+            discrete.sample_walker_states(
+                DiscreteConfig(5, 0.3), 10**12, SeedSpec(0, 0), 1
             )
 
     @pytest.mark.parametrize("spacing", ["sample_every", "trace_every"])
     def test_negative_spacing_rejected(self, spacing):
+        # the sampler's sample_every, the engine's trace_every
+        run = {
+            "sample_every": lambda: discrete.sample_walker_states(
+                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), -5),
+            "trace_every": lambda: discrete.simulate_discrete(
+                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), trace_every=-5),
+        }[spacing]
         with pytest.raises(errors.RelayError, match=rf"{spacing} must be 0 \(off\)"):
-            discrete.simulate_discrete(
-                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), **{spacing: -5}
-            )
+            run()

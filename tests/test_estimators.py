@@ -18,7 +18,7 @@ from ringrelay.estimators import (
     speed_estimate,
     uniformity_test,
 )
-from ringrelay.model import DiscreteConfig, SeedSpec
+from ringrelay.model import ContinuousConfig, DiscreteConfig, SeedSpec
 
 
 def make_report(
@@ -89,18 +89,17 @@ class TestBatchEstimates:
         assert direction_estimate(report).point == pytest.approx(0.7)
 
 
-def synthetic_run(end, in_contact=False, contacts=None, sample_every=None):
+def synthetic_run(end, in_contact=False, contacts=None):
     """build_report over an engine whose carrier moves clockwise at unit
     speed and hands off every 10 time units."""
 
-    def engine(checkpoints, is_sample):
+    def engine(checkpoints):
         t = checkpoints.astype(float)
-        k = int(is_sample.sum())
-        return Readings(t, t // 10, [np.zeros((k, 2))], [np.ones((k, 2))], contacts)
+        return Readings(t, t // 10, contacts)
 
     return build_report(
         engine, params={"model": "discrete", "N": 5}, seed=SeedSpec(1, 0),
-        lap_length=10.0, end=end, in_contact=in_contact, sample_every=sample_every,
+        lap_length=10.0, end=end, in_contact=in_contact,
     )
 
 
@@ -144,10 +143,6 @@ class TestBuildReport:
         report = synthetic_run(40)
         assert len(report.batch_displacement) == 0
         assert report.batch_duration == 0.0
-
-    def test_samples_start_after_burn_in(self):
-        report = synthetic_run(1000, sample_every=100)
-        assert report.sample_positions.shape == (9, 2)  # 110, 210, .., 910
 
     def test_cycles_from_contacts(self):
         contacts = contacts_of(
@@ -308,25 +303,21 @@ class TestKac:
 
     def test_identity_holds_on_synthetic_cycles(self):
         report = self.make_cycle_report(0)
-        check = kac_check(report)
+        est = speed_estimate(report)
+        check = kac_check(report, est.point, est.stderr)
         assert abs(check.gap) <= 3 * check.stderr
         assert check.rel_gap < 0.05
         assert check.n_cycles == 500
 
     def test_detects_a_broken_identity(self):
         report = self.make_cycle_report(1)
-        check = kac_check(report, f_time_average=0.6, f_time_stderr=1e-6)
+        check = kac_check(report, 0.6, 1e-6)
         assert abs(check.gap) > 5 * check.stderr
 
     def test_needs_cycles(self):
         report = make_report(np.ones(50))
         with pytest.raises(errors.RelayError, match="at least 100 cycles"):
-            kac_check(report)
-
-    def test_custom_sums_length_checked(self):
-        report = self.make_cycle_report(2)
-        with pytest.raises(errors.RelayError):
-            kac_check(report, f_cycle_sums=np.ones(3))
+            kac_check(report, 0.0, 0.0)
 
 
 class TestExcursions:
@@ -406,22 +397,28 @@ class TestChiSquare:
                                    p=rng.dirichlet(np.full(n_cells, alpha)))
                 result = chi_square_uniformity(
                     (cells // 2 + 0.5)[:, None], np.where(cells % 2, 1, -1)[:, None],
-                    n_cells / 2, n_cells // 2, min_expected=0.0,
+                    n_cells / 2, n_cells // 2,
                 )
                 stat, pvalue = scipy.stats.chisquare(
                     np.bincount(cells, minlength=n_cells))
                 assert (result.statistic, result.pvalue) == (stat, pvalue)
 
     def test_report_level_wiring(self):
+        # one cell per site on the lattice, 8 equal arcs on the continuum
         rng = np.random.default_rng(9)
-        report = make_report(np.ones(50))
-        report.sample_positions = rng.integers(0, 5, size=(3000, 2)).astype(float)
-        report.sample_directions = rng.choice([-1, 1], size=(3000, 2))
-        result = uniformity_test(report)
-        assert result.n_samples == 3000
-        assert result.dof == 100 - 1
+        dirs = rng.choice([-1, 1], size=(6000, 2))
+        sites = rng.integers(0, 5, size=(3000, 2)).astype(float)
+        result = uniformity_test(DiscreteConfig(5, 0.3), sites, dirs[:3000])
+        assert result == chi_square_uniformity(sites, dirs[:3000], 5, 5)
+        assert result.n_samples == 3000 and result.dof == 10**2 - 1
+        points = rng.uniform(0, 2.5, size=(6000, 2))
+        result = uniformity_test(ContinuousConfig(2.5), points, dirs)
+        assert result == chi_square_uniformity(points, dirs, 2.5, 8)
+        assert result.n_samples == 6000 and result.dof == 16**2 - 1
 
     def test_report_without_samples_rejected(self):
-        report = make_report(np.ones(50))
-        with pytest.raises(errors.RelayError, match="no equilibrium samples"):
-            uniformity_test(report)
+        # no samples, or too few for the lattice's 100 cells
+        for k in (0, 1999):
+            with pytest.raises(errors.RelayError, match="expected count"):
+                uniformity_test(DiscreteConfig(5, 0.3), np.zeros((k, 2)),
+                                np.ones((k, 2)))

@@ -12,6 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fd_partials
 from ringrelay import closed_form as cf
 from ringrelay import errors, exact
 from ringrelay.model import ContinuousConfig
@@ -310,7 +311,7 @@ class TestGenerator:
             return d[0] * np.sin(2 * np.pi * x[0])
 
         got = exact.apply_generator(
-            f, np.array([0.0, 0.4]), np.array([1, -1]), 0, cfg
+            f, np.array([0.0, 0.4]), np.array([1, -1]), 0, cfg, fd_partials(f, cfg)
         )
         assert got == pytest.approx(2 * np.pi, rel=1e-5)
 
@@ -345,5 +346,6 @@ class TestGenerator:
             x = np.array([x1, (x1 - gap) % 2.0])
             d = 1 - 2 * rng.integers(0, 2, size=2)
             analytic = exact.apply_generator(h_func, x, d, 0, cfg, h_part)
-            numeric = exact.apply_generator(h_func, x, d, 0, cfg)
+            numeric = exact.apply_generator(
+                h_func, x, d, 0, cfg, fd_partials(h_func, cfg))
             assert numeric == pytest.approx(analytic, abs=1e-6)
