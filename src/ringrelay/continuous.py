@@ -10,25 +10,18 @@ first switches.
 simulate_continuous runs one block engine for any number of walkers; the
 tests replay it against the event operations of tests/oracles.py, which
 take one event at a time.  The message never changes how the walkers
-move, so the engine works in three layers, over chunks of switches: (a)
-each walker's switch times are drawn in blocks from its own stream,
-exactly as the oracle schedules them, and merged into one timeline of
-segments; a walker's direction on a segment is the parity of its own
-flips so far, walker 0's unwrapped position is one cumulative sum, and
-any other walker sits at walker 0's plus its pair gap; (b) the meetings
-of a pair are the level crossings (multiples of the circumference) of
-its piecewise linear unwrapped gap, sought only on the segments where
-the pair's directions differ, and model.pass_message resolves the relay
-over the meetings in (time, pair) order, drawing the tie-breaks of the
-oracle's handle_event; (c) the message is its carrier's unwrapped
-position plus whole laps, which change at a handoff by the old and new
-carriers' distance, and it is read only at the checkpoints of the shared
-accounting step, estimators.build_report, with the handoffs counted up
-to each checkpoint.  build_report also sets the burn-in and batches,
-derives the clockwise time and cuts the two-walker contacts into
-regeneration cycles.  sample_walker_states keeps layer (a) alone: it
-gives walker samples at given times without resolving the relay, the
-one source of them.
+move, so the engine, _paths, yields walker paths and meetings chunk by
+chunk of switches, and model.relay turns them into readings: (a) each
+walker's switch times are drawn in blocks from its own stream, exactly
+as the oracle schedules them, and merged into one timeline of segments;
+a walker's direction on a segment is the parity of its own flips so
+far, walker 0's unwrapped position is one cumulative sum, and any other
+walker sits at walker 0's plus its pair gap; (b) the meetings of a pair
+are the level crossings (multiples of the circumference) of its
+piecewise linear unwrapped gap, sought only on the segments where the
+pair's directions differ, in (time, pair) order.  sample_walker_states
+keeps layer (a) alone: it gives walker samples at given times without
+resolving the relay, the one source of them.
 
 Paths are right-continuous: at a switch time the walker already moves
 with its new direction, and at a meeting the handoff has already
@@ -40,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from .estimators import Readings, RunReport, build_report
+from .estimators import N_BATCHES, RunReport, build_report
 from .model import (
     ContinuousConfig,
     SeedSpec,
@@ -48,7 +41,7 @@ from .model import (
     WalkerStreams,
     as_seed,
     in_contact,
-    pass_message,
+    relay,
     start_state,
     validate_continuous,
 )
@@ -113,13 +106,21 @@ def simulate_continuous(
     if not (0.0 < horizon < np.inf):
         raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
     _check_switches(config, horizon)
+    travel = config.speed * horizon / N_BATCHES
+    if not travel >= 2.0**-32 * (config.circumference + config.speed * horizon):
+        raise errors.RelayError(
+            f"horizon {horizon!r} at speed {config.speed!r} moves the message "
+            f"{travel:.3g} per batch, too little to resolve on a ring of "
+            f"{config.circumference!r}")
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     tol = default_tol(config)
     state = _start(config, streams, initial)
     in_f = in_contact(state, config.circumference, tol)
     return build_report(
-        lambda checkpoints: _run_blocks(config, streams, state, checkpoints, tol, in_f),
+        lambda checkpoints: relay(
+            _paths(config, streams, state, float(horizon), tol), checkpoints, state,
+            config.circumference, streams, tol / config.speed, in_f),
         params={
             "model": "continuous",
             "N": config.circumference,
@@ -179,23 +180,18 @@ def _chunk_switches(m: int, laps_per_switch: float) -> int:
     return max(1, int(k * min(1.0, laps_per_switch)))
 
 
-def _run_blocks(
+def _paths(
     config: ContinuousConfig, streams: WalkerStreams, state: State,
-    checkpoints: np.ndarray, tol: float, in_f: bool,
-) -> Readings:
-    """Block engine for any number of walkers, layers (a) to (c) of the
-    module docstring.  Walker j > 0 sits at u0 + n base + gap of the pair
-    (0, j); the unwrapped gap x_k - x_j = n base + gap of a pair j < k has
-    slope 0 or +-2v, and a level within tol of a segment's start is where
-    the pair already is, not a meeting.  Meetings are taken in (time,
-    pair) order, as the oracle's next_event; a checkpoint comes before an
-    event at the same time.  For two walkers every meeting is a contact,
-    reported with the message position and the level its gap crossed.
-    Walker state, pair gaps, carrier and laps carry over between chunks.
-    """
+    horizon: float, tol: float,
+):
+    """Layers (a) and (b) of the module docstring from state up to horizon,
+    as the blocks model.relay reads, chunk by chunk.  Walker j > 0 sits at
+    u0 + n base + gap of the pair (0, j); the unwrapped gap x_k - x_j =
+    n base + gap of a pair j < k has slope 0 or +-2v, and a level within
+    tol of a segment's start is where the pair already is, not a meeting.
+    Meetings come in (time, pair) order, as the oracle's next_event."""
     n, v = config.circumference, config.speed
     r, m = config.switch_rate, config.n_walkers
-    horizon = float(checkpoints[-1])
     pj, pk = np.triu_indices(m, 1)  # pairs j < k in lexicographic order
     k = _chunk_switches(m, n * r / v)
 
@@ -212,28 +208,17 @@ def _run_blocks(
     x = state.positions.astype(float)
     # unwrapped gap of each pair is base * n + gap
     gap, base = settle(x[pk] - x[pj], np.zeros(len(pj), dtype=np.int64))
-    car, laps, u0 = state.carrier, 0, x[0]
-    origin = u0 + (n * base[car - 1] + gap[car - 1] if car else 0.0)
-    cum_jumps = 0
-    contacts = None
-    if m == 2:  # time, displacement, gap level, carrier; a contact start first
-        zero = np.zeros(int(in_f))
-        contacts = ([zero], [zero], [base[:len(zero)]], [zero.astype(np.int64) + car])
-    read = [np.empty(len(checkpoints)) for _ in range(2)]
-    t0, icp = 0.0, 0
+    t0, u0 = 0.0, x[0]
     while True:
         # (a) walker paths: switches up to the chunk end t1
         for j in range(m):
             if len(pending[j]) < k:
-                more = _draw_switches(
-                    streams.walker[j], drawn[j], r, k - len(pending[j])
-                )
+                more = _draw_switches(streams.walker[j], drawn[j], r,
+                                      k - len(pending[j]))
                 pending[j] = np.concatenate((pending[j], more))
                 drawn[j] = float(more[-1])
         t1 = min(p[k - 1] for p in pending)
-        final = t1 >= horizon
-        if final:
-            t1 = horizon
+        final, t1 = t1 >= horizon, min(t1, horizon)
         switches = []
         for j in range(m):
             cut = np.searchsorted(pending[j], t1, side="left" if final else "right")
@@ -274,59 +259,33 @@ def _run_blocks(
                 f"a chunk of walker paths asks for {count.sum():.3g} meetings, more "
                 f"than {MAX_MEETINGS}: N={n!r} is too small next to v/r={v / r!r}")
         cell = np.repeat(np.arange(len(count)), count.astype(np.int64))
-        level = first[cell] + np.arange(len(cell)) - (np.cumsum(count) - count)[cell]
+        cross = first[cell] + np.arange(len(cell)) - (np.cumsum(count) - count)[cell]
         sgn, seg, pair = sgn[cell], seg[cell], pair[cell]
-        meet_t = np.minimum(
-            bounds[seg] + (level * n - a[cell]) / (2.0 * v), bounds[seg + 1]
-        )
+        meet_t = np.minimum(bounds[seg] + (cross * n - a[cell]) / (2.0 * v),
+                            bounds[seg + 1])
         # (time, pair) order: a stable sort by time keeps ties in pair order
         by_time = np.argsort(meet_t, kind="stable")
-        sgn, seg, pair, level, meet_t = (
-            values[by_time] for values in (sgn, seg, pair, level, meet_t))
+        sgn, seg, pair, cross, meet_t = (
+            values[by_time] for values in (sgn, seg, pair, cross, meet_t))
         cw = np.where(sgn > 0, pk[pair], pj[pair])  # the clockwise member
-        hit, newcar = pass_message(
-            car, meet_t, cw, pj[pair] + pk[pair] - cw, tol / v, streams)
-        held = np.concatenate(([car], newcar))
-        jumped = held[1:] != held[:-1]
-        hit_t = meet_t[hit]
 
-        def at(walker, s, t):
-            """Unwrapped positions of walkers at times t in segments s."""
-            off = (walker > 0) * (n * base[walker - 1] + g[s, walker - 1])
-            return u[s] + off + v * dirs[walker, s] * (t - bounds[s])
+        def level(i):
+            # x_cw - x_ccw = sgn (x_k - x_j) = n (sgn base + cross) there
+            return sgn[i] * base[pair[i]] + cross[i].astype(np.int64)
 
-        # (c) the message: its laps change at a handoff by the old carrier's
-        # unwrapped distance from the new one; for two walkers it is found
-        # at every meeting, where walker 1 is level laps ahead of walker 0
-        if m == 2:
-            level = base[0] + (level * sgn).astype(np.int64)
-            lap = laps + np.cumsum(jumped * (1 - 2 * cw) * level)
-            message = at(0, seg, meet_t) + n * (lap + cw * level)
-        else:
-            step = at(held[:-1], seg[hit], hit_t) - at(newcar, seg[hit], hit_t)
-            lap = laps + np.cumsum(np.rint(step / n).astype(np.int64))
-        lap = np.concatenate(([laps], lap))  # after each deciding meeting
+        def at(w, t, i=None):
+            s = (seg[i] if i is not None
+                 else np.maximum(np.searchsorted(bounds, t, side="left") - 1, 0))
+            # flat gathers; walker 0 has no pair term, so its index is moot
+            off = (w > 0) * (n * base[w - 1] + g.ravel()[s * len(pj) + w - 1])
+            return u[s] + off + v * dirs.ravel()[w * len(vdt) + s] * (t - bounds[s])
 
-        stop = np.searchsorted(checkpoints, t1, side="right")
-        ts = checkpoints[icp:stop]
-        s = np.maximum(np.searchsorted(bounds, ts, side="left") - 1, 0)
-        h = np.searchsorted(hit_t, ts, side="left")
-        read[0][icp:stop] = at(held[h], s, ts) + n * lap[h] - origin
-        read[1][icp:stop] = cum_jumps + np.searchsorted(
-            hit_t[jumped], ts, side="left")
-        if m == 2:
-            found = (meet_t, message - origin, level, newcar)
-            for blocks, values in zip(contacts, found):
-                blocks.append(values)
-
-        icp, t0 = stop, t1
+        yield t1, meet_t, cw, pj[pair] + pk[pair] - cw, level, at
         if final:
-            break
-        car, laps, u0 = int(held[-1]), int(lap[-1]), u[-1]
-        cum_jumps += int(jumped.sum())
+            return
+        t0, u0 = t1, u[-1]
         d = dirs[:, -1].copy()
         gap, base = settle(g[-1], base)
-    return Readings(*read, contacts)
 
 
 def sample_walker_states(

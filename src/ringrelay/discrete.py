@@ -11,23 +11,18 @@ The state, the start rule and the contact test are model.State,
 model.start_state and model.in_contact, shared with the continuum.
 simulate_discrete runs one block engine for any number of walkers; the
 tests replay it against step() in tests/oracles.py, which applies one
-round.  The message never changes how the walkers move, so the engine
-works in three layers, with per-round work only on one array per
-walker: (a) each walker's flips are drawn in blocks from that walker's
-own stream (_flips), consuming randomness exactly as repeated step()
-calls do; its directions are the parity of the flips so
-far and its unwrapped positions one cumulative sum of them; (b) a pair
-meets, a clockwise and a counter-clockwise walker on one site, where
-their directions differ and their unwrapped gap is a multiple of N (a
-table lookup), and model.pass_message resolves the relay over the
-meetings in (round, pair) order, drawing the tie-breaks of step(); (c)
-the carrier displacement is read only at the checkpoints of the shared
-accounting step, estimators.build_report, as the message's unwrapped
-position, and handoffs are counted up to each checkpoint.  build_report
-also sets the burn-in and batches, derives the clockwise time and cuts
-the two-walker contacts into regeneration cycles.  sample_walker_states
-keeps layer (a) alone: it gives walker samples without resolving the
-relay, the one source of them.
+round.  The message never changes how the walkers move, so the engine,
+_paths, yields walker paths and meetings block by block, with per-round
+work only on one array per walker, and model.relay turns them into
+readings: (a) each walker's flips are drawn in blocks from that
+walker's own stream (_flips), consuming randomness exactly as repeated
+step() calls do; its directions are the parity of the flips so far and
+its unwrapped positions one cumulative sum of them; (b) a pair meets, a
+clockwise and a counter-clockwise walker on one site, where their
+directions differ and their unwrapped gap is a multiple of N (a table
+lookup), in (round, pair) order.  sample_walker_states keeps layer (a)
+alone: it gives walker samples without resolving the relay, the one
+source of them.
 """
 from __future__ import annotations
 
@@ -37,7 +32,7 @@ import math
 import numpy as np
 
 from . import errors
-from .estimators import Readings, RunReport, build_report, spaced_times, window
+from .estimators import RunReport, build_report, spaced_times, window
 from .model import (
     DiscreteConfig,
     SeedSpec,
@@ -45,7 +40,7 @@ from .model import (
     WalkerStreams,
     as_seed,
     in_contact,
-    pass_message,
+    relay,
     start_state,
     validate_discrete,
 )
@@ -102,7 +97,8 @@ def simulate_discrete(
     state = _start(config, streams, initial)
     in_regen = in_contact(state, config.n_sites)
     return build_report(
-        lambda checkpoints: _run_blocks(config, streams, state, checkpoints, in_regen),
+        lambda checkpoints: relay(_paths(config, streams, state, steps), checkpoints,
+                                  state, config.n_sites, streams, 0, in_regen),
         params={
             "model": "discrete",
             "N": config.n_sites,
@@ -118,90 +114,53 @@ def simulate_discrete(
     )
 
 
-def _run_blocks(
-    config: DiscreteConfig, streams: WalkerStreams, state: State,
-    checkpoints: np.ndarray, in_regen: bool,
-) -> Readings:
-    """Block engine over rounds 1 .. checkpoints[-1].
-
-    Round t contributes the direction of the carrier in the state after
-    t updates, so the displacement read at checkpoint T covers rounds
-    0 .. T-1 and the handoffs those that produced states 1 .. T.  It is
-    read as the message's unwrapped position: the carrier's unwrapped
-    position plus an offset of whole laps, which changes at a handoff by
-    the old and new carriers' unwrapped difference (they share a site).
-    Walker state, carrier and offset carry over from block to block.
-    """
+def _paths(
+    config: DiscreteConfig, streams: WalkerStreams, state: State, steps: int,
+):
+    """Layers (a) and (b) over rounds 1 .. steps from state, as the blocks
+    model.relay reads: a meeting's time is its round, and round t gives
+    the state after t updates."""
     n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
-    steps = int(checkpoints[-1])
     block = max(1, WALKER_ROUNDS // m)
-    # unwrapped sites after round t0 + 1, the first round of a block
-    y = state.positions.astype(np.int64) + state.directions
+    y = state.positions.astype(np.int64)  # unwrapped sites after round t0
     d = state.directions.astype(np.int8)
-    car = state.carrier
-    off = -int(state.positions[car])  # message position minus the carrier's
-    cum_jumps = 0  # over rounds before t0
-    read = [np.zeros(len(checkpoints)) for _ in range(2)]
-    # two walkers: round, displacement, gap level and carrier of each
-    # contact, block by block; a contact start first
-    zero = np.zeros(int(in_regen), dtype=np.int64)
-    contacts = ([zero], [zero], [zero], [zero + car]) if m == 2 else None
-    t0, icp = 0, np.searchsorted(checkpoints, 0, side="right")  # round 0 reads 0
+    t0 = 0
     while t0 < steps:
         b = min(block, steps - t0)
-        # (a) walker paths over rounds t0+1 .. t0+b, row k for round
-        # t0+1+k: directions from the parity of the flips so far, and
+        # (a) walker paths over rounds t0 .. t0+b, column k for round
+        # t0+k: directions from the parity of the flips so far, and
         # unwrapped sites y + rel[:, k]
-        dirs = np.empty((m, b), dtype=np.int8)
-        rel = np.zeros((m, b), dtype=np.int64)
+        dirs = np.repeat(d[:, None], b + 1, axis=1)
+        rel = np.zeros((m, b + 1), dtype=np.int64)
         for j in range(m):
             odd = np.logical_xor.accumulate(_flips(streams.walker[j], b, eps))
-            np.multiply(odd.view(np.int8), -2 * d[j], out=dirs[j])
-            dirs[j] += d[j]
+            np.multiply(odd.view(np.int8), -2 * d[j], out=dirs[j, 1:])
+            dirs[j, 1:] += d[j]
             np.cumsum(dirs[j, :-1], out=rel[j, 1:])
 
-        # (b) meetings: opposite directions on one site, where the
-        # unwrapped gap is a multiple of n; tbl marks the relative gaps
-        # rel[k] - rel[j], which lie in (-2b, 2b), shifted by 2b
+        # (b) meetings in rounds t0+1 .. t0+b: opposite directions on one
+        # site, where the unwrapped gap is a multiple of n; tbl marks the
+        # relative gaps rel[k] - rel[j], which lie in [-2b, 2b], shifted by 2b
         meets = []
         for j, k in itertools.combinations(range(m), 2):
-            tbl = np.zeros(4 * b, dtype=bool)
+            tbl = np.zeros(4 * b + 1, dtype=bool)
             tbl[(y[j] - y[k] + 2 * b) % n::n] = True
-            r = np.flatnonzero((dirs[j] != dirs[k]) & tbl[rel[k] - rel[j] + 2 * b])
-            cw = k + (j - k) * (dirs[j, r] > 0)  # the clockwise member
-            meets.append((r, cw, j + k - cw))
-        when, cw, ccw = (np.concatenate(f) for f in zip(*meets))
-        by_time = np.argsort(when, kind="stable")  # ties stay in pair order
-        when = when[by_time]
-        hit, newcar = pass_message(car, when, cw[by_time], ccw[by_time], 0, streams)
-        ridx = when[hit]  # rows of the meetings that decide the message
-        xs = y[:, None] + rel[:, ridx]  # unwrapped sites at those meetings
-        held = np.concatenate(([car], newcar))
-        jump_t = t0 + 1 + ridx[held[1:] != held[:-1]]
-        cols = np.arange(len(ridx))
-        at = xs[newcar, cols]  # each new carrier's unwrapped site
-        offs = off + np.cumsum(np.concatenate(([0], xs[held[:-1], cols] - at)))
+            c = 1 + np.flatnonzero(
+                (dirs[j, 1:] != dirs[k, 1:]) & tbl[rel[k, 1:] - rel[j, 1:] + 2 * b])
+            cw = k + (j - k) * (dirs[j, c] > 0)  # the clockwise member
+            meets.append((c, cw, j + k - cw))
+        col, cw, ccw = (np.concatenate(f) for f in zip(*meets))
+        by_time = np.argsort(col, kind="stable")  # ties stay in pair order
+        when, cw, ccw = t0 + col[by_time], cw[by_time], ccw[by_time]
 
-        # (c) readings at the checkpoints in this block
-        stop = np.searchsorted(checkpoints, t0 + b, side="right")
-        ts = checkpoints[icp:stop]
-        rows = ts - t0 - 1
-        now = np.searchsorted(ridx, rows, side="right")  # meetings so far
-        disp = y[held[now]] + rel[held[now], rows] + offs[now]
-        read[0][icp:stop] = disp
-        read[1][icp:stop] = cum_jumps + np.searchsorted(jump_t, ts, side="right")
-        if m == 2:
-            found = (t0 + 1 + ridx, at + offs[1:],
-                     (xs[1] - xs[0]) // n, newcar)
-            for blocks, values in zip(contacts, found):
-                blocks.append(values)
+        def at(w, t, i=None):
+            return y[w] + rel[w, t - t0]
 
-        cum_jumps += len(jump_t)
-        y += rel[:, -1] + dirs[:, -1]
-        d, car, off = dirs[:, -1].copy(), int(held[-1]), int(offs[-1])
+        yield (t0 + b, when, cw, ccw,
+               lambda i: (at(cw[i], when[i]) - at(ccw[i], when[i])) // n, at)
+        y, d = y + rel[:, -1], dirs[:, -1].copy()
         del dirs, rel  # free this block before drawing the next
-        t0, icp = t0 + b, stop
-    return Readings(*read, contacts)
+        t0 += b
 
 
 def sample_walker_states(

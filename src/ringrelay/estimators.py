@@ -5,7 +5,7 @@ estimators, and the command line tools: windowed totals for the three
 long-run observables, fixed-count batch sums for error bars, per-cycle
 records between successive regeneration contacts, and optional running
 traces.  build_report makes them for both models: it decides the
-burn-in, the batches and the cycles from what an engine reads at
+burn-in, the batches and the cycles from what model.relay reads at
 checkpoints.  Walker samples are not part of a run: the two
 sample_walker_states draw them without the relay, and uniformity_test
 tests them.  Merging reports concatenates trajectories in the
@@ -67,19 +67,6 @@ class RunReport:
         return 0 if self.cycle_lengths is None else len(self.cycle_lengths)
 
 
-class Readings(NamedTuple):
-    """What a simulation engine hands to build_report: cumulative carrier
-    displacement and handoffs at each checkpoint and, for two walkers,
-    the pair's head-on contacts in time order, a contact start first, as
-    four lists of per-block arrays (emptied as build_report joins them):
-    the time, the carrier's cumulative displacement, the unwrapped gap
-    x1 - x0 in whole circumferences and the carrier after each contact."""
-
-    displacement: np.ndarray
-    jumps: np.ndarray
-    contacts: tuple | None = None
-
-
 def spaced_times(name: str, every, start, end) -> np.ndarray:
     """start + every, start + 2 every, .. up to end, at most
     MAX_CHECKPOINTS of them; none if every is None or 0.  Otherwise every
@@ -130,9 +117,9 @@ def build_report(
 
     The burn-in, batch edges and trace points follow window().  All
     these checkpoints go to engine(checkpoints) as one sorted list, and
-    the Readings it returns are sliced back into a RunReport, with the
-    cycles cut from its contacts.  The carrier always moves, at speed v
-    (1 on the lattice), so its clockwise time up to t is
+    the model.Readings it returns are sliced back into a RunReport,
+    with the cycles cut from its contacts.  The carrier always moves, at
+    speed v (1 on the lattice), so its clockwise time up to t is
     (t + displacement / v) / 2.
     """
     burn, edges, trace_ts = window(end, in_contact, trace_every)

@@ -9,15 +9,18 @@ arrivals of independent Poisson clocks.  Exactly one walker carries a
 message at any time, and the message is handed off on contact from a
 counter-clockwise mover to a clockwise mover, so the message itself only
 ever travels clockwise.  Both variants share one State, one start rule
-(start_state), one contact test (in_contact) and one relay rule
-(resolve_handoff, and pass_message over many meetings).  The reference
-step() and continuum event operations in tests/oracles.py, which the
-engines are replayed against, build on the same State and relay rule.
+(start_state), one contact test (in_contact), one relay rule
+(resolve_handoff, and pass_message over many meetings) and one relay
+layer: relay turns the walker paths and meetings that either engine
+yields into Readings.  The reference step() and continuum event
+operations in tests/oracles.py, which the engines are replayed against,
+build on the same State and relay rule.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,34 +265,101 @@ def resolve_handoff(
 def pass_message(
     car: int, when: np.ndarray, cw: np.ndarray, ccw: np.ndarray, window,
     streams: WalkerStreams,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The relay rule over meetings in (time, pair) order, given by their
-    times and clockwise and counter-clockwise members: the indices of the
-    meetings that decide the message and the carrier after each one.
-
-    The message moves at a meeting whose counter-clockwise member is the
-    carrier, to one of the clockwise walkers that meet the carrier within
-    window of it, as resolve_handoff chooses.  With two walkers every
-    meeting leaves the message on its clockwise member; with more, a
-    bisect finds the carrier's next meeting as the counter-clockwise one.
-    It can have several candidates only if its counter-clockwise member
-    meets again within window; only there is anything drawn."""
+    times and clockwise and counter-clockwise members: the meetings that
+    decide the message, the carrier after each and the meeting that
+    supplied it.  The message moves at a meeting whose counter-clockwise
+    member is the carrier, to one of the clockwise walkers that meet the
+    carrier within window of it, as resolve_handoff chooses, supplied by
+    that walker's first such meeting.  With two walkers every meeting
+    leaves the message on its clockwise member; with more, a bisect finds
+    the carrier's next meeting as the counter-clockwise one.  Only if
+    that walker meets again within window is anything drawn, and only
+    there can a later meeting supply the carrier."""
     if streams.n_walkers == 2:
-        return np.arange(len(cw)), cw
+        every = np.arange(len(cw))
+        return every, cw, every
     rows = [np.flatnonzero(ccw == w).tolist() for w in range(streams.n_walkers)]
     when, cw = when.tolist(), cw.tolist()
     decided, i = [], 0
     while (j := bisect_left(row := rows[car], i)) < len(row):
-        i = row[j]
+        i = given = row[j]
         if j + 1 < len(row) and when[row[j + 1]] - when[i] <= window:
-            cands = set()
+            first = {}  # each candidate's first meeting with the carrier
             for h in row[j:]:
                 if when[h] - when[i] > window:
                     break
-                cands.add(cw[h])
-            car = sorted(cands)[streams.choose(len(cands))]
+                first.setdefault(cw[h], h)
+            car = sorted(first)[streams.choose(len(first))]
+            given = first[car]
         else:
             car = cw[i]
-        decided.append((i, car))
+        decided.append((i, car, given))
         i += 1
-    return tuple(np.array(decided, dtype=np.int64).reshape(-1, 2).T)
+    return tuple(np.array(decided, dtype=np.int64).reshape(-1, 3).T)
+
+
+class Readings(NamedTuple):
+    """What relay hands to estimators.build_report: cumulative message
+    displacement and handoffs at each checkpoint and, for two walkers,
+    the pair's head-on contacts in time order, a contact start first, as
+    four lists of per-block arrays (emptied as build_report joins them):
+    the time, the message's cumulative displacement, the unwrapped gap
+    x1 - x0 in whole laps and the carrier after each contact."""
+
+    displacement: np.ndarray
+    jumps: np.ndarray
+    contacts: tuple | None = None
+
+
+def relay(
+    blocks, checkpoints: np.ndarray, state: State, size, streams: WalkerStreams,
+    window, contact: bool,
+) -> Readings:
+    """Layer (c) of both engines: the message over an engine's walker
+    paths, read at the sorted checkpoints.  The engine yields blocks
+    (end, when, cw, ccw, level, at) from time 0: the block's end; its
+    meetings in (time, pair) order, by time and clockwise and
+    counter-clockwise member; level(i), x_cw - x_ccw at meetings i in
+    whole laps of size; and at(w, t, i=None), the unwrapped positions of
+    walkers w at times t of the block, those of meetings i if given.
+    Both hold until the next block is drawn.
+
+    pass_message resolves the relay from state's carrier.  The message is
+    its carrier's unwrapped position plus whole laps, which a handoff
+    changes by minus the level of the meeting that supplied the new
+    carrier.  Its displacement from time 0 and the handoffs are read at
+    each checkpoint: on the lattice (integer checkpoints) with those of
+    its round, on the continuum only those strictly before its time.  Two
+    walkers also give their contacts, a contact start first.
+    """
+    side = "right" if checkpoints.dtype.kind == "i" else "left"
+    car, laps, jumps, icp, origin = state.carrier, 0, 0, 0, None
+    read = [np.empty(len(checkpoints)) for _ in range(2)]
+    contacts = ([], [], [], []) if streams.n_walkers == 2 else None
+    for end, when, cw, ccw, level, at in blocks:
+        if origin is None:  # the first block, from time 0
+            x = at(np.arange(streams.n_walkers), 0)
+            origin = x[car]
+            if contacts is not None and contact:
+                level_0 = int(np.rint((x[1] - x[0]) / size))
+                contacts = tuple([np.array([v])] for v in (0, 0, level_0, car))
+        hit, after, given = pass_message(car, when, cw, ccw, window, streams)
+        held = np.concatenate(([car], after))
+        jumped = held[1:] != held[:-1]
+        lv = level(given)
+        lap = np.concatenate(([laps], laps - np.cumsum(jumped * lv)))
+        hit_t = when[hit]
+        stop = np.searchsorted(checkpoints, end, side="right")
+        ts = checkpoints[icp:stop]
+        h = np.searchsorted(hit_t, ts, side=side)
+        read[0][icp:stop] = at(held[h], ts) + size * lap[h] - origin
+        read[1][icp:stop] = jumps + np.searchsorted(hit_t[jumped], ts, side=side)
+        if contacts is not None:  # every meeting decides and supplies itself
+            found = (when, at(after, when, hit) + size * lap[1:] - origin,
+                     (2 * cw - 1) * lv, after)
+            for field, values in zip(contacts, found):
+                field.append(values)
+        car, laps, jumps, icp = int(held[-1]), int(lap[-1]), jumps + jumped.sum(), stop
+    return Readings(*read, contacts)

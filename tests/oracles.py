@@ -7,7 +7,8 @@ src/ringrelay against them on a shared seed:
 * the continuum event operations (meeting_time / next_event /
   advance_to / handle_event), driven from event to event;
 * the lattice round, step();
-* loop_pass_message, the relay walk over meetings one at a time;
+* loop_pass_message, the relay walk over meetings one at a time, with
+  the meeting that supplies each carrier;
 * fd_partials, central differences in place of a potential's partials
   in exact.apply_generator.
 
@@ -179,24 +180,27 @@ def step(
 
 
 def loop_pass_message(car, meet_t, cw, ccw, window, streams):
-    """The carrier after each meeting, one meeting at a time: the walk the
+    """The carrier after each meeting, and the meeting that supplied it
+    (-1 for the first carrier), one meeting at a time: the walk the
     continuum engine ran before model.pass_message, kept as its reference.
     The message moves only at a meeting whose counter-clockwise member is
     the carrier, to one of the clockwise walkers that meet the carrier
-    within window, in ascending index, chosen with streams.choose."""
+    within window, in ascending index, chosen with streams.choose; the
+    chosen walker's first such meeting supplies it."""
     t, cw, ccw = meet_t.tolist(), cw.tolist(), ccw.tolist()
-    after = []
+    after, supplied, source = [], [], -1
     for i, loser in enumerate(ccw):
         if loser == car:
-            cands, h = set(), i
+            first, h = {}, i
             while h < len(t) and t[h] - t[i] <= window:
                 if ccw[h] == car:
-                    cands.add(cw[h])
+                    first.setdefault(cw[h], h)
                 h += 1
-            cands = sorted(cands)
-            car = cands[streams.choose(len(cands))]
+            car = sorted(first)[streams.choose(len(first))]
+            source = first[car]
         after.append(car)
-    return np.array(after, dtype=np.int64)
+        supplied.append(source)
+    return np.array(after, dtype=np.int64), np.array(supplied, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -260,6 +260,16 @@ class TestConfigHandling:
                          "float range", id="continuum-speed-overflow"),
             pytest.param("simulate", "continuous", "v=inf",
                          "speed must be > 0 and finite", id="continuum-infinite-speed"),
+            # a batch's travel below 2**-32 of the positions' size: the
+            # carrier's motion would be lost to float resolution
+            pytest.param("simulate", "continuous", "horizon=5e-324", "per batch",
+                         id="continuum-batch-underflow"),
+            pytest.param("simulate", "continuous", "horizon=1e-300", "per batch",
+                         id="continuum-tiny-horizon"),
+            pytest.param("simulate", "continuous", ("N=1e300", "r=1e-300", "horizon=100"),
+                         "per batch", id="continuum-huge-ring-short-run"),
+            pytest.param("simulate", "continuous", "v=1e-300", "per batch",
+                         id="continuum-tiny-speed"),
             pytest.param("exact", "discrete", "epsilon=1e-17", "stationary solve",
                          id="exact-tiny-epsilon"),
             pytest.param("exact", "discrete", "epsilon=1e-300", "stationary solve",
@@ -386,6 +396,18 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out, parse_constant=pytest.fail)  # no NaN, Infinity
         assert 0 < payload["speed"]["stderr"] < payload["speed"]["point"]
+
+    def test_tiny_ring_resolves_the_carrier(self, capsys):
+        # ring, speed and rate all at 1e-300: no walker switches, and at
+        # this seed both move counter-clockwise, so the carrier moves at -v
+        code, out, _ = run_cli(
+            capsys, "simulate", "--set", "model=continuous", "--set", "N=1e-300",
+            "--set", "v=1e-300", "--set", "r=1e-300",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["speed"]["point"] == -1e-300
+        assert 0 <= payload["direction_occupation"]["point"] < 1e-15
 
     def test_stdout_report_schema(self, capsys):
         code, out, _ = run_cli(

@@ -227,7 +227,7 @@ ORACLE_CASES = {
 
 class TestSimulateContinuous:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_matches_pure_op_reference(self, case):
+    def test_matches_pure_op_reference(self, case, later_supplies):
         config, seed, initial = ORACLE_CASES[case]
         horizon = 200.0
         times = 7.0 * np.arange(1, 29)  # checkpoints read along the run
@@ -246,6 +246,9 @@ class TestSimulateContinuous:
         at_disp, at_jumps = np.array(at).T
         np.testing.assert_array_equal(report.trace_cost, at_jumps / times)
         np.testing.assert_allclose(report.trace_speed * times, at_disp, atol=1e-9)
+        if case == "m3-co-located-tie-break":
+            # the engine's tie-break hands over from the later meeting
+            assert later_supplies() > 0
         if config.n_walkers > 2:
             # regeneration cycles are a two-walker construction
             assert report.cycle_lengths is None

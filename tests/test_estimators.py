@@ -5,8 +5,8 @@ import scipy.stats
 
 from ringrelay import errors, estimators
 from ringrelay.discrete import simulate_discrete
+from ringrelay.model import Readings
 from ringrelay.estimators import (
-    Readings,
     RunReport,
     build_report,
     chi_square_uniformity,

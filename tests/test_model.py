@@ -100,7 +100,7 @@ class TestRelayRule:
     def test_pass_message_matches_the_loop(self, m, window):
         rng = np.random.default_rng(m)
         pj, pk = np.triu_indices(m, 1)
-        mixed = 0
+        mixed = supplied = 0
         for case in range(100):
             if case < 60:
                 size = int(rng.integers(0, 120))
@@ -120,14 +120,22 @@ class TestRelayRule:
             ccw = np.where(up, pj[pair], pk[pair])
             car = int(rng.integers(m))
             a, b = (WalkerStreams(SeedSpec(case, m), m) for _ in range(2))
-            expected = loop_pass_message(car, when, cw, ccw, window, a)
-            hit, after = pass_message(car, when, cw, ccw, window, b)
+            expected, source = loop_pass_message(car, when, cw, ccw, window, a)
+            hit, after, given = pass_message(car, when, cw, ccw, window, b)
             # the carrier after each meeting is the one after its last
             # deciding meeting
             held = np.concatenate(([car], after))
             now = np.searchsorted(hit, np.arange(size), side="right")
             np.testing.assert_array_equal(held[now], expected)
             assert np.all(held[1:] != held[:-1]) or m == 2
+            # each handoff's supplying meeting is the loop's: one of the
+            # old carrier's meetings within window, with the new carrier
+            jumped = held[1:] != held[:-1]
+            np.testing.assert_array_equal(given[jumped], source[hit[jumped]])
+            assert np.all(ccw[given[jumped]] == held[:-1][jumped])
+            assert np.all(cw[given] == after)
+            assert np.all((given >= hit) & (when[given] - when[hit] <= window))
+            supplied += int(np.sum(given != hit))
             assert same_aux(a, b)
             # the candidates of each deciding meeting
             same = ((np.arange(size) >= hit[:, None]) & (ccw == ccw[hit, None])
@@ -136,6 +144,8 @@ class TestRelayRule:
             mixed += case >= 60 and min(cands) == 1 and max(cands) > 1
         # in at least half of the 40 dense calls
         assert mixed >= 20 or m == 2
+        # and some tie-breaks pick a walker the deciding meeting did not bring
+        assert supplied > 0 or m == 2
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_resolve_handoff_matches_the_lattice_rule(self, m):

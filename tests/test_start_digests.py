@@ -2,7 +2,7 @@
 
 The continuum digests in test_continuum_digests.py hold counts only, so
 they do not pin the floats of a continuum start.  Here each case runs a
-simulation up to the point where its engine receives the start state,
+simulation up to the point where model.relay receives the start state,
 and digests what it receives over ten seeds: the dtype and bytes of the
 positions, directions and switch times, the carrier, and whether the
 start is a contact.  An explicit start is built as the command line
@@ -58,7 +58,7 @@ DIGESTS = [
 
 
 class _Started(Exception):
-    """Carries the arguments the engine received."""
+    """Carries the arguments model.relay received."""
 
 
 def _capture(*args):
@@ -66,7 +66,7 @@ def _capture(*args):
 
 
 def start_of(model, m, mode, seed):
-    """The state and contact flag that the engine of one run starts from."""
+    """The state and contact flag that the relay of one run starts from."""
     if model == "discrete":
         module, config, length = discrete, DiscreteConfig(13, 0.3, m), 1
         simulate = discrete.simulate_discrete
@@ -80,14 +80,14 @@ def start_of(model, m, mode, seed):
             {"positions": positions, "directions": directions, "carrier": carrier},
             model,
         )
-    engine = module._run_blocks
-    module._run_blocks = _capture
+    relay = module.relay
+    module.relay = _capture
     try:
         simulate(config, length, seed, initial)
     except _Started as started:
         args = started.args[0]
     finally:
-        module._run_blocks = engine
+        module.relay = relay
     return args[2], args[-1]
 
 
