@@ -6,7 +6,9 @@ individual keys (values are parsed as JSON, falling back to raw strings).
 not read on its model is refused.
 Outputs are plain CSV and JSON, deterministic byte for byte for a fixed
 config: floats are emitted with `repr`, JSON keys are sorted, CSV rows
-end with a newline.
+end with a newline.  Every subcommand's jobs run through
+validation.RunQueue, and `exact` prints validation.exact_comparison, the
+table the gate's exact checks read.
 
 Exit codes: 0 success, 1 a validation-style check failed, 2 the config
 was unusable.
@@ -283,8 +285,9 @@ def cmd_simulate(args) -> int:
     )
     seed, replicas = cfg["seed"], cfg["replicas"]
     jobs = [(config, length, SeedSpec(seed, k), initial) for k in range(replicas)]
-    reports = validation.pool_map(simulate, jobs, args.threads)
-    merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
+    with validation.RunQueue({"replicas": (simulate, jobs)}, args.threads) as queue:
+        reports = queue.run("replicas")
+    merged = estimators.merge(reports)
 
     out_dir = args.out
     if out_dir is None:
@@ -292,8 +295,7 @@ def cmd_simulate(args) -> int:
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, report in enumerate(reports):
-        payload = _report_payload(report)
-        _dump_json(payload, out_dir / f"replica_{k:03d}.json")
+        _dump_json(_report_payload(report), out_dir / f"replica_{k:03d}.json")
         if report.trace_times is not None:
             time_col = "step" if kind == "discrete" else "time"
             rows = zip(map(_num, report.trace_times.tolist()),
@@ -304,42 +306,13 @@ def cmd_simulate(args) -> int:
                 [time_col, "running_speed", "running_cost"],
                 out_dir / f"trace_{k:03d}.csv",
             )
-    _dump_json(payload if len(reports) == 1 else _report_payload(merged),
-               out_dir / "report.json")
+    _dump_json(_report_payload(merged), out_dir / "report.json")
     return 0
 
 
 def cmd_exact(args) -> int:
     config = _two_walker_config(_load_config(args))
-    n, eps = config.n_sites, config.flip_prob
-    metrics = exact.exact_metrics(n, eps)
-    sol = exact.solve_trace_bvp(n, eps)
-    oracle = exact.hitting_prob_oracle(n, eps)
-    s_closed = closed_form.speed_discrete(n, eps)
-    c_closed = closed_form.cost_discrete(n, eps)
-    a_closed = 2.0 * s_closed
-    payload = {
-        "N": n,
-        "epsilon": eps,
-        "exact_speed": metrics.speed,
-        "exact_cost": metrics.cost,
-        "bvp_A": sol.crossing_prob,
-        "oracle_A": oracle,
-        "closed_speed": s_closed,
-        "closed_cost": c_closed,
-        "closed_A": a_closed,
-        "n_states": metrics.n_states,
-        "stationary_residual": metrics.residual,
-        "bvp_residual": exact.bvp_residual(sol),
-        "deviations": {
-            "speed_exact_vs_formula": abs(metrics.speed - s_closed),
-            "cost_exact_vs_formula": abs(metrics.cost - c_closed),
-            "A_bvp_vs_oracle": abs(sol.crossing_prob - oracle),
-            "A_bvp_vs_formula": abs(sol.crossing_prob - a_closed),
-            "speed_exact_vs_half_A": abs(metrics.speed - sol.crossing_prob / 2),
-        },
-    }
-    _dump_json(payload, args.out)
+    _dump_json(validation.exact_comparison(config.n_sites, config.flip_prob), args.out)
     return 0
 
 
@@ -403,8 +376,8 @@ def cmd_sweep(args) -> int:
             (config, length, SeedSpec(cfg["seed"], point * cfg["replicas"] + k))
             for k in range(cfg["replicas"])
         ]
-        reports = validation.pool_map(simulate, jobs, args.threads)
-        merged = estimators.merge(reports) if len(reports) > 1 else reports[0]
+        with validation.RunQueue({"replicas": (simulate, jobs)}, args.threads) as queue:
+            merged = estimators.merge(queue.run("replicas"))
         s = estimators.speed_estimate(merged)
         c = estimators.cost_estimate(merged)
         rows.append([

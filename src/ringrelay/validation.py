@@ -7,9 +7,11 @@ against all of them.  The command line `validate` subcommand and the
 acceptance test suite both run exactly these functions, so a pass here
 is a pass there.
 
-The simulations the checks read form one run table, queued on one
-worker pool before the first check; checks that share a run (the
-excursion law reuses the continuum regeneration run) see one trajectory.
+RunQueue is the one way jobs reach worker processes: `simulate` and
+`sweep` queue their replicas on it, and the gate its run table, on one
+pool before the first check.  exact_comparison, which `ringrelay exact`
+prints, holds the three routes at one lattice point; the two exact
+checks take its maxima over their grid.
 """
 from __future__ import annotations
 
@@ -70,17 +72,6 @@ def open_pool(threads: int, n_jobs: int) -> ProcessPoolExecutor | None:
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
 
-def pool_map(func, jobs: list, threads: int) -> list:
-    """func(*job) for every job (a tuple of arguments), in a pool that
-    open_pool sizes for them.  Results come in job order, and every job
-    carries its own seed, so the thread count never changes a result."""
-    pool = open_pool(threads, len(jobs))
-    if pool is None:
-        return [func(*job) for job in jobs]
-    with pool:
-        return list(pool.map(func, *zip(*jobs)))
-
-
 def _uniformity_passes(model: str, seed: SeedSpec) -> bool:
     """Whether one replica's walker samples pass the chi-square test."""
     if model == "discrete":
@@ -138,25 +129,22 @@ def run_table(seed: int) -> dict:
     }
 
 
-class AcceptanceContext:
-    """The run table of one master seed, each run made once.  start()
-    queues every job on one pool; a run not queued is computed here, in
-    job order, when a check first reads it.  Every job carries its own
-    SeedSpec, so where it runs never changes a result."""
+class RunQueue:
+    """Named job lists, name -> (function, jobs of argument tuples), each
+    run once.  Entered, it queues every job on one pool that open_pool
+    sizes; a run not queued is computed here, in job order, when first
+    read.  Every job carries its own SeedSpec, so where it runs never
+    changes a result.  On exit, also by a job that raises, it shuts the
+    pool, cancelling the jobs no worker has taken yet."""
 
-    def __init__(self, master_seed: int = DEFAULT_SEED, threads: int = 1):
-        self.master_seed = master_seed
+    def __init__(self, table: dict, threads: int = 1):
+        self.table = table
         self.threads = threads
-        self.table = run_table(master_seed)
         self._results: dict = {}
         self._queued: dict = {}
         self._pool = None
 
-    def start(self) -> None:
-        """Queue the whole table on one pool, if more than one worker serves."""
-        # imported before the fork, so no worker pays it on its first chi-square
-        import scipy.special  # noqa: F401
-
+    def __enter__(self) -> RunQueue:
         n_jobs = sum(len(jobs) for _, jobs in self.table.values())
         self._pool = open_pool(self.threads, n_jobs)
         if self._pool is not None:
@@ -164,9 +152,9 @@ class AcceptanceContext:
                 name: [self._pool.submit(func, *job) for job in jobs]
                 for name, (func, jobs) in self.table.items()
             }
+        return self
 
-    def close(self) -> None:
-        """Shut the pool down, cancelling the jobs no worker has taken yet."""
+    def __exit__(self, *exc) -> None:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
 
@@ -181,9 +169,57 @@ class AcceptanceContext:
             )
         return self._results[name]
 
+
+def exact_comparison(n: int, eps: float) -> dict:
+    """The three routes at the lattice point (N, eps): the exact stationary
+    speed and cost, the wrap probability A by the recursion (BVP) and by
+    the absorbing chain (oracle), the closed forms, both solves'
+    residuals and the deviations between the routes."""
+    metrics = exact.exact_metrics(n, eps)
+    sol = exact.solve_trace_bvp(n, eps)
+    oracle = exact.hitting_prob_oracle(n, eps)
+    s_closed = closed_form.speed_discrete(n, eps)
+    c_closed = closed_form.cost_discrete(n, eps)
+    a_closed = 2.0 * s_closed
+    return {
+        "N": n,
+        "epsilon": eps,
+        "exact_speed": metrics.speed,
+        "exact_cost": metrics.cost,
+        "bvp_A": sol.crossing_prob,
+        "oracle_A": oracle,
+        "closed_speed": s_closed,
+        "closed_cost": c_closed,
+        "closed_A": a_closed,
+        "n_states": metrics.n_states,
+        "stationary_residual": metrics.residual,
+        "bvp_residual": exact.bvp_residual(sol),
+        "deviations": {
+            "speed_exact_vs_formula": abs(metrics.speed - s_closed),
+            "cost_exact_vs_formula": abs(metrics.cost - c_closed),
+            "A_bvp_vs_oracle": abs(sol.crossing_prob - oracle),
+            "A_bvp_vs_formula": abs(sol.crossing_prob - a_closed),
+            "speed_exact_vs_half_A": abs(metrics.speed - sol.crossing_prob / 2),
+        },
+    }
+
+
+class AcceptanceContext(RunQueue):
+    """The run table of one master seed and the exact grid, each made once."""
+
+    def __init__(self, master_seed: int = DEFAULT_SEED, threads: int = 1):
+        super().__init__(run_table(master_seed), threads)
+        self.master_seed = master_seed
+
+    def __enter__(self) -> AcceptanceContext:
+        # imported before the fork, so no worker pays it on its first chi-square
+        import scipy.special  # noqa: F401
+
+        return super().__enter__()
+
     @cached_property
     def exact_grid(self) -> dict:
-        return {(n, eps): exact.exact_metrics(n, eps)
+        return {(n, eps): exact_comparison(n, eps)
                 for n in GRID_N for eps in GRID_EPS}
 
 
@@ -191,19 +227,22 @@ class AcceptanceContext:
 # the checks
 
 
+def _grid_max(ctx: AcceptanceContext, *keys: str) -> list:
+    """The largest of each exact_comparison entry over the exact grid; a
+    key names a deviation or a residual."""
+    rows = [{**c, **c["deviations"]} for c in ctx.exact_grid.values()]
+    return [max(row[key] for row in rows) for key in keys]
+
+
 def check_exact_stationary(ctx: AcceptanceContext) -> CheckResult:
-    worst_s = worst_c = worst_res = 0.0
-    for (n, eps), metrics in ctx.exact_grid.items():
-        s = closed_form.speed_discrete(n, eps)
-        worst_s = max(worst_s, abs(metrics.speed - s))
-        worst_c = max(worst_c, abs(metrics.cost - eps * s))
-        worst_res = max(worst_res, metrics.residual)
+    worst_s, worst_c, worst_res = _grid_max(
+        ctx, "speed_exact_vs_formula", "cost_exact_vs_formula", "stationary_residual")
     passed = worst_s <= 1e-10 and worst_c <= 1e-10
     return CheckResult(
         "exact-stationary-matches-formulas",
         passed,
         {
-            "grid_points": len(GRID_N) * len(GRID_EPS),
+            "grid_points": len(ctx.exact_grid),
             "max_speed_dev": worst_s,
             "max_cost_dev": worst_c,
             "max_residual": worst_res,
@@ -215,20 +254,9 @@ def check_exact_stationary(ctx: AcceptanceContext) -> CheckResult:
 
 
 def check_crossing_prob(ctx: AcceptanceContext) -> CheckResult:
-    worst_oracle = worst_closed = worst_speed = worst_res = 0.0
-    metrics = ctx.exact_grid
-    for n in GRID_N:
-        for eps in GRID_EPS:
-            sol = exact.solve_trace_bvp(n, eps)
-            a = sol.crossing_prob
-            worst_oracle = max(
-                worst_oracle, abs(a - exact.hitting_prob_oracle(n, eps))
-            )
-            worst_closed = max(
-                worst_closed, abs(a - (1 - eps) / (1 + eps * (n - 2)))
-            )
-            worst_speed = max(worst_speed, abs(metrics[(n, eps)].speed - a / 2))
-            worst_res = max(worst_res, exact.bvp_residual(sol))
+    worst_oracle, worst_closed, worst_speed, worst_res = _grid_max(
+        ctx, "A_bvp_vs_oracle", "A_bvp_vs_formula", "speed_exact_vs_half_A",
+        "bvp_residual")
     passed = (
         worst_oracle <= 1e-10 and worst_closed <= 1e-10 and worst_speed <= 1e-10
     )
@@ -527,10 +555,8 @@ ALL_CHECKS = [
 def run_all(
     master_seed: int = DEFAULT_SEED, threads: int = 1, emit=None
 ) -> list[CheckResult]:
-    ctx = AcceptanceContext(master_seed, threads)
     results = []
-    try:
-        ctx.start()
+    with AcceptanceContext(master_seed, threads) as ctx:
         for check in ALL_CHECKS:
             start = time.perf_counter()
             result = check(ctx)
@@ -538,6 +564,4 @@ def run_all(
             results.append(result)
             if emit is not None:
                 emit(result.line())
-    finally:
-        ctx.close()
     return results

@@ -16,6 +16,7 @@ from ringrelay import cli, validation
 from ringrelay.cli import main
 from ringrelay.continuous import simulate_continuous
 from ringrelay.discrete import simulate_discrete
+from ringrelay.errors import RelayError
 from ringrelay.model import ContinuousConfig, DiscreteConfig, SeedSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -584,7 +585,7 @@ class TestSweep:
 
     def test_size_limit_checked_before_any_point_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            validation, "pool_map", lambda *a: pytest.fail("a grid point ran")
+            validation, "RunQueue", lambda *a: pytest.fail("a grid point ran")
         )
         code, out, err = run_cli(
             capsys, "sweep", "--set", "model=discrete",
@@ -732,7 +733,8 @@ class TestWorkerPool:
         self, made, threads, n_jobs, workers
     ):
         jobs = [(k,) for k in range(n_jobs)]
-        assert validation.pool_map(abs, jobs, threads) == list(range(n_jobs))
+        with validation.RunQueue({"jobs": (abs, jobs)}, threads) as queue:
+            assert queue.run("jobs") == list(range(n_jobs))
         assert [p.max_workers for p in made] == ([workers] if workers else [])
         assert all(p.shut for p in made)
 
@@ -753,13 +755,11 @@ class TestWorkerPool:
         return table
 
     def test_context_keeps_one_pool_until_closed(self, made, small_table):
-        ctx = validation.AcceptanceContext(threads=4)
-        ctx.start()
-        assert ctx.run("two") == [1, 2]
-        assert ctx.run("nine") == list(range(9, 0, -1))
-        assert [p.max_workers for p in made] == [4]
-        assert not made[0].shut
-        ctx.close()
+        with validation.AcceptanceContext(threads=4) as ctx:
+            assert ctx.run("two") == [1, 2]
+            assert ctx.run("nine") == list(range(9, 0, -1))
+            assert [p.max_workers for p in made] == [4]
+            assert not made[0].shut
         assert made[0].shut
 
     def test_gate_queues_the_run_table_before_the_first_check(
@@ -795,6 +795,28 @@ class TestWorkerPool:
         results = validation.run_all(threads=threads)
         assert [r.measured for r in results] == [{"two": [1, 2]}]
         assert len(made) == pools and all(p.shut for p in made)
+
+    def test_replica_that_raises_cancels_the_rest(self, capsys, made, monkeypatch):
+        ran = []
+
+        def replica(config, steps, seed, initial, trace_every):
+            ran.append(seed.replica)
+            if seed.replica == 1:
+                raise RelayError("replica 1 failed")
+            return simulate_discrete(config, steps, seed, initial)
+
+        monkeypatch.setattr(cli, "simulate_discrete", replica)
+        code, out, err = run_cli(
+            capsys, "simulate", "--threads", "2", "--set", "model=discrete",
+            "--set", "N=5", "--set", "epsilon=0.3", "--set", "steps=200",
+            "--set", "replicas=3",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "replica 1 failed" in err
+        assert [p.max_workers for p in made] == [2] and made[0].shut
+        # the third replica was queued, then cancelled before it ran
+        assert ran == [0, 1] and len(made[0].queued) == 3
+        assert made[0].queued[2].cancelled()
 
     def test_generator_check_starts_no_workers(self, capsys, made):
         code, _, _ = run_cli(capsys, "generator-check", "--threads", "2")

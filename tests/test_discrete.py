@@ -161,6 +161,14 @@ class TestRegenerationLaw:
 BLOCK_START_CONTACT = ((17, 0), (5, [0, 2], [1, -1], 0))
 # both walkers cross the wrap at once, so every contact has x1 - x0 < 0
 NEGATIVE_LEVEL = ((20, 0), (5, [4, 0], [1, -1], 0))
+# the largest ring, walkers two sites apart across the wrap and heading
+# for each other: an even gap closes, so they meet from round 1 on and
+# hand the message over at unwrapped sites near 2**62
+HUGE = 2**62 - 1
+WRAP_HANDOFFS = [
+    ((10, 0), (HUGE, [1, HUGE - 1], [-1, 1], 0)),
+    ((11, 0), (HUGE, [1, HUGE - 1, HUGE - 1], [-1, 1, -1], 0)),
+]
 
 
 class TestEngineAgainstStepLoop:
@@ -179,9 +187,11 @@ class TestEngineAgainstStepLoop:
             ((6, 2), (7, [0, 3, 3, 5], [-1, 1, -1, 1], 2)),
             BLOCK_START_CONTACT,
             NEGATIVE_LEVEL,
-            # the largest ring, walkers next to each other across the wrap
-            ((10, 0), (2**62 - 1, [0, 2**62 - 2], [-1, 1], 0)),
-            ((11, 0), (2**62 - 1, [0, 2**62 - 2, 2**62 - 2], [-1, 1, -1], 0)),
+            # the largest ring, walkers one site apart across the wrap: an
+            # odd gap never closes, so no two of them meet
+            ((10, 0), (HUGE, [0, HUGE - 1], [-1, 1], 0)),
+            ((11, 0), (HUGE, [0, HUGE - 1, HUGE - 1], [-1, 1, -1], 0)),
+            *WRAP_HANDOFFS,
         ],
     )
     def test_trajectory_equality(self, seed, init, monkeypatch, later_supplies):
@@ -225,7 +235,7 @@ class TestEngineAgainstStepLoop:
                 assert report.cycle_lengths is None
                 # a tie-break hands the message to a walker that the
                 # deciding meeting did not bring, save on the huge ring,
-                # where no two walkers meet in these rounds
+                # where walkers meet too seldom in these rounds
                 assert later_supplies() > 0 or n > steps
                 continue
             # regeneration cycle boundaries
@@ -241,7 +251,8 @@ class TestEngineAgainstStepLoop:
             initial = model.State(
                 np.array(positions), np.array(directions), carrier
             )
-            return run_reference_loop(DiscreteConfig(n, 0.3), 1500, seed, initial)
+            config = DiscreteConfig(n, 0.3, len(positions))
+            return run_reference_loop(config, 1500, seed, initial)
 
         *_, visits = reference(BLOCK_START_CONTACT)
         assert visits[0] == 1  # the first row of the first block
@@ -252,6 +263,11 @@ class TestEngineAgainstStepLoop:
         x = positions + np.vstack(([0, 0], np.cumsum(dirs[:-1], axis=0)))
         levels = (x[visits, 1] - x[visits, 0]) // n
         assert len(levels) > 100 and np.all(levels < 0)
+
+        for case in WRAP_HANDOFFS:
+            pos, _, _, jumped, _ = reference(case)
+            assert np.all(pos[1, :2] == 0)  # the meeting in round 1
+            assert jumped.sum() > 0
 
     def test_cycle_displacements_are_zero_or_full_laps(self):
         cfg = DiscreteConfig(5, 0.3)

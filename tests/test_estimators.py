@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ringrelay import errors, estimators
+from ringrelay import cli, errors, estimators
+from ringrelay.continuous import simulate_continuous
 from ringrelay.discrete import simulate_discrete
 from ringrelay.model import Readings
 from ringrelay.estimators import (
@@ -271,6 +272,28 @@ class TestMerge:
         assert pooled.total_time == 15.0
         assert len(pooled.batch_displacement) == 0
         assert pooled.jump_count == sum(r.jump_count for r in runs)
+
+    @pytest.mark.parametrize("simulate,config,length,initial", [
+        pytest.param(simulate_discrete, DiscreteConfig(5, 0.3), 5000,
+                     "regeneration", id="lattice-m2-cycles"),
+        pytest.param(simulate_discrete, DiscreteConfig(11, 0.1, 3), 5000,
+                     "uniform-random", id="lattice-m3"),
+        pytest.param(simulate_continuous, ContinuousConfig(1.0), 500.0,
+                     "regeneration", id="continuum-m2-regeneration"),
+        pytest.param(simulate_continuous, ContinuousConfig(2.0, n_walkers=3), 500.0,
+                     "uniform-random", id="continuum-m3"),
+    ])
+    def test_merging_one_replica_keeps_its_payload(
+        self, tmp_path, simulate, config, length, initial
+    ):
+        # simulate and sweep merge even a single replica before they report
+        report = simulate(config, length, SeedSpec(20260815, 0), initial)
+        assert (report.n_cycles > 0) == (initial == "regeneration")
+        texts = []
+        for k, r in enumerate([report, merge([report])]):
+            cli._dump_json(cli._report_payload(r), tmp_path / f"{k}.json")
+            texts.append((tmp_path / f"{k}.json").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_merge_rejects_mismatched_models(self):
         a = self.run(1)

@@ -16,13 +16,15 @@ CALLERS = [SRC, ROOT / "scripts", ROOT / "perfbench"]
 ENGINES = [SRC / "discrete.py", SRC / "continuous.py"]
 
 
-def stray_calls(path: Path, callee: str = "pass_message") -> list[int]:
+def stray_calls(path: Path, callee: str = "pass_message",
+                home: tuple = ("model.py", "relay")) -> list[int]:
     """Lines of path that call callee, by name or as an attribute,
-    outside a top-level function named relay in a module model.py."""
+    outside its home: a top-level function or class (home[1]) in a
+    module file (home[0]), by default the function relay in model.py."""
     lines = []
     for node in ast.parse(path.read_text(), filename=str(path)).body:
-        if (path.name == "model.py" and isinstance(node, ast.FunctionDef)
-                and node.name == "relay"):
+        if (path.name == home[0] and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == home[1]):
             continue
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
