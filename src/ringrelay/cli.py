@@ -178,33 +178,42 @@ def _build_initial(spec, kind: str):
     for key in sorted(spec.keys() - {"positions", "directions", "carrier"}):
         raise RelayError(f"unknown initial state key: {key!r}")
     try:
-        positions = (_whole(spec, "positions") if kind == "discrete"
-                     else np.asarray(spec["positions"], float))
-        directions = _whole(spec, "directions")
+        positions = _numbers(spec, "positions", whole=kind == "discrete")
+        directions = _numbers(spec, "directions", whole=True)
         return State(positions, directions, _int64("carrier", spec["carrier"]))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise RelayError(f"bad initial state: {err}") from err
 
 
-def _whole(spec: dict, key: str) -> np.ndarray:
-    """spec[key] as int64: a fraction or a number past int64 is refused,
-    never truncated."""
-    values = np.asarray(spec[key], dtype=float)
-    if not np.all((values == np.round(values)) & (np.abs(values) < 2.0**63)):
-        raise ValueError(f"{key} must be whole numbers, got {spec[key]!r}")
-    return values.astype(np.int64)
+def _numbers(spec: dict, key: str, whole: bool) -> np.ndarray:
+    """spec[key], of any shape, as int64 if whole, else float.  Each
+    element must be a JSON number, not a bool, and a whole one in int64
+    range if whole is set: an int is kept exact, none is rounded."""
+    values = np.asarray(spec[key], dtype=object)
+    read = [int(x) if whole and type(x) is float and x.is_integer() else x
+            for x in values.flat]
+    if not all(type(x) is int and -(2**63) <= x < 2**63 if whole
+               else type(x) in (int, float) for x in read):
+        raise ValueError(f"{key} must be {'whole ' * whole}numbers, got {spec[key]!r}")
+    return np.array(read, dtype=np.int64 if whole else float).reshape(values.shape)
 
 
 # ----------------------------------------------------------------------
 # serialization helpers
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(text: str | None, out: Path | None) -> None:
+    """Print text, or write it to the file out, making its directory;
+    with no text, make out a directory.  An OSError is a config error."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        return
+    try:
+        (out if text is None else out.parent).mkdir(parents=True, exist_ok=True)
+        if text is not None:
+            out.write_text(text)
+    except OSError as err:
+        raise RelayError(f"cannot write output: {err}") from err
 
 
 def _dump_json(payload, out: Path | None) -> None:
@@ -285,15 +294,16 @@ def cmd_simulate(args) -> int:
     )
     seed, replicas = cfg["seed"], cfg["replicas"]
     jobs = [(config, length, SeedSpec(seed, k), initial) for k in range(replicas)]
+    out_dir = args.out
+    if out_dir is not None:  # made before any replica runs
+        _emit(None, out_dir)
     with validation.RunQueue({"replicas": (simulate, jobs)}, args.threads) as queue:
         reports = queue.run("replicas")
     merged = estimators.merge(reports)
 
-    out_dir = args.out
     if out_dir is None:
         _dump_json(_report_payload(merged), None)
         return 0
-    out_dir.mkdir(parents=True, exist_ok=True)
     for k, report in enumerate(reports):
         _dump_json(_report_payload(report), out_dir / f"replica_{k:03d}.json")
         if report.trace_times is not None:

@@ -9,8 +9,6 @@ routes, which is the package's central consistency check.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import errors
 from .model import (
     ContinuousConfig,
@@ -60,52 +58,37 @@ def direction_prob_continuous(
     return (3.0 * speed + rn) / (2.0 * (2.0 * speed + rn))
 
 
-class Dimensionless(NamedTuple):
-    """Speed and cost reduced to functions of the load alpha = r*N/v."""
+def dimensionless(alpha: float) -> float:
+    """1 / (2 + alpha), onto which both normalised quantities collapse:
+    the message speed divided by the walker speed, and the handoff rate
+    divided by the switch rate (cost = (r / v) speed on the continuum).
 
-    speed_factor: float  # message speed divided by walker speed
-    cost_factor: float  # handoff rate divided by switch rate
-
-
-def dimensionless(alpha: float) -> Dimensionless:
-    """Both normalised quantities collapse onto 1 / (2 + alpha).
-
-    alpha is the expected number of direction reversals a walker makes
-    while covering one full circle.
+    alpha = r N / v is the expected number of direction reversals a
+    walker makes while covering one full circle.
     """
     if not (alpha > 0.0):
         raise errors.RelayError(f"alpha must be > 0, got {alpha!r}")
-    value = 1.0 / (2.0 + alpha)
-    return Dimensionless(value, value)
-
-
-class ScalingError(NamedTuple):
-    speed_error: float
-    cost_error: float
+    return 1.0 / (2.0 + alpha)
 
 
 def scaling_limit_error(
     n_sites: int, switch_rate: float, circumference: float, speed: float = 1.0
-) -> ScalingError:
-    """Relative gap between the lattice formulas and their continuum limit.
+) -> float:
+    """Relative gap between the lattice speed and its continuum limit.
 
     The lattice model with 2 * n_sites * speed * flip_prob equal to
     switch_rate * circumference discretises the continuum model; as
     n_sites grows the lattice speed converges to the continuum speed (in
-    circle units) and flip_prob/rate-normalised cost likewise.  Returns
-    the relative errors at finite n_sites.  For the canonical comparison
-    (speed 1, rate 1, circumference 1) both errors equal
-    1 / (6 * n_sites - 4).
+    circle units).  Returns the relative error at finite n_sites.  The
+    rate-normalised cost, (switch_rate / flip_prob) cost_discrete against
+    cost_continuous, has the same relative error, since cost = flip_prob
+    speed on the lattice and (switch_rate / speed) speed on the
+    continuum.  For the canonical comparison (speed 1, rate 1,
+    circumference 1) the error is 1 / (6 * n_sites - 4).
     """
     n = validate_sites(n_sites)
     validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
     eps = circumference * switch_rate / (2.0 * n * speed)
     validate_flip_prob(eps)
-    s_lattice = speed_discrete(n, eps)
-    s_target = speed_continuous(circumference, speed, switch_rate) / speed
-    c_lattice = (switch_rate / eps) * cost_discrete(n, eps)
-    c_target = cost_continuous(circumference, speed, switch_rate)
-    return ScalingError(
-        abs(s_lattice - s_target) / s_target,
-        abs(c_lattice - c_target) / c_target,
-    )
+    target = speed_continuous(circumference, speed, switch_rate) / speed
+    return abs(speed_discrete(n, eps) - target) / target

@@ -8,8 +8,9 @@ traces.  build_report makes them for both models: it decides the
 burn-in, the batches and the cycles from what model.relay reads at
 checkpoints.  Walker samples are not part of a run: the two
 sample_walker_states draw them without the relay, and uniformity_test
-tests them.  Merging reports concatenates trajectories in the
-obvious way, so replica parallelism never changes any count or sum.
+gives the chi-square p-value of their uniformity.  Merging reports
+concatenates trajectories in the obvious way, so replica parallelism
+never changes any count or sum.
 """
 from __future__ import annotations
 
@@ -133,7 +134,7 @@ def build_report(
         out[order] = values
         return out
 
-    disp, jumps = map(unsort, run[:2])
+    disp, jumps = unsort(run.displacement), unsort(run.jumps)
     clock = (checkpoints + disp / params.get("v", 1)) / 2
     batch = slice(0, n_edges)
     traced = slice(n_edges + 1, None)
@@ -266,12 +267,8 @@ def direction_estimate(report: RunReport) -> Estimate:
 
 
 class KacCheck(NamedTuple):
-    cycle_mean: float
-    stationary_product: float
-    gap: float
-    rel_gap: float
+    gap: float  # mean carrier displacement per cycle minus the product
     stderr: float
-    n_cycles: int
 
 
 def kac_check(report: RunReport, time_average: float, time_stderr: float) -> KacCheck:
@@ -290,21 +287,17 @@ def kac_check(report: RunReport, time_average: float, time_stderr: float) -> Kac
     sums = report.cycle_carrier_sums
     n = report.n_cycles
     lengths = report.cycle_lengths
-    cycle_mean = float(sums.mean())
     se_cycle = float(sums.std(ddof=1) / np.sqrt(n))
     mean_len = float(lengths.mean())
     se_len = float(lengths.std(ddof=1) / np.sqrt(n))
     product = mean_len * time_average
     se_product = np.hypot(time_average * se_len, mean_len * time_stderr)
-    gap = cycle_mean - product
-    stderr = float(np.hypot(se_cycle, se_product))
-    rel = abs(gap) / max(abs(product), np.finfo(float).tiny)
-    return KacCheck(cycle_mean, product, gap, rel, stderr, n)
+    gap = float(sums.mean()) - product
+    return KacCheck(gap, float(np.hypot(se_cycle, se_product)))
 
 
 class ExcursionSummary(NamedTuple):
     n_cycles: int
-    wrap_count: int
     wrap_fraction: float
     max_deviation: float
 
@@ -319,18 +312,8 @@ def excursion_classifier(report: RunReport) -> ExcursionSummary:
     wrapped = disp > lap / 2.0
     deviation = np.where(wrapped, np.abs(disp - lap), np.abs(disp))
     return ExcursionSummary(
-        report.n_cycles,
-        int(wrapped.sum()),
-        float(wrapped.mean()),
-        float(deviation.max()),
+        report.n_cycles, float(wrapped.mean()), float(deviation.max())
     )
-
-
-class UniformityResult(NamedTuple):
-    statistic: float
-    pvalue: float
-    dof: int
-    n_samples: int
 
 
 def chi_square_uniformity(
@@ -338,8 +321,8 @@ def chi_square_uniformity(
     directions: np.ndarray,
     circumference: float,
     position_bins: int,
-) -> UniformityResult:
-    """Chi-square test of joint uniformity of positions and directions.
+) -> float:
+    """Chi-square p-value of joint uniformity of positions and directions.
 
     Positions are cut into position_bins equal arcs and crossed with the
     direction signs of every walker, giving (position_bins * 2)^m
@@ -366,14 +349,13 @@ def chi_square_uniformity(
     counts = np.bincount(cell, minlength=n_cells)
     expected = counts.mean()
     stat = ((counts - expected) ** 2 / expected).sum()
-    pvalue = scipy.special.chdtrc(n_cells - 1, stat)
-    return UniformityResult(float(stat), float(pvalue), n_cells - 1, k)
+    return float(scipy.special.chdtrc(n_cells - 1, stat))
 
 
 def uniformity_test(
     config, positions: np.ndarray, directions: np.ndarray
-) -> UniformityResult:
-    """Equilibrium check on walker samples of a model, such as its
+) -> float:
+    """Equilibrium p-value of walker samples of a model, such as its
     sample_walker_states draws at spacings wide enough (ten rounds per
     site, or ten crossing times) that the samples are nearly independent:
     one cell per site on the lattice, 8 equal arcs on the continuum."""

@@ -48,8 +48,6 @@ class ReducedChain:
     resolves them instantly, so they are never observed after an update.
     """
 
-    n_sites: int
-    flip_prob: float
     codes: np.ndarray = field(repr=False)
     transition: sp.csr_matrix = field(repr=False)
     jump_prob: np.ndarray = field(repr=False)
@@ -97,7 +95,7 @@ def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
          (np.repeat(np.arange(k), 4), (dest - 2 * (dest > 4)).ravel())),
         shape=(k, k),
     ).tocsr()
-    return ReducedChain(n, eps, code, transition, jump_prob)
+    return ReducedChain(code, transition, jump_prob)
 
 
 def stationary(chain: ReducedChain) -> np.ndarray:

@@ -147,7 +147,6 @@ class WalkerStreams:
     """
 
     def __init__(self, seed: SeedSpec, n_walkers: int):
-        self.seed = seed
         self.n_walkers = n_walkers
         self.aux = np.random.Generator(np.random.PCG64(seed.child(0)))
         self.walker = [

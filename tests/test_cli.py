@@ -9,6 +9,7 @@ import textwrap
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ringrelay
@@ -195,6 +196,18 @@ class TestConfigHandling:
                          'initial={"positions": [0, 0.5], "directions": [1, -1.5], '
                          '"carrier": 0}', "directions",
                          id="continuum-fractional-direction"),
+            *(
+                pytest.param("simulate", model,
+                             ("N=5", 'initial={"positions": %s, "directions": [1, -1], '
+                              '"carrier": 0}' % positions), "positions must be",
+                             id=f"{model}-{name}-position")
+                for model in ("discrete", "continuous")
+                for name, positions in [("bool", "[true, 0]"), ("string", '["3", 0]')]
+            ),
+            pytest.param("simulate", "discrete",
+                         'initial={"positions": [2.5, 0], "directions": [1, -1], '
+                         '"carrier": 0}', "positions must be whole",
+                         id="lattice-half-position"),
             pytest.param("simulate", "discrete", "seed=-1", "seed",
                          id="lattice-negative-seed"),
             pytest.param("simulate", "continuous", "seed=-2", "seed",
@@ -287,10 +300,23 @@ class TestConfigHandling:
                          id="continuum-horizon-past-bound"),
             pytest.param("sweep", "continuous", 'grid={"N": [1], "r": [1e300]}',
                          "2**53", id="sweep-rate-past-bound"),
+            # --out: {tmp}/file is a regular file, {tmp}/dir a directory
+            pytest.param("simulate", "discrete", "--out={tmp}/file",
+                         "cannot write output", id="simulate-out-is-a-file"),
+            pytest.param("simulate", "continuous", "--out={tmp}/file/run",
+                         "cannot write output", id="simulate-out-under-a-file"),
+            pytest.param("exact", "discrete", ("epsilon=0.3", "--out={tmp}/dir"),
+                         "cannot write output", id="exact-out-is-a-directory"),
+            pytest.param("exact", "discrete", ("epsilon=0.3", "--out={tmp}/file/x.json"),
+                         "cannot write output", id="exact-out-under-a-file"),
+            pytest.param("sweep", "discrete", "--out={tmp}/dir",
+                         "cannot write output", id="sweep-out-is-a-directory"),
+            pytest.param("validate", "discrete", "--out={tmp}/dir",
+                         "cannot write output", id="validate-out-is-a-directory"),
         ],
     )
     def test_malformed_value_is_config_error(
-        self, capsys, command, model, override, named
+        self, capsys, tmp_path, command, model, override, named
     ):
         base = {
             ("simulate", "discrete"): ["N=5", "epsilon=0.3", "steps=500"],
@@ -302,10 +328,18 @@ class TestConfigHandling:
             ("generator-check", "discrete"): [],
         }[command, model]
         overrides = (override,) if isinstance(override, str) else override
-        args = [a for kv in [f"model={model}", *base, *overrides] for a in ("--set", kv)]
-        code, out, err = run_cli(capsys, command, *args)
+        sets = [kv for kv in overrides if not kv.startswith("--")]
+        flags = [kv.format(tmp=tmp_path) for kv in overrides if kv.startswith("--")]
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        args = [a for kv in [f"model={model}", *base, *sets] for a in ("--set", kv)]
+        code, out, err = run_cli(capsys, command, *args, *flags)
         assert code == 2
-        assert err.startswith("error: ") and named in err
+        # the gate prints a line per check before it writes --out
+        *progress, last = err.splitlines()
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in progress)
+        assert command == "validate" or not progress
+        assert last.startswith("error: ") and named in last
         assert out == ""
 
     @pytest.mark.parametrize("command", ["simulate", "validate", "generator-check"])
@@ -514,6 +548,36 @@ class TestSimulate:
         )
         assert code == 0
         json.loads(out)
+
+    def test_start_positions_past_float_stay_exact(self, capsys):
+        # float64 would turn 2**53 + 1 into 2**53 and 2**62 - 3 into 2**62
+        positions = [2**62 - 3, 2**53 + 1]
+        spec = {"positions": positions, "directions": [1, -1], "carrier": 0}
+        state = cli._build_initial(spec, "discrete")
+        assert state.positions.dtype == np.int64
+        assert state.positions.tolist() == positions
+        code, out, err = run_cli(
+            capsys, "simulate", "--set", "model=discrete", "--set", f"N={2**62 - 1}",
+            "--set", "epsilon=0.1", "--set", "steps=200",
+            "--set", f"initial={json.dumps(spec)}",
+        )
+        assert code == 0 and err == ""
+        json.loads(out)
+
+    def test_out_directory_is_made_before_any_replica(self, capsys, tmp_path,
+                                                      monkeypatch):
+        def replica(*args, **kwargs):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(cli, "simulate_discrete", replica)
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(
+            capsys, "simulate", "--set", "model=discrete", "--set", "N=5",
+            "--set", "epsilon=0.3", "--set", "steps=500",
+            "--out", str(tmp_path / "file"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write output")
 
 
 class TestSweep:

@@ -119,13 +119,9 @@ class TestContinuousForms:
     def test_dimensionless_collapse(self, n, v, r):
         alpha = r * n / v
         d = cf.dimensionless(alpha)
-        assert cf.speed_continuous(n, v, r) == pytest.approx(
-            v * d.speed_factor, rel=1e-12
-        )
-        assert cf.cost_continuous(n, v, r) == pytest.approx(
-            r * d.cost_factor, rel=1e-12
-        )
-        assert d.speed_factor == pytest.approx(1 / (2 + alpha), rel=1e-12)
+        assert cf.speed_continuous(n, v, r) == pytest.approx(v * d, rel=1e-12)
+        assert cf.cost_continuous(n, v, r) == pytest.approx(r * d, rel=1e-12)
+        assert d == pytest.approx(1 / (2 + alpha), rel=1e-12)
 
     def test_direction_prob_range(self):
         for alpha in (0.01, 1.0, 100.0):
@@ -143,24 +139,30 @@ class TestContinuousForms:
             cf.dimensionless(0.0)
 
 
+def cost_error(n, rate, circ, v=1.0):
+    """Relative gap between the rate-normalised lattice cost and the
+    continuum cost, from the closed forms."""
+    eps = circ * rate / (2 * n * v)
+    target = cf.cost_continuous(circ, v, rate)
+    return abs((rate / eps) * cf.cost_discrete(n, eps) - target) / target
+
+
 class TestScalingLimit:
     def test_error_is_one_over_6n_minus_4(self):
-        # with eps = rN_c/(2Nv) the relative speed gap telescopes to 1/(6N-4)
+        # with eps = rN_c/(2Nv) the relative speed gap telescopes to 1/(6N-4);
+        # the cost gap equals it, since cost = eps speed and (r/v) speed
         for n in (5, 21, 101, 1001):
             err = cf.scaling_limit_error(n, 1.0, 1.0)
             target = float(Fraction(1, 6 * n - 4))
-            assert err.speed_error == pytest.approx(target, abs=1e-12)
-            assert err.cost_error == pytest.approx(target, abs=1e-12)
+            assert err == pytest.approx(target, abs=1e-12)
+            assert cost_error(n, 1.0, 1.0) == pytest.approx(err, abs=1e-12)
 
     def test_frozen_display_values(self):
-        assert round(cf.scaling_limit_error(5, 1.0, 1.0).speed_error, 4) == 0.0385
-        assert round(cf.scaling_limit_error(101, 1.0, 1.0).speed_error, 5) == 0.00166
+        assert round(cf.scaling_limit_error(5, 1.0, 1.0), 4) == 0.0385
+        assert round(cf.scaling_limit_error(101, 1.0, 1.0), 5) == 0.00166
 
     def test_decreasing_in_n(self):
-        errs = [
-            cf.scaling_limit_error(n, 1.0, 1.0).speed_error
-            for n in (5, 21, 101, 1001)
-        ]
+        errs = [cf.scaling_limit_error(n, 1.0, 1.0) for n in (5, 21, 101, 1001)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 0.002
 
@@ -171,8 +173,9 @@ class TestScalingLimit:
         s_lattice = cf.speed_discrete(n, eps)
         s_limit = cf.speed_continuous(circ, v, rate) / v
         expected = abs(s_lattice / s_limit - 1.0)
-        got = cf.scaling_limit_error(n, rate, circ, v).speed_error
+        got = cf.scaling_limit_error(n, rate, circ, v)
         assert got == pytest.approx(expected, rel=1e-12)
+        assert cost_error(n, rate, circ, v) == pytest.approx(got, abs=1e-12)
 
     def test_rejects_unusable_lattice(self):
         # flip probability must stay inside (0, 1)

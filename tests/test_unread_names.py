@@ -1,4 +1,5 @@
-"""Every top-level name that src/ringrelay defines is read by a caller.
+"""Every top-level name and record field that src/ringrelay defines is
+read by a caller.
 
 A stand-in for a linter's dead-code rule, on the standard library's ast
 alone: each top-level function, class and constant of a module in
@@ -8,6 +9,11 @@ that spells it (perfbench/tracing.py wraps functions by name).  The
 package's re-exports (the imports of __init__.py and its __all__) and
 the tests do not count, so an option or helper that only tests use
 fails here.
+
+Each field of a dataclass or NamedTuple in src/ringrelay must likewise
+be loaded as an attribute somewhere in those files, its own class's
+methods included.  The rule matches by name: a field whose name some
+other object's attribute shares counts as read.
 """
 import ast
 from pathlib import Path
@@ -65,6 +71,35 @@ def unread_names(module: Path, callers: list[Path]) -> list[str]:
     return sorted(set(defined) - read)
 
 
+def record_fields(tree: ast.Module) -> list[str]:
+    """'Class.field' for each field of the dataclasses and NamedTuples
+    defined in tree."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        named = {ast.unparse(m).split(".")[-1] for m in marks + cls.bases}
+        if not named & {"dataclass", "NamedTuple"}:
+            continue
+        found += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def unread_fields(module: Path, callers: list[Path]) -> list[str]:
+    """The record fields module defines that no caller file loads as an
+    attribute."""
+    loaded = {
+        node.attr
+        for path in callers
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = record_fields(ast.parse(module.read_text(), filename=str(module)))
+    return [f for f in fields if f.split(".")[1] not in loaded]
+
+
 def caller_files() -> list[Path]:
     return sorted(p for root in CALLERS for p in root.rglob("*.py"))
 
@@ -87,3 +122,20 @@ def test_the_check_sees_an_unread_name(tmp_path):
 def test_every_top_level_name_is_read(name):
     module = SRC / name
     assert unread_names(module, caller_files()) == []
+
+
+def test_the_check_sees_an_unread_field(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from typing import NamedTuple\n"
+        "class Pair(NamedTuple):\n    kept: int\n    dropped: int\n"
+        "def make():\n    return Pair(kept=1, dropped=2)\n"
+    )
+    caller = tmp_path / "c.py"
+    caller.write_text("import m\npair = m.make()\npair.dropped = 0\nprint(pair.kept)\n")
+    assert unread_fields(module, [module, caller]) == ["Pair.dropped"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_record_field_is_read(name):
+    assert unread_fields(SRC / name, caller_files()) == []
