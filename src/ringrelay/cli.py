@@ -187,14 +187,13 @@ def _build_initial(spec, kind: str):
 
 def _numbers(spec: dict, key: str, whole: bool) -> np.ndarray:
     """spec[key], of any shape, as int64 if whole, else float.  Each
-    element must be a JSON number, not a bool, and a whole one in int64
-    range if whole is set: an int is kept exact, none is rounded."""
+    element must be a JSON number, not a bool; if whole, an integer as
+    _int64 takes it or a whole float, so none is rounded."""
     values = np.asarray(spec[key], dtype=object)
-    read = [int(x) if whole and type(x) is float and x.is_integer() else x
-            for x in values.flat]
-    if not all(type(x) is int and -(2**63) <= x < 2**63 if whole
-               else type(x) in (int, float) for x in read):
-        raise ValueError(f"{key} must be {'whole ' * whole}numbers, got {spec[key]!r}")
+    read = [_int64(key, int(x) if type(x) is float and x.is_integer() else x)
+            if whole else x for x in values.flat]
+    if not all(type(x) in (int, float) for x in read):
+        raise ValueError(f"{key} must be numbers, got {spec[key]!r}")
     return np.array(read, dtype=np.int64 if whole else float).reshape(values.shape)
 
 
