@@ -20,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -201,16 +202,30 @@ def _numbers(spec: dict, key: str, whole: bool) -> np.ndarray:
 # serialization helpers
 
 
-def _emit(text: str | None, out: Path | None) -> None:
-    """Print text, or write it to the file out, making its directory;
-    with no text, make out a directory.  An OSError is a config error."""
+def _make_out(out: Path | None, directory: bool = False) -> None:
+    """Make the output place before any work runs: the directory out, or
+    the directory of the file out, which must not be a directory and must
+    be writable."""
+    if out is None:
+        return
+    try:
+        (out if directory else out.parent).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise RelayError(f"cannot write output: {err}") from err
+    if not directory and out.is_dir():
+        raise RelayError(f"cannot write output: {out} is a directory")
+    if not os.access(out if out.exists() else out.parent, os.W_OK):
+        raise RelayError(f"cannot write output: {out} is not writable")
+
+
+def _emit(text: str, out: Path | None) -> None:
+    """Print text, or write it to the file out, whose place _make_out
+    made.  An OSError is a config error."""
     if out is None:
         sys.stdout.write(text)
         return
     try:
-        (out if text is None else out.parent).mkdir(parents=True, exist_ok=True)
-        if text is not None:
-            out.write_text(text)
+        out.write_text(text)
     except OSError as err:
         raise RelayError(f"cannot write output: {err}") from err
 
@@ -294,8 +309,7 @@ def cmd_simulate(args) -> int:
     seed, replicas = cfg["seed"], cfg["replicas"]
     jobs = [(config, length, SeedSpec(seed, k), initial) for k in range(replicas)]
     out_dir = args.out
-    if out_dir is not None:  # made before any replica runs
-        _emit(None, out_dir)
+    _make_out(out_dir, directory=True)
     with validation.RunQueue({"replicas": (simulate, jobs)}, args.threads) as queue:
         reports = queue.run("replicas")
     merged = estimators.merge(reports)
@@ -321,12 +335,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_exact(args) -> int:
     config = _two_walker_config(_load_config(args))
+    _make_out(args.out)
     _dump_json(validation.exact_comparison(config.n_sites, config.flip_prob), args.out)
     return 0
 
 
 def cmd_bvp(args) -> int:
     config = _two_walker_config(_load_config(args))
+    _make_out(args.out)
     n, eps = config.n_sites, config.flip_prob
     sol = exact.solve_trace_bvp(n, eps)
     payload = {
@@ -359,6 +375,7 @@ def cmd_sweep(args) -> int:
         for n in grid["N"]
         for v in grid[var_key]
     ]
+    _make_out(args.out)
     length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
     simulate = simulate_discrete if kind == "discrete" else simulate_continuous
     exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []
@@ -399,6 +416,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     seed = _load_config(args)["seed"]
+    _make_out(args.out)
     results = validation.run_all(
         seed, args.threads, emit=lambda line: print(line, file=sys.stderr, flush=True)
     )
@@ -413,6 +431,7 @@ def cmd_validate(args) -> int:
 
 def cmd_generator_check(args) -> int:
     seed = _load_config(args)["seed"]
+    _make_out(args.out)
     ctx = validation.AcceptanceContext(seed, args.threads)
     result = validation.check_generator(ctx)
     _dump_json(result.to_dict(), args.out)

@@ -20,8 +20,18 @@ from ringrelay.model import ContinuousConfig
 EPS_GRID = (0.05, 0.3, 0.5, 0.9)
 
 
+def transition_matrix(chain: exact.ReducedChain) -> scipy.sparse.csr_matrix:
+    """The one-round kernel as a CSR matrix, (state, outcome) triplets in
+    order, from the chain's next states and outcome probabilities."""
+    k = chain.n_states
+    return scipy.sparse.coo_matrix(
+        (np.tile(chain.prob, k), (np.repeat(np.arange(k), 4), chain.next_state.ravel())),
+        shape=(k, k),
+    ).tocsr()
+
+
 def dense_stationary_by_powers(chain: exact.ReducedChain) -> np.ndarray:
-    p = chain.transition.toarray()
+    p = transition_matrix(chain).toarray()
     for _ in range(60):  # P^(2^60) is stationary to double precision
         p = p @ p
         p /= p.sum(axis=1, keepdims=True)
@@ -79,8 +89,9 @@ class TestReducedChain:
         states, index, triplets, jump_prob = loop_chain(n, eps)
         oracle = scipy.sparse.coo_matrix(triplets, shape=(len(states),) * 2).tocsr()
         assert chain_states(chain) == states and chain_index(chain) == index
+        transition = transition_matrix(chain)
         for name in ("data", "indices", "indptr"):
-            got, want = getattr(chain.transition, name), getattr(oracle, name)
+            got, want = getattr(transition, name), getattr(oracle, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert chain.jump_prob.tobytes() == jump_prob.tobytes()
 
@@ -100,9 +111,10 @@ class TestReducedChain:
     @pytest.mark.parametrize("eps", EPS_GRID)
     def test_rows_are_stochastic(self, n, eps):
         chain = exact.build_reduced_chain(n, eps)
-        rows = np.asarray(chain.transition.sum(axis=1)).ravel()
+        transition = transition_matrix(chain)
+        rows = np.asarray(transition.sum(axis=1)).ravel()
         np.testing.assert_allclose(rows, 1.0, atol=1e-14)
-        assert chain.transition.min() >= 0
+        assert transition.min() >= 0
 
     @pytest.mark.parametrize("n", [3, 5, 11])
     @pytest.mark.parametrize("eps", EPS_GRID)
@@ -141,19 +153,31 @@ class TestReducedChain:
         assert m.residual < 1e-12
 
     def test_large_ring_matches_closed_forms(self):
-        # beyond the CLI's size limit: the stationary solve stays sparse
+        # a large ring: cyclic reduction takes about log2(N) levels
         m = exact.exact_metrics(3001, 0.1)
         assert m.n_states == 8 * 3001 - 2
         assert m.speed == pytest.approx(cf.speed_discrete(3001, 0.1), abs=1e-10)
         assert m.cost == pytest.approx(cf.cost_discrete(3001, 0.1), abs=1e-10)
         assert m.residual < 1e-12
 
+    @pytest.mark.parametrize("n", [5, 101, 3001])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-16, 1e-300])
+    def test_small_flip_probability_matches_closed_forms(self, n, eps):
+        # a same-direction state leaves itself with probability ~2 eps, so
+        # a solve that formed 1 - P(s, s) would lose every digit by 1e-16
+        m = exact.exact_metrics(n, eps)
+        assert abs(m.speed - cf.speed_discrete(n, eps)) <= 1e-13
+        assert abs(m.cost / cf.cost_discrete(n, eps) - 1) <= 1e-13
+        a = 2 * cf.speed_discrete(n, eps)
+        assert abs(exact.solve_trace_bvp(n, eps).crossing_prob - a) <= 1e-13
+        assert abs(exact.hitting_prob_oracle(n, eps) - a) <= 1e-13
+
     def test_mean_return_time_is_twice_n(self):
         # independent oracle: dense first-passage solve back to the
         # post-handoff contact states; Kac then forces E(T) = 2N
         for n, eps in [(3, 0.5), (5, 0.3), (7, 0.8)]:
             chain = exact.build_reduced_chain(n, eps)
-            p = chain.transition.toarray()
+            p = transition_matrix(chain).toarray()
             index = chain_index(chain)
             regen = [index[(0, 1, -1, 0)], index[(0, -1, 1, 1)]]
             mask = np.ones(chain.n_states, dtype=bool)
