@@ -10,7 +10,6 @@ plots actually show; the other columns are there to confirm them.
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from ringrelay.cli import main as cli_main
@@ -34,24 +33,13 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    config = {
-        "model": "discrete",
-        "grid": {"N": args.sizes, "epsilon": args.eps},
-        "steps": args.steps,
-        "replicas": args.replicas,
-        "seed": args.seed,
-    }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        cfg_path = fh.name
-    try:
-        code = cli_main([
-            "sweep", "--config", cfg_path,
-            "--threads", str(args.threads),
-            "--out", str(args.out),
-        ])
-    finally:
-        Path(cfg_path).unlink()
+    grid = json.dumps({"N": args.sizes, "epsilon": args.eps})
+    code = cli_main([
+        "sweep", "--set", "model=discrete", "--set", f"grid={grid}",
+        "--set", f"steps={args.steps}", "--set", f"replicas={args.replicas}",
+        "--seed", str(args.seed), "--threads", str(args.threads),
+        "--out", str(args.out),
+    ])
     if code == 0:
         rows = len(args.sizes) * len(args.eps)
         print(f"wrote {args.out} ({rows} grid points)")

@@ -406,6 +406,10 @@ def cmd_sweep(args) -> int:
             merged = estimators.merge(queue.run("replicas"))
         s = estimators.speed_estimate(merged)
         c = estimators.cost_estimate(merged)
+        if s.stderr == 0:  # no flip in the run: the carrier kept one way
+            raise RelayError(
+                f"sweep point N={_num(n)}, {var_key}={_num(value)} has no error "
+                "bar: every batch mean of its Monte Carlo speed is equal")
         rows.append([
             _num(x)
             for x in (n, value, *fixed, s.point, c.point, s.stderr, c.stderr)

@@ -42,7 +42,6 @@ class RunReport:
     with a handoff (None for more than two walkers).
     """
 
-    kind: str
     params: dict
     total_time: float
     burn_in: float
@@ -139,7 +138,6 @@ def build_report(
     batch = slice(0, n_edges)
     traced = slice(n_edges + 1, None)
     return RunReport(
-        kind=params["model"],
         params=params,
         total_time=float(end - burn),
         burn_in=float(burn),
@@ -199,7 +197,7 @@ def merge(reports: list[RunReport]) -> RunReport:
         raise errors.RelayError("nothing to merge")
     head = reports[0]
     for r in reports[1:]:
-        if r.kind != head.kind or r.params != head.params:
+        if r.params != head.params:
             raise errors.RelayError("cannot merge reports with different models")
 
     def cat(key):
@@ -214,7 +212,6 @@ def merge(reports: list[RunReport]) -> RunReport:
         ])
 
     return RunReport(
-        kind=head.kind,
         params=head.params,
         total_time=sum(r.total_time for r in reports),
         burn_in=sum(r.burn_in for r in reports),

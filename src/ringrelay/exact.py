@@ -102,14 +102,6 @@ def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
     return ReducedChain(code, dest - 2 * (dest > 4), prob, jump_prob)
 
 
-def _flow_residual(chain: ReducedChain, pi: np.ndarray) -> float:
-    """max |P^T pi - pi|: the probability flow into each state against
-    its own mass."""
-    flow = np.bincount(chain.next_state.ravel(), minlength=len(pi),
-                       weights=(pi[:, None] * chain.prob).ravel())
-    return float(np.abs(flow - pi).max())
-
-
 def _gth_censor(w: np.ndarray, c: int) -> None:
     """Censor the first c states out of each chain of a batch, GTH style,
     in place.
@@ -217,8 +209,9 @@ def _block_masses(link: np.ndarray) -> np.ndarray:
 SAME, APART = [0, 1, 6, 7], [2, 3, 4, 5]
 
 
-def stationary(chain: ReducedChain) -> np.ndarray:
-    """Stationary distribution of the reduced chain, in code order.
+def stationary(chain: ReducedChain) -> tuple[np.ndarray, float]:
+    """Stationary distribution of the reduced chain, in code order, and
+    its flow residual max |P^T pi - pi|.
 
     One round moves the gap by 0 or +-2, so listing the states by block
     j = gap (N + 1) / 2 mod N (N odd, so (N + 1) / 2 inverts 2) makes the
@@ -237,7 +230,7 @@ def stationary(chain: ReducedChain) -> np.ndarray:
     pivot that is itself such a sum, so nothing is subtracted and each
     mass keeps its relative accuracy at any flip probability, where a
     solve of (P^T - I) pi = 0 forms 1 - P(s, s) ~ 2 eps by cancellation.
-    A residual max |P^T pi - pi| above 1e-10 fails the solve.
+    A residual above 1e-10 fails the solve.
     """
     n = (chain.n_states + 2) // 8
     gap, d1, d2, _ = _decode(chain.codes)
@@ -269,10 +262,13 @@ def stationary(chain: ReducedChain) -> np.ndarray:
         mass[SAME] = _gth_unfold(kept, w[:, :4])
         pi = mass[slot, block]
         pi /= pi.sum()
-    residual = _flow_residual(chain, pi)
+    # the probability flow into each state against its own mass
+    flow = np.bincount(chain.next_state.ravel(), minlength=len(pi),
+                       weights=(pi[:, None] * chain.prob).ravel())
+    residual = float(np.abs(flow - pi).max())
     if not residual <= 1e-10:
         raise errors.RelayError(f"stationary solve failed: residual {residual:.3e}")
-    return pi
+    return pi, residual
 
 
 @dataclass(frozen=True)
@@ -286,12 +282,12 @@ class ExactMetrics:
 def exact_metrics(n_sites: int, flip_prob: float) -> ExactMetrics:
     """Speed and handoff rate from the stationary law, one solve."""
     chain = build_reduced_chain(n_sites, flip_prob)
-    pi = stationary(chain)
+    pi, residual = stationary(chain)
     _, d1, d2, carrier = _decode(chain.codes)
     carrier_dir = np.where(carrier == 0, d1, d2).astype(float)
     speed = float(pi @ carrier_dir)
     cost = float(pi @ chain.jump_prob)
-    return ExactMetrics(speed, cost, _flow_residual(chain, pi), chain.n_states)
+    return ExactMetrics(speed, cost, residual, chain.n_states)
 
 
 # ----------------------------------------------------------------------

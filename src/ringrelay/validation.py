@@ -7,6 +7,12 @@ against all of them.  The command line `validate` subcommand and the
 acceptance test suite both run exactly these functions, so a pass here
 is a pass there.
 
+Every Monte Carlo comparison follows one rule: _sigmas gives its z-value
+|estimate - target| / stderr, the check records it as a `*_sigmas`
+entry, and the check passes only if each recorded z-value is at most
+SIGMA_BOUND (a NaN is not).  The exact routes agree to GRID_BOUND.  The
+tolerance strings are formatted from these two constants.
+
 RunQueue is the one way jobs reach worker processes: `simulate` and
 `sweep` queue their replicas on it, and the gate its run table, on one
 pool before the first check.  exact_comparison, which `ringrelay exact`
@@ -21,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -226,50 +233,71 @@ class AcceptanceContext(RunQueue):
 # ----------------------------------------------------------------------
 # the checks
 
+# Every Monte Carlo comparison allows SIGMA_BOUND standard errors (batch
+# means, or independent cycles; Asmussen & Glynn, Stochastic Simulation,
+# 2007, ch. IV); the exact routes may differ by GRID_BOUND on the grid.
+SIGMA_BOUND = 3
+GRID_BOUND = 1e-10
+WITHIN_SE = f"within {SIGMA_BOUND} batch-means standard errors"
 
-def _grid_max(ctx: AcceptanceContext, *keys: str) -> list:
-    """The largest of each exact_comparison entry over the exact grid; a
-    key names a deviation or a residual."""
+
+def _sigmas(estimate, target, stderr) -> float:
+    """|estimate - target| in standard errors: the z-value a Monte Carlo
+    comparison records and its verdict tests.  A zero stderr gives inf,
+    or NaN if the two agree, and neither passes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.abs(estimate - target) / np.float64(stderr))
+
+
+def _within(measured: dict, bound: float = SIGMA_BOUND, keys=None) -> bool:
+    """Whether each recorded measured[key] is at most bound (a NaN is
+    not); keys defaults to the z-values, the `*_sigmas` entries."""
+    if keys is None:
+        keys = [key for key in measured if key.endswith("_sigmas")]
+    return all(measured[key] <= bound for key in keys)
+
+
+def _vs_target(name: str, est: estimators.Estimate, target: float) -> dict:
+    """The record of an estimate against its target: point, target and
+    z-value."""
+    return {name: est.point, f"{name}_target": target,
+            f"{name}_sigmas": _sigmas(est.point, target, est.stderr)}
+
+
+def _grid_max(ctx: AcceptanceContext, **keys: str) -> dict:
+    """name -> the largest of the exact_comparison entry keys[name] over
+    the exact grid, NaN if any is; an entry is a deviation or a residual."""
     rows = [{**c, **c["deviations"]} for c in ctx.exact_grid.values()]
-    return [max(row[key] for row in rows) for key in keys]
+    return {name: float(np.max([row[key] for row in rows]))
+            for name, key in keys.items()}
 
 
 def check_exact_stationary(ctx: AcceptanceContext) -> CheckResult:
-    worst_s, worst_c, worst_res = _grid_max(
-        ctx, "speed_exact_vs_formula", "cost_exact_vs_formula", "stationary_residual")
-    passed = worst_s <= 1e-10 and worst_c <= 1e-10
+    measured = {
+        "grid_points": len(ctx.exact_grid),
+        **_grid_max(ctx, max_speed_dev="speed_exact_vs_formula",
+                    max_cost_dev="cost_exact_vs_formula",
+                    max_residual="stationary_residual"),
+    }
     return CheckResult(
         "exact-stationary-matches-formulas",
-        passed,
-        {
-            "grid_points": len(ctx.exact_grid),
-            "max_speed_dev": worst_s,
-            "max_cost_dev": worst_c,
-            "max_residual": worst_res,
-        },
-        "abs deviation <= 1e-10 on the full grid",
+        _within(measured, GRID_BOUND, ["max_speed_dev", "max_cost_dev"]),
+        measured,
+        f"abs deviation <= {GRID_BOUND:g} on the full grid",
         "stationary law of the (gap, directions, carrier) chain vs "
         "s=(1-eps)/(2(1+eps(N-2))) and c=eps*s",
     )
 
 
 def check_crossing_prob(ctx: AcceptanceContext) -> CheckResult:
-    worst_oracle, worst_closed, worst_speed, worst_res = _grid_max(
-        ctx, "A_bvp_vs_oracle", "A_bvp_vs_formula", "speed_exact_vs_half_A",
-        "bvp_residual")
-    passed = (
-        worst_oracle <= 1e-10 and worst_closed <= 1e-10 and worst_speed <= 1e-10
-    )
+    routes = {"max_vs_oracle": "A_bvp_vs_oracle", "max_vs_closed": "A_bvp_vs_formula",
+              "max_speed_vs_half_A": "speed_exact_vs_half_A"}
+    measured = _grid_max(ctx, **routes, max_bvp_residual="bvp_residual")
     return CheckResult(
         "crossing-prob-three-routes",
-        passed,
-        {
-            "max_vs_oracle": worst_oracle,
-            "max_vs_closed": worst_closed,
-            "max_speed_vs_half_A": worst_speed,
-            "max_bvp_residual": worst_res,
-        },
-        "abs deviation <= 1e-10 across routes; recursion residual reported",
+        _within(measured, GRID_BOUND, routes),
+        measured,
+        f"abs deviation <= {GRID_BOUND:g} across routes; recursion residual reported",
         "wrap probability by recursion solve, absorbing-chain solve, and "
         "(1-eps)/(1+eps(N-2)); speed equals half of it",
     )
@@ -281,24 +309,17 @@ def check_discrete_mc(ctx: AcceptanceContext) -> CheckResult:
     c_target = closed_form.cost_discrete(11, 0.1)
     s = estimators.speed_estimate(report)
     c = estimators.cost_estimate(report)
-    passed = (
-        abs(s.point - s_target) <= 3 * s.stderr
-        and abs(c.point - c_target) <= 3 * c.stderr
-    )
+    measured = {
+        **_vs_target("speed", s, s_target),
+        **_vs_target("cost", c, c_target),
+        "speed_rel_err": abs(s.point - s_target) / s_target,
+        "cost_rel_err": abs(c.point - c_target) / c_target,
+    }
     return CheckResult(
         "discrete-monte-carlo",
-        passed,
-        {
-            "speed": s.point,
-            "speed_target": s_target,
-            "speed_sigmas": abs(s.point - s_target) / s.stderr,
-            "cost": c.point,
-            "cost_target": c_target,
-            "cost_sigmas": abs(c.point - c_target) / c.stderr,
-            "speed_rel_err": abs(s.point - s_target) / s_target,
-            "cost_rel_err": abs(c.point - c_target) / c_target,
-        },
-        "within 3 batch-means standard errors (8 x 1e6 rounds)",
+        _within(measured),
+        measured,
+        f"{WITHIN_SE} (8 x 1e6 rounds)",
         "lattice Monte Carlo vs closed forms at N=11, eps=0.1",
     )
 
@@ -309,62 +330,52 @@ def check_continuous_mc(ctx: AcceptanceContext) -> CheckResult:
     c_target = closed_form.cost_continuous(2.0, 1.0, 1.0)
     s = estimators.speed_estimate(report)
     c = estimators.cost_estimate(report)
-    passed = (
-        abs(s.point - s_target) <= 3 * s.stderr
-        and abs(c.point - c_target) <= 3 * c.stderr
-    )
+    measured = {
+        "speed": s.point,
+        "speed_sigmas": _sigmas(s.point, s_target, s.stderr),
+        "cost": c.point,
+        "cost_sigmas": _sigmas(c.point, c_target, c.stderr),
+        "target": s_target,
+    }
     return CheckResult(
         "continuous-monte-carlo",
-        passed,
-        {
-            "speed": s.point,
-            "speed_sigmas": abs(s.point - s_target) / s.stderr,
-            "cost": c.point,
-            "cost_sigmas": abs(c.point - c_target) / c.stderr,
-            "target": s_target,
-        },
-        "within 3 batch-means standard errors (horizon 1e6)",
+        _within(measured),
+        measured,
+        f"{WITHIN_SE} (horizon 1e6)",
         "continuum Monte Carlo vs v^2/(2v+rN) and rv/(2v+rN) at N=2, v=r=1",
     )
+
+
+def _cycle_sigmas(lengths: np.ndarray, target: float) -> float:
+    """The z-value of the mean cycle length against target, with the
+    standard error of a mean of independent cycles."""
+    return _sigmas(lengths.mean(), target, lengths.std(ddof=1) / np.sqrt(len(lengths)))
 
 
 def check_regeneration(ctx: AcceptanceContext) -> CheckResult:
     d_run, d_indep = ctx.run("discrete_regen")
     c_run, c_indep = ctx.run("continuous_regen")
-
-    measured: dict = {}
-    ok = True
-
-    dl = d_run.cycle_lengths
-    se = dl.std(ddof=1) / np.sqrt(len(dl))
-    measured["d_cycles"] = len(dl)
-    measured["d_mean_len"] = float(dl.mean())
-    measured["d_len_sigmas"] = abs(dl.mean() - 10.0) / se
-    ok &= len(dl) >= 10**4 and abs(dl.mean() - 10.0) <= 3 * se
-
-    cl = c_run.cycle_lengths
-    se = cl.std(ddof=1) / np.sqrt(len(cl))
-    measured["c_cycles"] = len(cl)
-    measured["c_mean_len"] = float(cl.mean())
-    measured["c_len_sigmas"] = abs(cl.mean() - 1.0) / se
-    ok &= abs(cl.mean() - 1.0) <= 3 * se
-
+    dl, cl = d_run.cycle_lengths, c_run.cycle_lengths
     d_avg = estimators.speed_estimate(d_indep)
     kd = estimators.kac_check(d_run, d_avg.point, d_avg.stderr)
-    measured["d_kac_sigmas"] = abs(kd.gap) / kd.stderr
-    ok &= abs(kd.gap) <= 3 * kd.stderr
-
     c_avg = estimators.speed_estimate(c_indep)
     kc = estimators.kac_check(c_run, c_avg.point, c_avg.stderr)
-    measured["c_kac_sigmas"] = abs(kc.gap) / kc.stderr
-    ok &= abs(kc.gap) <= 3 * kc.stderr
-
+    measured = {
+        "d_cycles": len(dl),
+        "d_mean_len": float(dl.mean()),
+        "d_len_sigmas": _cycle_sigmas(dl, 10.0),
+        "c_cycles": len(cl),
+        "c_mean_len": float(cl.mean()),
+        "c_len_sigmas": _cycle_sigmas(cl, 1.0),
+        "d_kac_sigmas": _sigmas(kd.gap, 0.0, kd.stderr),
+        "c_kac_sigmas": _sigmas(kc.gap, 0.0, kc.stderr),
+    }
     return CheckResult(
         "regeneration-cycles",
-        bool(ok),
+        len(dl) >= 10**4 and _within(measured),
         measured,
-        "mean length within 3 SE of 2N rounds / N/v time over >= 1e4 cycles; "
-        "cycle-sum identity within 3 combined SE",
+        f"mean length within {SIGMA_BOUND} SE of 2N rounds / N/v time over "
+        f">= 1e4 cycles; cycle-sum identity within {SIGMA_BOUND} combined SE",
         "mean regeneration cycle 2N (lattice) and N/v (continuum); "
         "per-cycle sums vs mean length times long-run average",
     )
@@ -378,23 +389,20 @@ def check_excursions(ctx: AcceptanceContext) -> CheckResult:
     se_wrap = np.sqrt(max(wrap * (1 - wrap), 1e-12) / n)
     jumps = report.cycle_jumps.mean()
     se_jump = np.sqrt(max(jumps * (1 - jumps), 1e-12) / n)
-    ok = (
-        abs(wrap - 2 / 3) <= 3 * se_wrap
-        and abs(jumps - 1 / 3) <= 3 * se_jump
-        and summary.max_deviation <= 1e-9 * report.lap_length
-    )
+    measured = {
+        "cycles": n,
+        "wrap_fraction": wrap,
+        "wrap_sigmas": _sigmas(wrap, 2 / 3, se_wrap),
+        "jump_fraction": float(jumps),
+        "jump_sigmas": _sigmas(jumps, 1 / 3, se_jump),
+        "max_displacement_dev": summary.max_deviation,
+    }
     return CheckResult(
         "excursion-law",
-        bool(ok),
-        {
-            "cycles": n,
-            "wrap_fraction": wrap,
-            "wrap_sigmas": abs(wrap - 2 / 3) / se_wrap,
-            "jump_fraction": float(jumps),
-            "jump_sigmas": abs(jumps - 1 / 3) / se_jump,
-            "max_displacement_dev": summary.max_deviation,
-        },
-        "fractions within 3 SE of 2/3 and 1/3; displacements within 1e-9 of {0, N}",
+        _within(measured) and summary.max_deviation <= 1e-9 * report.lap_length,
+        measured,
+        f"fractions within {SIGMA_BOUND} SE of 2/3 and 1/3; "
+        "displacements within 1e-9 of {0, N}",
         "wrap fraction 2v/(2v+rN); handoffs per cycle rN/(2v+rN); "
         "relative displacement in {0, N}",
     )
@@ -443,22 +451,13 @@ def check_direction(ctx: AcceptanceContext) -> CheckResult:
     c_report, = ctx.run("continuous_reference")
     c_target = closed_form.direction_prob_continuous(2.0, 1.0, 1.0)
     c = estimators.direction_estimate(c_report)
-    ok = (
-        abs(d.point - d_target) <= 3 * d.stderr
-        and abs(c.point - c_target) <= 3 * c.stderr
-    )
+    measured = {**_vs_target("discrete", d, d_target),
+                **_vs_target("continuous", c, c_target)}
     return CheckResult(
         "direction-occupation",
-        bool(ok),
-        {
-            "discrete": d.point,
-            "discrete_target": d_target,
-            "discrete_sigmas": abs(d.point - d_target) / d.stderr,
-            "continuous": c.point,
-            "continuous_target": c_target,
-            "continuous_sigmas": abs(c.point - c_target) / c.stderr,
-        },
-        "within 3 batch-means standard errors",
+        _within(measured),
+        measured,
+        WITHIN_SE,
         "clockwise occupation (3+eps(2N-5))/(4(1+eps(N-2))) and "
         "(3v+rN)/(2(2v+rN))",
     )
@@ -514,23 +513,19 @@ def check_uniformity(ctx: AcceptanceContext) -> CheckResult:
 
 def check_initial_independence(ctx: AcceptanceContext) -> CheckResult:
     ests = [estimators.speed_estimate(r) for r in ctx.run("independence")]
-    worst = 0.0
-    ok = True
-    for i in range(len(ests)):
-        for j in range(i + 1, len(ests)):
-            sigma = np.hypot(ests[i].stderr, ests[j].stderr)
-            sigmas = abs(ests[i].point - ests[j].point) / sigma
-            worst = max(worst, sigmas)
-            ok &= sigmas <= 3.0
+    pairs = [_sigmas(a.point, b.point, np.hypot(a.stderr, b.stderr))
+             for a, b in combinations(ests, 2)]
+    measured = {
+        "runs": len(ests),
+        "speeds": [round(e.point, 6) for e in ests],
+        "max_pairwise_sigmas": float(np.max(pairs)),
+    }
     return CheckResult(
         "initial-state-independence",
-        bool(ok),
-        {
-            "runs": len(ests),
-            "speeds": [round(e.point, 6) for e in ests],
-            "max_pairwise_sigmas": worst,
-        },
-        "pairwise within 3 combined standard errors (5 starts, 1e6 rounds each)",
+        _within(measured),
+        measured,
+        f"pairwise within {SIGMA_BOUND} combined standard errors "
+        "(5 starts, 1e6 rounds each)",
         "time averages do not depend on the initial state",
     )
 

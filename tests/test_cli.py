@@ -647,6 +647,17 @@ class TestSweep:
             row = next(csv.DictReader(out.splitlines()))
             assert abs(float(row["s_exact"]) - float(row["s_formula"])) <= 1e-13
 
+    def test_point_without_error_bar_exits_2(self, capsys):
+        # no flip in 500 rounds: every batch mean is equal, so the point's
+        # batch-means standard error is 0 and its s_mc=-1 would pass for exact
+        code, out, err = run_cli(
+            capsys, "sweep", "--set", "model=discrete", "--set", "steps=500",
+            "--set", 'grid={"N": [5], "epsilon": [1e-17]}',
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "N=5, epsilon=1e-17" in err
+
     def test_missing_grid(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--set", "model=discrete")
         assert code == 2

@@ -29,7 +29,7 @@ def make_report(
     batch_cw=None,
     batch_duration=10.0,
     cycles=None,
-    kind="discrete",
+    model="discrete",
     lap=10.0,
 ):
     batch_disp = np.asarray(batch_disp, dtype=float)
@@ -44,8 +44,7 @@ def make_report(
         lengths, disp, sums, jumps = cycles
     total = nb * batch_duration
     return RunReport(
-        kind=kind,
-        params={"model": kind, "N": 5},
+        params={"model": model, "N": 5},
         total_time=total,
         burn_in=0.0,
         displacement_sum=float(np.sum(batch_disp)),
@@ -301,6 +300,16 @@ class TestMerge:
         b = self.run(2)
         b.params = {"model": "discrete", "N": 7}
         with pytest.raises(errors.RelayError):
+            merge([a, b])
+
+    @pytest.mark.parametrize("change", [
+        {"model": "continuous"}, {"N": 7}, {"v": 1.0},
+    ], ids=["model", "N", "extra-key"])
+    def test_merge_refuses_different_params(self, change):
+        a, b = self.run(1), self.run(2)
+        b.params = {**b.params, **change}
+        with pytest.raises(errors.RelayError,
+                           match="cannot merge reports with different models"):
             merge([a, b])
 
     def test_merge_empty_rejected(self):

@@ -120,7 +120,7 @@ class TestReducedChain:
     @pytest.mark.parametrize("eps", EPS_GRID)
     def test_stationary_matches_matrix_powers(self, n, eps):
         chain = exact.build_reduced_chain(n, eps)
-        pi = exact.stationary(chain)
+        pi, _ = exact.stationary(chain)
         oracle = dense_stationary_by_powers(chain)
         np.testing.assert_allclose(pi, oracle, atol=1e-12)
 
@@ -130,7 +130,7 @@ class TestReducedChain:
         # summing out the carrier must leave the uniform law on
         # (gap, d1, d2): each cell carries exactly 1/(4N)
         chain = exact.build_reduced_chain(n, eps)
-        pi = exact.stationary(chain)
+        pi, _ = exact.stationary(chain)
         marginal = {}
         for state, idx in chain_index(chain).items():
             key = state[:3]

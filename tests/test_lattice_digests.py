@@ -5,7 +5,9 @@ shape and bytes of an array, or the repr of anything else).  The engine
 that held (rounds x walkers) position and direction arrays fixed these
 values; they were digested from the last engine that also recorded
 walker samples, run at each case's former sample spacing, over every
-field but the two sample arrays.  Any rewrite of the lattice engine must
+field but the two sample arrays.  The model name, once a field `kind`
+ahead of the others, is hashed in its place from params["model"], so
+the values outlive the field.  Any rewrite of the lattice engine must
 reproduce every one of them bit for bit.  Run this file as a script to
 print the digests of the current engine.
 """
@@ -89,6 +91,7 @@ DIGESTS = [
 
 def report_digest(report) -> str:
     h = hashlib.sha256()
+    h.update(b"kind" + repr(report.params["model"]).encode())
     for f in dataclasses.fields(report):
         value = getattr(report, f.name)
         h.update(f.name.encode())
