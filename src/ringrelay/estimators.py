@@ -14,6 +14,7 @@ never changes any count or sum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -341,12 +342,25 @@ def chi_square_uniformity(
             f"{k} samples over {n_cells} cells leaves expected count "
             f"{k / n_cells:.1f} < {MIN_EXPECTED}"
         )
-    import scipy.special
-
     counts = np.bincount(cell, minlength=n_cells)
     expected = counts.mean()
     stat = ((counts - expected) ** 2 / expected).sum()
-    return float(scipy.special.chdtrc(n_cells - 1, stat))
+    return chi_square_tail(stat, n_cells - 1)  # n_cells is even
+
+
+def chi_square_tail(stat: float, df: int) -> float:
+    """P(X > stat) for X chi-square on an odd number df = 2n + 1 of
+    degrees of freedom: with y = stat / 2, erfc(sqrt(y)) plus the n
+    positive terms y^(j+1/2) e^-y / Gamma(j + 3/2), j < n (Abramowitz &
+    Stegun 26.4.4; DLMF 8.4), each taken in log space so none overflows.
+    Near 1 the terms' rounding can lift the sum above 1, hence the cap."""
+    y = stat / 2
+    if y == 0:
+        return 1.0
+    log_y = math.log(y)
+    return min(math.fsum([math.erfc(math.sqrt(y)), *(
+        math.exp(-y + (j + 0.5) * log_y - math.lgamma(j + 1.5))
+        for j in range(df // 2))]), 1.0)
 
 
 def uniformity_test(

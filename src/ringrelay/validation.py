@@ -218,12 +218,6 @@ class AcceptanceContext(RunQueue):
         super().__init__(run_table(master_seed), threads)
         self.master_seed = master_seed
 
-    def __enter__(self) -> AcceptanceContext:
-        # imported before the fork, so no worker pays it on its first chi-square
-        import scipy.special  # noqa: F401
-
-        return super().__enter__()
-
     @cached_property
     def exact_grid(self) -> dict:
         return {(n, eps): exact_comparison(n, eps)

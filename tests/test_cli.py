@@ -937,44 +937,48 @@ def run_fresh(script: str) -> str:
     return done.stdout
 
 
-def test_gate_imports_the_chi_square_before_forking_its_pool():
-    # forked workers inherit what the parent has imported, so each does
-    # not pay the scipy.special import on its first chi-square
+def test_gate_forks_its_pool_without_scipy():
+    # the chi-square tail is summed in closed form, so neither the gate
+    # nor the workers it forks carry scipy
     script = textwrap.dedent("""
         import json, os, sys
         from ringrelay import validation
         os.sched_getaffinity = lambda pid: {0, 1}
         seen = []
-        validation.ProcessPoolExecutor = (
-            lambda max_workers: seen.append("scipy.special" in sys.modules))
+        validation.ProcessPoolExecutor = lambda max_workers: seen.append(
+            sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         validation.ALL_CHECKS = []
         validation.run_all(threads=2)
         print(json.dumps(seen))
     """)
-    assert json.loads(run_fresh(script)) == [True]
+    assert json.loads(run_fresh(script)) == [[]]
 
 
 def test_import_and_simulate_load_no_scipy():
-    # scipy is loaded only for the gate's chi-square p-value, so start-up,
-    # simulate, exact and the lattice sweep run on numpy alone (no
-    # scipy.sparse above all); a fresh interpreter shows it
+    # start-up and every command, the gate and its chi-square included,
+    # run on numpy alone; a fresh interpreter shows it
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         def scipy_modules():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         import ringrelay.cli as cli
         loaded = [scipy_modules()]
-        for command, keys in [
-            ("simulate", ["model=discrete", "N=5", "epsilon=0.3", "steps=500"]),
-            ("simulate", ["model=continuous", "N=1", "horizon=50.0"]),
-            ("exact", ["N=101", "epsilon=0.1"]),
-            ("sweep", ["model=discrete", "steps=500",
-                       'grid={"N": [5, 11], "epsilon": [0.3]}']),
+        for argv in [
+            ["simulate", "--set", "model=discrete", "--set", "N=5",
+             "--set", "epsilon=0.3", "--set", "steps=500"],
+            ["simulate", "--set", "model=continuous", "--set", "N=1",
+             "--set", "horizon=50.0"],
+            ["exact", "--set", "N=101", "--set", "epsilon=0.1"],
+            ["sweep", "--set", "model=discrete", "--set", "steps=500",
+             "--set", 'grid={"N": [5, 11], "epsilon": [0.3]}'],
+            ["generator-check"],
+            ["validate", "--threads", "2"],
+            ["validate", "--threads", "1"],
         ]:
-            argv = [command, *[a for kv in keys for a in ("--set", kv)]]
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) == 0
             loaded.append(scipy_modules())
         print(json.dumps(loaded))
     """)
-    assert json.loads(run_fresh(script)) == [[]] * 5
+    assert json.loads(run_fresh(script)) == [[]] * 8

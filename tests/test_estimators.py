@@ -1,16 +1,20 @@
 """Estimator layer on synthetic reports with known answers."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
-from ringrelay import cli, errors, estimators
+from ringrelay import cli, errors, estimators, validation
 from ringrelay.continuous import simulate_continuous
 from ringrelay.discrete import simulate_discrete
 from ringrelay.model import Readings
 from ringrelay.estimators import (
     RunReport,
     build_report,
+    chi_square_tail,
     chi_square_uniformity,
     cost_estimate,
     direction_estimate,
@@ -378,16 +382,22 @@ class TestExcursions:
             excursion_classifier(report)
 
 
-def counted_pvalue(bins, dirs, cells_per_walker):
-    """The chi-square p-value from explicit cell counts, one cell per
-    walker bin and direction sign, on (cells_per_walker)^m - 1 degrees
-    of freedom."""
+def assert_counted(pvalue, counts):
+    """pvalue is the chi-square tail of the statistic of these cell
+    counts: exactly, at scipy's statistic, and within 1e-12 of scipy's
+    p-value (the oracle; the package sums the tail in closed form)."""
+    stat, expected = scipy.stats.chisquare(counts)
+    assert pvalue == chi_square_tail(stat, len(counts) - 1)
+    assert pvalue == pytest.approx(expected, rel=1e-12)
+
+
+def cell_counts(bins, dirs, cells_per_walker):
+    """Explicit cell counts, one cell per walker bin and direction sign,
+    (cells_per_walker)^m cells."""
     cell = np.zeros(len(bins), dtype=np.int64)
     for j in range(bins.shape[1]):
         cell = cell * cells_per_walker + bins[:, j] * 2 + (dirs[:, j] > 0)
-    n_cells = cells_per_walker ** bins.shape[1]
-    stat = scipy.stats.chisquare(np.bincount(cell, minlength=n_cells)).statistic
-    return scipy.special.chdtrc(n_cells - 1, stat)
+    return np.bincount(cell, minlength=cells_per_walker ** bins.shape[1])
 
 
 class TestChiSquare:
@@ -397,7 +407,7 @@ class TestChiSquare:
         pos = rng.uniform(0, 5, size=(k, 2))
         dirs = rng.choice([-1, 1], size=(k, 2))
         pvalue = chi_square_uniformity(pos, dirs, 5.0, 5)
-        assert pvalue == counted_pvalue((pos / 5.0 * 5).astype(int), dirs, 10)
+        assert_counted(pvalue, cell_counts((pos / 5.0 * 5).astype(int), dirs, 10))
         assert pvalue > 0.01
 
     def test_skewed_data_fails(self):
@@ -443,9 +453,7 @@ class TestChiSquare:
                     (cells // 2 + 0.5)[:, None], np.where(cells % 2, 1, -1)[:, None],
                     n_cells / 2, n_cells // 2,
                 )
-                expected = scipy.stats.chisquare(
-                    np.bincount(cells, minlength=n_cells)).pvalue
-                assert pvalue == expected
+                assert_counted(pvalue, np.bincount(cells, minlength=n_cells))
 
     def test_report_level_wiring(self):
         # one cell per site on the lattice, 8 equal arcs on the continuum
@@ -454,11 +462,11 @@ class TestChiSquare:
         sites = rng.integers(0, 5, size=(3000, 2)).astype(float)
         pvalue = uniformity_test(DiscreteConfig(5, 0.3), sites, dirs[:3000])
         assert pvalue == chi_square_uniformity(sites, dirs[:3000], 5, 5)
-        assert pvalue == counted_pvalue(sites.astype(int), dirs[:3000], 10)
+        assert_counted(pvalue, cell_counts(sites.astype(int), dirs[:3000], 10))
         points = rng.uniform(0, 2.5, size=(6000, 2))
         pvalue = uniformity_test(ContinuousConfig(2.5), points, dirs)
         assert pvalue == chi_square_uniformity(points, dirs, 2.5, 8)
-        assert pvalue == counted_pvalue((points / 2.5 * 8).astype(int), dirs, 16)
+        assert_counted(pvalue, cell_counts((points / 2.5 * 8).astype(int), dirs, 16))
 
     def test_report_without_samples_rejected(self):
         # no samples, or too few for the lattice's 100 cells
@@ -466,3 +474,53 @@ class TestChiSquare:
             with pytest.raises(errors.RelayError, match="expected count"):
                 uniformity_test(DiscreteConfig(5, 0.3), np.zeros((k, 2)),
                                 np.ones((k, 2)))
+
+
+class TestChiSquareTail:
+    def test_matches_scipy_chdtrc(self):
+        # every odd df the gate could reach on 256 cells, stat 0 to 6 df
+        worst = 0.0
+        for df in range(1, 256, 2):
+            stats = np.linspace(0.0, 6.0 * df, 97)
+            expected = scipy.special.chdtrc(df, stats)
+            got = np.array([chi_square_tail(x, df) for x in stats])
+            kept = expected > 1e-300
+            worst = max(worst, np.max(np.abs(got - expected)[kept] / expected[kept]))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("stat", [1e-6, 0.3, 1.0, 2.5, 7.0, 40.0, 100.0])
+    def test_exact_identities(self, stat):
+        y = stat / 2
+        assert chi_square_tail(stat, 1) == math.erfc(math.sqrt(y))
+        assert chi_square_tail(stat, 3) == pytest.approx(
+            math.erfc(math.sqrt(y)) + 2 * math.sqrt(y / math.pi) * math.exp(-y),
+            rel=1e-13)
+
+    @pytest.mark.parametrize("df", [1, 3, 99, 255, 4095])
+    def test_edges_and_monotone(self, df):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi_square_tail(0.0, df) == 1.0
+            assert chi_square_tail(1e6, df) == 0.0
+            tail = np.array([chi_square_tail(x, df)
+                             for x in np.linspace(0.0, 8.0 * df, 400)])
+        # decreasing, up to the terms' rounding near 1 (a few 1e-13 at df 4095)
+        assert np.all((tail >= 0) & (tail <= 1))
+        assert np.all(np.diff(tail) <= 1e-12 * tail[1:])
+
+    @pytest.mark.parametrize("master_seed", [20260815, 20260817, 20260824])
+    def test_gate_verdicts_match_scipy(self, monkeypatch, master_seed):
+        # every equilibrium-uniformity replica passes or fails as it
+        # would on scipy's p-value
+        pairs = []
+
+        def both(stat, df):
+            pairs.append((chi_square_tail(stat, df), scipy.special.chdtrc(df, stat)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(estimators, "chi_square_tail", both)
+        func, jobs = validation.run_table(master_seed)["uniformity"]
+        verdicts = [func(*job) for job in jobs]
+        assert len(pairs) == len(verdicts) == 200
+        assert verdicts == [ours > 0.01 for ours, _ in pairs]
+        assert [ours > 0.01 for ours, _ in pairs] == [ref > 0.01 for _, ref in pairs]

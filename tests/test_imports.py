@@ -4,17 +4,19 @@
   linter's unused-import rule.  A name bound by a top-level import must be
   read somewhere in its module, or be listed in the module's __all__ (the
   package's re-exports).
-* scipy is imported only where the chi-square p-value needs it: in
-  estimators.chi_square_uniformity, and in AcceptanceContext.__enter__,
-  which loads it before the gate forks its workers.  Everything else,
-  the exact solves included, runs on numpy.
+* src/ringrelay imports only the standard library, numpy and itself, at
+  any depth: the exact solves and the chi-square tail included, it runs
+  on numpy alone, and pyproject.toml's runtime dependencies say so.
 """
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ringrelay"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ringrelay"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -48,49 +50,47 @@ def test_no_unused_module_level_import(name):
     assert unused_imports(SRC / name) == []
 
 
-SCIPY_ALLOWED = {"estimators.chi_square_uniformity",
-                 "validation.AcceptanceContext.__enter__"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ringrelay"}
 
 
-def scipy_import_sites(path: Path) -> list[str]:
-    """module.qualified.name of the function or class around each import
-    of scipy in a module (the module's name alone at its top level)."""
-    sites = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name])
-                continue
-            if isinstance(child, ast.Import):
-                names = [a.name for a in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                sites.append(".".join(scope))
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
-    return sites
+def foreign_imports(path: Path) -> list[str]:
+    """Sorted top-level names of the packages a module imports, at any
+    depth, that are neither the standard library, numpy nor ringrelay
+    (relative imports are ringrelay's own)."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted(top for top in (n.split(".")[0] for n in names)
+                  if top not in ALLOWED)
 
 
-def test_the_check_sees_every_scipy_import(tmp_path):
+def test_the_check_sees_every_foreign_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(
-        "import scipy\n"
+        "import os, scipy\n"
+        "from . import errors\n"
+        "from ringrelay.model import State\n"
         "class A:\n"
         "    def f(self):\n"
         "        from scipy.sparse import linalg\n"
         "def g():\n"
         "    if True:\n"
-        "        import numpy, scipy.special as sp\n"
+        "        import numpy.linalg, pandas as pd\n"
         "    import scipyx\n"
     )
-    assert scipy_import_sites(module) == ["m", "m.A.f", "m.g"]
+    assert foreign_imports(module) == ["pandas", "scipy", "scipy", "scipyx"]
 
 
-def test_scipy_only_for_the_chi_square():
-    sites = {site for path in SRC.glob("*.py") for site in scipy_import_sites(path)}
-    assert sites <= SCIPY_ALLOWED, sorted(sites - SCIPY_ALLOWED)
+def test_only_stdlib_and_numpy():
+    found = {path.name: foreign_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["dependencies"]] \
+        == ["numpy"]
