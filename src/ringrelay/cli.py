@@ -377,7 +377,8 @@ def cmd_sweep(args) -> int:
     ]
     _make_out(args.out)
     length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
-    simulate = simulate_discrete if kind == "discrete" else simulate_continuous
+    simulate = functools.partial(  # no column reads the cycles
+        simulate_discrete if kind == "discrete" else simulate_continuous, cycles=False)
     exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []
     header = ["N", var_key, "s_formula", "c_formula", *exact_columns,
               "s_mc", "c_mc", "s_mc_stderr", "c_mc_stderr"]
@@ -406,10 +407,11 @@ def cmd_sweep(args) -> int:
             merged = estimators.merge(queue.run("replicas"))
         s = estimators.speed_estimate(merged)
         c = estimators.cost_estimate(merged)
-        if s.stderr == 0:  # no flip in the run: the carrier kept one way
-            raise RelayError(
-                f"sweep point N={_num(n)}, {var_key}={_num(value)} has no error "
-                "bar: every batch mean of its Monte Carlo speed is equal")
+        for name, est in (("speed", s), ("cost", c)):
+            if est.stderr == 0:  # no flip, or no handoff, in the run
+                raise RelayError(
+                    f"sweep point N={_num(n)}, {var_key}={_num(value)} has no error "
+                    f"bar: every batch mean of its Monte Carlo {name} is equal")
         rows.append([
             _num(x)
             for x in (n, value, *fixed, s.point, c.point, s.stderr, c.stderr)

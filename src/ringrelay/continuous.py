@@ -94,13 +94,14 @@ def simulate_continuous(
     initial="uniform-random",
     *,
     trace_every: float | None = None,
+    cycles: bool = True,
 ) -> RunReport:
     """Run the continuum relay up to the given time horizon.
 
     Statistics cover the window after a 1% burn-in, skipped when the
     start is a contact state.  trace_every records the running speed and
-    handoff rate from time 0.  Cycle records are kept for two walkers:
-    one entry per contact-to-contact excursion of the carrier.
+    handoff rate from time 0.  Two walkers keep cycle records, one per
+    contact-to-contact excursion of the carrier, unless cycles is False.
     """
     validate_continuous(config)
     if not (0.0 < horizon < np.inf):
@@ -120,7 +121,7 @@ def simulate_continuous(
     return build_report(
         lambda checkpoints: relay(
             _paths(config, streams, state, float(horizon), tol), checkpoints, state,
-            config.circumference, streams, tol / config.speed, in_f),
+            config.circumference, streams, tol / config.speed, in_f, cycles),
         params={
             "model": "continuous",
             "N": config.circumference,

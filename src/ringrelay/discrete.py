@@ -80,15 +80,16 @@ def simulate_discrete(
     initial="uniform-random",
     *,
     trace_every: int | None = None,
+    cycles: bool = True,
 ) -> RunReport:
     """Run the lattice relay for a fixed number of rounds.
 
     Statistics cover rounds after a 1% burn-in, skipped entirely when
     the start is a contact state (the regeneration law needs none).
     trace_every records the running speed and handoff rate from round 0
-    for convergence plots.  Regeneration cycles are a two-walker
-    construction, recorded only for m = 2.  The window, batches and
-    cycles are set by estimators.build_report.
+    for convergence plots.  Regeneration cycles, a two-walker construction,
+    are recorded for m = 2 unless cycles is False, which changes nothing
+    else.  estimators.build_report sets the window, batches and cycles.
     """
     validate_discrete(config)
     _check_steps(steps, config.n_walkers)
@@ -98,7 +99,7 @@ def simulate_discrete(
     in_regen = in_contact(state, config.n_sites)
     return build_report(
         lambda checkpoints: relay(_paths(config, streams, state, steps), checkpoints,
-                                  state, config.n_sites, streams, 0, in_regen),
+                                  state, config.n_sites, streams, 0, in_regen, cycles),
         params={
             "model": "discrete",
             "N": config.n_sites,

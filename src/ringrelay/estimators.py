@@ -40,7 +40,7 @@ class RunReport:
     arrays hold one entry per completed regeneration cycle: its length,
     the carrier's net displacement around its partner (0 or lap_length),
     the carrier displacement accumulated inside it, and whether it ended
-    with a handoff (None for more than two walkers).
+    with a handoff (None for more than two walkers or cycles=False).
     """
 
     params: dict
@@ -162,7 +162,7 @@ def _cycles(contacts: tuple | None, burn, n) -> dict:
     """Regeneration cycles, contact to contact, from the contacts at or
     after burn-in: their lengths, the carrier's displacements around its
     partner (0 or one lap), the carrier's displacements inside them, and
-    whether each ended in a handoff; none without contacts (m > 2)."""
+    whether each ended in a handoff; none without contacts (m > 2, cycles=False)."""
     if contacts is None:
         return {}
     # a long run has millions of contacts: each field's blocks are let go

@@ -301,11 +301,11 @@ def pass_message(
 
 class Readings(NamedTuple):
     """What relay hands to estimators.build_report: cumulative message
-    displacement and handoffs at each checkpoint and, for two walkers,
-    the pair's head-on contacts in time order, a contact start first, as
-    four lists of per-block arrays (emptied as build_report joins them):
-    the time, the message's cumulative displacement, the unwrapped gap
-    x1 - x0 in whole laps and the carrier after each contact."""
+    displacement and handoffs at each checkpoint and, if cycles are kept
+    for two walkers, their head-on contacts in time order, a contact start
+    first, as four lists of per-block arrays (emptied as build_report
+    joins them): the time, the message's cumulative displacement, the
+    unwrapped gap x1 - x0 in whole laps and the carrier after each contact."""
 
     displacement: np.ndarray
     jumps: np.ndarray
@@ -314,7 +314,7 @@ class Readings(NamedTuple):
 
 def relay(
     blocks, checkpoints: np.ndarray, state: State, size, streams: WalkerStreams,
-    window, contact: bool,
+    window, contact: bool, cycles: bool,
 ) -> Readings:
     """Layer (c) of both engines: the message over an engine's walker
     paths, read at the sorted checkpoints.  The engine yields blocks
@@ -331,12 +331,12 @@ def relay(
     carrier.  Its displacement from time 0 and the handoffs are read at
     each checkpoint: on the lattice (integer checkpoints) with those of
     its round, on the continuum only those strictly before its time.  Two
-    walkers also give their contacts, a contact start first.
+    walkers also give their contacts, a contact start first, if cycles is True.
     """
     side = "right" if checkpoints.dtype.kind == "i" else "left"
     car, laps, jumps, icp, origin = state.carrier, 0, 0, 0, None
     read = [np.empty(len(checkpoints)) for _ in range(2)]
-    contacts = ([], [], [], []) if streams.n_walkers == 2 else None
+    contacts = ([], [], [], []) if cycles and streams.n_walkers == 2 else None
     for end, when, cw, ccw, level, at in blocks:
         if origin is None:  # the first block, from time 0
             x = at(np.arange(streams.n_walkers), 0)

@@ -24,9 +24,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -102,32 +102,26 @@ INDEPENDENCE_STATES = [
 ]
 
 
-def _batches(simulate, *args):
-    """simulate(*args) less the cycle arrays, which no check of the run
-    reads: the continuum reference's 500 000 cycles are 12 MB to send."""
-    return replace(simulate(*args), cycle_lengths=None, cycle_displacements=None,
-                   cycle_carrier_sums=None, cycle_jumps=None)
-
-
 def run_table(seed: int) -> dict:
     """The simulations the checks read at master seed `seed`, in queue
-    order: run name -> (function, jobs).  The continuum reference, the
-    longest single job, goes first."""
+    order: run name -> (function, jobs), the longest job, the continuum
+    reference, first.  Only runs whose cycles a check reads keep them."""
     small = DiscreteConfig(5, 0.3)
+    lattice = partial(simulate_discrete, cycles=False)
+    continuum = partial(simulate_continuous, cycles=False)
     return {
-        "continuous_reference": (_batches, [
-            (simulate_continuous, ContinuousConfig(2.0), 1e6, SeedSpec(seed, 30))]),
-        "discrete_reference": (_batches, [
-            (simulate_discrete, DiscreteConfig(11, 0.1), 10**6, SeedSpec(seed, k))
-            for k in range(8)]),
+        "continuous_reference": (continuum, [
+            (ContinuousConfig(2.0), 1e6, SeedSpec(seed, 30))]),
+        "discrete_reference": (lattice, [
+            (DiscreteConfig(11, 0.1), 10**6, SeedSpec(seed, k)) for k in range(8)]),
         "discrete_regen": (simulate_discrete, [
             (small, 3 * 10**5, SeedSpec(seed, 10 + k), "regeneration")
             for k in range(2)]),
         "continuous_regen": (simulate_continuous, [
             (ContinuousConfig(1.0), 2e4, SeedSpec(seed, 20 + k), "regeneration")
             for k in range(2)]),
-        "independence": (_batches, [
-            (simulate_discrete, small, 10**6, SeedSpec(seed, 3000 + k), state)
+        "independence": (lattice, [
+            (small, 10**6, SeedSpec(seed, 3000 + k), state)
             for k, state in enumerate(INDEPENDENCE_STATES)]),
         "uniformity": (_uniformity_passes, [
             (model, SeedSpec(seed, first + k))

@@ -22,10 +22,11 @@ from ringrelay.model import ContinuousConfig, DiscreteConfig, SeedSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# 21000 rounds give every point a handoff; at 20000, N=51 and eps=0.9 has none
 DISCRETE_SWEEP = {
     "model": "discrete",
     "grid": {"N": [5, 11, 51], "epsilon": [round(0.05 * k, 2) for k in range(1, 20)]},
-    "steps": 2000,
+    "steps": 21000,
     "replicas": 1,
     "seed": 11,
 }
@@ -658,6 +659,16 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "N=5, epsilon=1e-17" in err
 
+    def test_point_without_handoff_exits_2(self, capsys, tmp_path):
+        # at 2000 rounds, four points at N=51 (eps 0.75 to 0.95) have no
+        # handoff: their c_mc=0 with c_mc_stderr=0 would pass for exact
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({**DISCRETE_SWEEP, "steps": 2000}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "N=51, epsilon=0.75" in err and "Monte Carlo cost" in err
+
     def test_missing_grid(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--set", "model=discrete")
         assert code == 2
@@ -860,15 +871,16 @@ class TestWorkerPool:
     ):
         seen = []
 
+        # by repr: two equal partials are not ==, and repr shows their keywords
         def first_check(ctx):
-            seen.append([(f.job[0], repr(f.job[1])) for f in made[0].queued])
+            seen.append([(repr(f.job[0]), repr(f.job[1])) for f in made[0].queued])
             raise RuntimeError("check failed")
 
         monkeypatch.setattr(validation, "ALL_CHECKS", [first_check])
         with pytest.raises(RuntimeError, match="check failed"):
             validation.run_all(threads=2)
         table = validation.run_table(validation.DEFAULT_SEED)
-        assert seen == [[(func, repr(job)) for func, jobs in table.values()
+        assert seen == [[(repr(func), repr(job)) for func, jobs in table.values()
                          for job in jobs]]
         assert list(table)[0] == "continuous_reference"
         assert [p.max_workers for p in made] == [2]

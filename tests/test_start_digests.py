@@ -10,11 +10,12 @@ builds it from a config.  Run this file as a script to print the
 digests of the current code.
 """
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
-from ringrelay import cli, continuous, discrete
+from ringrelay import cli, continuous, discrete, model
 from ringrelay.model import ContinuousConfig, DiscreteConfig, SeedSpec
 
 SEEDS = [SeedSpec(2026, k) for k in range(10)]
@@ -58,11 +59,11 @@ DIGESTS = [
 
 
 class _Started(Exception):
-    """Carries the arguments model.relay received."""
+    """Carries the arguments model.relay received, by parameter name."""
 
 
-def _capture(*args):
-    raise _Started(args)
+def _capture(*args, **kwargs):
+    raise _Started(inspect.signature(model.relay).bind(*args, **kwargs).arguments)
 
 
 def start_of(model, m, mode, seed):
@@ -88,7 +89,7 @@ def start_of(model, m, mode, seed):
         args = started.args[0]
     finally:
         module.relay = relay
-    return args[2], args[-1]
+    return args["state"], args["contact"]
 
 
 def start_digest(model, m, mode) -> str:
