@@ -20,13 +20,13 @@ walker sits at walker 0's plus its pair gap; (b) the meetings of a pair
 are the level crossings (multiples of the circumference) of its
 piecewise linear unwrapped gap, sought only on the segments where the
 pair's directions differ, in (time, pair) order.  sample_walker_states
-keeps layer (a) alone: it gives walker samples at given times without
-resolving the relay, the one source of them.
+reads walker samples off layer (a)'s switch times with model.walk,
+without the relay: the one source of them.
 
-Paths are right-continuous: at a switch time the walker already moves
-with its new direction, and at a meeting the handoff has already
-happened.  Ties are resolved deterministically: checkpoints before
-events, switches before meetings, lower walker indices first.
+A reading at a time sees only what happened strictly before it: a
+walker switching then still has its old direction, and a handoff then
+has not happened.  Ties are resolved deterministically: checkpoints
+before events, switches before meetings, lower walker indices first.
 """
 from __future__ import annotations
 
@@ -42,8 +42,10 @@ from .model import (
     as_seed,
     in_contact,
     relay,
+    sample_times,
     start_state,
     validate_continuous,
+    walk,
 )
 
 
@@ -151,24 +153,6 @@ def _draw_switches(stream, last: float, rate: float, size: int) -> np.ndarray:
     gaps = stream.exponential(1.0 / rate, size)
     gaps[0] += last
     return np.cumsum(gaps)
-
-
-def _walk(x0: float, d0: int, bounds: np.ndarray, times: np.ndarray,
-          speed: float, circumference: float) -> tuple[np.ndarray, np.ndarray]:
-    """Position and direction at the given times of a walker that leaves
-    x0 at time bounds[0] moving d0 and reverses at each later bound.
-    At a reversal time the walker still has its old direction."""
-    seg = np.diff(bounds)  # signed in place: d0 on even segments, -d0 on odd
-    seg *= d0
-    seg[1::2] *= -1
-    disp = np.zeros(len(bounds))
-    np.cumsum(seg, out=disp[1:])
-    idx = np.searchsorted(bounds[1:], times, side="left")
-    signs = np.where(idx % 2 == 0, d0, -d0)
-    positions = (
-        x0 + speed * (disp[idx] + signs * (times - bounds[idx]))
-    ) % circumference
-    return positions, signs
 
 
 def _chunk_switches(m: int, laps_per_switch: float) -> int:
@@ -290,36 +274,30 @@ def _paths(
 
 
 def sample_walker_states(
-    config: ContinuousConfig, times: np.ndarray, seed: SeedSpec | int
+    config: ContinuousConfig, times, seed: SeedSpec | int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and directions of the walkers at given times.
-
-    The message plays no part in where walkers are, so equilibrium
-    checks of the walker ensemble skip the relay entirely: each walker's
-    switch times are drawn in blocks and its piecewise linear path
-    evaluated directly.  Streams are consumed exactly as by
-    simulate_continuous and the event operations of tests/oracles.py
-    with the uniform-random start, so on a shared seed they agree
-    pointwise (up to float roundoff in positions).
-    """
+    """Walker positions and directions at the given times, one row per
+    time.  No relay is resolved, since the message never changes how the
+    walkers move: each walker's switch times are drawn in blocks, exactly
+    as simulate_continuous and the event operations of tests/oracles.py
+    draw them from the uniform-random start, and model.walk reads its
+    path, so on a shared seed they agree up to float roundoff."""
     validate_continuous(config)
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise errors.RelayError("times must be nonnegative and sorted")
-    _check_switches(config, float(times[-1]))
+    times = sample_times(times, whole=False)
+    tmax = float(times[-1]) if len(times) else 0.0
+    _check_switches(config, tmax)
     n, v = config.circumference, config.speed
     r, m = config.switch_rate, config.n_walkers
     streams = WalkerStreams(as_seed(seed), m)
     state = _start(config, streams, "uniform-random")
     positions = np.empty((len(times), m))
     directions = np.empty((len(times), m), dtype=np.int64)
-    tmax = float(times[-1])
     for j in range(m):
         bounds = [np.zeros(1), state.next_switch[j:j + 1]]
         while bounds[-1][-1] <= tmax:
             size = 512 + int(r * (tmax - bounds[-1][-1]))
             bounds.append(_draw_switches(streams.walker[j], bounds[-1][-1], r, size))
-        positions[:, j], directions[:, j] = _walk(
+        positions[:, j], directions[:, j] = walk(
             state.positions[j], state.directions[j], np.concatenate(bounds),
             times, v, n,
         )

@@ -20,9 +20,9 @@ step() calls do; its directions are the parity of the flips so far and
 its unwrapped positions one cumulative sum of them; (b) a pair meets, a
 clockwise and a counter-clockwise walker on one site, where their
 directions differ and their unwrapped gap is a multiple of N (a table
-lookup), in (round, pair) order.  sample_walker_states keeps layer (a)
-alone: it gives walker samples without resolving the relay, the one
-source of them.
+lookup), in (round, pair) order.  sample_walker_states reads walker
+samples off layer (a)'s flips with model.walk, the path evaluator both
+models share, without the relay: the one source of them.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import errors
-from .estimators import RunReport, build_report, spaced_times, window
+from .estimators import RunReport, build_report
 from .model import (
     DiscreteConfig,
     SeedSpec,
@@ -41,8 +41,10 @@ from .model import (
     as_seed,
     in_contact,
     relay,
+    sample_times,
     start_state,
     validate_discrete,
+    walk,
 )
 
 # walker-rounds (rounds x walkers) in one block of the engine
@@ -165,40 +167,27 @@ def _paths(
 
 
 def sample_walker_states(
-    config: DiscreteConfig, steps: int, seed: SeedSpec | int, sample_every: int
+    config: DiscreteConfig, rounds, seed: SeedSpec | int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Walker positions and directions of a run of steps rounds from the
-    uniform-random start, on the streams simulate_discrete would use, one
-    row per sample round: every sample_every rounds after the window's
-    burn-in (none after a contact start, else steps // 100).  No relay is
-    resolved, since the message never changes how the walkers move.  A
-    walker's directions are the parity of its flips, and its site after
-    round T is its start moved T rounds, less twice the rounds before T
-    of odd parity (a prefix count)."""
+    """Walker positions and directions after the given rounds, one row per
+    round, from the uniform-random start on the streams simulate_discrete
+    would use.  No relay is resolved, since the message never changes how
+    the walkers move: a walker reverses at the rounds whose _flips bit
+    fires, drawn WALKER_ROUNDS at a time, and model.walk reads its path."""
     validate_discrete(config)
     n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
-    _check_steps(steps, m)
+    rounds = sample_times(rounds, whole=True)
+    last = int(rounds[-1]) if len(rounds) else 0
+    _check_steps(max(last, 1), m)
     streams = WalkerStreams(as_seed(seed), m)
     state = _start(config, streams, "uniform-random")
-    burn, _, _ = window(steps, in_contact(state, n))
-    ts = spaced_times("sample_every", sample_every, burn, steps)
-    last = int(ts[-1]) if len(ts) else 0
-    positions = np.empty((len(ts), m), dtype=np.int64)
-    directions = np.empty((len(ts), m), dtype=np.int64)
+    positions = np.empty((len(rounds), m), dtype=np.int64)
+    directions = np.empty((len(rounds), m), dtype=np.int64)
     for j in range(m):
-        x, d = int(state.positions[j]), int(state.directions[j])  # after t0
-        for t0 in range(0, last, WALKER_ROUNDS):
-            b = min(WALKER_ROUNDS, last - t0)
-            # odd[k]: the direction after round t0 + k is -d
-            odd = np.zeros(b + 1, dtype=bool)
-            np.logical_xor.accumulate(_flips(streams.walker[j], b, eps), out=odd[1:])
-            lo, hi = np.searchsorted(ts, (t0, t0 + b), side="right")
-            k = ts[lo:hi] - t0
-            # before[i]: rounds of odd parity among t0 .. t0 + k[i] - 1, and
-            # before[-1] among all b + 1
-            before = np.cumsum(np.add.reduceat(odd, np.r_[0, k], dtype=np.int64))
-            positions[lo:hi, j] = (x + d * (k - 2 * before[:-1])) % n
-            directions[lo:hi, j] = np.where(odd[k], -d, d)
-            x = (x + d * (b - 2 * (before[-1] - odd[b]))) % n
-            d = -d if odd[b] else d
+        bounds = [np.zeros(1, dtype=np.int64)] + [t0 + 1 + np.flatnonzero(
+            _flips(streams.walker[j], min(WALKER_ROUNDS, last - t0), eps))
+            for t0 in range(0, last, WALKER_ROUNDS)]
+        positions[:, j], directions[:, j] = walk(
+            state.positions[j], state.directions[j], np.concatenate(bounds),
+            rounds, 1, n)
     return positions, directions

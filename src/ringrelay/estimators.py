@@ -7,10 +7,10 @@ records between successive regeneration contacts, and optional running
 traces.  build_report makes them for both models: it decides the
 burn-in, the batches and the cycles from what model.relay reads at
 checkpoints.  Walker samples are not part of a run: the two
-sample_walker_states draw them without the relay, and uniformity_test
-gives the chi-square p-value of their uniformity.  Merging reports
-concatenates trajectories in the obvious way, so replica parallelism
-never changes any count or sum.
+sample_walker_states read them at their caller's times, with no burn-in,
+and uniformity_test gives the chi-square p-value of their uniformity.
+Merging reports concatenates trajectories in the obvious way, so replica
+parallelism never changes any count or sum.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from . import errors
 from .model import DiscreteConfig
 
 N_BATCHES = 50
-MAX_CHECKPOINTS = 10**6  # trace points, or lattice sampler rows, ~100 B each
+MAX_CHECKPOINTS = 10**6  # trace points, ~100 B each
 MIN_EXPECTED = 20.0  # the least expected count per chi-square cell
 
 
@@ -68,8 +68,8 @@ class RunReport:
         return 0 if self.cycle_lengths is None else len(self.cycle_lengths)
 
 
-def spaced_times(name: str, every, start, end) -> np.ndarray:
-    """start + every, start + 2 every, .. up to end, at most
+def spaced_times(every, end) -> np.ndarray:
+    """Trace points every, 2 every, .. up to end, at most
     MAX_CHECKPOINTS of them; none if every is None or 0.  Otherwise every
     must be a finite number > 0, and a whole one for runs counted in
     rounds (an integer end)."""
@@ -81,12 +81,13 @@ def spaced_times(name: str, every, start, end) -> np.ndarray:
         0 < every < np.inf
     ):
         unit = "a whole number of rounds" if whole else "a finite number"
-        raise errors.RelayError(f"{name} must be 0 (off) or {unit} > 0, got {every!r}")
-    count = (end - start) / every
+        raise errors.RelayError(
+            f"trace_every must be 0 (off) or {unit} > 0, got {every!r}")
+    count = end / every
     if count > MAX_CHECKPOINTS:
         raise errors.RelayError(
-            f"{name} asks for {count:.3g} checkpoints, more than {MAX_CHECKPOINTS}")
-    times = start + every * np.arange(1, int(count) + 1)
+            f"trace_every asks for {count:.3g} checkpoints, more than {MAX_CHECKPOINTS}")
+    times = every * np.arange(1, int(count) + 1)
     return times[times <= end]  # the run ends at end: a time rounded past it goes
 
 
@@ -98,7 +99,7 @@ def window(end, in_contact: bool, trace_every=None) -> tuple:
     a contact state (a regeneration), else the first 1% of the run.  It
     is cut into N_BATCHES batches; for runs counted in rounds (an integer
     end) they hold whole rounds and leave the rounds after the last batch
-    out.  Trace points are the spaced_times of trace_every from time 0.
+    out.  Trace points are the spaced_times of trace_every.
     """
     whole = isinstance(end, (int, np.integer))
     burn = 0 if in_contact else end // 100 if whole else 0.01 * end
@@ -107,7 +108,7 @@ def window(end, in_contact: bool, trace_every=None) -> tuple:
         edges = burn + size * np.arange(N_BATCHES + 1 if size else 1)
     else:
         edges = np.linspace(burn, end, N_BATCHES + 1)
-    return burn, edges, spaced_times("trace_every", trace_every, 0, end)
+    return burn, edges, spaced_times(trace_every, end)
 
 
 def build_report(

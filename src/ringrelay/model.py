@@ -10,11 +10,11 @@ message at any time, and the message is handed off on contact from a
 counter-clockwise mover to a clockwise mover, so the message itself only
 ever travels clockwise.  Both variants share one State, one start rule
 (start_state), one contact test (in_contact), one relay rule
-(resolve_handoff, and pass_message over many meetings) and one relay
-layer: relay turns the walker paths and meetings that either engine
-yields into Readings.  The reference step() and continuum event
-operations in tests/oracles.py, which the engines are replayed against,
-build on the same State and relay rule.
+(resolve_handoff, and pass_message over many meetings), one path
+evaluator (walk) and one relay layer: relay turns the walker paths and
+meetings that either engine yields into Readings.  The reference step()
+and continuum event operations in tests/oracles.py, which the engines
+are replayed against, build on the same State and relay rule.
 """
 from __future__ import annotations
 
@@ -241,6 +241,41 @@ def in_contact(state: State, size, tol=0) -> bool:
     gap = circle_delta(state.positions[0], state.positions[1], size)
     return bool(min(gap, size - gap) <= tol
                 and state.directions[0] != state.directions[1])
+
+
+def sample_times(times, whole: bool) -> np.ndarray:
+    """Times to read walker paths at, as int64 rounds if whole, else as
+    floats, which must be 1-D, finite, nonnegative and sorted."""
+    t = np.asarray(times)
+    if t.ndim != 1 or t.size and t.dtype.kind not in ("iu" if whole else "iuf"):
+        raise errors.RelayError(
+            f"sample times must be 1-D {'integers' if whole else 'reals'}, "
+            f"got {t.dtype} of shape {t.shape}")
+    t = t.astype(np.int64 if whole else np.float64)
+    if not (np.all((t >= 0) & (t < np.inf)) and np.all(np.diff(t) >= 0)):
+        raise errors.RelayError("sample times must be finite, nonnegative and sorted")
+    return t
+
+
+def walk(x0, d0: int, bounds: np.ndarray, times: np.ndarray, speed,
+         size) -> tuple[np.ndarray, np.ndarray]:
+    """Position on a ring of the given size and direction at sorted times
+    of a walker that leaves x0 at time bounds[0] in direction d0 and
+    reverses at each later bound.  As in relay, integer times (lattice
+    rounds) see a reversal at their own time, float times do not; integer
+    inputs keep the arithmetic in integers."""
+    # disp[k]: the displacement from bounds[0] to bounds[k] for d0 = 1,
+    # which d0 = -1 negates exactly; built in one array in place, since
+    # each fresh array as long as the path costs page faults
+    disp = np.zeros(len(bounds), dtype=bounds.dtype)
+    np.subtract(bounds[1:], bounds[:-1], out=disp[1:])
+    disp[2::2] *= -1
+    np.cumsum(disp, out=disp)
+    idx = np.searchsorted(bounds[1:], times,
+                          side="right" if times.dtype.kind == "i" else "left")
+    signs = np.where(idx % 2 == 0, d0, -d0)
+    positions = (x0 + speed * (d0 * disp[idx] + signs * (times - bounds[idx]))) % size
+    return positions, signs
 
 
 def resolve_handoff(

@@ -79,18 +79,9 @@ def open_pool(threads: int, n_jobs: int) -> ProcessPoolExecutor | None:
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
 
-def _uniformity_passes(model: str, seed: SeedSpec) -> bool:
+def _uniformity_passes(sample, config, times, seed: SeedSpec) -> bool:
     """Whether one replica's walker samples pass the chi-square test."""
-    if model == "discrete":
-        config = DiscreteConfig(5, 0.3)
-        # ~4000 samples 10N = 50 rounds apart after burn-in, over 100 cells
-        pos, dirs = discrete.sample_walker_states(config, 205_000, seed, 50)
-    else:
-        config = ContinuousConfig(1.0)
-        # 6000 samples 10 crossing times N / v apart, over 256 cells
-        times = 10.0 + 10.0 * np.arange(1, 6001)
-        pos, dirs = sample_walker_states(config, times, seed)
-    return uniformity_test(config, pos, dirs) > 0.01
+    return uniformity_test(config, *sample(config, times, seed)) > 0.01
 
 
 INDEPENDENCE_STATES = [
@@ -123,9 +114,14 @@ def run_table(seed: int) -> dict:
         "independence": (lattice, [
             (small, 10**6, SeedSpec(seed, 3000 + k), state)
             for k, state in enumerate(INDEPENDENCE_STATES)]),
+        # about 4000 lattice rows 10N = 50 rounds apart over 100 cells, and
+        # 6000 continuum samples 10 crossing times N / v apart over 256 cells
         "uniformity": (_uniformity_passes, [
-            (model, SeedSpec(seed, first + k))
-            for model, first in (("discrete", 1000), ("continuous", 2000))
+            (sample, config, times, SeedSpec(seed, first + k))
+            for sample, config, times, first in (
+                (discrete.sample_walker_states, small, range(2100, 205_001, 50), 1000),
+                (sample_walker_states, ContinuousConfig(1.0), range(20, 60_011, 10),
+                 2000))
             for k in range(100)]),
     }
 

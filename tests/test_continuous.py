@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import EventSkipped, advance_to, handle_event, meeting_time, next_event
-from ringrelay import continuous, errors, estimators
+from ringrelay import continuous, errors, estimators, model
 from ringrelay.continuous import (
     default_tol,
     sample_walker_states,
@@ -464,31 +464,52 @@ class TestFastSampler:
         np.testing.assert_array_equal(np.concatenate(blocks), scalars)
 
     def test_walk_matches_segment_formula(self):
-        # the old formula, a sign for every segment, as the oracle
+        # the old formula, a sign for every segment, as the oracle: float
+        # times read a reversal at its time with the old direction, integer
+        # rounds with the new one, in integer arithmetic
         def walk(x0, d0, bounds, times, speed, circumference):
             signs = np.where(np.arange(len(bounds)) % 2 == 0, d0, -d0)
-            disp = np.concatenate(([0.0], np.cumsum(signs[:-1] * np.diff(bounds))))
-            idx = np.searchsorted(bounds[1:], times, side="left")
+            disp = np.concatenate(([0], np.cumsum(signs[:-1] * np.diff(bounds))))
+            side = "right" if times.dtype.kind == "i" else "left"
+            idx = np.searchsorted(bounds[1:], times, side=side)
             positions = (
                 x0 + speed * (disp[idx] + signs[idx] * (times - bounds[idx]))
             ) % circumference
             return positions, signs[idx]
 
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            size = int(rng.integers(1, 2000))
-            bounds = rng.uniform(0, 5) + np.concatenate(
-                ([0.0], np.cumsum(rng.exponential(0.7, size - 1)))
-            )
-            times = np.sort(np.concatenate((
-                rng.uniform(bounds[0], bounds[-1] + 1, int(rng.integers(1, 300))),
-                rng.choice(bounds, 3),  # at a reversal: the old direction
-            )))
-            args = (rng.uniform(0, 3), np.int64(rng.choice([1, -1])), bounds,
-                    times, 1.3, 3.0)
-            for got, want in zip(continuous._walk(*args), walk(*args)):
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
+        for whole in np.arange(400) % 2 == 1:
+            size, count = int(rng.integers(1, 2000)), int(rng.integers(1, 300))
+            if whole:
+                bounds = rng.integers(0, 5) + np.concatenate(
+                    ([0], np.cumsum(rng.integers(1, 5, size - 1))))
+                times = rng.integers(bounds[0], bounds[-1] + 3, count)
+                x0, speed, circumference = rng.integers(0, 7), 1, 7
+            else:
+                bounds = rng.uniform(0, 5) + np.concatenate(
+                    ([0.0], np.cumsum(rng.exponential(0.7, size - 1))))
+                times = rng.uniform(bounds[0], bounds[-1] + 1, count)
+                x0, speed, circumference = rng.uniform(0, 3), 1.3, 3.0
+            times = np.sort(np.concatenate((times, rng.choice(bounds, 3))))
+            args = (x0, np.int64(rng.choice([1, -1])), bounds, times, speed,
+                    circumference)
+            got = model.walk(*args)
+            for g, w in zip(got, walk(*args)):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+            assert got[0].dtype == (np.int64 if whole else np.float64)
+
+    def test_no_samples(self):
+        pos, dirs = sample_walker_states(ContinuousConfig(1.0, 1.0, 1.0, 3), [], 0)
+        assert pos.shape == dirs.shape == (0, 3)
+
+    @pytest.mark.parametrize("times", [
+        [[1.0, 2.0]], [np.nan], [np.inf], [1.0, np.nan], [-1.0], [2.0, 1.0], ["a"],
+        [True],
+    ], ids=str)
+    def test_rejects_bad_times(self, times):
+        with pytest.raises(errors.RelayError, match="sample times must be"):
+            sample_walker_states(ContinuousConfig(1.0), times, 0)
 
     def test_rejects_switch_counts_past_bound(self):
         # r t = 1e300 asks for more than 2**53 switches; the check comes

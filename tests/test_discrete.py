@@ -367,75 +367,66 @@ class TestFlips:
 
 class TestWalkerSampler:
     """sample_walker_states against the walker states of the step() loop
-    from the same uniform-random start, at every sample round."""
+    from the same uniform-random start, at given rounds."""
 
-    def check(self, cfg, steps, seed, sample_every, rounds=None):
-        """The sampler's rows are step()'s states at rounds burn +
-        sample_every, burn + 2 sample_every, .. up to steps, compared over
-        the first rounds (all by default); returns the burn-in."""
-        pos, dirs = discrete.sample_walker_states(cfg, steps, seed, sample_every)
+    def check(self, cfg, seed, *round_sets, upto=None):
+        """The sampler's rows at each set of rounds are step()'s states
+        after those rounds, compared up to round upto (all by default);
+        returns the start."""
         streams = WalkerStreams(seed, cfg.n_walkers)
         states = [discrete._start(cfg, streams, "uniform-random")]
-        burn = 0 if model.in_contact(states[0], cfg.n_sites) else steps // 100
-        ts = np.arange(burn + sample_every, steps + 1, sample_every)
-        assert pos.shape == dirs.shape == (len(ts), cfg.n_walkers)
-        assert pos.dtype == dirs.dtype == np.int64
-        for _ in range(rounds or steps):
+        for _ in range(upto or max(int(r[-1]) for r in round_sets if len(r))):
             states.append(step(states[-1], cfg, streams)[0])
-        seen = ts[ts < len(states)]
-        for got, field in ((pos, "positions"), (dirs, "directions")):
-            want = [getattr(states[t], field) for t in seen]
-            np.testing.assert_array_equal(
-                got[:len(seen)], np.reshape(want, (len(seen), cfg.n_walkers)))
-        return burn
+        for rounds in round_sets:
+            pos, dirs = discrete.sample_walker_states(cfg, rounds, seed)
+            assert pos.shape == dirs.shape == (len(rounds), cfg.n_walkers)
+            assert pos.dtype == dirs.dtype == np.int64
+            seen = np.asarray(rounds)[np.asarray(rounds) < len(states)]
+            for got, field in ((pos, "positions"), (dirs, "directions")):
+                want = [getattr(states[t], field) for t in seen]
+                np.testing.assert_array_equal(
+                    got[:len(seen)], np.reshape(want, (len(seen), cfg.n_walkers)))
+        return states[0]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("walker_rounds", [discrete.WALKER_ROUNDS, 37])
     def test_equals_engine_samples(self, m, walker_rounds, monkeypatch):
-        # small blocks make every run straddle many of them
+        # small blocks make every run straddle many of them, and sample
+        # rounds land on block ends (36, 37, 74) and on walker 0's flips
         monkeypatch.setattr(discrete, "WALKER_ROUNDS", walker_rounds)
         for n, eps in ((3, 0.4), (5, 0.3), (11, 0.05)):
-            for seed in range(2):
-                for every in (1, 7, 10 * n):
-                    self.check(DiscreteConfig(n, eps, m), 600,
-                               SeedSpec(seed, m), every)
-
-    def test_contact_start_has_no_burn_in(self):
-        # a uniform start on a head-on pair skips the burn-in, so the
-        # sample rounds start at round sample_every
-        cfg = DiscreteConfig(3, 0.4)
-        starts = [self.check(cfg, 1000, SeedSpec(seed, 0), 3) for seed in range(40)]
-        assert 0 in starts and 10 in starts
+            for seed in (SeedSpec(0, m), SeedSpec(1, m)):
+                flips = 1 + np.flatnonzero(
+                    discrete._flips(WalkerStreams(seed, m).walker[0], 600, eps))
+                self.check(DiscreteConfig(n, eps, m), seed, np.arange(601),
+                           np.arange(0, 601, 10 * n), [0, 0, 36, 37, 74, 74, 600],
+                           flips, [600])
 
     def test_gate_setting(self):
-        # the equilibrium-uniformity check's runs, at replicas with and
-        # (replica 1006) without a burn-in, held to step() over 5000 rounds
-        cfg = DiscreteConfig(5, 0.3)
-        burns = {
-            self.check(cfg, 205_000, SeedSpec(20260815, 1000 + k), 50, 5000)
-            for k in (0, 6)
-        }
-        assert burns == {0, 2050}
+        # the equilibrium-uniformity check's rounds at a replica whose
+        # start is a contact (1006) and one whose start is not, held to
+        # step() over 5000 rounds
+        cfg, rounds = DiscreteConfig(5, 0.3), np.arange(2100, 205_001, 50)
+        starts = [self.check(cfg, SeedSpec(20260815, 1000 + k), rounds, upto=5000)
+                  for k in (0, 6)]
+        assert [model.in_contact(s, cfg.n_sites) for s in starts] == [False, True]
 
     def test_no_samples(self):
         pos, dirs = discrete.sample_walker_states(
-            DiscreteConfig(5, 0.3, 3), 100, SeedSpec(1, 0), 500
+            DiscreteConfig(5, 0.3, 3), [], SeedSpec(1, 0)
         )
         assert pos.shape == dirs.shape == (0, 3)
+        assert pos.dtype == dirs.dtype == np.int64
 
-    @pytest.mark.parametrize("steps", [0, 10.5, 2**52])
-    def test_rejects_bad_step_count(self, steps):
+    @pytest.mark.parametrize("rounds", [
+        [10.5], [1.0, 2.0], [2**52], [-1], [5, 3], [[1, 2]], [np.nan], ["7"],
+        np.array([2**63], dtype=np.uint64),
+    ], ids=str)
+    def test_rejects_bad_rounds(self, rounds):
+        # floats even when whole, 2 walkers x 2**52 rounds, negative,
+        # unsorted, 2-D, nan, text, and integers that do not fit int64
         with pytest.raises(errors.RelayError):
-            discrete.sample_walker_states(
-                DiscreteConfig(5, 0.3), steps, SeedSpec(0, 0), 10
-            )
-
-    @pytest.mark.parametrize("every", [-5, 2.5, np.nan, True, "7"])
-    def test_rejects_bad_sample_every(self, every):
-        with pytest.raises(errors.RelayError, match="whole number of rounds"):
-            discrete.sample_walker_states(
-                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), every
-            )
+            discrete.sample_walker_states(DiscreteConfig(5, 0.3), rounds, SeedSpec(0))
 
 
 class TestTraces:
@@ -454,21 +445,8 @@ class TestTraces:
         )
         assert report.trace_cost[-1] == pytest.approx(full.jump_count / 4000)
 
-    def test_samples_past_the_checkpoint_cap_rejected(self):
-        # 10**12 rounds sampled every round: refused before a round runs
-        with pytest.raises(errors.RelayError, match="checkpoints"):
-            discrete.sample_walker_states(
-                DiscreteConfig(5, 0.3), 10**12, SeedSpec(0, 0), 1
-            )
-
-    @pytest.mark.parametrize("spacing", ["sample_every", "trace_every"])
+    @pytest.mark.parametrize("spacing", ["trace_every"])
     def test_negative_spacing_rejected(self, spacing):
-        # the sampler's sample_every, the engine's trace_every
-        run = {
-            "sample_every": lambda: discrete.sample_walker_states(
-                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), -5),
-            "trace_every": lambda: discrete.simulate_discrete(
-                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), trace_every=-5),
-        }[spacing]
         with pytest.raises(errors.RelayError, match=rf"{spacing} must be 0 \(off\)"):
-            run()
+            discrete.simulate_discrete(
+                DiscreteConfig(5, 0.3), 500, SeedSpec(0, 0), trace_every=-5)

@@ -71,3 +71,19 @@ def test_bad_config_exits_2(tmp_path, name):
     # an even ring is rejected by the CLI the scripts call
     argv = ["--out", str(tmp_path / "x"), "--sizes", "4", "--steps", "100"]
     assert load(name).main(argv) == 2
+
+
+def test_gate_seeds(capsys):
+    code = load("gate_seeds").main(["--first", "20260815", "--count", "1",
+                                    "--threads", "1"])
+    assert code == 0
+    header, *rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert header[0] == "seed" and len(header) == 14
+    assert header[-3:] == ["initial-state-independence", "discrete_passes",
+                           "continuous_passes"]
+    # the default seed passes every check, as validate reports it
+    assert rows == [["20260815"] + ["1"] * 11 + ["99", "100"]]
+
+
+def test_gate_seeds_bad_argument_exits_2():
+    assert load("gate_seeds").main(["--count", "0"]) == 2
