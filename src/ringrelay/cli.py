@@ -275,19 +275,17 @@ def _report_payload(report) -> dict:
         },
         "speed": _try_estimate(estimators.speed_estimate, report),
         "cost": _try_estimate(estimators.cost_estimate, report),
-        "direction_occupation": _try_estimate(
-            estimators.direction_estimate, report
-        ),
+        "direction_occupation": _try_estimate(estimators.direction_estimate, report),
         "cycles": None,
     }
-    if report.cycle_lengths is not None and report.n_cycles >= 1:
-        summary = estimators.excursion_classifier(report)
+    if report.n_cycles >= 1:
+        cycles = estimators.excursion_classifier(report)
         payload["cycles"] = {
-            "count": int(report.n_cycles),
-            "mean_length": float(report.cycle_lengths.mean()),
-            "jump_fraction": float(report.cycle_jumps.mean()),
-            "wrap_fraction": float(summary.wrap_fraction),
-            "max_displacement_dev": float(summary.max_deviation),
+            "count": report.n_cycles,
+            "mean_length": cycles.lengths.mean(),
+            "jump_fraction": cycles.handoffs / report.n_cycles,
+            "wrap_fraction": cycles.wraps / report.n_cycles,
+            "max_displacement_dev": cycles.max_deviation,
         }
     return payload
 
@@ -377,8 +375,7 @@ def cmd_sweep(args) -> int:
     ]
     _make_out(args.out)
     length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
-    simulate = functools.partial(  # no column reads the cycles
-        simulate_discrete if kind == "discrete" else simulate_continuous, cycles=False)
+    simulate = simulate_discrete if kind == "discrete" else simulate_continuous
     exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []
     header = ["N", var_key, "s_formula", "c_formula", *exact_columns,
               "s_mc", "c_mc", "s_mc_stderr", "c_mc_stderr"]

@@ -96,14 +96,12 @@ def simulate_continuous(
     initial="uniform-random",
     *,
     trace_every: float | None = None,
-    cycles: bool = True,
 ) -> RunReport:
     """Run the continuum relay up to the given time horizon.
 
     Statistics cover the window after a 1% burn-in, skipped when the
     start is a contact state.  trace_every records the running speed and
-    handoff rate from time 0.  Two walkers keep cycle records, one per
-    contact-to-contact excursion of the carrier, unless cycles is False.
+    handoff rate from time 0.
     """
     validate_continuous(config)
     if not (0.0 < horizon < np.inf):
@@ -121,9 +119,9 @@ def simulate_continuous(
     state = _start(config, streams, initial)
     in_f = in_contact(state, config.circumference, tol)
     return build_report(
-        lambda checkpoints: relay(
+        lambda checkpoints, burn, lap: relay(
             _paths(config, streams, state, float(horizon), tol), checkpoints, state,
-            config.circumference, streams, tol / config.speed, in_f, cycles),
+            config.circumference, streams, tol / config.speed, in_f, burn, lap),
         params={
             "model": "continuous",
             "N": config.circumference,

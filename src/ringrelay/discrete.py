@@ -82,16 +82,13 @@ def simulate_discrete(
     initial="uniform-random",
     *,
     trace_every: int | None = None,
-    cycles: bool = True,
 ) -> RunReport:
     """Run the lattice relay for a fixed number of rounds.
 
     Statistics cover rounds after a 1% burn-in, skipped entirely when
     the start is a contact state (the regeneration law needs none).
     trace_every records the running speed and handoff rate from round 0
-    for convergence plots.  Regeneration cycles, a two-walker construction,
-    are recorded for m = 2 unless cycles is False, which changes nothing
-    else.  estimators.build_report sets the window, batches and cycles.
+    for convergence plots.  estimators.build_report sets the window.
     """
     validate_discrete(config)
     _check_steps(steps, config.n_walkers)
@@ -100,8 +97,9 @@ def simulate_discrete(
     state = _start(config, streams, initial)
     in_regen = in_contact(state, config.n_sites)
     return build_report(
-        lambda checkpoints: relay(_paths(config, streams, state, steps), checkpoints,
-                                  state, config.n_sites, streams, 0, in_regen, cycles),
+        lambda checkpoints, burn, lap: relay(
+            _paths(config, streams, state, steps), checkpoints, state, config.n_sites,
+            streams, 0, in_regen, burn, lap),
         params={
             "model": "discrete",
             "N": config.n_sites,
@@ -110,7 +108,7 @@ def simulate_discrete(
             "steps": steps,
         },
         seed=spec,
-        lap_length=2.0 * config.n_sites,
+        lap_length=2.0 * config.n_sites,  # a pair's gap moves in steps of 2
         end=steps,
         in_contact=in_regen,
         trace_every=trace_every,

@@ -2,11 +2,11 @@
 
 A RunReport is the common currency between the two simulators, the
 estimators, and the command line tools: windowed totals for the three
-long-run observables, fixed-count batch sums for error bars, per-cycle
-records between successive regeneration contacts, and optional running
+long-run observables, fixed-count batch sums for error bars, the
+regeneration cycles as one model.Cycles record, and optional running
 traces.  build_report makes them for both models: it decides the
-burn-in, the batches and the cycles from what model.relay reads at
-checkpoints.  Walker samples are not part of a run: the two
+burn-in and the batches, and model.relay reads the checkpoints and
+folds the cycles.  Walker samples are not part of a run: the two
 sample_walker_states read them at their caller's times, with no burn-in,
 and uniformity_test gives the chi-square p-value of their uniformity.
 Merging reports concatenates trajectories in the obvious way, so replica
@@ -14,6 +14,7 @@ parallelism never changes any count or sum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
-from .model import DiscreteConfig
+from .model import Cycles, DiscreteConfig
 
 N_BATCHES = 50
 MAX_CHECKPOINTS = 10**6  # trace points, ~100 B each
@@ -36,11 +37,9 @@ class RunReport:
     duration in rounds or time units, displacement_sum the carrier's net
     clockwise displacement (site steps, or length units), jump_count the
     number of handoffs, clockwise_time the duration the carrier spent
-    moving clockwise.  Batches split the window into equal spans; cycle
-    arrays hold one entry per completed regeneration cycle: its length,
-    the carrier's net displacement around its partner (0 or lap_length),
-    the carrier displacement accumulated inside it, and whether it ended
-    with a handoff (None for more than two walkers or cycles=False).
+    moving clockwise.  Batches split the window into equal spans; cycles
+    is the record of the regeneration cycles (None for more than two
+    walkers), in which the carrier moves 0 or lap_length around its partner.
     """
 
     params: dict
@@ -54,10 +53,7 @@ class RunReport:
     batch_displacement: np.ndarray
     batch_jumps: np.ndarray
     batch_clockwise: np.ndarray
-    cycle_lengths: np.ndarray | None = None
-    cycle_displacements: np.ndarray | None = None
-    cycle_carrier_sums: np.ndarray | None = None
-    cycle_jumps: np.ndarray | None = None
+    cycles: Cycles | None = None
     trace_times: np.ndarray | None = None
     trace_speed: np.ndarray | None = None
     trace_cost: np.ndarray | None = None
@@ -65,7 +61,7 @@ class RunReport:
 
     @property
     def n_cycles(self) -> int:
-        return 0 if self.cycle_lengths is None else len(self.cycle_lengths)
+        return 0 if self.cycles is None else self.cycles.lengths.count
 
 
 def spaced_times(every, end) -> np.ndarray:
@@ -118,17 +114,16 @@ def build_report(
     """The accounting step shared by both simulators.
 
     The burn-in, batch edges and trace points follow window().  All
-    these checkpoints go to engine(checkpoints) as one sorted list, and
-    the model.Readings it returns are sliced back into a RunReport,
-    with the cycles cut from its contacts.  The carrier always moves, at
-    speed v (1 on the lattice), so its clockwise time up to t is
-    (t + displacement / v) / 2.
+    these checkpoints go to engine(checkpoints, burn, lap_length) as one
+    sorted list, and the model.Readings it returns are sliced back into a
+    RunReport.  The carrier always moves, at speed v (1 on the lattice), so
+    its clockwise time up to t is (t + displacement / v) / 2.
     """
     burn, edges, trace_ts = window(end, in_contact, trace_every)
     n_edges = len(edges)
     checkpoints = np.concatenate((edges, [end], trace_ts))
     order = np.argsort(checkpoints, kind="stable")
-    run = engine(checkpoints[order])
+    run = engine(checkpoints[order], burn, lap_length)
 
     def unsort(values):
         out = np.empty(len(values))
@@ -151,7 +146,7 @@ def build_report(
         batch_displacement=np.diff(disp[batch]),
         batch_jumps=np.diff(jumps[batch]),
         batch_clockwise=np.diff(clock[batch]),
-        **_cycles(run.contacts, burn, params["N"]),
+        cycles=run.cycles,
         trace_times=trace_ts.astype(float) if trace_every else None,
         trace_speed=disp[traced] / trace_ts if trace_every else None,
         trace_cost=jumps[traced] / trace_ts if trace_every else None,
@@ -159,33 +154,8 @@ def build_report(
     )
 
 
-def _cycles(contacts: tuple | None, burn, n) -> dict:
-    """Regeneration cycles, contact to contact, from the contacts at or
-    after burn-in: their lengths, the carrier's displacements around its
-    partner (0 or one lap), the carrier's displacements inside them, and
-    whether each ended in a handoff; none without contacts (m > 2, cycles=False)."""
-    if contacts is None:
-        return {}
-    # a long run has millions of contacts: each field's blocks are let go
-    # as soon as they are joined, so no contact is held twice
-    joined = []
-    for blocks in contacts:
-        joined.append(np.concatenate(blocks))
-        blocks.clear()
-    first = np.searchsorted(joined[0], burn)  # contacts come in time order
-    time, disp, level, car = (values[first:] for values in joined)
-    # walker 1 carrying moves around walker 0 as the gap x1 - x0 does
-    around = np.where(car[:-1] == 1, 1, -1) * np.diff(level) * n
-    return dict(
-        cycle_lengths=np.diff(time).astype(float, copy=False),
-        cycle_displacements=around.astype(float, copy=False),
-        cycle_carrier_sums=np.diff(disp).astype(float, copy=False),
-        cycle_jumps=car[1:] != car[:-1],
-    )
-
-
 def merge(reports: list[RunReport]) -> RunReport:
-    """Pool replicas: sums add, batch and cycle arrays concatenate.
+    """Pool replicas: sums add, batch arrays concatenate, cycles pool.
 
     Replicas may have batches of different lengths (a start in a contact
     state skips burn-in, so its window is longer).  Each replica's batch
@@ -202,9 +172,7 @@ def merge(reports: list[RunReport]) -> RunReport:
         if r.params != head.params:
             raise errors.RelayError("cannot merge reports with different models")
 
-    def cat(key):
-        parts = [getattr(r, key) for r in reports]
-        return None if any(p is None for p in parts) else np.concatenate(parts)
+    cycles = [r.cycles for r in reports]
 
     def cat_batches(key):
         return np.concatenate([
@@ -225,10 +193,7 @@ def merge(reports: list[RunReport]) -> RunReport:
         batch_displacement=cat_batches("batch_displacement"),
         batch_jumps=cat_batches("batch_jumps"),
         batch_clockwise=cat_batches("batch_clockwise"),
-        cycle_lengths=cat("cycle_lengths"),
-        cycle_displacements=cat("cycle_displacements"),
-        cycle_carrier_sums=cat("cycle_carrier_sums"),
-        cycle_jumps=cat("cycle_jumps"),
+        cycles=None if None in cycles else functools.reduce(Cycles.pooled, cycles),
         seeds=[s for r in reports for s in r.seeds],
     )
 
@@ -280,39 +245,20 @@ def kac_check(report: RunReport, time_average: float, time_stderr: float) -> Kac
     stderr of zero.
     """
     if report.n_cycles < 100:
-        raise errors.RelayError(
-            f"need at least 100 cycles, got {report.n_cycles}"
-        )
-    sums = report.cycle_carrier_sums
-    n = report.n_cycles
-    lengths = report.cycle_lengths
-    se_cycle = float(sums.std(ddof=1) / np.sqrt(n))
-    mean_len = float(lengths.mean())
-    se_len = float(lengths.std(ddof=1) / np.sqrt(n))
+        raise errors.RelayError(f"need at least 100 cycles, got {report.n_cycles}")
+    sums, lengths = report.cycles.carried, report.cycles.lengths
+    mean_len, se_len = lengths.mean(), lengths.stderr()
     product = mean_len * time_average
     se_product = np.hypot(time_average * se_len, mean_len * time_stderr)
-    gap = float(sums.mean()) - product
-    return KacCheck(gap, float(np.hypot(se_cycle, se_product)))
+    return KacCheck(sums.mean() - product, float(np.hypot(sums.stderr(), se_product)))
 
 
-class ExcursionSummary(NamedTuple):
-    n_cycles: int
-    wrap_fraction: float
-    max_deviation: float
-
-
-def excursion_classifier(report: RunReport) -> ExcursionSummary:
-    """Split cycles into closed (relative displacement 0) and wrapped
-    (one full lap), reporting the worst distance to either target."""
+def excursion_classifier(report: RunReport) -> Cycles:
+    """The cycles of a report that has some, each wrapped (one full lap)
+    or closed (relative displacement 0) as model.fold_cycles told."""
     if report.n_cycles == 0:
         raise errors.RelayError("report has no completed cycles")
-    disp = report.cycle_displacements
-    lap = report.lap_length
-    wrapped = disp > lap / 2.0
-    deviation = np.where(wrapped, np.abs(disp - lap), np.abs(disp))
-    return ExcursionSummary(
-        report.n_cycles, float(wrapped.mean()), float(deviation.max())
-    )
+    return report.cycles
 
 
 def chi_square_uniformity(

@@ -18,6 +18,7 @@ are replayed against, build on the same State and relay rule.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -334,22 +335,89 @@ def pass_message(
     return tuple(np.array(decided, dtype=np.int64).reshape(-1, 3).T)
 
 
+class Moments(NamedTuple):
+    """Count, sum and sum of squared deviations from the mean of values,
+    pooled for two sets without them (Chan, Golub & LeVeque 1983)."""
+
+    count: int = 0
+    total: float = 0.0
+    squares: float = 0.0
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> Moments:
+        n, total = len(values), float(values.sum())
+        centred = values - total / n if n else values
+        with np.errstate(over="ignore"):  # squares past the float range are inf
+            return cls(n, total, float(np.square(centred, out=centred).sum()))
+
+    def pooled(self, other: Moments) -> Moments:
+        n, k = self.count, other.count
+        if not (n and k):
+            return other if k else self
+        delta = other.total / k - self.total / n
+        return Moments(n + k, self.total + other.total,
+                       self.squares + other.squares + delta * delta * (n * k / (n + k)))
+
+    def mean(self) -> float:
+        return self.total / self.count
+
+    def stderr(self) -> float:
+        """The standard error of the mean of independent values."""
+        return math.sqrt(self.squares / (self.count - 1)) / math.sqrt(self.count)
+
+
+class Cycles(NamedTuple):
+    """Two walkers' regeneration cycles: Moments of their lengths and of
+    the message's displacement in them, how many wrapped (the carrier
+    passed half a lap around its partner) or ended in a handoff, and the
+    largest distance from 0 or a lap of a displacement around the partner."""
+
+    lengths: Moments = Moments()
+    carried: Moments = Moments()
+    wraps: int = 0
+    handoffs: int = 0
+    max_deviation: float = 0.0
+
+    def pooled(self, other: Cycles) -> Cycles:
+        return Cycles(
+            self.lengths.pooled(other.lengths), self.carried.pooled(other.carried),
+            self.wraps + other.wraps, self.handoffs + other.handoffs,
+            max(self.max_deviation, other.max_deviation))
+
+
+def fold_cycles(cycles: Cycles, last, contacts, burn, size, lap_length) -> tuple:
+    """cycles pooled with those one block of contacts closes, and the latest
+    contact (last, empty arrays before any).  contacts and last are the
+    time-ordered arrays of time, message displacement, gap x1 - x0 in whole
+    laps of size and carrier after.  Each at or after burn closes the cycle
+    the one before it opened; walker 1 carrying moves as x1 - x0 does."""
+    first = np.searchsorted(contacts[0], burn)
+    kept = [np.concatenate((old, new[first:])) for old, new in zip(last, contacts)]
+    time, disp, level, car = kept
+    if not len(time):
+        return cycles, last
+    around = (car[:-1] * (2 * size) - size) * (level[1:] - level[:-1])  # car: 0 or 1
+    wrapped = around > lap_length / 2
+    return cycles.pooled(Cycles(
+        Moments.of(time[1:] - time[:-1]), Moments.of(disp[1:] - disp[:-1]),
+        int(np.count_nonzero(wrapped)), int(np.count_nonzero(car[1:] != car[:-1])),
+        float(np.abs(around - lap_length * wrapped).max(initial=0.0)),
+    )), tuple(field[-1:].copy() for field in kept)
+
+
 class Readings(NamedTuple):
     """What relay hands to estimators.build_report: cumulative message
-    displacement and handoffs at each checkpoint and, if cycles are kept
-    for two walkers, their head-on contacts in time order, a contact start
-    first, as four lists of per-block arrays (emptied as build_report
-    joins them): the time, the message's cumulative displacement, the
-    unwrapped gap x1 - x0 in whole laps and the carrier after each contact."""
+    displacement and handoffs at each checkpoint and, for two walkers,
+    the regeneration cycles after burn-in."""
 
     displacement: np.ndarray
     jumps: np.ndarray
-    contacts: tuple | None = None
+    cycles: Cycles | None = None
 
 
 def relay(
     blocks, checkpoints: np.ndarray, state: State, size, streams: WalkerStreams,
-    window, contact: bool, cycles: bool,
+    window, contact: bool, burn, lap_length,
 ) -> Readings:
     """Layer (c) of both engines: the message over an engine's walker
     paths, read at the sorted checkpoints.  The engine yields blocks
@@ -366,19 +434,21 @@ def relay(
     carrier.  Its displacement from time 0 and the handoffs are read at
     each checkpoint: on the lattice (integer checkpoints) with those of
     its round, on the continuum only those strictly before its time.  Two
-    walkers also give their contacts, a contact start first, if cycles is True.
+    walkers also fold their contacts, a contact start first, into Cycles
+    (fold_cycles; a wrap moves lap_length), block by block.
     """
     side = "right" if checkpoints.dtype.kind == "i" else "left"
     car, laps, jumps, icp, origin = state.carrier, 0, 0, 0, None
     read = [np.empty(len(checkpoints)) for _ in range(2)]
-    contacts = ([], [], [], []) if cycles and streams.n_walkers == 2 else None
+    cycles = Cycles() if streams.n_walkers == 2 else None
+    last = (np.zeros(0, dtype=np.int64),) * 4  # no contact yet
     for end, when, cw, ccw, level, at in blocks:
         if origin is None:  # the first block, from time 0
             x = at(np.arange(streams.n_walkers), 0)
             origin = x[car]
-            if contacts is not None and contact:
+            if cycles is not None and contact:  # opens a cycle: no burn-in then
                 level_0 = int(np.rint((x[1] - x[0]) / size))
-                contacts = tuple([np.array([v])] for v in (0, 0, level_0, car))
+                last = tuple(np.array([v]) for v in (0, 0, level_0, car))
         hit, after, given = pass_message(car, when, cw, ccw, window, streams)
         held = np.concatenate(([car], after))
         jumped = held[1:] != held[:-1]
@@ -390,10 +460,9 @@ def relay(
         h = np.searchsorted(hit_t, ts, side=side)
         read[0][icp:stop] = at(held[h], ts) + size * lap[h] - origin
         read[1][icp:stop] = jumps + np.searchsorted(hit_t[jumped], ts, side=side)
-        if contacts is not None:  # every meeting decides and supplies itself
-            found = (when, at(after, when, hit) + size * lap[1:] - origin,
-                     (2 * cw - 1) * lv, after)
-            for field, values in zip(contacts, found):
-                field.append(values)
+        if cycles is not None:  # every meeting decides and supplies itself
+            cycles, last = fold_cycles(cycles, last, (
+                when, at(after, when, hit) + size * lap[1:] - origin,
+                (2 * cw - 1) * lv, after), burn, size, lap_length)
         car, laps, jumps, icp = int(held[-1]), int(lap[-1]), jumps + jumped.sum(), stop
-    return Readings(*read, contacts)
+    return Readings(*read, cycles)

@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -96,14 +96,12 @@ INDEPENDENCE_STATES = [
 def run_table(seed: int) -> dict:
     """The simulations the checks read at master seed `seed`, in queue
     order: run name -> (function, jobs), the longest job, the continuum
-    reference, first.  Only runs whose cycles a check reads keep them."""
+    reference, first."""
     small = DiscreteConfig(5, 0.3)
-    lattice = partial(simulate_discrete, cycles=False)
-    continuum = partial(simulate_continuous, cycles=False)
     return {
-        "continuous_reference": (continuum, [
+        "continuous_reference": (simulate_continuous, [
             (ContinuousConfig(2.0), 1e6, SeedSpec(seed, 30))]),
-        "discrete_reference": (lattice, [
+        "discrete_reference": (simulate_discrete, [
             (DiscreteConfig(11, 0.1), 10**6, SeedSpec(seed, k)) for k in range(8)]),
         "discrete_regen": (simulate_discrete, [
             (small, 3 * 10**5, SeedSpec(seed, 10 + k), "regeneration")
@@ -111,7 +109,7 @@ def run_table(seed: int) -> dict:
         "continuous_regen": (simulate_continuous, [
             (ContinuousConfig(1.0), 2e4, SeedSpec(seed, 20 + k), "regeneration")
             for k in range(2)]),
-        "independence": (lattice, [
+        "independence": (simulate_discrete, [
             (small, 10**6, SeedSpec(seed, 3000 + k), state)
             for k, state in enumerate(INDEPENDENCE_STATES)]),
         # about 4000 lattice rows 10N = 50 rounds apart over 100 cells, and
@@ -119,8 +117,9 @@ def run_table(seed: int) -> dict:
         "uniformity": (_uniformity_passes, [
             (sample, config, times, SeedSpec(seed, first + k))
             for sample, config, times, first in (
-                (discrete.sample_walker_states, small, range(2100, 205_001, 50), 1000),
-                (sample_walker_states, ContinuousConfig(1.0), range(20, 60_011, 10),
+                (discrete.sample_walker_states, small, np.arange(2100, 205_001, 50),
+                 1000),
+                (sample_walker_states, ContinuousConfig(1.0), np.arange(20, 60_011, 10),
                  2000))
             for k in range(100)]),
     }
@@ -330,33 +329,27 @@ def check_continuous_mc(ctx: AcceptanceContext) -> CheckResult:
     )
 
 
-def _cycle_sigmas(lengths: np.ndarray, target: float) -> float:
-    """The z-value of the mean cycle length against target, with the
-    standard error of a mean of independent cycles."""
-    return _sigmas(lengths.mean(), target, lengths.std(ddof=1) / np.sqrt(len(lengths)))
-
-
 def check_regeneration(ctx: AcceptanceContext) -> CheckResult:
     d_run, d_indep = ctx.run("discrete_regen")
     c_run, c_indep = ctx.run("continuous_regen")
-    dl, cl = d_run.cycle_lengths, c_run.cycle_lengths
+    dl, cl = d_run.cycles.lengths, c_run.cycles.lengths
     d_avg = estimators.speed_estimate(d_indep)
     kd = estimators.kac_check(d_run, d_avg.point, d_avg.stderr)
     c_avg = estimators.speed_estimate(c_indep)
     kc = estimators.kac_check(c_run, c_avg.point, c_avg.stderr)
     measured = {
-        "d_cycles": len(dl),
-        "d_mean_len": float(dl.mean()),
-        "d_len_sigmas": _cycle_sigmas(dl, 10.0),
-        "c_cycles": len(cl),
-        "c_mean_len": float(cl.mean()),
-        "c_len_sigmas": _cycle_sigmas(cl, 1.0),
+        "d_cycles": dl.count,
+        "d_mean_len": dl.mean(),
+        "d_len_sigmas": _sigmas(dl.mean(), 10.0, dl.stderr()),
+        "c_cycles": cl.count,
+        "c_mean_len": cl.mean(),
+        "c_len_sigmas": _sigmas(cl.mean(), 1.0, cl.stderr()),
         "d_kac_sigmas": _sigmas(kd.gap, 0.0, kd.stderr),
         "c_kac_sigmas": _sigmas(kc.gap, 0.0, kc.stderr),
     }
     return CheckResult(
         "regeneration-cycles",
-        len(dl) >= 10**4 and _within(measured),
+        dl.count >= 10**4 and _within(measured),
         measured,
         f"mean length within {SIGMA_BOUND} SE of 2N rounds / N/v time over "
         f">= 1e4 cycles; cycle-sum identity within {SIGMA_BOUND} combined SE",
@@ -367,23 +360,21 @@ def check_regeneration(ctx: AcceptanceContext) -> CheckResult:
 
 def check_excursions(ctx: AcceptanceContext) -> CheckResult:
     report = ctx.run("continuous_regen")[0]
-    summary = estimators.excursion_classifier(report)
-    n = summary.n_cycles
-    wrap = summary.wrap_fraction
-    se_wrap = np.sqrt(max(wrap * (1 - wrap), 1e-12) / n)
-    jumps = report.cycle_jumps.mean()
-    se_jump = np.sqrt(max(jumps * (1 - jumps), 1e-12) / n)
+    cycles = estimators.excursion_classifier(report)
+    n = report.n_cycles
+    wrap, jumps = cycles.wraps / n, cycles.handoffs / n
+    se_wrap, se_jump = (np.sqrt(max(p * (1 - p), 1e-12) / n) for p in (wrap, jumps))
     measured = {
         "cycles": n,
         "wrap_fraction": wrap,
         "wrap_sigmas": _sigmas(wrap, 2 / 3, se_wrap),
-        "jump_fraction": float(jumps),
+        "jump_fraction": jumps,
         "jump_sigmas": _sigmas(jumps, 1 / 3, se_jump),
-        "max_displacement_dev": summary.max_deviation,
+        "max_displacement_dev": cycles.max_deviation,
     }
     return CheckResult(
         "excursion-law",
-        _within(measured) and summary.max_deviation <= 1e-9 * report.lap_length,
+        _within(measured) and cycles.max_deviation <= 1e-9 * report.lap_length,
         measured,
         f"fractions within {SIGMA_BOUND} SE of 2/3 and 1/3; "
         "displacements within 1e-9 of {0, N}",

@@ -1,6 +1,7 @@
 """Fixtures shared by the engine tests."""
 import pytest
 
+from oracles import CycleCapture
 from ringrelay import model
 
 
@@ -25,3 +26,13 @@ def later_supplies(monkeypatch):
 
     monkeypatch.setattr(model, "pass_message", record)
     return count
+
+
+@pytest.fixture
+def cycle_arrays(monkeypatch):
+    """Watches model.fold_cycles for the test.  Calling the fixture's
+    value on a report of a run made meanwhile gives that run's cycles as
+    per-cycle arrays (oracles.CycleCapture.arrays)."""
+    capture = CycleCapture(model.fold_cycles)
+    monkeypatch.setattr(model, "fold_cycles", capture)
+    return capture.arrays

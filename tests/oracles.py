@@ -10,7 +10,11 @@ src/ringrelay against them on a shared seed:
 * loop_pass_message, the relay walk over meetings one at a time, with
   the meeting that supplies each carrier;
 * fd_partials, central differences in place of a potential's partials
-  in exact.apply_generator.
+  in exact.apply_generator;
+* CycleCapture, which keeps the contacts model.fold_cycles folds and
+  rebuilds a run's cycles from them, one array per quantity, and
+  cycle_record, the moments of such arrays computed afresh, the record
+  the fold must have built.
 
 The simulation oracles consume the walker streams exactly as the
 engines do, so on a shared seed an engine and its oracle must give the
@@ -19,14 +23,18 @@ same path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from ringrelay import errors
 from ringrelay.continuous import default_tol
 from ringrelay.model import (
     ContinuousConfig,
+    Cycles,
     DiscreteConfig,
+    Moments,
     State,
     WalkerStreams,
     circle_delta,
@@ -224,3 +232,82 @@ def fd_partials(func, config: ContinuousConfig):
         return grad
 
     return partials
+
+
+CYCLE_ARRAYS = ("cycle_lengths", "cycle_displacements", "cycle_carrier_sums",
+                "cycle_jumps")
+NO_CONTACT = (np.zeros(0, dtype=np.int64),) * 4  # model.fold_cycles' last before any
+
+
+class CycleCapture:
+    """A stand-in for model.fold_cycles that folds as it does and keeps
+    the contacts each record is folded from.  arrays(report) rebuilds the
+    cycles of report's run from them as the CYCLE_ARRAYS, one entry per
+    cycle: its length, the carrier's displacement around its partner, the
+    message's displacement inside it and whether it ended in a handoff;
+    each None for a run without cycles (m > 2)."""
+
+    def __init__(self, fold):
+        self.fold = fold
+        self.calls = []  # (record before and after, last, contacts, burn, size)
+
+    def __call__(self, cycles, last, contacts, burn, size, lap_length):
+        folded = self.fold(cycles, last, contacts, burn, size, lap_length)
+        self.calls.append((cycles, folded[0], last, contacts, burn, size))
+        return folded
+
+    def arrays(self, report) -> SimpleNamespace:
+        if report.cycles is None:
+            return SimpleNamespace(**dict.fromkeys(CYCLE_ARRAYS))
+        # the run's folds, found from its last back to its first
+        record, calls = report.cycles, []
+        for call in reversed(self.calls):
+            if call[1] is record:
+                calls.insert(0, call)
+                record = call[0]
+        _, _, start, _, burn, size = calls[0]  # a contact start, or no contact
+        blocks = [start] + [call[3] for call in calls]
+        joined = [np.concatenate(field) for field in zip(*blocks)]
+        first = np.searchsorted(joined[0], burn)  # contacts come in time order
+        time, disp, level, car = (values[first:] for values in joined)
+        # walker 1 carrying moves around walker 0 as the gap x1 - x0 does
+        around = np.where(car[:-1] == 1, 1, -1) * np.diff(level) * size
+        return SimpleNamespace(
+            cycle_lengths=np.diff(time).astype(float, copy=False),
+            cycle_displacements=around.astype(float, copy=False),
+            cycle_carrier_sums=np.diff(disp).astype(float, copy=False),
+            cycle_jumps=car[1:] != car[:-1],
+        )
+
+
+def cycle_record(arrays, lap_length) -> Cycles:
+    """The Cycles record of per-cycle arrays such as CycleCapture.arrays
+    gives, each moment by a fresh two-pass sum over all cycles."""
+    def moments(values):
+        values = np.asarray(values, dtype=float)
+        if not len(values):
+            return Moments()
+        return Moments(len(values), float(values.sum()),
+                       float(((values - values.mean()) ** 2).sum()))
+
+    disp = np.asarray(arrays.cycle_displacements, dtype=float)
+    wrapped = disp > lap_length / 2
+    deviation = np.where(wrapped, np.abs(disp - lap_length), np.abs(disp))
+    return Cycles(moments(arrays.cycle_lengths), moments(arrays.cycle_carrier_sums),
+                  int(wrapped.sum()), int(np.sum(arrays.cycle_jumps)),
+                  float(deviation.max(initial=0.0)))
+
+
+def assert_cycles_match(record: Cycles, expected: Cycles, exact_sums=False) -> None:
+    """record holds expected's counts and largest deviation exactly, and
+    its moments within 1e-12 relative; with exact_sums (integer values,
+    as lattice lengths and displacements are) the sums exactly too."""
+    for name in ("wraps", "handoffs", "max_deviation"):
+        assert getattr(record, name) == getattr(expected, name), name
+    for got, want in ((record.lengths, expected.lengths),
+                      (record.carried, expected.carried)):
+        assert got.count == want.count
+        if exact_sums:
+            assert got.total == want.total
+        assert got.total == pytest.approx(want.total, rel=1e-12)
+        assert got.squares == pytest.approx(want.squares, rel=1e-12)

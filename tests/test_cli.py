@@ -425,6 +425,30 @@ class TestConfigTable:
             for name in functions:
                 assert callable(getattr(module, name, None)), (module_name, name)
 
+    @pytest.mark.parametrize("simulate,config,length", [
+        (simulate_discrete, DiscreteConfig(5, 0.3), 2000),
+        (simulate_discrete, DiscreteConfig(5, 0.3, 3), 2000),
+        (simulate_continuous, ContinuousConfig(1.0), 200.0),
+        (simulate_continuous, ContinuousConfig(1.0, n_walkers=3), 200.0),
+    ])
+    def test_traced_counts_read_the_report(self, simulate, config, length):
+        # the simulators' spans count handoffs and cycles off RunReport's
+        # jump_count and n_cycles, as a traced benchmark run does
+        spec = importlib.util.spec_from_file_location(
+            "tracing", ROOT / "perfbench" / "tracing.py"
+        )
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        layer, describe = tracing.TRACED[simulate.__module__.split(".")[-1]][
+            simulate.__name__]
+        report = simulate(config, length, SeedSpec(3), "uniform-random")
+        name, counts = describe((config, length), report)
+        assert name == ("pair" if config.n_walkers == 2 else "many")
+        assert counts["handoffs"] == report.jump_count > 0
+        if layer == "continuous":
+            assert counts["cycles"] == report.n_cycles
+            assert (report.n_cycles > 0) == (config.n_walkers == 2)
+
 
 class TestSimulate:
     def test_huge_ring_prints_finite_numbers(self, capsys):

@@ -227,7 +227,7 @@ ORACLE_CASES = {
 
 class TestSimulateContinuous:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_matches_pure_op_reference(self, case, later_supplies):
+    def test_matches_pure_op_reference(self, case, later_supplies, cycle_arrays):
         config, seed, initial = ORACLE_CASES[case]
         horizon = 200.0
         times = 7.0 * np.arange(1, 29)  # checkpoints read along the run
@@ -251,18 +251,19 @@ class TestSimulateContinuous:
             assert later_supplies() > 0
         if config.n_walkers > 2:
             # regeneration cycles are a two-walker construction
-            assert report.cycle_lengths is None
+            assert report.cycles is None
             return
         assert report.n_cycles == len(cycles) > 0
-        np.testing.assert_array_equal(report.cycle_jumps, [j for _, j in cycles])
+        kept = cycle_arrays(report)
+        np.testing.assert_array_equal(kept.cycle_jumps, [j for _, j in cycles])
         np.testing.assert_allclose(
-            report.cycle_lengths, [length for length, _ in cycles], atol=1e-9
+            kept.cycle_lengths, [length for length, _ in cycles], atol=1e-9
         )
         # two walkers: a cycle wraps the ring exactly when it ends without
         # a handoff
         np.testing.assert_array_equal(
-            report.cycle_displacements,
-            np.where(report.cycle_jumps, 0.0, config.circumference),
+            kept.cycle_displacements,
+            np.where(kept.cycle_jumps, 0.0, config.circumference),
         )
 
     def test_twenty_walkers_match_pure_op_reference(self):
@@ -296,7 +297,7 @@ class TestSimulateContinuous:
         )
 
     @pytest.mark.parametrize("m", [pytest.param(2, id="m2"), pytest.param(4, id="m4")])
-    def test_chunk_size_changes_nothing(self, monkeypatch, m):
+    def test_chunk_size_changes_nothing(self, monkeypatch, cycle_arrays, m):
         # the engine carries walker state, pair gaps, the carrier and the
         # open cycle between chunks of switches; cutting the run into many
         # small chunks must give the same counts and, up to roundoff, the
@@ -318,12 +319,12 @@ class TestSimulateContinuous:
         if m == 2:
             counts += ["cycle_jumps", "cycle_displacements"]
             sums += ["cycle_lengths", "cycle_carrier_sums"]
+        # the per-cycle arrays rebuilt from the contacts each run folded
+        cut, whole = ({**vars(cycle_arrays(r)), **vars(r)} for r in (cut, whole))
         for key in counts:
-            np.testing.assert_array_equal(getattr(cut, key), getattr(whole, key))
+            np.testing.assert_array_equal(cut[key], whole[key])
         for key in sums:
-            np.testing.assert_allclose(
-                getattr(cut, key), getattr(whole, key), rtol=1e-12, atol=1e-12
-            )
+            np.testing.assert_allclose(cut[key], whole[key], rtol=1e-12, atol=1e-12)
 
     def test_chunk_rule(self):
         # two walkers keep SWITCH_CHUNK switches each; m up to 10 take at
@@ -347,20 +348,22 @@ class TestSimulateContinuous:
         assert r1.jump_count == r2.jump_count
         np.testing.assert_array_equal(r1.batch_displacement, r2.batch_displacement)
 
-    def test_cycle_displacements_exactly_zero_or_lap(self):
+    def test_cycle_displacements_exactly_zero_or_lap(self, cycle_arrays):
         # taken from the gap's level crossings, so no drift with horizon
         for horizon in (3000.0, 2e5):
             report = simulate_continuous(
                 CFG1, horizon, SeedSpec(11, 0), "regeneration"
             )
-            assert set(report.cycle_displacements) == {0.0, report.lap_length}
+            kept = cycle_arrays(report)
+            assert set(kept.cycle_displacements) == {0.0, report.lap_length}
 
-    def test_jump_happens_exactly_on_non_wrapping_cycles(self):
+    def test_jump_happens_exactly_on_non_wrapping_cycles(self, cycle_arrays):
         # without a flip at the meeting, the class of the excursion
         # decides the handoff deterministically
         report = simulate_continuous(CFG1, 2000.0, SeedSpec(13, 0), "regeneration")
-        wrapped = report.cycle_displacements > report.lap_length / 2
-        np.testing.assert_array_equal(report.cycle_jumps, ~wrapped)
+        kept = cycle_arrays(report)
+        wrapped = kept.cycle_displacements > report.lap_length / 2
+        np.testing.assert_array_equal(kept.cycle_jumps, ~wrapped)
 
     def test_explicit_initial_state(self):
         state = State(
@@ -401,7 +404,7 @@ class TestSimulateContinuous:
     def test_three_walkers_run(self):
         cfg = ContinuousConfig(2.0, 1.0, 1.0, n_walkers=3)
         report = simulate_continuous(cfg, 200.0, SeedSpec(9, 0))
-        assert report.cycle_lengths is None
+        assert report.cycles is None
         assert report.params["m"] == 3
 
 

@@ -10,15 +10,18 @@ of switches and meetings fixed these counts; they were digested from
 the last engine that also recorded walker samples, run at each case's
 former sample spacing.  Every case is run at the default chunk size
 and, except the long run, in chunks of SWITCH_CHUNK = 7, and must match
-its digest bit for bit either way.  Run this file as a script to print
-the digests of the current engine.
+its digest bit for bit either way.  The per-cycle arrays are rebuilt
+from the contacts the run folds (oracles.CycleCapture), as reports
+carried them then.  Run this file as a script to print the digests of
+the current engine.
 """
 import hashlib
 
 import numpy as np
 import pytest
 
-from ringrelay import continuous
+from oracles import CycleCapture
+from ringrelay import continuous, model
 from ringrelay.model import ContinuousConfig, SeedSpec, State
 
 COUNTS = ["jump_count", "batch_jumps", "cycle_jumps", "cycle_displacements",
@@ -57,10 +60,12 @@ DIGESTS = [
 LONG = 1e5  # runs at least this long are not repeated in tiny chunks
 
 
-def counts_digest(report) -> str:
+def counts_digest(report, arrays) -> str:
+    """The digest of the COUNTS of report, those of its cycles from arrays."""
+    fields = {**vars(report), **vars(arrays)}
     h = hashlib.sha256()
     for name in COUNTS:
-        value = getattr(report, name)
+        value = fields[name]
         h.update(name.encode())
         if isinstance(value, np.ndarray):
             h.update(f"{value.dtype}{value.shape}".encode())
@@ -92,10 +97,11 @@ RUNS = [
 
 
 @pytest.mark.parametrize("case,digest,chunk", RUNS)
-def test_counts_match_golden_digest(monkeypatch, case, digest, chunk):
+def test_counts_match_golden_digest(monkeypatch, cycle_arrays, case, digest, chunk):
     if chunk is not None:
         monkeypatch.setattr(continuous, "SWITCH_CHUNK", chunk)
-    assert counts_digest(run_case(*case)) == digest
+    report = run_case(*case)
+    assert counts_digest(report, cycle_arrays(report)) == digest
 
 
 def test_one_digest_per_case():
@@ -103,5 +109,7 @@ def test_one_digest_per_case():
 
 
 if __name__ == "__main__":
+    capture = model.fold_cycles = CycleCapture(model.fold_cycles)
     for case in CASES:
-        print(f'    "{counts_digest(run_case(*case))}",')
+        report = run_case(*case)
+        print(f'    "{counts_digest(report, capture.arrays(report))}",')

@@ -194,7 +194,8 @@ class TestEngineAgainstStepLoop:
             *WRAP_HANDOFFS,
         ],
     )
-    def test_trajectory_equality(self, seed, init, monkeypatch, later_supplies):
+    def test_trajectory_equality(self, seed, init, monkeypatch, later_supplies,
+                                 cycle_arrays):
         n, positions, directions, carrier = init
         cfg = DiscreteConfig(n, 0.3, len(positions))
         steps = 1500
@@ -232,7 +233,7 @@ class TestEngineAgainstStepLoop:
             np.testing.assert_array_equal(report.trace_cost, hops[ts] / ts)
 
             if cfg.n_walkers > 2:
-                assert report.cycle_lengths is None
+                assert report.cycles is None
                 # a tie-break hands the message to a walker that the
                 # deciding meeting did not bring, save on the huge ring,
                 # where walkers meet too seldom in these rounds
@@ -240,7 +241,8 @@ class TestEngineAgainstStepLoop:
                 continue
             # regeneration cycle boundaries
             vs = [t for t in visits if t >= burn]
-            np.testing.assert_array_equal(report.cycle_lengths, np.diff(vs))
+            np.testing.assert_array_equal(cycle_arrays(report).cycle_lengths,
+                                          np.diff(vs))
             # carrier never changes strictly inside a cycle: handoffs land
             # exactly on regeneration visits
             assert set(np.flatnonzero(jumped)) <= set(visits)
@@ -269,12 +271,13 @@ class TestEngineAgainstStepLoop:
             assert np.all(pos[1, :2] == 0)  # the meeting in round 1
             assert jumped.sum() > 0
 
-    def test_cycle_displacements_are_zero_or_full_laps(self):
+    def test_cycle_displacements_are_zero_or_full_laps(self, cycle_arrays):
         cfg = DiscreteConfig(5, 0.3)
         report = discrete.simulate_discrete(
             cfg, 60_000, SeedSpec(99, 0), "regeneration"
         )
-        disp = report.cycle_displacements
+        kept = cycle_arrays(report)
+        disp = kept.cycle_displacements
         lap = report.lap_length
         assert lap == 10
         assert np.all((disp == 0) | (disp == lap))
@@ -286,7 +289,7 @@ class TestEngineAgainstStepLoop:
         wrap = (disp == lap).mean()
         a = 0.7 / 1.9  # (1-eps)/(1+3 eps) at N=5, eps=0.3
         assert abs(wrap - a) <= 3 * np.sqrt(a * (1 - a) / n_cyc)
-        jumped = report.cycle_jumps
+        jumped = kept.cycle_jumps
         on_zero = jumped[disp == 0]
         se = np.sqrt(0.7 * 0.3 / len(on_zero))
         assert abs(on_zero.mean() - 0.7) <= 3 * se
@@ -295,7 +298,7 @@ class TestEngineAgainstStepLoop:
         cfg = DiscreteConfig(7, 0.2, n_walkers=3)
         report = discrete.simulate_discrete(cfg, 3000, SeedSpec(5, 0))
         assert report.total_time == 3000 - report.burn_in
-        assert report.cycle_lengths is None
+        assert report.cycles is None
         s = estimators.speed_estimate(report)
         assert -1 <= s.point <= 1
 

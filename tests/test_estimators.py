@@ -1,16 +1,18 @@
 """Estimator layer on synthetic reports with known answers."""
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
+from oracles import CYCLE_ARRAYS, NO_CONTACT, assert_cycles_match, cycle_record
 from ringrelay import cli, errors, estimators, validation
 from ringrelay.continuous import simulate_continuous
 from ringrelay.discrete import simulate_discrete
-from ringrelay.model import Readings
+from ringrelay.model import Cycles, Moments, Readings, fold_cycles
 from ringrelay.estimators import (
     RunReport,
     build_report,
@@ -43,9 +45,8 @@ def make_report(
     if batch_cw is None:
         batch_cw = np.full(nb, batch_duration / 2)
     if cycles is None:
-        lengths = disp = sums = jumps = np.array([])
-    else:
-        lengths, disp, sums, jumps = cycles
+        cycles = [np.array([])] * 4
+    arrays = SimpleNamespace(**dict(zip(CYCLE_ARRAYS, cycles)))
     total = nb * batch_duration
     return RunReport(
         params={"model": model, "N": 5},
@@ -59,10 +60,7 @@ def make_report(
         batch_displacement=batch_disp,
         batch_jumps=np.asarray(batch_jumps, dtype=float),
         batch_clockwise=np.asarray(batch_cw, dtype=float),
-        cycle_lengths=np.asarray(lengths, dtype=float),
-        cycle_displacements=np.asarray(disp, dtype=float),
-        cycle_carrier_sums=np.asarray(sums, dtype=float),
-        cycle_jumps=np.asarray(jumps, dtype=bool),
+        cycles=cycle_record(arrays, lap),
     )
 
 
@@ -96,11 +94,17 @@ class TestBatchEstimates:
 
 def synthetic_run(end, in_contact=False, contacts=None):
     """build_report over an engine whose carrier moves clockwise at unit
-    speed and hands off every 10 time units."""
+    speed and hands off every 10 time units, on a ring of 5 sites whose
+    wraps move 10, folding the blocks of contacts (None: m > 2)."""
 
-    def engine(checkpoints):
+    def engine(checkpoints, burn, lap_length):
         t = checkpoints.astype(float)
-        return Readings(t, t // 10, contacts)
+        cycles, last = None, NO_CONTACT
+        if contacts is not None:
+            cycles = Cycles()
+            for block in contacts:
+                cycles, last = fold_cycles(cycles, last, block, burn, 5, lap_length)
+        return Readings(t, t // 10, cycles)
 
     return build_report(
         engine, params={"model": "discrete", "N": 5}, seed=SeedSpec(1, 0),
@@ -109,11 +113,10 @@ def synthetic_run(end, in_contact=False, contacts=None):
 
 
 def contacts_of(time, disp, level, car, split=2):
-    """Contacts as an engine reports them: each field in blocks of split."""
-    return tuple(
-        [np.asarray(field[i:i + split]) for i in range(0, max(len(field), 1), split)]
-        for field in (time, disp, level, car)
-    )
+    """Contacts as model.relay folds them: blocks of split, each a
+    (time, disp, level, car) tuple of arrays."""
+    return [tuple(np.asarray(field[i:i + split]) for field in (time, disp, level, car))
+            for i in range(0, max(len(time), 1), split)]
 
 
 class TestBuildReport:
@@ -150,18 +153,22 @@ class TestBuildReport:
         assert report.batch_duration == 0.0
 
     def test_cycles_from_contacts(self):
-        contacts = contacts_of(
-            time=[0, 4, 10, 30, 60],
-            disp=[0, 3, 5, 12, 20],
-            level=[0, 0, 2, 4, 4],
-            car=[1, 0, 1, 0, 0],
-        )
-        report = synthetic_run(1000, contacts=contacts)  # burn-in 10
-        # the contact at round 10 is kept and opens the first cycle
-        np.testing.assert_array_equal(report.cycle_lengths, [20.0, 30.0])
-        np.testing.assert_array_equal(report.cycle_carrier_sums, [7.0, 8.0])
-        np.testing.assert_array_equal(report.cycle_jumps, [True, False])
-        assert report.cycle_lengths.dtype == report.cycle_carrier_sums.dtype == float
+        for split in (1, 2, 5):  # contacts folded in blocks of 1, 2 and 5
+            contacts = contacts_of(
+                time=[0, 4, 10, 30, 60],
+                disp=[0, 3, 5, 12, 20],
+                level=[0, 0, 2, 4, 4],
+                car=[1, 0, 1, 0, 0],
+                split=split,
+            )
+            report = synthetic_run(1000, contacts=contacts)  # burn-in 10
+            # the contact at round 10 is kept and opens the first cycle:
+            # lengths 20 and 30, carrier sums 7 and 8, one handoff, and the
+            # carrier (walker 1) moves a whole lap of 10 around walker 0
+            assert report.cycles == Cycles(
+                Moments(2, 50.0, 50.0), Moments(2, 15.0, 0.5),
+                wraps=1, handoffs=1, max_deviation=0.0)
+            assert isinstance(report.cycles.lengths.total, float)
 
     def test_partner_displacement_sign_follows_the_carrier(self):
         # walker 1 carrying moves around walker 0 as x1 - x0 does, and
@@ -173,9 +180,10 @@ class TestBuildReport:
             car=[1, 0, 1, 0, 1],
         )
         report = synthetic_run(50, in_contact=True, contacts=contacts)
-        np.testing.assert_array_equal(
-            report.cycle_displacements, [10.0, 10.0, -10.0, 0.0]
-        )
+        # displacements 10, 10, -10 and 0: two wrap, and -10 lies 10 from 0
+        assert report.cycles.wraps == 2
+        assert report.cycles.max_deviation == 10.0
+        assert report.cycles.handoffs == 4
 
     def test_start_contact_opens_a_cycle_only_without_burn_in(self):
         def contacts():
@@ -187,17 +195,18 @@ class TestBuildReport:
     def test_no_contacts_no_cycles(self):
         report = synthetic_run(1000, contacts=contacts_of([], [], [], []))
         assert report.n_cycles == 0
-        assert report.cycle_jumps.dtype == bool
+        assert report.cycles == Cycles()
         with pytest.raises(errors.RelayError, match="no completed cycles"):
             excursion_classifier(report)
 
     def test_many_walkers_carry_no_cycles(self):
         report = synthetic_run(1000, contacts=None)
-        assert report.cycle_lengths is None and report.n_cycles == 0
+        assert report.cycles is None and report.n_cycles == 0
 
 
 class TestMerge:
-    def run(self, seed):
+    def draw(self, seed):
+        """Per-cycle arrays and batch sums of one replica."""
         rng = np.random.default_rng(seed)
         cycles = (
             rng.integers(1, 20, size=30).astype(float),
@@ -205,7 +214,17 @@ class TestMerge:
             rng.normal(size=30),
             rng.integers(0, 2, size=30).astype(bool),
         )
-        return make_report(rng.normal(5, 1, size=50), cycles=cycles)
+        return cycles, rng.normal(5, 1, size=50)
+
+    def run(self, seed):
+        cycles, batches = self.draw(seed)
+        return make_report(batches, cycles=cycles)
+
+    @property
+    def pooled(self):
+        """The per-cycle arrays of runs 1 and 2 together."""
+        return SimpleNamespace(**{key: np.concatenate(pair) for key, pair in zip(
+            CYCLE_ARRAYS, zip(self.draw(1)[0], self.draw(2)[0]))})
 
     def test_merge_pools_everything(self):
         a, b = self.run(1), self.run(2)
@@ -216,9 +235,8 @@ class TestMerge:
         )
         assert m.n_cycles == 60
         assert len(m.batch_displacement) == 100
-        np.testing.assert_array_equal(
-            m.cycle_lengths, np.concatenate([a.cycle_lengths, b.cycle_lengths])
-        )
+        # the record of the 60 cycles pooled
+        assert_cycles_match(m.cycles, cycle_record(self.pooled, 10.0))
 
     def test_merge_is_associative_on_estimates(self):
         a, b, c = self.run(1), self.run(2), self.run(3)
@@ -343,7 +361,7 @@ class TestKac:
         est = speed_estimate(report)
         check = kac_check(report, est.point, est.stderr)
         assert abs(check.gap) <= 3 * check.stderr
-        product = report.cycle_lengths.mean() * est.point
+        product = report.cycles.lengths.mean() * est.point
         assert abs(check.gap) / product < 0.05
         assert report.n_cycles == 500
 
@@ -370,11 +388,11 @@ class TestExcursions:
                 np.array([1, 0, 1, 0, 1], dtype=bool),
             ),
         )
-        summary = excursion_classifier(report)
-        assert summary.n_cycles == 5
-        assert round(summary.wrap_fraction * summary.n_cycles) == 2
-        assert summary.wrap_fraction == pytest.approx(0.4)
-        assert summary.max_deviation == pytest.approx(1e-12, rel=1)
+        cycles = excursion_classifier(report)
+        assert cycles is report.cycles and report.n_cycles == 5
+        assert cycles.wraps == 2
+        assert cycles.wraps / report.n_cycles == pytest.approx(0.4)
+        assert cycles.max_deviation == pytest.approx(1e-12, rel=1)
 
     def test_empty_raises(self):
         report = make_report(np.ones(50))

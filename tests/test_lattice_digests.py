@@ -7,9 +7,12 @@ values; they were digested from the last engine that also recorded
 walker samples, run at each case's former sample spacing, over every
 field but the two sample arrays.  The model name, once a field `kind`
 ahead of the others, is hashed in its place from params["model"], so
-the values outlive the field.  Any rewrite of the lattice engine must
-reproduce every one of them bit for bit.  Run this file as a script to
-print the digests of the current engine.
+the values outlive the field.  Likewise the four per-cycle arrays that
+reports carried then are rebuilt from the contacts the run folds
+(oracles.CycleCapture) and hashed where its cycles record now stands.
+Any rewrite of the lattice engine must reproduce every one of them bit
+for bit.  Run this file as a script to print the digests of the current
+engine.
 """
 import dataclasses
 import hashlib
@@ -17,7 +20,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from ringrelay import discrete
+from oracles import CYCLE_ARRAYS, CycleCapture
+from ringrelay import discrete, model
 from ringrelay.model import DiscreteConfig, SeedSpec, State
 
 # N, epsilon, m, steps, (master, replica), initial, trace_every;
@@ -89,12 +93,18 @@ DIGESTS = [
 ]
 
 
-def report_digest(report) -> str:
+def report_digest(report, arrays) -> str:
+    """The digest of every field of report, the arrays of its cycles in
+    place of the record."""
+    names = [f.name for f in dataclasses.fields(report)]
+    at = names.index("cycles")
+    names[at:at + 1] = CYCLE_ARRAYS
+    fields = {**vars(report), **vars(arrays)}
     h = hashlib.sha256()
     h.update(b"kind" + repr(report.params["model"]).encode())
-    for f in dataclasses.fields(report):
-        value = getattr(report, f.name)
-        h.update(f.name.encode())
+    for name in names:
+        value = fields[name]
+        h.update(name.encode())
         if isinstance(value, np.ndarray):
             h.update(f"{value.dtype}{value.shape}".encode())
             h.update(np.ascontiguousarray(value).tobytes())
@@ -116,8 +126,9 @@ def run_case(n, eps, m, steps, seed, initial, trace_every):
 
 
 @pytest.mark.parametrize("case,digest", zip(CASES, DIGESTS), ids=range(len(CASES)))
-def test_report_matches_golden_digest(case, digest):
-    assert report_digest(run_case(*case)) == digest
+def test_report_matches_golden_digest(cycle_arrays, case, digest):
+    report = run_case(*case)
+    assert report_digest(report, cycle_arrays(report)) == digest
 
 
 def test_one_digest_per_case():
@@ -125,5 +136,7 @@ def test_one_digest_per_case():
 
 
 if __name__ == "__main__":
+    capture = model.fold_cycles = CycleCapture(model.fold_cycles)
     for case in CASES:
-        print(f'    "{report_digest(run_case(*case))}",')
+        report = run_case(*case)
+        print(f'    "{report_digest(report, capture.arrays(report))}",')
