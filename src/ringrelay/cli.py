@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +78,11 @@ def _json(name: str, *types):
 
 
 REQUIRED = object()
-ALL = "simulate sweep exact bvp validate generator-check"
-# The models each subcommand takes: exact and bvp the lattice only, and by
-# default; validate and generator-check read no model.
-BOTH, LATTICE = ("discrete", "continuous"), ("discrete",)
-_MODELS = {"simulate": BOTH, "sweep": BOTH, "exact": LATTICE, "bvp": LATTICE}
+ALL = "simulate sweep exact validate"
+# The models each subcommand takes: exact the lattice only, and by
+# default; validate reads no model.
+BOTH = ("discrete", "continuous")
+_MODELS = {"simulate": BOTH, "sweep": BOTH, "exact": ("discrete",)}
 _STR, _OBJ = _json("a string", str), _json("an object", dict)
 _INITIAL = _json("a mode string or a state object", str, dict)
 _SEED = functools.partial(_int64, low=0)
@@ -89,15 +90,15 @@ _REPLICAS = functools.partial(_int64, low=1, high=MAX_REPLICAS + 1)
 
 # key: (subcommands that read it, type on the lattice, type on the
 # continuum, default).  A type of None: the model has no such key.
-# validate and generator-check read only the seed; they take every known
-# key and ignore the others, so one config document serves every command.
+# validate reads only the seed; it takes every known key and ignores the
+# others, so one config document serves every command.
 _KEYS = {
-    "model": ("simulate sweep exact bvp", _STR, _STR, REQUIRED),
-    "N": ("simulate exact bvp", _int64, _number, REQUIRED),
-    "epsilon": ("simulate exact bvp", _number, None, REQUIRED),
+    "model": ("simulate sweep exact", _STR, _STR, REQUIRED),
+    "N": ("simulate exact", _int64, _number, REQUIRED),
+    "epsilon": ("simulate exact", _number, None, REQUIRED),
     "v": ("simulate sweep", None, _number, 1.0),
     "r": ("simulate", None, _number, 1.0),
-    "m": ("simulate sweep exact bvp", _int64, _int64, 2),
+    "m": ("simulate sweep exact", _int64, _int64, 2),
     "steps": ("simulate sweep", _int64, None, 100_000),
     "horizon": ("simulate sweep", None, _number, 10_000.0),
     "replicas": ("simulate sweep", _REPLICAS, _REPLICAS, 1),
@@ -108,6 +109,13 @@ _KEYS = {
 }
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object; json.loads alone keeps a repeated key's last value."""
+    for key in sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1):
+        raise RelayError(f"a JSON object repeats key {key!r}")
+    return dict(pairs)
+
+
 def _load_config(args) -> dict:
     """The config of args.command: the file, then the --set overrides,
     then --seed.  Every key it reads is typed or defaulted; null leaves a
@@ -115,8 +123,9 @@ def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config:
         try:
-            cfg = json.loads(Path(args.config).read_text())
-        except OSError as err:
+            text = Path(args.config).read_text(encoding="utf-8")
+            cfg = json.loads(text, object_pairs_hook=_distinct_keys)
+        except (OSError, UnicodeDecodeError) as err:
             raise RelayError(f"cannot read config: {err}") from err
         except json.JSONDecodeError as err:
             raise RelayError(f"config is not valid JSON: {err}") from err
@@ -127,7 +136,7 @@ def _load_config(args) -> dict:
         if not sep or not key:
             raise RelayError(f"--set expects KEY=VALUE, got {item!r}")
         try:
-            cfg[key.strip()] = json.loads(raw)
+            cfg[key.strip()] = json.loads(raw, object_pairs_hook=_distinct_keys)
         except json.JSONDecodeError:
             cfg[key.strip()] = raw
     if args.seed is not None:
@@ -164,7 +173,7 @@ def _model_config(cfg: dict):
 
 def _two_walker_config(cfg: dict):
     """The model config of a run compared with the two-walker formulas or
-    exact solves (exact, bvp, sweep): m must be 2, and a lattice ring
+    exact solves (exact, sweep): m must be 2, and a lattice ring
     must have at most EXACT_SIZE_LIMIT sites."""
     if cfg["model"] == "discrete" and cfg["N"] > EXACT_SIZE_LIMIT:
         raise RelayError(f"size limit exceeded: N={cfg['N']} > {EXACT_SIZE_LIMIT}")
@@ -306,17 +315,16 @@ def cmd_simulate(args) -> int:
     )
     seed, replicas = cfg["seed"], cfg["replicas"]
     jobs = [(config, length, SeedSpec(seed, k), initial) for k in range(replicas)]
-    out_dir = args.out
-    _make_out(out_dir, directory=True)
+    _make_out(args.out, directory=True)
     with validation.RunQueue({"replicas": (simulate, jobs)}, args.threads) as queue:
         reports = queue.run("replicas")
     merged = estimators.merge(reports)
 
-    if out_dir is None:
+    if args.out is None:
         _dump_json(_report_payload(merged), None)
         return 0
     for k, report in enumerate(reports):
-        _dump_json(_report_payload(report), out_dir / f"replica_{k:03d}.json")
+        _dump_json(_report_payload(report), args.out / f"replica_{k:03d}.json")
         if report.trace_times is not None:
             time_col = "step" if kind == "discrete" else "time"
             rows = zip(map(_num, report.trace_times.tolist()),
@@ -325,9 +333,9 @@ def cmd_simulate(args) -> int:
             _write_csv(
                 rows,
                 [time_col, "running_speed", "running_cost"],
-                out_dir / f"trace_{k:03d}.csv",
+                args.out / f"trace_{k:03d}.csv",
             )
-    _dump_json(_report_payload(merged), out_dir / "report.json")
+    _dump_json(_report_payload(merged), args.out / "report.json")
     return 0
 
 
@@ -335,25 +343,6 @@ def cmd_exact(args) -> int:
     config = _two_walker_config(_load_config(args))
     _make_out(args.out)
     _dump_json(validation.exact_comparison(config.n_sites, config.flip_prob), args.out)
-    return 0
-
-
-def cmd_bvp(args) -> int:
-    config = _two_walker_config(_load_config(args))
-    _make_out(args.out)
-    n, eps = config.n_sites, config.flip_prob
-    sol = exact.solve_trace_bvp(n, eps)
-    payload = {
-        "N": n,
-        "epsilon": eps,
-        "A": sol.crossing_prob,
-        "closed_A": 2.0 * closed_form.speed_discrete(n, eps),
-        "oracle_A": exact.hitting_prob_oracle(n, eps),
-        "residual": exact.bvp_residual(sol),
-        "f": list(sol.f),
-        "g": list(sol.g),
-    }
-    _dump_json(payload, args.out)
     return 0
 
 
@@ -432,15 +421,6 @@ def cmd_validate(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def cmd_generator_check(args) -> int:
-    seed = _load_config(args)["seed"]
-    _make_out(args.out)
-    ctx = validation.AcceptanceContext(seed, args.threads)
-    result = validation.check_generator(ctx)
-    _dump_json(result.to_dict(), args.out)
-    return 0 if result.passed else 1
-
-
 # ----------------------------------------------------------------------
 # entry point
 
@@ -449,8 +429,6 @@ _COMMANDS = {
     "exact": (cmd_exact, "exact two-walker stationary metrics and deviations"),
     "sweep": (cmd_sweep, "grid of formula/exact/Monte Carlo values as CSV"),
     "validate": (cmd_validate, "run the full acceptance checklist"),
-    "bvp": (cmd_bvp, "solve the wrap-probability boundary value problem"),
-    "generator-check": (cmd_generator_check, "spot-check the generator identities"),
 }
 
 

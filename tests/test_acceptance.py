@@ -79,6 +79,13 @@ def test_criterion_07_generator_identities(ctx):
     assert result.measured["max_LV_dev"] <= 1e-9
 
 
+def test_generator_identities_at_another_seed():
+    # the check draws its own states from the master seed
+    with validation.AcceptanceContext(5) as ctx:
+        result = validation.check_generator(ctx)
+    assert result.passed and result.measured["max_LH_dev"] < 1e-9
+
+
 def test_criterion_08_direction_occupation(ctx):
     result = run_check(validation.check_direction, ctx)
     assert result.measured["discrete_target"] == pytest.approx(

@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -229,12 +230,10 @@ class TestConfigHandling:
                          id="sweep-negative-seed"),
             pytest.param("validate", "discrete", "seed=-5", "seed",
                          id="validate-negative-seed"),
-            pytest.param("generator-check", "discrete", "seed=-1", "seed",
-                         id="generator-check-negative-seed"),
             pytest.param("simulate", "discrete", "stesp=10",
                          "unknown config key: 'stesp'", id="misspelt-key"),
-            pytest.param("generator-check", "discrete", "foo=1",
-                         "unknown config key: 'foo'", id="generator-check-unknown-key"),
+            pytest.param("validate", "discrete", "foo=1",
+                         "unknown config key: 'foo'", id="validate-unknown-key"),
             pytest.param("sweep", "discrete", "trace_every=10", "'trace_every'",
                          id="sweep-trace"),
             pytest.param("sweep", "discrete", "N=7", "'N'", id="sweep-top-level-N"),
@@ -320,6 +319,15 @@ class TestConfigHandling:
                          "cannot write output", id="sweep-out-is-a-directory"),
             pytest.param("validate", "discrete", "--out={tmp}/dir",
                          "cannot write output", id="validate-out-is-a-directory"),
+            # json.loads alone keeps the last value of a key an object repeats
+            pytest.param("exact", "discrete", "--config={tmp}/repeated.json",
+                         "repeats key 'N'", id="config-file-repeated-key"),
+            pytest.param("sweep", "discrete", 'grid={"N": [5], "N": [7], "epsilon": [0.3]}',
+                         "repeats key 'N'", id="sweep-grid-repeated-key"),
+            pytest.param("simulate", "discrete",
+                         'initial={"positions": [0, 2], "directions": [1, -1], '
+                         '"carrier": 0, "carrier": 1}', "repeats key 'carrier'",
+                         id="initial-repeated-key"),
         ],
     )
     def test_malformed_value_is_config_error(
@@ -332,13 +340,13 @@ class TestConfigHandling:
             ("sweep", "continuous"): ["horizon=50.0", 'grid={"N": [1], "r": [0.5]}'],
             ("exact", "discrete"): ["N=5"],
             ("validate", "discrete"): [],
-            ("generator-check", "discrete"): [],
         }[command, model]
         overrides = (override,) if isinstance(override, str) else override
         sets = [kv for kv in overrides if not kv.startswith("--")]
         flags = [kv.format(tmp=tmp_path) for kv in overrides if kv.startswith("--")]
         (tmp_path / "file").write_text("")
         (tmp_path / "dir").mkdir()
+        (tmp_path / "repeated.json").write_text('{"N": 5, "N": 7, "epsilon": 0.3}')
         args = [a for kv in [f"model={model}", *base, *sets] for a in ("--set", kv)]
         code, out, err = run_cli(capsys, command, *args, *flags)
         assert code == 2
@@ -347,7 +355,7 @@ class TestConfigHandling:
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert out == ""
 
-    @pytest.mark.parametrize("command", ["simulate", "validate", "generator-check"])
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_negative_seed_flag_is_config_error(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--set", "model=continuous",
                                  "--set", "N=1", "--seed", "-2")
@@ -356,10 +364,13 @@ class TestConfigHandling:
         assert out == ""
 
     def test_unreadable_config_file(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "exact", "--config", str(tmp_path / "missing.json")
-        )
-        assert code == 2
+        # a missing file, and one that is not UTF-8 (it opens with the
+        # UTF-16 byte-order mark)
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+        for name in ("missing.json", "utf16.json"):
+            code, out, err = run_cli(capsys, "exact", "--config", str(tmp_path / name))
+            assert code == 2 and out == ""
+            assert err.startswith("error: cannot read config") and err.count("\n") == 1
 
     def test_config_file_with_overrides(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -397,6 +408,15 @@ class TestConfigTable:
             assert sorted(listed.split()) == sorted(commands.split()), key
             read_on = [m for m, t in zip(("discrete", "continuous"), types) if t]
             assert models == ("both" if len(read_on) == 2 else read_on[0]), key
+
+    def test_readme_commands_are_the_commands(self):
+        # every command and script README's code blocks show exists, and
+        # they show every subcommand
+        blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+        shown = {m for b in blocks for m in re.findall(r"^\s*ringrelay ([\w-]+)", b, re.M)}
+        assert shown == set(cli._COMMANDS)
+        scripts = {m for b in blocks for m in re.findall(r"\bscripts/(\w+\.py)", b)}
+        assert scripts and all((ROOT / "scripts" / name).is_file() for name in scripts)
 
     @pytest.mark.parametrize("workload", ["gate", "lattice-exact", "many-walkers"])
     def test_benchmark_invocations_load(self, monkeypatch, tmp_path, workload):
@@ -723,45 +743,6 @@ class TestSweep:
         assert "size limit exceeded" in err and out == ""
 
 
-class TestBvpCommand:
-    def test_schema(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bvp", "--set", "N=7", "--set", "epsilon=0.25"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert len(payload["f"]) == 7
-        assert len(payload["g"]) == 7
-        assert payload["A"] == pytest.approx(payload["closed_A"], abs=1e-10)
-        assert payload["residual"] < 1e-12
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            pytest.param(["model=continuous", "m=4"], id="continuous"),
-            pytest.param(["m=3"], id="many-walkers"),
-            pytest.param(["N=30003"], id="size-limit"),
-        ],
-    )
-    def test_two_walker_lattice_only(self, capsys, override):
-        # the same checks as exact: a two-walker lattice within the size limit
-        args = ["N=7", "epsilon=0.25", *override]
-        code, out, err = run_cli(
-            capsys, "bvp", *[a for kv in args for a in ("--set", kv)]
-        )
-        assert code == 2
-        assert err.startswith("error: ") and out == ""
-
-
-class TestGeneratorCheckCommand:
-    def test_passes_and_exits_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "generator-check", "--seed", "5")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["passed"] is True
-        assert payload["measured"]["max_LH_dev"] < 1e-9
-
-
 class TestValidateCommand:
     # the real checklist runs in test_acceptance; here only the wiring
     def fake_results(self, ok):
@@ -947,11 +928,6 @@ class TestWorkerPool:
         assert ran == [0, 1] and len(made[0].queued) == 3
         assert made[0].queued[2].cancelled()
 
-    def test_generator_check_starts_no_workers(self, capsys, made):
-        code, _, _ = run_cli(capsys, "generator-check", "--threads", "2")
-        assert code == 0
-        assert made == []
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_config_error(self, capsys, made, threads):
         code, out, err = run_cli(
@@ -1007,7 +983,6 @@ def test_import_and_simulate_load_no_scipy():
             ["exact", "--set", "N=101", "--set", "epsilon=0.1"],
             ["sweep", "--set", "model=discrete", "--set", "steps=500",
              "--set", 'grid={"N": [5, 11], "epsilon": [0.3]}'],
-            ["generator-check"],
             ["validate", "--threads", "2"],
             ["validate", "--threads", "1"],
         ]:
@@ -1017,4 +992,4 @@ def test_import_and_simulate_load_no_scipy():
             loaded.append(scipy_modules())
         print(json.dumps(loaded))
     """)
-    assert json.loads(run_fresh(script)) == [[]] * 8
+    assert json.loads(run_fresh(script)) == [[]] * 7

@@ -1,4 +1,4 @@
-"""The figure scripts, run end to end at tiny sizes."""
+"""The scripts, run end to end at tiny sizes."""
 import csv
 import importlib.util
 from pathlib import Path
@@ -13,37 +13,6 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def read_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
-
-
-def test_speed_cost_curves(tmp_path):
-    out = tmp_path / "curves.csv"
-    code = load("speed_cost_curves").main([
-        "--out", str(out), "--sizes", "5", "7", "--eps", "0.1", "0.3", "0.5",
-        "--steps", "2000", "--replicas", "1",
-    ])
-    assert code == 0
-    header, *rows = read_rows(out)
-    assert header[:2] == ["N", "epsilon"]
-    assert len(rows) == 6
-    assert all(len(row) == len(header) for row in rows)
-
-
-def test_long_run_traces(tmp_path):
-    code = load("long_run_traces").main([
-        "--out", str(tmp_path), "--sizes", "5", "7", "--steps", "1000",
-        "--trace-every", "40",
-    ])
-    assert code == 0
-    for n in (5, 7):
-        header, *rows = read_rows(tmp_path / f"N{n}" / "trace_000.csv")
-        assert header == ["step", "running_speed", "running_cost"]
-        assert len(rows) == 25
-        assert (tmp_path / f"N{n}" / "report.json").exists()
 
 
 def test_walker_scaling(capsys):
@@ -64,13 +33,6 @@ def test_walker_scaling(capsys):
 def test_walker_scaling_bad_argument_exits_2():
     argv = ["--walkers", "1", "--steps", "100", "--horizon", "1"]
     assert load("walker_scaling").main(argv) == 2
-
-
-@pytest.mark.parametrize("name", ["speed_cost_curves", "long_run_traces"])
-def test_bad_config_exits_2(tmp_path, name):
-    # an even ring is rejected by the CLI the scripts call
-    argv = ["--out", str(tmp_path / "x"), "--sizes", "4", "--steps", "100"]
-    assert load(name).main(argv) == 2
 
 
 def test_gate_seeds(capsys):
