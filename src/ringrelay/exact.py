@@ -21,16 +21,15 @@ Three independent exact routes live here:
   recursion along the rungs and by censoring the absorbing rung walk,
   each in O(N) steps that add, multiply and divide nonnegative numbers.
 
-* the continuum generator: a direct implementation of the process
-  generator, plus the two harmonic-type functions whose drift
-  identities certify the continuum formulas.
+* the continuum generator of two walkers, read through their gap,
+  directions and carrier, and the two harmonic-type potentials whose
+  drift identities certify the continuum formulas.
 
 Everything here runs on numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -392,17 +391,10 @@ def hitting_prob_oracle(n_sites: int, flip_prob: float) -> float:
 # ----------------------------------------------------------------------
 # Continuum potentials of two walkers, generator
 #
-# Both potentials are (func, partials) pairs for apply_generator, and
-# both read two walkers through the gap (x0 - x1) mod circumference, the
-# clockwise distance from walker 1 to walker 0; the contact set is gap
-# 0 with opposite directions.
-
-
-def _gap(x, n: float) -> float:
-    if len(x) != 2:
-        raise errors.RelayError("the potentials need exactly 2 walkers")
-    gap = (float(x[0]) - float(x[1])) % n
-    return 0.0 if gap >= n else gap  # a tiny negative difference can round to n
+# Two walkers are Markov in (gap, d0, d1, carrier), gap = (x0 - x1) mod
+# circumference, the clockwise distance from walker 1 to walker 0.  A
+# potential maps a state to its value and its slope in the gap; the
+# contact set is gap 0 with opposite directions.
 
 
 def h_field(config: ContinuousConfig):
@@ -417,23 +409,14 @@ def h_field(config: ContinuousConfig):
     validate_continuous(config)
     n, v, r = config.circumference, config.speed, config.switch_rate
 
-    def func(x, d, carrier):
-        gap, d0, d1 = _gap(x, n), int(d[0]), int(d[1])
+    def potential(gap, d0, d1, carrier):
+        slope = -(d0 - d1) / (2.0 * v) + r * (n - 2.0 * gap) / (2.0 * v * v)
         if gap == 0.0 and d0 != d1:
-            return -n / (2.0 * v)
-        return (
-            (n - 2.0 * gap) / (4.0 * v) * (d0 - d1)
-            + (1.0 + d0 * d1) / (4.0 * r)
-            + r * gap * (n - gap) / (2.0 * v * v)
-        )
+            return -n / (2.0 * v), slope
+        return ((n - 2.0 * gap) / (4.0 * v) * (d0 - d1) + (1.0 + d0 * d1) / (4.0 * r)
+                + r * gap * (n - gap) / (2.0 * v * v)), slope
 
-    def partials(x, d, carrier):
-        dh_dgap = -(int(d[0]) - int(d[1])) / (2.0 * v) + r * (
-            n - 2.0 * _gap(x, n)
-        ) / (2.0 * v * v)
-        return dh_dgap, -dh_dgap
-
-    return func, partials
+    return potential
 
 
 def v_field(config: ContinuousConfig):
@@ -442,59 +425,43 @@ def v_field(config: ContinuousConfig):
     Measured relative to the carrier: the value is the probability that
     the carrier completes a net full lap around its partner before their
     next contact.  It is undefined on the contact set itself (the
-    excursion there has just ended), so func raises there.
+    excursion there has just ended), so the potential raises there.
     """
     validate_continuous(config)
     n, v, r = config.circumference, config.speed, config.switch_rate
     norm = r * n + 2.0 * v
     slope = r / norm
 
-    def func(x, d, carrier):
-        gap, d0, d1 = _gap(x, n), int(d[0]), int(d[1])
+    def potential(gap, d0, d1, carrier):
         if gap == 0.0 and d0 != d1:
             raise errors.RelayError("wrap probability is undefined at a contact")
         if carrier == 0:
-            gap_c, dd = gap, d0 - d1
-        else:
-            gap_c, dd = (n - gap) if gap > 0.0 else 0.0, d1 - d0
-        return (r * gap_c + v * (1.0 + dd / 2.0)) / norm
+            return (r * gap + v * (1.0 + (d0 - d1) / 2.0)) / norm, slope
+        gap_c = n - gap if gap > 0.0 else 0.0
+        return (r * gap_c + v * (1.0 + (d1 - d0) / 2.0)) / norm, -slope
 
-    def partials(x, d, carrier):
-        return (slope, -slope) if carrier == 0 else (-slope, slope)
-
-    return func, partials
+    return potential
 
 
-def apply_generator(
-    func: Callable[[np.ndarray, np.ndarray, int], float],
-    positions: Sequence[float],
-    directions: Sequence[int],
-    carrier: int,
-    config: ContinuousConfig,
-    partials: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
-) -> float:
-    """Generator of the continuum relay applied to a state function.
+def apply_generator(potential, gap: float, directions, carrier: int,
+                    config: ContinuousConfig) -> float:
+    """Generator of the two-walker continuum relay applied to a potential.
 
-    func(positions, directions, carrier) must be smooth in positions
-    (circle-periodic) at the given state, with partials(positions,
-    directions, carrier) its derivatives in each walker's position: the
-    transport part is v * sum(d_j * partials_j).  The switching part
-    sums r * (func with walker j's direction reversed - func).
-    The carrier is held fixed: handoffs occur only on the contact set,
-    which has measure zero and is excluded by the harmonic identities.
+    potential(gap, d0, d1, carrier) gives a value and its slope in the
+    gap, which moves at v (d0 - d1); switching adds r (value with d_j
+    reversed - value) for each walker j.  The carrier is held fixed:
+    handoffs occur only on the contact set, which has measure zero and
+    is excluded by the harmonic identities.
     """
     validate_continuous(config)
-    x = np.asarray(positions, dtype=float) % config.circumference
-    d = np.asarray(directions, dtype=int)
-    v, r = config.speed, config.switch_rate
-
-    grad = np.asarray(partials(x, d, carrier), dtype=float)
-    drift = float(np.sum(v * d * grad))
-    base = func(x, d, carrier)
-    switch = 0.0
-    for j in range(len(x)):
-        flipped = d.copy()
-        flipped[j] = -flipped[j]
-        switch += func(x, flipped, carrier) - base
-    return drift + r * switch
-
+    n, v, r = config.circumference, config.speed, config.switch_rate
+    if not (0.0 <= gap < n and len(directions) == 2
+            and set(directions) <= {1, -1} and carrier in (0, 1)):
+        raise errors.RelayError(
+            "the generator needs a gap in [0, circumference), two directions of "
+            f"+-1 and a carrier of 0 or 1; got {gap!r}, {directions!r}, {carrier!r}")
+    d0, d1 = map(int, directions)
+    base, slope = potential(gap, d0, d1, carrier)
+    switch = (potential(gap, -d0, d1, carrier)[0] - base) + (
+        potential(gap, d0, -d1, carrier)[0] - base)
+    return v * (d0 - d1) * slope + r * switch

@@ -395,16 +395,13 @@ def check_generator(ctx: AcceptanceContext) -> CheckResult:
             speed=float(rng.uniform(0.5, 3.0)),
             switch_rate=float(rng.uniform(0.2, 3.0)),
         )
-        h_func, h_part = exact.h_field(config)
-        v_func, v_part = exact.v_field(config)
+        h, v = exact.h_field(config), exact.v_field(config)
         for _ in range(50):
-            x1 = rng.uniform(0, config.circumference)
             gap = rng.uniform(1e-6, 1 - 1e-6) * config.circumference
-            x = np.array([x1, (x1 - gap) % config.circumference])
             d = 1 - 2 * rng.integers(0, 2, size=2)
             carrier = int(rng.integers(2))
-            lh = exact.apply_generator(h_func, x, d, carrier, config, h_part)
-            lv = exact.apply_generator(v_func, x, d, carrier, config, v_part)
+            lh = exact.apply_generator(h, gap, d, carrier, config)
+            lv = exact.apply_generator(v, gap, d, carrier, config)
             worst_h = max(worst_h, abs(lh + 1.0))
             worst_v = max(worst_v, abs(lv))
             n_states += 1

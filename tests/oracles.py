@@ -9,8 +9,8 @@ src/ringrelay against them on a shared seed:
 * the lattice round, step();
 * loop_pass_message, the relay walk over meetings one at a time, with
   the meeting that supplies each carrier;
-* fd_partials, central differences in place of a potential's partials
-  in exact.apply_generator;
+* fd_slope, a central difference in the gap in place of a potential's
+  slope in exact.apply_generator;
 * CycleCapture, which keeps the contacts model.fold_cycles folds and
   rebuilds a run's cycles from them, one array per quantity, and
   cycle_record, the moments of such arrays computed afresh, the record
@@ -215,23 +215,20 @@ def loop_pass_message(car, meet_t, cw, ccw, window, streams):
 # the generator's transport part by finite differences
 
 
-def fd_partials(func, config: ContinuousConfig):
-    """Partials of func(positions, directions, carrier) in each walker's
-    position by central differences with step 1e-6 * circumference, in
-    the form exact.apply_generator takes."""
+def fd_slope(value, config: ContinuousConfig):
+    """The potential, in the form exact.apply_generator takes, whose
+    value at (gap, d0, d1, carrier) is value(gap, d0, d1, carrier) and
+    whose slope is its central difference in the gap (mod circumference)
+    with step 1e-6 * circumference."""
     n = config.circumference
     h = 1e-6 * n
 
-    def partials(x, d, carrier):
-        grad = np.empty(len(x))
-        for j in range(len(x)):
-            up, down = x.copy(), x.copy()
-            up[j] = (up[j] + h) % n
-            down[j] = (down[j] - h) % n
-            grad[j] = (func(up, d, carrier) - func(down, d, carrier)) / (2.0 * h)
-        return grad
+    def potential(gap, d0, d1, carrier):
+        up, down = (gap + h) % n, (gap - h) % n
+        slope = (value(up, d0, d1, carrier) - value(down, d0, d1, carrier)) / (2.0 * h)
+        return value(gap, d0, d1, carrier), slope
 
-    return partials
+    return potential
 
 
 CYCLE_ARRAYS = ("cycle_lengths", "cycle_displacements", "cycle_carrier_sums",

@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_partials
+from oracles import fd_slope
 from ringrelay import closed_form as cf
 from ringrelay import errors, exact
 from ringrelay.model import ContinuousConfig
@@ -252,10 +252,10 @@ class TestPotentials:
     CFG = ContinuousConfig(1.0, 1.0, 1.0)
 
     @staticmethod
-    def value(field, gap, d1, d2, carrier, cfg=CFG):
-        """A potential at walker 0 a clockwise gap ahead of walker 1."""
-        func, _ = field(cfg)
-        return func(np.array([gap, 0.0]), np.array([d1, d2]), carrier)
+    def value(field, gap, d0, d1, carrier, cfg=CFG):
+        """A potential's value at walker 0 a clockwise gap ahead of walker 1."""
+        value, _ = field(cfg)(gap, d0, d1, carrier)
+        return value
 
     def test_h_frozen_example(self):
         h = self.value(exact.h_field, 0.25, 1, 1, 0)
@@ -274,24 +274,13 @@ class TestPotentials:
             self.value(exact.v_field, 0.0, 1, -1, 0)
 
     def test_gap_convention(self):
-        # the gap is (x0 - x1) mod circumference: walkers at 0.3 and 1.8
-        # on a ring of 2 are 0.5 apart, and V is linear in the carrier's
-        # gap, (r gap + v) / (r N + 2 v) here, not (r 1.5 + v) / (r N + 2 v)
+        # V is linear in the carrier's gap, (r gap + v) / (r N + 2 v) here:
+        # on a ring of 2, walker 1 carrying 0.5 behind walker 0 is 1.5 ahead
         cfg = ContinuousConfig(2.0)
-        x, d = np.array([0.3, 1.8]), np.array([1, 1])
-        v_func, _ = exact.v_field(cfg)
-        assert v_func(x, d, 0) == pytest.approx(1.5 / 4, abs=1e-15)
-        assert v_func(x, d, 1) == pytest.approx(2.5 / 4, abs=1e-15)
-        h_func, _ = exact.h_field(cfg)
-        d = np.array([1, -1])
-        assert h_func(x, d, 1) == pytest.approx(
-            self.value(exact.h_field, 0.5, 1, -1, 1, cfg), abs=1e-15)
-
-    @pytest.mark.parametrize("field", ["h_field", "v_field"])
-    def test_two_walkers_only(self, field):
-        func, _ = getattr(exact, field)(self.CFG)
-        with pytest.raises(errors.RelayError, match="exactly 2 walkers"):
-            func(np.array([0.1, 0.5, 0.7]), np.array([1, 1, -1]), 0)
+        assert self.value(exact.v_field, 0.5, 1, 1, 0, cfg) == pytest.approx(
+            1.5 / 4, abs=1e-15)
+        assert self.value(exact.v_field, 0.5, 1, 1, 1, cfg) == pytest.approx(
+            2.5 / 4, abs=1e-15)
 
     def test_v_is_a_probability(self):
         cfg = ContinuousConfig(2.0, 1.3, 0.7)
@@ -309,35 +298,43 @@ class TestPotentials:
 
     @given(
         gap=st.floats(min_value=1e-3, max_value=0.999),
+        d0=st.sampled_from([1, -1]),
         d1=st.sampled_from([1, -1]),
-        d2=st.sampled_from([1, -1]),
         carrier=st.sampled_from([0, 1]),
     )
-    def test_relabel_invariance(self, gap, d1, d2, carrier):
-        # swapping walker labels flips the gap and the carrier index but
-        # must leave both potentials unchanged
+    def test_relabel_invariance(self, gap, d0, d1, carrier):
+        # swapping walker labels turns the gap into (N - gap) mod N and
+        # flips the carrier index: both potentials keep their value, and
+        # their slope in the gap changes sign
         for field in (exact.h_field, exact.v_field):
-            func, _ = field(self.CFG)
-            x = np.array([gap, 0.0])
-            assert func(x, np.array([d1, d2]), carrier) == pytest.approx(
-                func(x[::-1], np.array([d2, d1]), 1 - carrier), rel=1e-12
-            )
+            potential = field(self.CFG)
+            value, slope = potential(gap, d0, d1, carrier)
+            swapped, swapped_slope = potential((1.0 - gap) % 1.0, d1, d0, 1 - carrier)
+            assert swapped == pytest.approx(value, rel=1e-12)
+            assert swapped_slope == pytest.approx(-slope, rel=1e-12)
+
+
+def random_states(rng, cfg, count, low=0.01, high=0.99):
+    """count off-contact states (gap, directions, carrier), the gap
+    uniform on [low, high) of the circumference."""
+    for _ in range(count):
+        gap = float(rng.uniform(low, high)) * cfg.circumference
+        yield gap, 1 - 2 * rng.integers(0, 2, size=2), int(rng.integers(2))
 
 
 class TestGenerator:
     def test_known_value_on_smooth_function(self):
-        # f(x, d) = d1 sin(2 pi x1): drift gives 2 pi v cos(2 pi x1),
-        # switching gives -2 r d1 sin(2 pi x1); at x1 = 0 only the drift
-        # survives
+        # f = d0 sin(2 pi gap) at gap 1/8, directions (1, -1): the gap
+        # grows at 2 v, so transport gives 2 v 2 pi cos(pi / 4); reversing
+        # walker 0 takes f from sin(pi / 4) to -sin(pi / 4), walker 1
+        # leaves it, so switching gives -2 r sin(pi / 4)
         cfg = ContinuousConfig(1.0, 1.0, 1.0)
 
-        def f(x, d, _i):
-            return d[0] * np.sin(2 * np.pi * x[0])
+        def f(gap, d0, d1, carrier):
+            return d0 * np.sin(2 * np.pi * gap), 2 * np.pi * d0 * np.cos(2 * np.pi * gap)
 
-        got = exact.apply_generator(
-            f, np.array([0.0, 0.4]), np.array([1, -1]), 0, cfg, fd_partials(f, cfg)
-        )
-        assert got == pytest.approx(2 * np.pi, rel=1e-5)
+        got = exact.apply_generator(f, 0.125, [1, -1], 0, cfg)
+        assert got == pytest.approx((4 * np.pi - 2) * np.sqrt(0.5), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_identities_with_analytic_partials(self, seed):
@@ -347,29 +344,37 @@ class TestGenerator:
             float(rng.uniform(0.5, 2.0)),
             float(rng.uniform(0.3, 2.0)),
         )
-        h_func, h_part = exact.h_field(cfg)
-        v_func, v_part = exact.v_field(cfg)
-        for _ in range(50):
-            x1 = rng.uniform(0, cfg.circumference)
-            gap = rng.uniform(0.01, 0.99) * cfg.circumference
-            x = np.array([x1, (x1 - gap) % cfg.circumference])
-            d = 1 - 2 * rng.integers(0, 2, size=2)
-            carrier = int(rng.integers(2))
-            lh = exact.apply_generator(h_func, x, d, carrier, cfg, h_part)
-            lv = exact.apply_generator(v_func, x, d, carrier, cfg, v_part)
+        h, v = exact.h_field(cfg), exact.v_field(cfg)
+        for gap, d, carrier in random_states(rng, cfg, 50):
+            lh = exact.apply_generator(h, gap, d, carrier, cfg)
+            lv = exact.apply_generator(v, gap, d, carrier, cfg)
             assert lh == pytest.approx(-1.0, abs=1e-12)
             assert lv == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_differences_agree_with_partials(self):
         cfg = ContinuousConfig(2.0, 1.1, 0.9)
-        h_func, h_part = exact.h_field(cfg)
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            x1 = rng.uniform(0, 2.0)
-            gap = rng.uniform(0.1, 1.9)
-            x = np.array([x1, (x1 - gap) % 2.0])
-            d = 1 - 2 * rng.integers(0, 2, size=2)
-            analytic = exact.apply_generator(h_func, x, d, 0, cfg, h_part)
-            numeric = exact.apply_generator(
-                h_func, x, d, 0, cfg, fd_partials(h_func, cfg))
-            assert numeric == pytest.approx(analytic, abs=1e-6)
+        for field in (exact.h_field, exact.v_field):
+            potential = field(cfg)
+            numeric = fd_slope(lambda *state: potential(*state)[0], cfg)
+            for gap, (d0, d1), carrier in random_states(rng, cfg, 20, 0.05, 0.95):
+                _, analytic = potential(gap, d0, d1, carrier)
+                _, slope = numeric(gap, d0, d1, carrier)
+                assert slope == pytest.approx(analytic, abs=1e-6)
+                assert exact.apply_generator(
+                    numeric, gap, [d0, d1], carrier, cfg) == pytest.approx(
+                    exact.apply_generator(potential, gap, [d0, d1], carrier, cfg),
+                    abs=1e-6)
+
+    @pytest.mark.parametrize("gap,directions,carrier", [
+        pytest.param(-0.1, [1, -1], 0, id="negative-gap"),
+        pytest.param(2.0, [1, -1], 0, id="gap-a-full-lap"),
+        pytest.param(float("nan"), [1, -1], 0, id="nan-gap"),
+        pytest.param(0.5, [1, -1, 1], 0, id="three-directions"),
+        pytest.param(0.5, [1, 0], 0, id="zero-direction"),
+        pytest.param(0.5, [1, -1], 2, id="carrier-2"),
+    ])
+    def test_rejects_malformed_state(self, gap, directions, carrier):
+        cfg = ContinuousConfig(2.0)
+        with pytest.raises(errors.RelayError, match="the generator needs"):
+            exact.apply_generator(exact.h_field(cfg), gap, directions, carrier, cfg)

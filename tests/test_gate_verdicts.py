@@ -1,12 +1,13 @@
 """The gate's Monte Carlo verdicts on synthetic runs: a check fails when
 an estimate sits more than validation.SIGMA_BOUND standard errors off,
-passes inside it, and records the z-value its verdict tests."""
+passes inside it, and records the z-value its verdict tests.  The
+generator check fails on a mutated potential or generator."""
 import math
 
 import numpy as np
 import pytest
 
-from ringrelay import closed_form, validation
+from ringrelay import closed_form, exact, validation
 from ringrelay.estimators import N_BATCHES, RunReport, speed_estimate
 
 SE = 1e-3
@@ -102,3 +103,50 @@ def test_zero_stderr_pair_fails_and_shows_nan():
     assert result.passed is False
     assert math.isnan(result.measured["max_pairwise_sigmas"])
     assert result.line().endswith("max_pairwise_sigmas=nan")
+
+
+H_FIELD, V_FIELD = exact.h_field, exact.v_field  # unpatched, for the mutants
+
+
+def scaled_h(config):
+    """H with its r gap (N - gap) / (2 v^2) term scaled by 1.01, in value
+    and slope alike."""
+    h = H_FIELD(config)
+    n, v, r = config.circumference, config.speed, config.switch_rate
+
+    def potential(gap, d0, d1, carrier):
+        value, slope = h(gap, d0, d1, carrier)
+        return (value + 0.01 * r * gap * (n - gap) / (2 * v * v),
+                slope + 0.01 * r * (n - 2 * gap) / (2 * v * v))
+
+    return potential
+
+
+def v_slope_flipped(config):
+    """V with the wrong sign on its slope when walker 1 carries."""
+    v = V_FIELD(config)
+
+    def potential(gap, d0, d1, carrier):
+        value, slope = v(gap, d0, d1, carrier)
+        return value, -slope if carrier == 1 else slope
+
+    return potential
+
+
+def transport_only(potential, gap, directions, carrier, config):
+    """The generator without its switching sum."""
+    d0, d1 = map(int, directions)
+    return config.speed * (d0 - d1) * potential(gap, d0, d1, carrier)[1]
+
+
+def test_generator_check_fails_on_mutants(monkeypatch):
+    with validation.AcceptanceContext() as ctx:
+        assert validation.check_generator(ctx).passed
+        for name, mutant in [("h_field", scaled_h), ("v_field", v_slope_flipped),
+                             ("apply_generator", transport_only)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, name, mutant)
+                result = validation.check_generator(ctx)
+            assert not result.passed, name
+            assert max(result.measured["max_LH_dev"],
+                       result.measured["max_LV_dev"]) > 1e-9, name
