@@ -47,9 +47,9 @@ def main(argv=None) -> int:
     print(",".join(HEADER))
     seed = SeedSpec(SEED)
     for m in args.walkers:
-        lattice = DiscreteConfig(101, 0.1, m)
-        continuum = ContinuousConfig(5.0 * m, 1.0, 1.0, m)
         try:
+            lattice = DiscreteConfig(101, 0.1, m)
+            continuum = ContinuousConfig(5.0 * m, 1.0, 1.0, m)
             t_lat = best_of(lambda: simulate_discrete(lattice, args.steps, seed))
             t_con = best_of(lambda: simulate_continuous(continuum, args.horizon, seed))
         except RelayError as err:

@@ -31,14 +31,7 @@ from . import closed_form, estimators, exact, validation
 from .continuous import simulate_continuous
 from .discrete import simulate_discrete
 from .errors import RelayError
-from .model import (
-    ContinuousConfig,
-    DiscreteConfig,
-    SeedSpec,
-    State,
-    validate_continuous,
-    validate_discrete,
-)
+from .model import ContinuousConfig, DiscreteConfig, SeedSpec, State
 
 EXACT_SIZE_LIMIT = 30001
 MAX_REPLICAS = 10_000  # one job, and one report held until the merge, each
@@ -167,8 +160,8 @@ def _load_config(args) -> dict:
 def _model_config(cfg: dict):
     """The checked model parameters of a typed config."""
     if cfg["model"] == "discrete":
-        return validate_discrete(DiscreteConfig(cfg["N"], cfg["epsilon"], cfg["m"]))
-    return validate_continuous(ContinuousConfig(cfg["N"], cfg["v"], cfg["r"], cfg["m"]))
+        return DiscreteConfig(cfg["N"], cfg["epsilon"], cfg["m"])
+    return ContinuousConfig(cfg["N"], cfg["v"], cfg["r"], cfg["m"])
 
 
 def _two_walker_config(cfg: dict):

@@ -10,12 +10,7 @@ routes, which is the package's central consistency check.
 from __future__ import annotations
 
 from . import errors
-from .model import (
-    ContinuousConfig,
-    validate_continuous,
-    validate_flip_prob,
-    validate_sites,
-)
+from .model import ContinuousConfig, validate_flip_prob, validate_sites
 
 
 def speed_discrete(n_sites: int, flip_prob: float) -> float:
@@ -39,13 +34,13 @@ def direction_prob_discrete(n_sites: int, flip_prob: float) -> float:
 
 def speed_continuous(circumference: float, speed: float, switch_rate: float) -> float:
     """Long-run message speed (length per unit time), continuum variant."""
-    validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
+    ContinuousConfig(circumference, speed, switch_rate)  # checks them
     return speed * speed / (2.0 * speed + switch_rate * circumference)
 
 
 def cost_continuous(circumference: float, speed: float, switch_rate: float) -> float:
     """Long-run handoffs per unit time, continuum variant."""
-    validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
+    ContinuousConfig(circumference, speed, switch_rate)  # checks them
     return switch_rate * speed / (2.0 * speed + switch_rate * circumference)
 
 
@@ -53,7 +48,7 @@ def direction_prob_continuous(
     circumference: float, speed: float, switch_rate: float
 ) -> float:
     """Long-run fraction of time the carrier moves clockwise."""
-    validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
+    ContinuousConfig(circumference, speed, switch_rate)  # checks them
     rn = switch_rate * circumference
     return (3.0 * speed + rn) / (2.0 * (2.0 * speed + rn))
 
@@ -87,7 +82,7 @@ def scaling_limit_error(
     circumference 1) the error is 1 / (6 * n_sites - 4).
     """
     n = validate_sites(n_sites)
-    validate_continuous(ContinuousConfig(circumference, speed, switch_rate))
+    ContinuousConfig(circumference, speed, switch_rate)  # checks them
     eps = circumference * switch_rate / (2.0 * n * speed)
     validate_flip_prob(eps)
     target = speed_continuous(circumference, speed, switch_rate) / speed

@@ -4,8 +4,8 @@ Walkers move at constant speed on a circle and reverse direction at the
 arrival times of independent Poisson clocks.  When the message holder
 meets a clockwise mover head-on, the message changes hands.  The state,
 the start rule and the contact test are model.State, model.start_state
-and model.in_contact, shared with the lattice; _start schedules the
-first switches.
+and model.in_contact, shared with the lattice; the state holds no
+switch times, since layer (a) below draws every one, the first included.
 
 simulate_continuous runs one block engine for any number of walkers; the
 tests replay it against the event operations of tests/oracles.py, which
@@ -44,7 +44,6 @@ from .model import (
     relay,
     sample_times,
     start_state,
-    validate_continuous,
     walk,
 )
 
@@ -77,16 +76,10 @@ def _check_switches(config: ContinuousConfig, horizon: float) -> None:
 
 
 def _start(config: ContinuousConfig, streams: WalkerStreams, initial) -> State:
-    """model.start_state on the circle, with each walker's first switch
-    drawn from its own stream unless the start has them."""
-    n, m = config.circumference, config.n_walkers
-    state = start_state(initial, m, n, streams, lambda k: streams.aux.random(k) * n,
-                        default_tol(config))
-    if state.next_switch is None:
-        state.next_switch = np.array(
-            [streams.walker[j].exponential(1.0 / config.switch_rate) for j in range(m)]
-        )
-    return state
+    """model.start_state on the circle."""
+    n = config.circumference
+    return start_state(initial, config.n_walkers, n, streams,
+                       lambda k: streams.aux.random(k) * n, default_tol(config))
 
 
 def simulate_continuous(
@@ -103,7 +96,6 @@ def simulate_continuous(
     start is a contact state.  trace_every records the running speed and
     handoff rate from time 0.
     """
-    validate_continuous(config)
     if not (0.0 < horizon < np.inf):
         raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
     _check_switches(config, horizon)
@@ -185,8 +177,8 @@ def _paths(
         wrap = n - gap <= tol
         return np.where(wrap | (gap <= tol), 0.0, gap), base + wrap
 
-    pending = [state.next_switch[j:j + 1].astype(float) for j in range(m)]
-    drawn = [float(state.next_switch[j]) for j in range(m)]  # latest switch drawn
+    pending = [np.zeros(0) for _ in range(m)]
+    drawn = [0.0] * m  # latest switch drawn, or the start
     d = state.directions.astype(np.int8)
     x = state.positions.astype(float)
     # unwrapped gap of each pair is base * n + gap
@@ -280,7 +272,6 @@ def sample_walker_states(
     as simulate_continuous and the event operations of tests/oracles.py
     draw them from the uniform-random start, and model.walk reads its
     path, so on a shared seed they agree up to float roundoff."""
-    validate_continuous(config)
     times = sample_times(times, whole=False)
     tmax = float(times[-1]) if len(times) else 0.0
     _check_switches(config, tmax)
@@ -291,7 +282,7 @@ def sample_walker_states(
     positions = np.empty((len(times), m))
     directions = np.empty((len(times), m), dtype=np.int64)
     for j in range(m):
-        bounds = [np.zeros(1), state.next_switch[j:j + 1]]
+        bounds = [np.zeros(1)]
         while bounds[-1][-1] <= tmax:
             size = 512 + int(r * (tmax - bounds[-1][-1]))
             bounds.append(_draw_switches(streams.walker[j], bounds[-1][-1], r, size))

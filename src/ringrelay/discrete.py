@@ -43,7 +43,6 @@ from .model import (
     relay,
     sample_times,
     start_state,
-    validate_discrete,
     walk,
 )
 
@@ -90,7 +89,6 @@ def simulate_discrete(
     trace_every records the running speed and handoff rate from round 0
     for convergence plots.  estimators.build_report sets the window.
     """
-    validate_discrete(config)
     _check_steps(steps, config.n_walkers)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
@@ -172,7 +170,6 @@ def sample_walker_states(
     would use.  No relay is resolved, since the message never changes how
     the walkers move: a walker reverses at the rounds whose _flips bit
     fires, drawn WALKER_ROUNDS at a time, and model.walk reads its path."""
-    validate_discrete(config)
     n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
     rounds = sample_times(rounds, whole=True)
     last = int(rounds[-1]) if len(rounds) else 0

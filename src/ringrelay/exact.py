@@ -34,12 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .model import (
-    ContinuousConfig,
-    validate_continuous,
-    validate_flip_prob,
-    validate_sites,
-)
+from .model import ContinuousConfig, validate_flip_prob, validate_sites
 
 # ----------------------------------------------------------------------
 # Reduced lattice chain: state = (gap, d1, d2, carrier)
@@ -406,7 +401,6 @@ def h_field(config: ContinuousConfig):
     contact, which is what makes mean excursion lengths computable by
     optional stopping.
     """
-    validate_continuous(config)
     n, v, r = config.circumference, config.speed, config.switch_rate
 
     def potential(gap, d0, d1, carrier):
@@ -427,7 +421,6 @@ def v_field(config: ContinuousConfig):
     next contact.  It is undefined on the contact set itself (the
     excursion there has just ended), so the potential raises there.
     """
-    validate_continuous(config)
     n, v, r = config.circumference, config.speed, config.switch_rate
     norm = r * n + 2.0 * v
     slope = r / norm
@@ -453,7 +446,6 @@ def apply_generator(potential, gap: float, directions, carrier: int,
     handoffs occur only on the contact set, which has measure zero and
     is excluded by the harmonic identities.
     """
-    validate_continuous(config)
     n, v, r = config.circumference, config.speed, config.switch_rate
     if not (0.0 <= gap < n and len(directions) == 2
             and set(directions) <= {1, -1} and carrier in (0, 1)):

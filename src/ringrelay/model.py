@@ -12,13 +12,17 @@ ever travels clockwise.  Both variants share one State, one start rule
 (start_state), one contact test (in_contact), one relay rule
 (resolve_handoff, and pass_message over many meetings), one path
 evaluator (walk) and one relay layer: relay turns the walker paths and
-meetings that either engine yields into Readings.  The reference step()
-and continuum event operations in tests/oracles.py, which the engines
-are replayed against, build on the same State and relay rule.
+meetings that either engine yields into Readings.  The parameter sets
+check themselves on construction, and State holds the paper's state
+alone.  The reference step() and continuum event operations in
+tests/oracles.py, which the engines are replayed against, build on the
+same State, with their clock kept beside it, and the same relay rule.
 """
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,36 +32,6 @@ import numpy as np
 from . import errors
 
 MAX_WALKERS = 100  # all-pairs engines: at this m a continuum chunk takes 250 MiB
-
-
-@dataclass(frozen=True)
-class DiscreteConfig:
-    """Lattice variant parameters.
-
-    n_sites: number of ring sites, odd and >= 3.
-    flip_prob: probability a walker reverses direction in a round.
-    n_walkers: number of walkers, >= 2.
-    """
-
-    n_sites: int
-    flip_prob: float
-    n_walkers: int = 2
-
-
-@dataclass(frozen=True)
-class ContinuousConfig:
-    """Continuum variant parameters.
-
-    circumference: circle length, finite and > 0.
-    speed: walker speed, finite and > 0.
-    switch_rate: Poisson rate of direction reversals, finite and > 0.
-    n_walkers: number of walkers, >= 2.
-    """
-
-    circumference: float
-    speed: float = 1.0
-    switch_rate: float = 1.0
-    n_walkers: int = 2
 
 
 def validate_sites(n_sites: int) -> int:
@@ -72,53 +46,90 @@ def validate_sites(n_sites: int) -> int:
     return int(n_sites)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def validate_flip_prob(flip_prob: float) -> float:
     # Both endpoints are excluded: at 0 the walkers never turn, at 1 the
     # relative motion is periodic, and either way ergodicity is lost.
+    if not _is_real(flip_prob):
+        raise errors.RelayError(f"flip probability must be a number, got {flip_prob!r}")
     if not (0.0 < flip_prob < 1.0):
         raise errors.RelayError(
             f"flip probability must lie in (0, 1), got {flip_prob!r}"
         )
+    # a subnormal float has fewer than 53 significant bits, and the exact
+    # solves lose what is left of them to rounding
+    if flip_prob < sys.float_info.min:
+        raise errors.RelayError(
+            f"flip probability must be at least {sys.float_info.min!r}, the "
+            f"smallest normal float, got {flip_prob!r}")
     return float(flip_prob)
 
 
 def validate_walkers(n_walkers: int) -> None:
+    if not isinstance(n_walkers, (int, np.integer)) or isinstance(n_walkers, bool):
+        raise errors.RelayError(f"walker count must be an integer, got {n_walkers!r}")
     if n_walkers < 2:
         raise errors.RelayError(f"need at least 2 walkers, got {n_walkers}")
     if n_walkers > MAX_WALKERS:
         raise errors.RelayError(f"at most {MAX_WALKERS} walkers, got {n_walkers}")
 
 
-def validate_discrete(config: DiscreteConfig) -> DiscreteConfig:
-    """Check a lattice parameter set, returning it unchanged."""
-    validate_sites(config.n_sites)
-    validate_flip_prob(config.flip_prob)
-    validate_walkers(config.n_walkers)
-    return config
+@dataclass(frozen=True)
+class DiscreteConfig:
+    """Lattice variant parameters, checked on construction.
+
+    n_sites: number of ring sites, odd and >= 3.
+    flip_prob: probability a walker reverses direction in a round, in
+        (0, 1) and a normal float (at least sys.float_info.min).
+    n_walkers: number of walkers, in [2, MAX_WALKERS].
+    """
+
+    n_sites: int
+    flip_prob: float
+    n_walkers: int = 2
+
+    def __post_init__(self):
+        validate_sites(self.n_sites)
+        validate_flip_prob(self.flip_prob)
+        validate_walkers(self.n_walkers)
 
 
-def validate_continuous(config: ContinuousConfig) -> ContinuousConfig:
-    """Check a continuum parameter set, returning it unchanged."""
-    for name, value in (("circumference", config.circumference),
-                        ("speed", config.speed), ("switch rate", config.switch_rate)):
-        if not (0.0 < value < np.inf):
-            raise errors.RelayError(f"{name} must be > 0 and finite, got {value!r}")
-    validate_walkers(config.n_walkers)
-    return config
+@dataclass(frozen=True)
+class ContinuousConfig:
+    """Continuum variant parameters, checked on construction.
+
+    circumference: circle length, finite and > 0.
+    speed: walker speed, finite and > 0.
+    switch_rate: Poisson rate of direction reversals, finite and > 0.
+    n_walkers: number of walkers, in [2, MAX_WALKERS].
+    """
+
+    circumference: float
+    speed: float = 1.0
+    switch_rate: float = 1.0
+    n_walkers: int = 2
+
+    def __post_init__(self):
+        for name, value in (("circumference", self.circumference),
+                            ("speed", self.speed), ("switch rate", self.switch_rate)):
+            if not _is_real(value):
+                raise errors.RelayError(f"{name} must be a number, got {value!r}")
+            if not (0.0 < value < np.inf):
+                raise errors.RelayError(f"{name} must be > 0 and finite, got {value!r}")
+        validate_walkers(self.n_walkers)
 
 
 def circle_delta(x_from, x_to, circumference):
     """Clockwise gap from x_from to x_to, in [0, circumference).
 
-    Works for scalars and numpy arrays, integer or float.  The float
-    modulo can land exactly on the circumference when the raw difference
-    is a tiny negative number, so that edge is folded back to 0.
+    The float modulo can land exactly on the circumference when the raw
+    difference is a tiny negative number, so that edge is folded back to 0.
     """
     d = (x_to - x_from) % circumference
-    if np.isscalar(d) or d.ndim == 0:
-        return d - circumference if d >= circumference else d
-    d = np.asarray(d)
-    return np.where(d >= circumference, d - circumference, d)
+    return d - circumference if d >= circumference else d
 
 
 @dataclass(frozen=True)
@@ -172,20 +183,16 @@ def as_seed(seed) -> SeedSpec:
 class State:
     """Walkers and message at one instant, on either ring: positions
     (sites, or points in [0, circumference)) and directions +1 / -1 as
-    arrays of shape (m,), the carrier's index, the clock (rounds on the
-    lattice) and on the continuum each walker's next switch time."""
+    arrays of shape (m,), and the carrier's index.  Nothing else: the
+    engines draw every switch from the walker streams, and the oracles of
+    tests/oracles.py keep their clock beside it."""
 
     positions: np.ndarray
     directions: np.ndarray
     carrier: int
-    clock: float = 0
-    next_switch: np.ndarray | None = None
 
     def copy(self) -> "State":
-        return State(
-            self.positions.copy(), self.directions.copy(), self.carrier, self.clock,
-            None if self.next_switch is None else self.next_switch.copy(),
-        )
+        return State(self.positions.copy(), self.directions.copy(), self.carrier)
 
 
 def start_state(
@@ -193,7 +200,7 @@ def start_state(
 ) -> State:
     """The start of a run of m walkers on a ring of the given size.
 
-    initial is an explicit State, checked and copied at clock 0;
+    initial is an explicit State, checked and copied;
     "uniform-random": m points from draw(m), fair directions and a
     uniform carrier; or "regeneration", the law nu of two walkers: both
     at the point draw(1) gives, moving apart, the message on the
@@ -214,7 +221,6 @@ def start_state(
         if not (0 <= initial.carrier < m):
             raise errors.RelayError(f"carrier must be in [0, {m})")
         state = initial.copy()
-        state.clock = 0
     elif initial == "uniform-random":
         positions = draw(m)
         directions = (1 - 2 * aux.integers(0, 2, size=m)).astype(np.int64)

@@ -4,8 +4,11 @@ Each oracle takes one event, one round or one meeting at a time, the
 way the relay is defined, and the tests check the block engines in
 src/ringrelay against them on a shared seed:
 
-* the continuum event operations (meeting_time / next_event /
-  advance_to / handle_event), driven from event to event;
+* OracleState, a model.State with the clock the oracles step and, on
+  the continuum, each walker's next switch time, which the engines do
+  not keep;
+* the continuum event operations (event_start / meeting_time /
+  next_event / advance_to / handle_event), driven from event to event;
 * the lattice round, step();
 * loop_pass_message, the relay walk over meetings one at a time, with
   the meeting that supplies each carrier;
@@ -22,13 +25,13 @@ same path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ringrelay import errors
+from ringrelay import continuous, errors
 from ringrelay.continuous import default_tol
 from ringrelay.model import (
     ContinuousConfig,
@@ -44,6 +47,26 @@ from ringrelay.model import (
 
 class EventSkipped(RuntimeError):
     """A deterministic advance tried to jump past a scheduled event."""
+
+
+@dataclass
+class OracleState(State):
+    """A model.State at a clock (rounds on the lattice, time on the
+    continuum), with each walker's next switch time on the continuum."""
+
+    clock: float = 0
+    next_switch: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, state: State, next_switch=None) -> "OracleState":
+        """state at clock 0, a copy."""
+        return cls(state.positions.copy(), state.directions.copy(), state.carrier,
+                   0, next_switch)
+
+    def copy(self) -> "OracleState":
+        return replace(
+            self, positions=self.positions.copy(), directions=self.directions.copy(),
+            next_switch=None if self.next_switch is None else self.next_switch.copy())
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +104,18 @@ def meeting_time(
     return (n - gap) / (2.0 * v) if gap < n - tol else n / (2.0 * v)
 
 
-def next_event(state: State, config: ContinuousConfig) -> Event:
+def event_start(
+    config: ContinuousConfig, streams: WalkerStreams, initial
+) -> OracleState:
+    """The engine's start, with each walker's first switch drawn from its
+    own stream, as the engine draws it."""
+    state = continuous._start(config, streams, initial)
+    return OracleState.of(state, np.array([
+        streams.walker[j].exponential(1.0 / config.switch_rate)
+        for j in range(config.n_walkers)]))
+
+
+def next_event(state: OracleState, config: ContinuousConfig) -> Event:
     """Earliest pending switch or pairwise meeting after state.clock."""
     if state.next_switch is None:
         raise errors.RelayError("state has no scheduled switch times")
@@ -92,11 +126,8 @@ def next_event(state: State, config: ContinuousConfig) -> Event:
             best = key
     for j in range(config.n_walkers):
         for k in range(j + 1, config.n_walkers):
-            gap = float(
-                circle_delta(
-                    state.positions[j], state.positions[k], config.circumference
-                )
-            )
+            gap = float(circle_delta(
+                state.positions[j], state.positions[k], config.circumference))
             dt = meeting_time(
                 gap, int(state.directions[j]), int(state.directions[k]), config
             )
@@ -108,7 +139,7 @@ def next_event(state: State, config: ContinuousConfig) -> Event:
     return Event(best[0], "switch" if best[1] == 0 else "meeting", best[2])
 
 
-def advance_to(state: State, t: float, config: ContinuousConfig) -> State:
+def advance_to(state: OracleState, t: float, config: ContinuousConfig) -> OracleState:
     """Deterministic transport of every walker to time t.
 
     Refuses to move backwards or to fly past a scheduled switch (an
@@ -130,8 +161,9 @@ def advance_to(state: State, t: float, config: ContinuousConfig) -> State:
 
 
 def handle_event(
-    state: State, event: Event, config: ContinuousConfig, streams: WalkerStreams
-) -> tuple[State, bool]:
+    state: OracleState, event: Event, config: ContinuousConfig,
+    streams: WalkerStreams,
+) -> tuple[OracleState, bool]:
     """Apply a switch or meeting at the current clock.
 
     The state must already have been advanced to event.time.  Returns
@@ -167,8 +199,8 @@ def handle_event(
 
 
 def step(
-    state: State, config: DiscreteConfig, streams: WalkerStreams
-) -> tuple[State, bool]:
+    state: OracleState, config: DiscreteConfig, streams: WalkerStreams
+) -> tuple[OracleState, bool]:
     """One synchronous round; returns the new state and whether the
     message changed hands."""
     m = config.n_walkers
@@ -180,7 +212,7 @@ def step(
     carrier, jumped = resolve_handoff(
         positions, directions, state.carrier, config.n_sites, streams
     )
-    return State(positions, directions, carrier, state.clock + 1), jumped
+    return OracleState(positions, directions, carrier, state.clock + 1), jumped
 
 
 # ----------------------------------------------------------------------

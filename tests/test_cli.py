@@ -91,6 +91,15 @@ class TestExact:
         for key in ("bvp_A", "oracle_A"):
             assert abs(payload[key] - payload["closed_A"]) <= 1e-13
 
+    @pytest.mark.parametrize("eps", ["5e-324", "1e-312"])
+    def test_subnormal_epsilon_is_config_error(self, capsys, eps):
+        # a subnormal flip probability has fewer than 53 significant bits:
+        # the exact solve came out nan, or far off the formula, on them
+        code, out, err = run_cli(capsys, "exact", "--set", "N=5", "--set", f"epsilon={eps}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "smallest normal float" in err
+
     def test_rejects_continuous(self, capsys):
         code, _, _ = run_cli(
             capsys, "exact", "--set", "model=continuous", "--set", "N=5",

@@ -9,7 +9,15 @@ engine against it on a shared seed, for two walkers and for more.
 import numpy as np
 import pytest
 
-from oracles import EventSkipped, advance_to, handle_event, meeting_time, next_event
+from oracles import (
+    EventSkipped,
+    OracleState,
+    advance_to,
+    event_start,
+    handle_event,
+    meeting_time,
+    next_event,
+)
 from ringrelay import continuous, errors, estimators, model
 from ringrelay.continuous import (
     default_tol,
@@ -54,7 +62,7 @@ class TestMeetingTime:
 
 class TestEventOps:
     def make_state(self, positions, directions, carrier, switches):
-        return State(
+        return OracleState(
             np.array(positions, dtype=float),
             np.array(directions, dtype=np.int64),
             carrier,
@@ -155,7 +163,7 @@ def reference_simulation(config, horizon, seed, initial, checkpoints=()):
     the simulator, a checkpoint comes before an event at the same time.
     """
     streams = WalkerStreams(SeedSpec(*seed), config.n_walkers)
-    state = continuous._start(config, streams, initial)
+    state = event_start(config, streams, initial)
     in_f = in_contact(state, config.circumference, default_tol(config))
     burn = 0.0 if in_f else 0.01 * horizon
     marks = sorted({burn, horizon, *checkpoints})
@@ -413,7 +421,7 @@ def oracle_walkers(config, times, seed):
     the uniform-random start, one event at a time through the event ops;
     as in the simulator, a time comes before an event at the same time."""
     streams = WalkerStreams(seed, config.n_walkers)
-    state = continuous._start(config, streams, "uniform-random")
+    state = event_start(config, streams, "uniform-random")
     positions, directions = [], []
     for t in times:
         while (ev := next_event(state, config)).time < t:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import step
+from oracles import OracleState, step
 from ringrelay import discrete, errors, estimators, model
 from ringrelay.model import DiscreteConfig, SeedSpec, WalkerStreams
 
@@ -25,7 +25,7 @@ def run_reference_loop(config, steps, seed, initial):
     is the start, its handoff resolved uncounted as simulate_discrete
     does), plus the rounds in the regeneration set."""
     streams = WalkerStreams(SeedSpec(*seed), config.n_walkers)
-    state = initial.copy()
+    state = OracleState.of(initial)
     state.carrier, _ = model.resolve_handoff(
         state.positions, state.directions, state.carrier, config.n_sites, streams
     )
@@ -44,7 +44,7 @@ def run_reference_loop(config, steps, seed, initial):
 class TestStep:
     def test_plain_move(self):
         cfg = DiscreteConfig(5, TINY)
-        state = model.State(np.array([1, 3]), np.array([-1, 1]), 0)
+        state = OracleState(np.array([1, 3]), np.array([-1, 1]), 0)
         out, jumped = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 4]
         assert not jumped
@@ -53,28 +53,28 @@ class TestStep:
 
     def test_positions_wrap(self):
         cfg = DiscreteConfig(5, TINY)
-        state = model.State(np.array([4, 0]), np.array([1, -1]), 1)
+        state = OracleState(np.array([4, 0]), np.array([1, -1]), 1)
         out, _ = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 4]
 
     def test_handoff_on_contact(self):
         # walkers collide head-on; the counter-clockwise carrier hands off
         cfg = DiscreteConfig(5, TINY)
-        state = model.State(np.array([1, 4]), np.array([-1, 1]), 0)
+        state = OracleState(np.array([1, 4]), np.array([-1, 1]), 0)
         out, jumped = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [0, 0]
         assert jumped and out.carrier == 1
 
     def test_no_handoff_when_carrier_clockwise(self):
         cfg = DiscreteConfig(5, TINY)
-        state = model.State(np.array([1, 4]), np.array([-1, 1]), 1)
+        state = OracleState(np.array([1, 4]), np.array([-1, 1]), 1)
         out, jumped = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert not jumped and out.carrier == 1
 
     def test_crossing_without_meeting_keeps_message(self):
         # adjacent walkers swap sites without ever sharing one
         cfg = DiscreteConfig(5, TINY)
-        state = model.State(np.array([1, 2]), np.array([1, -1]), 1)
+        state = OracleState(np.array([1, 2]), np.array([1, -1]), 1)
         out, jumped = step(state, cfg, WalkerStreams(SeedSpec(0, 0), 2))
         assert out.positions.tolist() == [2, 1]
         assert not jumped
@@ -83,7 +83,7 @@ class TestStep:
         cfg = DiscreteConfig(5, TINY, n_walkers=3)
         picks = []
         for rep in range(200):
-            state = model.State(
+            state = OracleState(
                 np.array([1, 4, 4]), np.array([-1, 1, 1]), 0
             )
             out, jumped = step(
@@ -105,7 +105,7 @@ class TestStep:
     def test_step_preserves_invariants(self, n, eps, seed, m):
         cfg = DiscreteConfig(n, eps, m)
         streams = WalkerStreams(SeedSpec(seed, 0), m)
-        state = model.State(
+        state = OracleState(
             streams.aux.integers(0, n, size=m),
             1 - 2 * streams.aux.integers(0, 2, size=m),
             int(streams.aux.integers(m)),
@@ -377,7 +377,7 @@ class TestWalkerSampler:
         after those rounds, compared up to round upto (all by default);
         returns the start."""
         streams = WalkerStreams(seed, cfg.n_walkers)
-        states = [discrete._start(cfg, streams, "uniform-random")]
+        states = [OracleState.of(discrete._start(cfg, streams, "uniform-random"))]
         for _ in range(upto or max(int(r[-1]) for r in round_sets if len(r))):
             states.append(step(states[-1], cfg, streams)[0])
         for rounds in round_sets:

@@ -1,4 +1,7 @@
 """Config validation, ring geometry helpers, and the seeding contract."""
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,15 +21,12 @@ from ringrelay.model import (
     pass_message,
     resolve_handoff,
     start_state,
-    validate_continuous,
-    validate_discrete,
 )
 
 
 class TestConfigs:
     def test_discrete_accepts_valid(self):
         cfg = DiscreteConfig(11, 0.1)
-        validate_discrete(cfg)
         assert cfg.n_walkers == 2
 
     @pytest.mark.parametrize(
@@ -48,11 +48,11 @@ class TestConfigs:
     )
     def test_discrete_rejects(self, kwargs, match):
         with pytest.raises(errors.RelayError, match=match):
-            validate_discrete(DiscreteConfig(**kwargs))
+            DiscreteConfig(**kwargs)
 
     def test_discrete_rejects_non_integer_sites(self):
         with pytest.raises(errors.RelayError):
-            validate_discrete(DiscreteConfig(5.5, 0.1))
+            DiscreteConfig(5.5, 0.1)
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -68,10 +68,50 @@ class TestConfigs:
     )
     def test_continuous_rejects(self, kwargs, match):
         with pytest.raises(errors.RelayError, match=match):
-            validate_continuous(ContinuousConfig(**kwargs))
+            ContinuousConfig(**kwargs)
 
     def test_continuous_accepts_valid(self):
-        validate_continuous(ContinuousConfig(2.0, 1.0, 1.0, 3))
+        cfg = ContinuousConfig(2.0, 1.0, 1.0, 3)
+        assert cfg.n_walkers == 3
+
+    @pytest.mark.parametrize(
+        "make,match",
+        [
+            (lambda: DiscreteConfig(5, 0.3, 2.5), "walker count must be an integer"),
+            (lambda: ContinuousConfig(2.0, 1.0, 1.0, 2.5),
+             "walker count must be an integer"),
+            (lambda: DiscreteConfig(5, 0.3, True), "walker count must be an integer"),
+            (lambda: ContinuousConfig("2"), "circumference must be a number"),
+            (lambda: ContinuousConfig(True), "circumference must be a number"),
+            (lambda: ContinuousConfig(1.0, speed=False), "speed must be a number"),
+            (lambda: ContinuousConfig(1.0, switch_rate="1"),
+             "switch rate must be a number"),
+            (lambda: DiscreteConfig(5, "0.3"), "flip probability must be a number"),
+            (lambda: DiscreteConfig(5, True), "flip probability must be a number"),
+        ],
+        ids=["lattice-float-m", "continuum-float-m", "bool-m", "str-circumference",
+             "bool-circumference", "bool-speed", "str-rate", "str-epsilon",
+             "bool-epsilon"],
+    )
+    def test_rejects_wrong_types_at_construction(self, make, match):
+        with pytest.raises(errors.RelayError, match=match):
+            make()
+
+    def test_accepts_numpy_numbers(self):
+        cfg = DiscreteConfig(np.int64(5), np.float64(0.3), np.int32(3))
+        assert cfg.n_walkers == 3
+        cfg = ContinuousConfig(np.float32(2.0), np.int64(1), 1.0, np.int64(2))
+        assert cfg.speed == 1
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-312, np.nextafter(sys.float_info.min, 0)])
+    def test_rejects_subnormal_flip_prob(self, eps):
+        # a subnormal flip probability has fewer than 53 significant bits
+        with pytest.raises(errors.RelayError,
+                           match=f"at least {re.escape(repr(sys.float_info.min))}"):
+            DiscreteConfig(5, eps)
+
+    def test_smallest_normal_flip_prob_accepted(self):
+        assert DiscreteConfig(5, sys.float_info.min).flip_prob == sys.float_info.min
 
 
 def lattice_candidates(positions, directions, carrier):
@@ -203,11 +243,6 @@ class TestCircleDelta:
         assert circle_delta(0.0, 0.25, 1.0) == 0.25
         assert circle_delta(0.75, 0.25, 1.0) == 0.5
         assert circle_delta(0.25, 0.0, 1.0) == 0.75
-
-    def test_vectorized(self):
-        a = np.array([0.0, 0.75, 0.25])
-        b = np.array([0.25, 0.25, 0.0])
-        np.testing.assert_allclose(circle_delta(a, b, 1.0), [0.25, 0.5, 0.75])
 
     @given(
         x=st.floats(min_value=0, max_value=10, exclude_max=True),

@@ -4,7 +4,8 @@ The continuum digests in test_continuum_digests.py hold counts only, so
 they do not pin the floats of a continuum start.  Here each case runs a
 simulation up to the point where model.relay receives the start state,
 and digests what it receives over ten seeds: the dtype and bytes of the
-positions, directions and switch times, the carrier, and whether the
+positions and directions, on the continuum those of each walker's first
+switch time, drawn from its own stream, the carrier, and whether the
 start is a contact.  An explicit start is built as the command line
 builds it from a config.  Run this file as a script to print the
 digests of the current code.
@@ -16,9 +17,10 @@ import numpy as np
 import pytest
 
 from ringrelay import cli, continuous, discrete, model
-from ringrelay.model import ContinuousConfig, DiscreteConfig, SeedSpec
+from ringrelay.model import ContinuousConfig, DiscreteConfig, SeedSpec, WalkerStreams
 
 SEEDS = [SeedSpec(2026, k) for k in range(10)]
+RATE = 0.7  # the continuum switch rate
 
 # explicit starts per model and m; each has a carrier moving
 # counter-clockwise on top of clockwise movers, two of them from m = 3 on
@@ -72,7 +74,7 @@ def start_of(model, m, mode, seed):
         module, config, length = discrete, DiscreteConfig(13, 0.3, m), 1
         simulate = discrete.simulate_discrete
     else:
-        module, config, length = continuous, ContinuousConfig(2.5, 1.5, 0.7, m), 1.0
+        module, config, length = continuous, ContinuousConfig(2.5, 1.5, RATE, m), 1.0
         simulate = continuous.simulate_continuous
     initial = mode
     if mode == "explicit":
@@ -92,11 +94,18 @@ def start_of(model, m, mode, seed):
     return args["state"], args["contact"]
 
 
+def first_switches(m, seed):
+    """Each continuum walker's first switch time, the first draw of its
+    stream, at start_of's switch rate."""
+    streams = WalkerStreams(seed, m)
+    return np.array([streams.walker[j].exponential(1.0 / RATE) for j in range(m)])
+
+
 def start_digest(model, m, mode) -> str:
     h = hashlib.sha256()
     for seed in SEEDS:
         state, contact = start_of(model, m, mode, seed)
-        switches = getattr(state, "next_switch", None)  # none on the lattice
+        switches = first_switches(m, seed) if model == "continuous" else None
         for value in (state.positions, state.directions, switches):
             if value is None:
                 h.update(b"None")
