@@ -9,8 +9,10 @@ routes, which is the package's central consistency check.
 """
 from __future__ import annotations
 
+import math
+
 from . import errors
-from .model import ContinuousConfig, validate_flip_prob, validate_sites
+from .model import ContinuousConfig, is_real, validate_flip_prob, validate_sites
 
 
 def speed_discrete(n_sites: int, flip_prob: float) -> float:
@@ -61,8 +63,8 @@ def dimensionless(alpha: float) -> float:
     alpha = r N / v is the expected number of direction reversals a
     walker makes while covering one full circle.
     """
-    if not (alpha > 0.0):
-        raise errors.RelayError(f"alpha must be > 0, got {alpha!r}")
+    if not (is_real(alpha) and 0.0 < alpha < math.inf):
+        raise errors.RelayError(f"alpha must be > 0 and finite, got {alpha!r}")
     return 1.0 / (2.0 + alpha)
 
 

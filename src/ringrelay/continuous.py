@@ -2,9 +2,9 @@
 
 Walkers move at constant speed on a circle and reverse direction at the
 arrival times of independent Poisson clocks.  When the message holder
-meets a clockwise mover head-on, the message changes hands.  The state,
-the start rule and the contact test are model.State, model.start_state
-and model.in_contact, shared with the lattice; the state holds no
+meets a clockwise mover head-on, the message changes hands.  The state
+and the start rule (which also tells a contact start) are model.State
+and model.start_state, shared with the lattice; the state holds no
 switch times, since layer (a) below draws every one, the first included.
 
 simulate_continuous runs one block engine for any number of walkers; the
@@ -40,7 +40,7 @@ from .model import (
     State,
     WalkerStreams,
     as_seed,
-    in_contact,
+    is_real,
     relay,
     sample_times,
     start_state,
@@ -75,7 +75,7 @@ def _check_switches(config: ContinuousConfig, horizon: float) -> None:
             f"{config.circumference!r} leaves the float range")
 
 
-def _start(config: ContinuousConfig, streams: WalkerStreams, initial) -> State:
+def _start(config: ContinuousConfig, streams: WalkerStreams, initial) -> tuple:
     """model.start_state on the circle."""
     n = config.circumference
     return start_state(initial, config.n_walkers, n, streams,
@@ -96,7 +96,7 @@ def simulate_continuous(
     start is a contact state.  trace_every records the running speed and
     handoff rate from time 0.
     """
-    if not (0.0 < horizon < np.inf):
+    if not (is_real(horizon) and 0.0 < horizon < np.inf):
         raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
     _check_switches(config, horizon)
     travel = config.speed * horizon / N_BATCHES
@@ -108,8 +108,7 @@ def simulate_continuous(
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     tol = default_tol(config)
-    state = _start(config, streams, initial)
-    in_f = in_contact(state, config.circumference, tol)
+    state, in_f = _start(config, streams, initial)
     return build_report(
         lambda checkpoints, burn, lap: relay(
             _paths(config, streams, state, float(horizon), tol), checkpoints, state,
@@ -278,7 +277,7 @@ def sample_walker_states(
     n, v = config.circumference, config.speed
     r, m = config.switch_rate, config.n_walkers
     streams = WalkerStreams(as_seed(seed), m)
-    state = _start(config, streams, "uniform-random")
+    state, _ = _start(config, streams, "uniform-random")
     positions = np.empty((len(times), m))
     directions = np.empty((len(times), m), dtype=np.int64)
     for j in range(m):

@@ -7,8 +7,8 @@ sharing its site with a clockwise mover, the message jumps to one such
 mover (chosen uniformly if there are several).  The message therefore
 only ever crosses sites clockwise.
 
-The state, the start rule and the contact test are model.State,
-model.start_state and model.in_contact, shared with the continuum.
+The state and the start rule (which also tells a contact start) are
+model.State and model.start_state, shared with the continuum.
 simulate_discrete runs one block engine for any number of walkers; the
 tests replay it against step() in tests/oracles.py, which applies one
 round.  The message never changes how the walkers move, so the engine,
@@ -39,7 +39,7 @@ from .model import (
     State,
     WalkerStreams,
     as_seed,
-    in_contact,
+    is_int,
     relay,
     sample_times,
     start_state,
@@ -60,18 +60,21 @@ def _flips(stream: np.random.Generator, size: int, eps: float) -> np.ndarray:
 
 
 def _check_steps(steps, m: int) -> None:
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    if not (is_int(steps) and steps >= 1):
         raise errors.RelayError(f"steps must be an integer >= 1, got {steps!r}")
     if m * int(steps) >= 2**53:
         raise errors.RelayError(
             f"{steps} steps of {m} walkers are at least 2**53 walker-rounds")
 
 
-def _start(config: DiscreteConfig, streams: WalkerStreams, initial) -> State:
-    """model.start_state on the lattice, whose points are sites."""
+def _start(config: DiscreteConfig, streams: WalkerStreams, initial) -> tuple:
+    """model.start_state on the lattice, whose points are whole sites."""
     n = config.n_sites
-    return start_state(initial, config.n_walkers, n, streams,
-                       lambda k: streams.aux.integers(0, n, size=k))
+    state, contact = start_state(initial, config.n_walkers, n, streams,
+                                 lambda k: streams.aux.integers(0, n, size=k))
+    if np.any(state.positions % 1):
+        raise errors.RelayError("positions must be whole sites on the lattice")
+    return state, contact
 
 
 def simulate_discrete(
@@ -92,8 +95,7 @@ def simulate_discrete(
     _check_steps(steps, config.n_walkers)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
-    state = _start(config, streams, initial)
-    in_regen = in_contact(state, config.n_sites)
+    state, in_regen = _start(config, streams, initial)
     return build_report(
         lambda checkpoints, burn, lap: relay(
             _paths(config, streams, state, steps), checkpoints, state, config.n_sites,
@@ -175,7 +177,7 @@ def sample_walker_states(
     last = int(rounds[-1]) if len(rounds) else 0
     _check_steps(max(last, 1), m)
     streams = WalkerStreams(as_seed(seed), m)
-    state = _start(config, streams, "uniform-random")
+    state, _ = _start(config, streams, "uniform-random")
     positions = np.empty((len(rounds), m), dtype=np.int64)
     directions = np.empty((len(rounds), m), dtype=np.int64)
     for j in range(m):

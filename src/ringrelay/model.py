@@ -9,14 +9,14 @@ arrivals of independent Poisson clocks.  Exactly one walker carries a
 message at any time, and the message is handed off on contact from a
 counter-clockwise mover to a clockwise mover, so the message itself only
 ever travels clockwise.  Both variants share one State, one start rule
-(start_state), one contact test (in_contact), one relay rule
-(resolve_handoff, and pass_message over many meetings), one path
-evaluator (walk) and one relay layer: relay turns the walker paths and
-meetings that either engine yields into Readings.  The parameter sets
-check themselves on construction, and State holds the paper's state
-alone.  The reference step() and continuum event operations in
-tests/oracles.py, which the engines are replayed against, build on the
-same State, with their clock kept beside it, and the same relay rule.
+(start_state, which also tells a contact start), one relay rule
+(pass_message, over a run's meetings and the start's at time 0), one
+path evaluator (walk) and one relay layer: relay turns the walker paths
+and meetings that either engine yields into Readings.  Parameter sets
+and seeds check themselves on construction; State is the paper's state
+alone.  The reference step() and continuum event operations of
+tests/oracles.py build on the same State, their clock beside it, with
+an instant relay rule of their own.
 """
 from __future__ import annotations
 
@@ -46,14 +46,20 @@ def validate_sites(n_sites: int) -> int:
     return int(n_sites)
 
 
-def _is_real(value) -> bool:
+def is_real(value) -> bool:
+    """A real number, not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_int(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def validate_flip_prob(flip_prob: float) -> float:
     # Both endpoints are excluded: at 0 the walkers never turn, at 1 the
     # relative motion is periodic, and either way ergodicity is lost.
-    if not _is_real(flip_prob):
+    if not is_real(flip_prob):
         raise errors.RelayError(f"flip probability must be a number, got {flip_prob!r}")
     if not (0.0 < flip_prob < 1.0):
         raise errors.RelayError(
@@ -69,7 +75,7 @@ def validate_flip_prob(flip_prob: float) -> float:
 
 
 def validate_walkers(n_walkers: int) -> None:
-    if not isinstance(n_walkers, (int, np.integer)) or isinstance(n_walkers, bool):
+    if not is_int(n_walkers):
         raise errors.RelayError(f"walker count must be an integer, got {n_walkers!r}")
     if n_walkers < 2:
         raise errors.RelayError(f"need at least 2 walkers, got {n_walkers}")
@@ -115,21 +121,11 @@ class ContinuousConfig:
     def __post_init__(self):
         for name, value in (("circumference", self.circumference),
                             ("speed", self.speed), ("switch rate", self.switch_rate)):
-            if not _is_real(value):
+            if not is_real(value):
                 raise errors.RelayError(f"{name} must be a number, got {value!r}")
             if not (0.0 < value < np.inf):
                 raise errors.RelayError(f"{name} must be > 0 and finite, got {value!r}")
         validate_walkers(self.n_walkers)
-
-
-def circle_delta(x_from, x_to, circumference):
-    """Clockwise gap from x_from to x_to, in [0, circumference).
-
-    The float modulo can land exactly on the circumference when the raw
-    difference is a tiny negative number, so that edge is folded back to 0.
-    """
-    d = (x_to - x_from) % circumference
-    return d - circumference if d >= circumference else d
 
 
 @dataclass(frozen=True)
@@ -142,6 +138,13 @@ class SeedSpec:
 
     master: int
     replica: int = 0
+
+    def __post_init__(self):
+        for name in ("master", "replica"):
+            if not (is_int(value := getattr(self, name)) and value >= 0):
+                raise errors.RelayError(
+                    f"seed {name} must be an integer >= 0, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def child(self, index: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(self.master, spawn_key=(self.replica, index))
@@ -174,9 +177,7 @@ class WalkerStreams:
 
 
 def as_seed(seed) -> SeedSpec:
-    if isinstance(seed, SeedSpec):
-        return seed
-    return SeedSpec(int(seed))
+    return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
 
 @dataclass
@@ -191,14 +192,12 @@ class State:
     directions: np.ndarray
     carrier: int
 
-    def copy(self) -> "State":
-        return State(self.positions.copy(), self.directions.copy(), self.carrier)
-
 
 def start_state(
     initial, m: int, size, streams: WalkerStreams, draw, tol=0,
-) -> State:
-    """The start of a run of m walkers on a ring of the given size.
+) -> tuple[State, bool]:
+    """The start of a run of m walkers on a ring of the given size, and
+    whether it is a contact, two walkers within tol in opposite directions.
 
     initial is an explicit State, checked and copied;
     "uniform-random": m points from draw(m), fair directions and a
@@ -206,21 +205,23 @@ def start_state(
     at the point draw(1) gives, moving apart, the message on the
     clockwise mover.  draw(k) is the ring's uniform law on streams.aux,
     which also gives the directions, the carrier and nu's variant, in
-    that order.  A carrier moving counter-clockwise within tol of a
-    clockwise mover is never observed after an update, so it is resolved
-    here, uncounted.
+    that order.  A carrier moving counter-clockwise within tol of
+    clockwise movers is never observed after an update: pass_message
+    resolves it as their meetings at time 0, uncounted.
     """
     aux = streams.aux
     if isinstance(initial, State):
-        if np.shape(initial.positions) != (m,) or np.shape(initial.directions) != (m,):
+        state = State(np.array(initial.positions), np.array(initial.directions),
+                      initial.carrier)
+        if state.positions.shape != (m,) or state.directions.shape != (m,):
             raise errors.RelayError(f"positions and directions must list {m} walkers")
-        if not np.all((initial.positions >= 0) & (initial.positions < size)):
+        if not (state.positions.dtype.kind in "iuf"
+                and np.all((state.positions >= 0) & (state.positions < size))):
             raise errors.RelayError(f"positions must lie in [0, {size})")
-        if not np.all(np.isin(initial.directions, (1, -1))):
+        if not np.all(np.isin(state.directions, (1, -1))):
             raise errors.RelayError("directions must be +1 or -1")
-        if not (0 <= initial.carrier < m):
-            raise errors.RelayError(f"carrier must be in [0, {m})")
-        state = initial.copy()
+        if not (is_int(state.carrier) and 0 <= state.carrier < m):
+            raise errors.RelayError(f"carrier must be an integer in [0, {m})")
     elif initial == "uniform-random":
         positions = draw(m)
         directions = (1 - 2 * aux.integers(0, 2, size=m)).astype(np.int64)
@@ -234,20 +235,14 @@ def start_state(
         state = State(np.array([point, point]), directions, variant)
     else:
         raise errors.RelayError(f"unknown initial condition {initial!r}")
-    state.carrier, _ = resolve_handoff(
-        state.positions, state.directions, state.carrier, size, streams, tol
-    )
-    return state
-
-
-def in_contact(state: State, size, tol=0) -> bool:
-    """Whether a state of two walkers is a contact, the walkers within
-    tol of each other in opposite directions; more walkers have none."""
-    if len(state.positions) != 2:
-        return False
-    gap = circle_delta(state.positions[0], state.positions[1], size)
-    return bool(min(gap, size - gap) <= tol
-                and state.directions[0] != state.directions[1])
+    x, d, car = state.positions, state.directions, state.carrier
+    gaps = (x - x[car]) % size
+    near = np.minimum(gaps, size - gaps) <= tol
+    cw = np.flatnonzero(near & (d == 1))
+    if d[car] == -1 and cw.size:
+        _, after, _ = pass_message(car, 0 * cw, cw, np.full_like(cw, car), 0, streams)
+        state.carrier = int(after[-1])
+    return state, bool(m == 2 and near.all() and d[0] != d[1])
 
 
 def sample_times(times, whole: bool) -> np.ndarray:
@@ -285,24 +280,6 @@ def walk(x0, d0: int, bounds: np.ndarray, times: np.ndarray, speed,
     return positions, signs
 
 
-def resolve_handoff(
-    positions: np.ndarray, directions: np.ndarray, carrier: int,
-    circumference, streams: WalkerStreams, tol=0,
-) -> tuple[int, bool]:
-    """The relay rule at one instant: a carrier moving counter-clockwise
-    within tol of clockwise movers hands the message to one of them,
-    taken in ascending index and chosen with streams.choose.  Returns
-    the carrier and whether the message changed hands."""
-    if directions[carrier] != -1:
-        return carrier, False
-    gaps = (positions - positions[carrier]) % circumference
-    near = np.minimum(gaps, circumference - gaps) <= tol
-    candidates = np.flatnonzero(near & (directions == 1))
-    if candidates.size == 0:
-        return carrier, False
-    return int(candidates[streams.choose(candidates.size)]), True
-
-
 def pass_message(
     car: int, when: np.ndarray, cw: np.ndarray, ccw: np.ndarray, window,
     streams: WalkerStreams,
@@ -312,12 +289,12 @@ def pass_message(
     decide the message, the carrier after each and the meeting that
     supplied it.  The message moves at a meeting whose counter-clockwise
     member is the carrier, to one of the clockwise walkers that meet the
-    carrier within window of it, as resolve_handoff chooses, supplied by
-    that walker's first such meeting.  With two walkers every meeting
-    leaves the message on its clockwise member; with more, a bisect finds
-    the carrier's next meeting as the counter-clockwise one.  Only if
-    that walker meets again within window is anything drawn, and only
-    there can a later meeting supply the carrier."""
+    carrier within window of it, by streams.choose in ascending index,
+    supplied by that walker's first such meeting.  With two walkers every
+    meeting leaves the message on its clockwise member; with more, a
+    bisect finds the carrier's next meeting as the counter-clockwise one.
+    Only if that walker meets again within window is anything drawn, and
+    only there can a later meeting supply the carrier."""
     if streams.n_walkers == 2:
         every = np.arange(len(cw))
         return every, cw, every

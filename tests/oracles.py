@@ -7,6 +7,10 @@ src/ringrelay against them on a shared seed:
 * OracleState, a model.State with the clock the oracles step and, on
   the continuum, each walker's next switch time, which the engines do
   not keep;
+* the relay rule at one instant (resolve_handoff), the contact test
+  (in_contact) and the clockwise gap (circle_delta), which the oracles
+  below and the start tests read in place of model.start_state's
+  resolution through model.pass_message;
 * the continuum event operations (event_start / meeting_time /
   next_event / advance_to / handle_event), driven from event to event;
 * the lattice round, step();
@@ -40,8 +44,6 @@ from ringrelay.model import (
     Moments,
     State,
     WalkerStreams,
-    circle_delta,
-    resolve_handoff,
 )
 
 
@@ -67,6 +69,48 @@ class OracleState(State):
         return replace(
             self, positions=self.positions.copy(), directions=self.directions.copy(),
             next_switch=None if self.next_switch is None else self.next_switch.copy())
+
+
+# ----------------------------------------------------------------------
+# the relay rule and the contact test at one instant
+
+
+def circle_delta(x_from, x_to, circumference):
+    """Clockwise gap from x_from to x_to, in [0, circumference).
+
+    The float modulo can land exactly on the circumference when the raw
+    difference is a tiny negative number, so that edge is folded back to 0.
+    """
+    d = (x_to - x_from) % circumference
+    return d - circumference if d >= circumference else d
+
+
+def resolve_handoff(
+    positions: np.ndarray, directions: np.ndarray, carrier: int,
+    circumference, streams: WalkerStreams, tol=0,
+) -> tuple[int, bool]:
+    """The relay rule at one instant: a carrier moving counter-clockwise
+    within tol of clockwise movers hands the message to one of them,
+    taken in ascending index and chosen with streams.choose.  Returns
+    the carrier and whether the message changed hands."""
+    if directions[carrier] != -1:
+        return carrier, False
+    gaps = (positions - positions[carrier]) % circumference
+    near = np.minimum(gaps, circumference - gaps) <= tol
+    candidates = np.flatnonzero(near & (directions == 1))
+    if candidates.size == 0:
+        return carrier, False
+    return int(candidates[streams.choose(candidates.size)]), True
+
+
+def in_contact(state: State, size, tol=0) -> bool:
+    """Whether a state of two walkers is a contact, the walkers within
+    tol of each other in opposite directions; more walkers have none."""
+    if len(state.positions) != 2:
+        return False
+    gap = circle_delta(state.positions[0], state.positions[1], size)
+    return bool(min(gap, size - gap) <= tol
+                and state.directions[0] != state.directions[1])
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +153,7 @@ def event_start(
 ) -> OracleState:
     """The engine's start, with each walker's first switch drawn from its
     own stream, as the engine draws it."""
-    state = continuous._start(config, streams, initial)
+    state, _ = continuous._start(config, streams, initial)
     return OracleState.of(state, np.array([
         streams.walker[j].exponential(1.0 / config.switch_rate)
         for j in range(config.n_walkers)]))

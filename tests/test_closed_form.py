@@ -138,6 +138,13 @@ class TestContinuousForms:
         with pytest.raises(errors.RelayError, match="alpha must be > 0"):
             cf.dimensionless(0.0)
 
+    @pytest.mark.parametrize("alpha", ["a", math.inf, True, None],
+                             ids=["str", "inf", "bool", "none"])
+    def test_dimensionless_takes_only_a_finite_positive_real(self, alpha):
+        # alpha = r N / v is finite for every valid config
+        with pytest.raises(errors.RelayError, match="alpha must be > 0 and finite"):
+            cf.dimensionless(alpha)
+
 
 def cost_error(n, rate, circ, v=1.0):
     """Relative gap between the rate-normalised lattice cost and the

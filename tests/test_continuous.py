@@ -15,6 +15,7 @@ from oracles import (
     advance_to,
     event_start,
     handle_event,
+    in_contact,
     meeting_time,
     next_event,
 )
@@ -30,7 +31,6 @@ from ringrelay.model import (
     SeedSpec,
     State,
     WalkerStreams,
-    in_contact,
 )
 
 CFG1 = ContinuousConfig(1.0, 1.0, 1.0)
@@ -146,8 +146,8 @@ class TestEventOps:
         carriers = set()
         for rep in range(100):
             streams = WalkerStreams(SeedSpec(3, rep), 2)
-            state = continuous._start(CFG1, streams, "regeneration")
-            assert in_contact(state, CFG1.circumference, default_tol(CFG1))
+            state, contact = continuous._start(CFG1, streams, "regeneration")
+            assert contact and in_contact(state, CFG1.circumference, default_tol(CFG1))
             assert state.directions[state.carrier] == 1
             carriers.add(state.carrier)
         assert carriers == {0, 1}

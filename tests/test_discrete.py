@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import OracleState, step
+from oracles import OracleState, in_contact, resolve_handoff, step
 from ringrelay import discrete, errors, estimators, model
 from ringrelay.model import DiscreteConfig, SeedSpec, WalkerStreams
 
@@ -26,7 +26,7 @@ def run_reference_loop(config, steps, seed, initial):
     does), plus the rounds in the regeneration set."""
     streams = WalkerStreams(SeedSpec(*seed), config.n_walkers)
     state = OracleState.of(initial)
-    state.carrier, _ = model.resolve_handoff(
+    state.carrier, _ = resolve_handoff(
         state.positions, state.directions, state.carrier, config.n_sites, streams
     )
     rows = [(state.positions, state.directions, state.carrier, False)]
@@ -35,7 +35,7 @@ def run_reference_loop(config, steps, seed, initial):
         rows.append((state.positions, state.directions, state.carrier, jumped))
     visits = [
         t for t, (x, d, c, _) in enumerate(rows)
-        if model.in_contact(model.State(x, d, c), config.n_sites)
+        if in_contact(model.State(x, d, c), config.n_sites)
     ]
     positions, directions, carriers, jumps = map(np.array, zip(*rows))
     return positions, directions, carriers, jumps, visits
@@ -131,8 +131,8 @@ class TestRegenerationLaw:
         sites = set()
         for rep in range(300):
             streams = WalkerStreams(SeedSpec(23, rep), 2)
-            state = discrete._start(cfg, streams, "regeneration")
-            assert model.in_contact(state, cfg.n_sites)
+            state, contact = discrete._start(cfg, streams, "regeneration")
+            assert contact and in_contact(state, cfg.n_sites)
             assert state.positions[0] == state.positions[1]
             assert state.directions[state.carrier] == 1
             variants.add(state.carrier)
@@ -145,9 +145,9 @@ class TestRegenerationLaw:
         yes = model.State(np.array([2, 2]), np.array([1, -1]), 0)
         no_dir = model.State(np.array([2, 2]), np.array([1, 1]), 0)
         no_pos = model.State(np.array([2, 3]), np.array([1, -1]), 0)
-        assert model.in_contact(yes, cfg.n_sites)
-        assert not model.in_contact(no_dir, cfg.n_sites)
-        assert not model.in_contact(no_pos, cfg.n_sites)
+        assert in_contact(yes, cfg.n_sites)
+        assert not in_contact(no_dir, cfg.n_sites)
+        assert not in_contact(no_pos, cfg.n_sites)
 
     def test_sample_nu_needs_two_walkers(self):
         with pytest.raises(errors.RelayError, match="defined for 2 walkers"):
@@ -218,7 +218,7 @@ class TestEngineAgainstStepLoop:
         for walker_rounds in (discrete.WALKER_ROUNDS, 17 * m, 7 * m, 1):
             monkeypatch.setattr(discrete, "WALKER_ROUNDS", walker_rounds)
             report = discrete.simulate_discrete(
-                cfg, steps, SeedSpec(*seed), initial.copy(), trace_every=1
+                cfg, steps, SeedSpec(*seed), initial, trace_every=1
             )
             burn = int(report.burn_in)
             edges = burn + int(report.batch_duration) * np.arange(51)
@@ -377,7 +377,7 @@ class TestWalkerSampler:
         after those rounds, compared up to round upto (all by default);
         returns the start."""
         streams = WalkerStreams(seed, cfg.n_walkers)
-        states = [OracleState.of(discrete._start(cfg, streams, "uniform-random"))]
+        states = [OracleState.of(discrete._start(cfg, streams, "uniform-random")[0])]
         for _ in range(upto or max(int(r[-1]) for r in round_sets if len(r))):
             states.append(step(states[-1], cfg, streams)[0])
         for rounds in round_sets:
@@ -412,7 +412,7 @@ class TestWalkerSampler:
         cfg, rounds = DiscreteConfig(5, 0.3), np.arange(2100, 205_001, 50)
         starts = [self.check(cfg, SeedSpec(20260815, 1000 + k), rounds, upto=5000)
                   for k in (0, 6)]
-        assert [model.in_contact(s, cfg.n_sites) for s in starts] == [False, True]
+        assert [in_contact(s, cfg.n_sites) for s in starts] == [False, True]
 
     def test_no_samples(self):
         pos, dirs = discrete.sample_walker_states(

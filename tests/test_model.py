@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import loop_pass_message
-from ringrelay import errors
+from oracles import circle_delta, in_contact, loop_pass_message, resolve_handoff
+from ringrelay import continuous, discrete, errors
 from ringrelay.model import (
     MAX_WALKERS,
     ContinuousConfig,
@@ -17,9 +17,7 @@ from ringrelay.model import (
     State,
     WalkerStreams,
     as_seed,
-    circle_delta,
     pass_message,
-    resolve_handoff,
     start_state,
 )
 
@@ -115,14 +113,14 @@ class TestConfigs:
 
 
 def lattice_candidates(positions, directions, carrier):
-    """The lattice engine's candidate rule before model.resolve_handoff."""
+    """The lattice engine's candidate rule before oracles.resolve_handoff."""
     if directions[carrier] != -1:
         return np.zeros(0, dtype=np.int64)
     return np.nonzero((positions == positions[carrier]) & (directions == 1))[0]
 
 
 def continuum_candidates(positions, directions, carrier, circumference, tol):
-    """The continuum engine's candidate rule before model.resolve_handoff."""
+    """The continuum engine's candidate rule before oracles.resolve_handoff."""
     if directions[carrier] != -1:
         return np.zeros(0, dtype=np.int64)
     gaps = (positions - positions[carrier]) % circumference
@@ -221,6 +219,51 @@ class TestRelayRule:
             assert got == (expected, len(cands) > 0)
             assert same_aux(a, b)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_start_resolves_as_resolve_handoff(self, kind, m):
+        # explicit starts with the carrier moving counter-clockwise and
+        # 0 .. m-1 clockwise movers within tol of it: the start rule,
+        # through pass_message, hands over as the instant rule does, with
+        # the same draws, and tells a contact as in_contact does
+        rng = np.random.default_rng(40 + m)
+        if kind == "discrete":
+            cfg, start = DiscreteConfig(5, 0.3, m), discrete._start
+            size, tol = 5, 0
+            offsets = [0]  # on the lattice, within tol is on one site
+        else:
+            cfg, start = ContinuousConfig(2.5, n_walkers=m), continuous._start
+            size, tol = 2.5, continuous.default_tol(cfg)
+            offsets = [0.0, 0.4 * tol, -0.4 * tol]
+        counts = set()
+        for case in range(200):
+            carrier = int(rng.integers(m))
+            point = rng.choice([0, 1, size - 1]) if kind == "discrete" else rng.choice(
+                [0.0, 1.0, size - 1e-13])
+            k = int(rng.integers(m))  # clockwise movers within tol
+            others = rng.permutation([w for w in range(m) if w != carrier])
+            directions = rng.choice([-1, 1], m)
+            directions[carrier] = -1
+            directions[others[:k]] = 1
+            near = rng.random(m) < 0.5  # the rest, within tol moving ccw or away
+            positions = np.array([
+                (point + rng.choice(offsets)) % size
+                if w == carrier or w in others[:k] or (near[w] and directions[w] == -1)
+                else (point + size / 2 + rng.choice(offsets)) % size
+                for w in range(m)])
+            if kind == "discrete":
+                positions = positions.astype(np.int64)
+            state = State(positions, directions, carrier)
+            a, b = (WalkerStreams(SeedSpec(case, m), m) for _ in range(2))
+            expected, jumped = resolve_handoff(positions, directions, carrier, size, a,
+                                               tol)
+            got, contact = start(cfg, b, state)
+            assert got.carrier == expected and jumped == (k > 0)
+            assert contact == in_contact(got, size, tol)
+            assert a.aux.random() == b.aux.random()
+            counts.add(k)
+        assert counts == set(range(m))
+
 
 def check_state(state, m, size):
     """An explicit start through the start rule, which checks it."""
@@ -236,6 +279,40 @@ class TestCheckState:
 
     def test_valid_state_accepted(self):
         check_state(State(np.array([0.0, 4.5]), np.array([1, -1]), 1), 2, 5.0)
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    @pytest.mark.parametrize(
+        "state,match",
+        [
+            (State(np.array([0, 3]), np.array([1, -1]), 1.5), "carrier must be an integer"),
+            (State(np.array([0, 3]), np.array([1, -1]), np.float64(1.0)),
+             "carrier must be an integer"),
+            (State(np.array([0, 3]), np.array([1, -1]), True), "carrier must be an integer"),
+            (State(np.array(["0", "3"]), np.array([1, -1]), 0), "positions must lie in"),
+        ],
+        ids=["float-carrier", "numpy-float-carrier", "bool-carrier", "str-positions"],
+    )
+    def test_explicit_start_checked_on_both_models(self, kind, state, match):
+        # each reached an IndexError, a TypeError or ran as carrier 1
+        config = DiscreteConfig(5, 0.3) if kind == "discrete" else ContinuousConfig(5.0)
+        module = discrete if kind == "discrete" else continuous
+        with pytest.raises(errors.RelayError, match=match):
+            module._start(config, WalkerStreams(SeedSpec(0), 2), state)
+
+    @pytest.mark.parametrize("positions", [[0.5, 1.0], [2.0, 4.999]])
+    def test_lattice_start_needs_whole_sites(self, positions):
+        # the engine's int64 sites would truncate these silently
+        state = State(np.array(positions), np.array([1, -1]), 0)
+        with pytest.raises(errors.RelayError, match="whole sites"):
+            discrete.simulate_discrete(DiscreteConfig(5, 0.3), 10, 0, state)
+
+    def test_lattice_start_takes_whole_floats(self):
+        state = State(np.array([2.0, 4.0]), np.array([1, -1]), 0)
+        want = discrete.simulate_discrete(
+            DiscreteConfig(5, 0.3), 100, 0, State(np.array([2, 4]), state.directions, 0))
+        got = discrete.simulate_discrete(DiscreteConfig(5, 0.3), 100, 0, state)
+        assert got.displacement_sum == want.displacement_sum
+        assert got.jump_count == want.jump_count
 
 
 class TestCircleDelta:
@@ -297,8 +374,41 @@ class TestSeeding:
         spec = SeedSpec(3, 4)
         assert as_seed(spec) is spec
 
+    def test_numpy_integer_seeds_become_ints(self):
+        spec = SeedSpec(np.int64(3), np.uint8(4))
+        assert (spec.master, spec.replica) == (3, 4)
+        assert type(spec.master) is int and type(as_seed(np.int32(5)).master) is int
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: as_seed(-1), lambda: as_seed("a"), lambda: as_seed(1.5),
+         lambda: as_seed(True), lambda: SeedSpec(1, -1), lambda: SeedSpec(1, 0.5)],
+        ids=["negative", "str", "float", "bool", "negative-replica", "float-replica"],
+    )
+    def test_seed_checked_on_construction(self, make):
+        with pytest.raises(errors.RelayError, match="seed .* must be an integer >= 0"):
+            make()
+
     def test_child_indices_distinct(self):
         spec = SeedSpec(11, 2)
         g0 = np.random.Generator(np.random.PCG64(spec.child(0)))
         g1 = np.random.Generator(np.random.PCG64(spec.child(1)))
         assert g0.random(4).tolist() != g1.random(4).tolist()
+
+
+class TestRunArguments:
+    @pytest.mark.parametrize(
+        "run,match",
+        [
+            (lambda: discrete.simulate_discrete(DiscreteConfig(5, 0.3), True, 0),
+             "steps must be an integer"),
+            (lambda: continuous.simulate_continuous(ContinuousConfig(1.0), "10", 0),
+             "horizon must be"),
+            (lambda: continuous.simulate_continuous(ContinuousConfig(1.0), True, 0),
+             "horizon must be"),
+        ],
+        ids=["bool-steps", "str-horizon", "bool-horizon"],
+    )
+    def test_run_arguments_checked(self, run, match):
+        with pytest.raises(errors.RelayError, match=match):
+            run()
