@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_form, estimators, exact, validation
-from .continuous import simulate_continuous
+from .continuous import check_run, simulate_continuous
 from .discrete import simulate_discrete
 from .errors import RelayError
 from .model import ContinuousConfig, DiscreteConfig, SeedSpec, State
@@ -355,8 +355,11 @@ def cmd_sweep(args) -> int:
         for n in grid["N"]
         for v in grid[var_key]
     ]
-    _make_out(args.out)
     length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
+    if kind == "continuous":
+        for config in configs:
+            check_run(config, length)
+    _make_out(args.out)
     simulate = simulate_discrete if kind == "discrete" else simulate_continuous
     exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []
     header = ["N", var_key, "s_formula", "c_formula", *exact_columns,

@@ -12,25 +12,25 @@ from __future__ import annotations
 import math
 
 from . import errors
-from .model import ContinuousConfig, is_real, validate_flip_prob, validate_sites
+from .model import ContinuousConfig, DiscreteConfig, is_real
 
 
 def speed_discrete(n_sites: int, flip_prob: float) -> float:
     """Long-run sites-per-round speed of the message, lattice variant."""
-    n = validate_sites(n_sites)
-    eps = validate_flip_prob(flip_prob)
+    DiscreteConfig(n_sites, flip_prob)  # checks them
+    n, eps = int(n_sites), float(flip_prob)
     return (1.0 - eps) / (2.0 * (1.0 + eps * (n - 2)))
 
 
 def cost_discrete(n_sites: int, flip_prob: float) -> float:
     """Long-run handoffs per round, lattice variant."""
-    return validate_flip_prob(flip_prob) * speed_discrete(n_sites, flip_prob)
+    return speed_discrete(n_sites, flip_prob) * float(flip_prob)
 
 
 def direction_prob_discrete(n_sites: int, flip_prob: float) -> float:
     """Long-run fraction of rounds the carrier moves clockwise."""
-    n = validate_sites(n_sites)
-    eps = validate_flip_prob(flip_prob)
+    DiscreteConfig(n_sites, flip_prob)  # checks them
+    n, eps = int(n_sites), float(flip_prob)
     return (3.0 + eps * (2 * n - 5)) / (4.0 * (1.0 + eps * (n - 2)))
 
 
@@ -83,9 +83,8 @@ def scaling_limit_error(
     continuum.  For the canonical comparison (speed 1, rate 1,
     circumference 1) the error is 1 / (6 * n_sites - 4).
     """
-    n = validate_sites(n_sites)
+    n = int(DiscreteConfig(n_sites, 0.5).n_sites)  # checks the site count alone
     ContinuousConfig(circumference, speed, switch_rate)  # checks them
     eps = circumference * switch_rate / (2.0 * n * speed)
-    validate_flip_prob(eps)
     target = speed_continuous(circumference, speed, switch_rate) / speed
-    return abs(speed_discrete(n, eps) - target) / target
+    return abs(speed_discrete(n, eps) - target) / target  # speed_discrete checks eps

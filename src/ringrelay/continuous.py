@@ -75,6 +75,20 @@ def _check_switches(config: ContinuousConfig, horizon: float) -> None:
             f"{config.circumference!r} leaves the float range")
 
 
+def check_run(config: ContinuousConfig, horizon: float) -> None:
+    """Every check of a run up to horizon but MAX_MEETINGS, which depends on
+    the draws: a finite horizon > 0, _check_switches, a resolvable batch."""
+    if not (is_real(horizon) and 0.0 < horizon < np.inf):
+        raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
+    _check_switches(config, horizon)
+    travel = config.speed * horizon / N_BATCHES
+    if not travel >= 2.0**-32 * (config.circumference + config.speed * horizon):
+        raise errors.RelayError(
+            f"horizon {horizon!r} at speed {config.speed!r} moves the message "
+            f"{travel:.3g} per batch, too little to resolve on a ring of "
+            f"{config.circumference!r}")
+
+
 def _start(config: ContinuousConfig, streams: WalkerStreams, initial) -> tuple:
     """model.start_state on the circle."""
     n = config.circumference
@@ -96,15 +110,7 @@ def simulate_continuous(
     start is a contact state.  trace_every records the running speed and
     handoff rate from time 0.
     """
-    if not (is_real(horizon) and 0.0 < horizon < np.inf):
-        raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
-    _check_switches(config, horizon)
-    travel = config.speed * horizon / N_BATCHES
-    if not travel >= 2.0**-32 * (config.circumference + config.speed * horizon):
-        raise errors.RelayError(
-            f"horizon {horizon!r} at speed {config.speed!r} moves the message "
-            f"{travel:.3g} per batch, too little to resolve on a ring of "
-            f"{config.circumference!r}")
+    check_run(config, horizon)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     tol = default_tol(config)

@@ -27,7 +27,6 @@ models share, without the relay: the one source of them.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -51,12 +50,9 @@ WALKER_ROUNDS = 1 << 17
 
 
 def _flips(stream: np.random.Generator, size: int, eps: float) -> np.ndarray:
-    """The next size flip draws of one walker, stream.random(size) < eps
-    bit for bit, read from the raw outputs: PCG64's random() maps an
-    output u to (u >> 11) * 2**-53, which is below eps exactly when u is
-    below ceil(eps * 2**53) << 11."""
-    cut = np.uint64(math.ceil(eps * 2**53) << 11)
-    return stream.bit_generator.random_raw(size) < cut
+    """The next size flip draws of one walker, as step() draws them one at
+    a time: a round flips where its uniform draw is below eps."""
+    return stream.random(size) < eps
 
 
 def _check_steps(steps, m: int) -> None:

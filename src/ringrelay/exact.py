@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .model import ContinuousConfig, validate_flip_prob, validate_sites
+from .model import ContinuousConfig, DiscreteConfig
 
 # ----------------------------------------------------------------------
 # Reduced lattice chain: state = (gap, d1, d2, carrier)
@@ -77,8 +77,8 @@ def build_reduced_chain(n_sites: int, flip_prob: float) -> ReducedChain:
     + carrier, and states are listed in code order.  Codes 3 and 4 are
     the two excluded contact states, so code c sits at index c - 2 [c > 4].
     """
-    n = validate_sites(n_sites)
-    eps = validate_flip_prob(flip_prob)
+    DiscreteConfig(n_sites, flip_prob)  # checks them
+    n, eps = int(n_sites), float(flip_prob)
 
     code = np.arange(8 * n)
     code = code[(code != 3) & (code != 4)]
@@ -325,8 +325,8 @@ def solve_trace_bvp(n_sites: int, flip_prob: float) -> TraceSolution:
     Each step adds, multiplies or divides nonnegative numbers, so
     nothing is lost to cancellation at any flip probability.
     """
-    n = validate_sites(n_sites)
-    eps = validate_flip_prob(flip_prob)
+    DiscreteConfig(n_sites, flip_prob)  # checks them
+    n, eps = int(n_sites), float(flip_prob)
     keep = 1.0 - eps
 
     up, down = [1.0] * n, [0.0] * n  # f(N-1) wraps
@@ -366,8 +366,8 @@ def hitting_prob_oracle(n_sites: int, flip_prob: float) -> float:
     probability from (0, widening) with no reference to the recursion
     solved by solve_trace_bvp.
     """
-    n = validate_sites(n_sites)
-    eps = validate_flip_prob(flip_prob)
+    DiscreteConfig(n_sites, flip_prob)  # checks them
+    n, eps = int(n_sites), float(flip_prob)
     keep = 1.0 - eps
 
     # (k, widening) leaves for the wrap with weight `wrap` and for

@@ -34,18 +34,6 @@ from . import errors
 MAX_WALKERS = 100  # all-pairs engines: at this m a continuum chunk takes 250 MiB
 
 
-def validate_sites(n_sites: int) -> int:
-    if not isinstance(n_sites, (int, np.integer)):
-        raise errors.RelayError(f"site count must be an integer, got {n_sites!r}")
-    if n_sites < 3:
-        raise errors.RelayError(f"need at least 3 sites, got {n_sites}")
-    if n_sites % 2 == 0:
-        raise errors.RelayError(f"site count must be odd, got {n_sites}")
-    if n_sites >= 2**62:  # the engine's unwrapped int64 sites stay in range
-        raise errors.RelayError(f"site count must be below 2**62, got {n_sites}")
-    return int(n_sites)
-
-
 def is_real(value) -> bool:
     """A real number, not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -54,24 +42,6 @@ def is_real(value) -> bool:
 def is_int(value) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def validate_flip_prob(flip_prob: float) -> float:
-    # Both endpoints are excluded: at 0 the walkers never turn, at 1 the
-    # relative motion is periodic, and either way ergodicity is lost.
-    if not is_real(flip_prob):
-        raise errors.RelayError(f"flip probability must be a number, got {flip_prob!r}")
-    if not (0.0 < flip_prob < 1.0):
-        raise errors.RelayError(
-            f"flip probability must lie in (0, 1), got {flip_prob!r}"
-        )
-    # a subnormal float has fewer than 53 significant bits, and the exact
-    # solves lose what is left of them to rounding
-    if flip_prob < sys.float_info.min:
-        raise errors.RelayError(
-            f"flip probability must be at least {sys.float_info.min!r}, the "
-            f"smallest normal float, got {flip_prob!r}")
-    return float(flip_prob)
 
 
 def validate_walkers(n_walkers: int) -> None:
@@ -98,8 +68,23 @@ class DiscreteConfig:
     n_walkers: int = 2
 
     def __post_init__(self):
-        validate_sites(self.n_sites)
-        validate_flip_prob(self.flip_prob)
+        n, eps = self.n_sites, self.flip_prob
+        if not is_int(n):
+            raise errors.RelayError(f"site count must be an integer, got {n!r}")
+        if n < 3:
+            raise errors.RelayError(f"need at least 3 sites, got {n}")
+        if n % 2 == 0:
+            raise errors.RelayError(f"site count must be odd, got {n}")
+        if n >= 2**62:  # the engine's unwrapped int64 sites stay in range
+            raise errors.RelayError(f"site count must be below 2**62, got {n}")
+        if not is_real(eps):
+            raise errors.RelayError(f"flip probability must be a number, got {eps!r}")
+        if not (0.0 < eps < 1.0):  # at 0 no walker turns, at 1 all move periodically
+            raise errors.RelayError(f"flip probability must lie in (0, 1), got {eps!r}")
+        if eps < sys.float_info.min:  # fewer than 53 bits, which the exact solves lose
+            raise errors.RelayError(
+                f"flip probability must be at least {sys.float_info.min!r}, the "
+                f"smallest normal float, got {eps!r}")
         validate_walkers(self.n_walkers)
 
 

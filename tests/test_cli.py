@@ -751,6 +751,23 @@ class TestSweep:
         assert code == 2
         assert "size limit exceeded" in err and out == ""
 
+    def test_run_checks_precede_any_point(self, capsys, monkeypatch):
+        # the N=2 point is sound; at N=1e300 the message moves too little
+        # per batch to resolve, which the sweep refuses before any point runs
+        calls = []
+
+        def replica(*args, **kwargs):
+            calls.append(args)
+            return simulate_continuous(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_continuous", replica)
+        code, out, err = run_cli(
+            capsys, "sweep", "--set", "model=continuous", "--set", "horizon=2000000",
+            "--set", 'grid={"N": [2, 1e300], "r": [1]}',
+        )
+        assert (len(calls), code, out) == (0, 2, "")
+        assert "too little to resolve on a ring of 1e+300" in err
+
 
 class TestValidateCommand:
     # the real checklist runs in test_acceptance; here only the wiring

@@ -5,7 +5,6 @@ the block engine used by simulate_discrete for any number of walkers is
 not, so the central test here replays the same seed through both and
 demands the identical trajectory, round by round.
 """
-import math
 
 import numpy as np
 import pytest
@@ -352,8 +351,8 @@ class TestFlips:
                 1 - 1e-9, 1 - 2.0**-53],
     )
     def test_raw_threshold_equals_uniform_threshold(self, eps):
-        # the engines draw flips as raw outputs below a cut; step() draws
-        # them as random() < eps, one at a time
+        # the engines draw flips in blocks; step() draws them as
+        # random() < eps, one at a time
         for seed in range(25):
             a = WalkerStreams(SeedSpec(seed, 4), 1).walker[0]
             b = WalkerStreams(SeedSpec(seed, 4), 1).walker[0]
@@ -361,11 +360,6 @@ class TestFlips:
                 np.testing.assert_array_equal(
                     discrete._flips(a, size, eps), b.random(size) < eps
                 )
-        # outputs at the cut: random() maps u to (u >> 11) * 2**-53
-        cut = int(math.ceil(eps * 2**53)) << 11
-        for u in (cut - 2049, cut - 2048, cut - 1, cut, cut + 1, cut + 2047):
-            if 0 <= u < 2**64:
-                assert (u < cut) == ((u >> 11) * 2.0**-53 < eps)
 
 
 class TestWalkerSampler:

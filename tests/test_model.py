@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import circle_delta, in_contact, loop_pass_message, resolve_handoff
-from ringrelay import continuous, discrete, errors
+from ringrelay import closed_form, continuous, discrete, errors, exact
 from ringrelay.model import (
     MAX_WALKERS,
     ContinuousConfig,
@@ -86,10 +86,11 @@ class TestConfigs:
              "switch rate must be a number"),
             (lambda: DiscreteConfig(5, "0.3"), "flip probability must be a number"),
             (lambda: DiscreteConfig(5, True), "flip probability must be a number"),
+            (lambda: DiscreteConfig(True, 0.3), "site count must be an integer, got True"),
         ],
         ids=["lattice-float-m", "continuum-float-m", "bool-m", "str-circumference",
              "bool-circumference", "bool-speed", "str-rate", "str-epsilon",
-             "bool-epsilon"],
+             "bool-epsilon", "bool-N"],
     )
     def test_rejects_wrong_types_at_construction(self, make, match):
         with pytest.raises(errors.RelayError, match=match):
@@ -110,6 +111,47 @@ class TestConfigs:
 
     def test_smallest_normal_flip_prob_accepted(self):
         assert DiscreteConfig(5, sys.float_info.min).flip_prob == sys.float_info.min
+
+
+def scaling_limit_at(n_sites, flip_prob):
+    """closed_form.scaling_limit_error on the continuum whose lattice has
+    flip probability flip_prob at n_sites = 5 (speed and circumference 1,
+    switch rate 10 flip_prob); at any other n_sites, at switch rate 1."""
+    if n_sites != 5:
+        return closed_form.scaling_limit_error(n_sites, 1.0, 1.0)
+    return closed_form.scaling_limit_error(5, 10 * flip_prob, 1.0)
+
+
+# the lattice entry points that take (N, eps) and check them with DiscreteConfig
+LATTICE_ENTRIES = {
+    "speed": closed_form.speed_discrete,
+    "cost": closed_form.cost_discrete,
+    "direction": closed_form.direction_prob_discrete,
+    "chain": exact.build_reduced_chain,
+    "metrics": exact.exact_metrics,
+    "bvp": exact.solve_trace_bvp,
+    "oracle": exact.hitting_prob_oracle,
+    "scaling": scaling_limit_at,
+}
+BAD_SITES = [True, 4, 2**62, "a"]
+BAD_FLIP_PROBS = [0.0, 1.0, 5e-324, "0.3", float("nan"), "x"]
+# the scaling limit's flip probability is derived from positive finite
+# continuum numbers, so only these of the bad ones arise there
+SCALING_FLIP_PROBS = [1.0, 5e-324]
+BAD_PAIRS = [(n, 0.3) for n in BAD_SITES] + [(5, eps) for eps in BAD_FLIP_PROBS]
+
+
+@pytest.mark.parametrize(
+    "entry,n_sites,flip_prob",
+    [pytest.param(entry, n, eps, id=f"{entry}-N={n!r}-eps={eps!r}")
+     for entry in LATTICE_ENTRIES for n, eps in BAD_PAIRS
+     if not (entry == "scaling" and n == 5 and eps not in SCALING_FLIP_PROBS)])
+def test_lattice_entry_points_check_with_the_config(entry, n_sites, flip_prob):
+    with pytest.raises(errors.RelayError) as want:
+        DiscreteConfig(n_sites, flip_prob)
+    with pytest.raises(errors.RelayError) as got:
+        LATTICE_ENTRIES[entry](n_sites, flip_prob)
+    assert str(got.value) == str(want.value)
 
 
 def lattice_candidates(positions, directions, carrier):
