@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form, estimators, exact, validation
-from .continuous import check_run, simulate_continuous
+from . import closed_form, continuous, discrete, estimators, exact, validation
+from .continuous import simulate_continuous
 from .discrete import simulate_discrete
 from .errors import RelayError
 from .model import ContinuousConfig, DiscreteConfig, SeedSpec, State
@@ -301,6 +301,7 @@ def cmd_simulate(args) -> int:
     kind = cfg["model"]
     config = _model_config(cfg)
     length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
+    (discrete if kind == "discrete" else continuous).check_run(config, length)
     initial = _build_initial(cfg["initial"], kind)
     simulate = functools.partial(
         simulate_discrete if kind == "discrete" else simulate_continuous,
@@ -348,7 +349,7 @@ def cmd_sweep(args) -> int:
             raise RelayError(f"a {kind} sweep grid has no key {key!r}")
         if not (isinstance(grid.get(key), list) and grid[key]):
             raise RelayError(f"grid must list 'N' and '{var_key}' values")
-    # every grid point is checked before any of them runs
+    # every grid point, and its run, is checked before any of them runs
     n_type, var_type = (_KEYS[k][1 + (kind == "continuous")] for k in ("N", var_key))
     configs = [
         _two_walker_config({**cfg, "N": n_type("N", n), var_key: var_type(var_key, v)})
@@ -356,9 +357,8 @@ def cmd_sweep(args) -> int:
         for v in grid[var_key]
     ]
     length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
-    if kind == "continuous":
-        for config in configs:
-            check_run(config, length)
+    for config in configs:
+        (discrete if kind == "discrete" else continuous).check_run(config, length)
     _make_out(args.out)
     simulate = simulate_discrete if kind == "discrete" else simulate_continuous
     exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []

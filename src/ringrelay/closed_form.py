@@ -9,10 +9,8 @@ routes, which is the package's central consistency check.
 """
 from __future__ import annotations
 
-import math
-
 from . import errors
-from .model import ContinuousConfig, DiscreteConfig, is_real
+from .model import ContinuousConfig, DiscreteConfig, is_finite
 
 
 def speed_discrete(n_sites: int, flip_prob: float) -> float:
@@ -63,7 +61,7 @@ def dimensionless(alpha: float) -> float:
     alpha = r N / v is the expected number of direction reversals a
     walker makes while covering one full circle.
     """
-    if not (is_real(alpha) and 0.0 < alpha < math.inf):
+    if not (is_finite(alpha) and alpha > 0.0):
         raise errors.RelayError(f"alpha must be > 0 and finite, got {alpha!r}")
     return 1.0 / (2.0 + alpha)
 

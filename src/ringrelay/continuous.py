@@ -40,7 +40,7 @@ from .model import (
     State,
     WalkerStreams,
     as_seed,
-    is_real,
+    is_finite,
     relay,
     sample_times,
     start_state,
@@ -78,7 +78,7 @@ def _check_switches(config: ContinuousConfig, horizon: float) -> None:
 def check_run(config: ContinuousConfig, horizon: float) -> None:
     """Every check of a run up to horizon but MAX_MEETINGS, which depends on
     the draws: a finite horizon > 0, _check_switches, a resolvable batch."""
-    if not (is_real(horizon) and 0.0 < horizon < np.inf):
+    if not (is_finite(horizon) and horizon > 0.0):
         raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
     _check_switches(config, horizon)
     travel = config.speed * horizon / N_BATCHES
@@ -160,6 +160,14 @@ def _chunk_switches(m: int, laps_per_switch: float) -> int:
     return max(1, int(k * min(1.0, laps_per_switch)))
 
 
+def _settle(gap: np.ndarray, base: np.ndarray, n: float, tol: float):
+    """Rebase the pair gaps into [0, n), snapping them onto a level within tol."""
+    level = np.floor(gap / n)
+    gap, base = gap - level * n, base + level.astype(np.int64)
+    wrap = n - gap <= tol
+    return np.where(wrap | (gap <= tol), 0.0, gap), base + wrap
+
+
 def _paths(
     config: ContinuousConfig, streams: WalkerStreams, state: State,
     horizon: float, tol: float,
@@ -174,20 +182,12 @@ def _paths(
     r, m = config.switch_rate, config.n_walkers
     pj, pk = np.triu_indices(m, 1)  # pairs j < k in lexicographic order
     k = _chunk_switches(m, n * r / v)
-
-    def settle(gap: np.ndarray, base: np.ndarray):
-        """Rebase the gaps into [0, n), snapping them onto a level within tol."""
-        level = np.floor(gap / n)
-        gap, base = gap - level * n, base + level.astype(np.int64)
-        wrap = n - gap <= tol
-        return np.where(wrap | (gap <= tol), 0.0, gap), base + wrap
-
     pending = [np.zeros(0) for _ in range(m)]
     drawn = [0.0] * m  # latest switch drawn, or the start
     d = state.directions.astype(np.int8)
     x = state.positions.astype(float)
     # unwrapped gap of each pair is base * n + gap
-    gap, base = settle(x[pk] - x[pj], np.zeros(len(pj), dtype=np.int64))
+    gap, base = _settle(x[pk] - x[pj], np.zeros(len(pj), dtype=np.int64), n, tol)
     t0, u0 = 0.0, x[0]
     while True:
         # (a) walker paths: switches up to the chunk end t1
@@ -248,10 +248,8 @@ def _paths(
         sgn, seg, pair, cross, meet_t = (
             values[by_time] for values in (sgn, seg, pair, cross, meet_t))
         cw = np.where(sgn > 0, pk[pair], pj[pair])  # the clockwise member
-
-        def level(i):
-            # x_cw - x_ccw = sgn (x_k - x_j) = n (sgn base + cross) there
-            return sgn[i] * base[pair[i]] + cross[i].astype(np.int64)
+        # x_cw - x_ccw = sgn (x_k - x_j) = n (sgn base + cross) at each meeting
+        level = sgn * base[pair] + cross.astype(np.int64)
 
         def at(w, t, i=None):
             s = (seg[i] if i is not None
@@ -265,7 +263,7 @@ def _paths(
             return
         t0, u0 = t1, u[-1]
         d = dirs[:, -1].copy()
-        gap, base = settle(g[-1], base)
+        gap, base = _settle(g[-1], base, n, tol)
 
 
 def sample_walker_states(

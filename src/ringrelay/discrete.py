@@ -55,12 +55,13 @@ def _flips(stream: np.random.Generator, size: int, eps: float) -> np.ndarray:
     return stream.random(size) < eps
 
 
-def _check_steps(steps, m: int) -> None:
+def check_run(config: DiscreteConfig, steps) -> None:
+    """Every check of a run of steps rounds: at least 1, below 2**53 walker-rounds."""
     if not (is_int(steps) and steps >= 1):
         raise errors.RelayError(f"steps must be an integer >= 1, got {steps!r}")
-    if m * int(steps) >= 2**53:
-        raise errors.RelayError(
-            f"{steps} steps of {m} walkers are at least 2**53 walker-rounds")
+    if config.n_walkers * int(steps) >= 2**53:
+        raise errors.RelayError(f"{steps} steps of {config.n_walkers} walkers are "
+                                "at least 2**53 walker-rounds")
 
 
 def _start(config: DiscreteConfig, streams: WalkerStreams, initial) -> tuple:
@@ -88,7 +89,7 @@ def simulate_discrete(
     trace_every records the running speed and handoff rate from round 0
     for convergence plots.  estimators.build_report sets the window.
     """
-    _check_steps(steps, config.n_walkers)
+    check_run(config, steps)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     state, in_regen = _start(config, streams, initial)
@@ -153,8 +154,7 @@ def _paths(
         def at(w, t, i=None):
             return y[w] + rel[w, t - t0]
 
-        yield (t0 + b, when, cw, ccw,
-               lambda i: (at(cw[i], when[i]) - at(ccw[i], when[i])) // n, at)
+        yield t0 + b, when, cw, ccw, (at(cw, when) - at(ccw, when)) // n, at
         y, d = y + rel[:, -1], dirs[:, -1].copy()
         del dirs, rel  # free this block before drawing the next
         t0 += b
@@ -171,7 +171,7 @@ def sample_walker_states(
     n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
     rounds = sample_times(rounds, whole=True)
     last = int(rounds[-1]) if len(rounds) else 0
-    _check_steps(max(last, 1), m)
+    check_run(config, max(last, 1))
     streams = WalkerStreams(as_seed(seed), m)
     state, _ = _start(config, streams, "uniform-random")
     positions = np.empty((len(rounds), m), dtype=np.int64)

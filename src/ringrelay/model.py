@@ -39,6 +39,14 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """A real number, not a bool, that float() takes to a finite float."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int past sys.float_info.max
+        return False
+
+
 def is_int(value) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -108,7 +116,7 @@ class ContinuousConfig:
                             ("speed", self.speed), ("switch rate", self.switch_rate)):
             if not is_real(value):
                 raise errors.RelayError(f"{name} must be a number, got {value!r}")
-            if not (0.0 < value < np.inf):
+            if not (is_finite(value) and value > 0.0):
                 raise errors.RelayError(f"{name} must be > 0 and finite, got {value!r}")
         validate_walkers(self.n_walkers)
 
@@ -203,7 +211,8 @@ def start_state(
         if not (state.positions.dtype.kind in "iuf"
                 and np.all((state.positions >= 0) & (state.positions < size))):
             raise errors.RelayError(f"positions must lie in [0, {size})")
-        if not np.all(np.isin(state.directions, (1, -1))):
+        if not (state.directions.dtype.kind in "iuf"
+                and np.all(np.isin(state.directions, (1, -1)))):
             raise errors.RelayError("directions must be +1 or -1")
         if not (is_int(state.carrier) and 0 <= state.carrier < m):
             raise errors.RelayError(f"carrier must be an integer in [0, {m})")
@@ -391,10 +400,10 @@ def relay(
     paths, read at the sorted checkpoints.  The engine yields blocks
     (end, when, cw, ccw, level, at) from time 0: the block's end; its
     meetings in (time, pair) order, by time and clockwise and
-    counter-clockwise member; level(i), x_cw - x_ccw at meetings i in
-    whole laps of size; and at(w, t, i=None), the unwrapped positions of
-    walkers w at times t of the block, those of meetings i if given.
-    Both hold until the next block is drawn.
+    counter-clockwise member, and level, x_cw - x_ccw there in whole
+    laps of size, all arrays; and at(w, t, i=None), the unwrapped
+    positions of walkers w at times t of the block, those of meetings i
+    if given, which holds until the next block is drawn.
 
     pass_message resolves the relay from state's carrier.  The message is
     its carrier's unwrapped position plus whole laps, which a handoff
@@ -420,7 +429,7 @@ def relay(
         hit, after, given = pass_message(car, when, cw, ccw, window, streams)
         held = np.concatenate(([car], after))
         jumped = held[1:] != held[:-1]
-        lv = level(given)
+        lv = level[given]
         lap = np.concatenate(([laps], laps - np.cumsum(jumped * lv)))
         hit_t = when[hit]
         stop = np.searchsorted(checkpoints, end, side="right")

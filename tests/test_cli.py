@@ -752,21 +752,36 @@ class TestSweep:
         assert "size limit exceeded" in err and out == ""
 
     def test_run_checks_precede_any_point(self, capsys, monkeypatch):
-        # the N=2 point is sound; at N=1e300 the message moves too little
-        # per batch to resolve, which the sweep refuses before any point runs
         calls = []
 
-        def replica(*args, **kwargs):
-            calls.append(args)
-            return simulate_continuous(*args, **kwargs)
+        def spy(name, func):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(cli, "simulate_continuous", replica)
-        code, out, err = run_cli(
-            capsys, "sweep", "--set", "model=continuous", "--set", "horizon=2000000",
-            "--set", 'grid={"N": [2, 1e300], "r": [1]}',
-        )
-        assert (len(calls), code, out) == (0, 2, "")
-        assert "too little to resolve on a ring of 1e+300" in err
+        for name in ("simulate_discrete", "simulate_continuous"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        monkeypatch.setattr(cli.exact, "exact_metrics",
+                            spy("exact_metrics", cli.exact.exact_metrics))
+        for model, length, grid, message in [
+            # the N=2 point is sound; at N=1e300 the message moves too little
+            # per batch to resolve
+            ("continuous", "horizon=2000000", {"N": [2, 1e300], "r": [1]},
+             "too little to resolve on a ring of 1e+300"),
+            # N=30001 takes a 0.25 s exact solve, which must not start
+            ("discrete", "steps=0", {"N": [30001], "epsilon": [0.1]},
+             "steps must be an integer >= 1, got 0"),
+            ("discrete", f"steps={2**52}", {"N": [30001], "epsilon": [0.1]},
+             f"{2**52} steps of 2 walkers are at least 2**53 walker-rounds"),
+        ]:
+            code, out, err = run_cli(
+                capsys, "sweep", "--set", f"model={model}", "--set", length,
+                "--set", f"grid={json.dumps(grid)}",
+            )
+            assert (calls, code, out) == ([], 2, ""), length
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert message in err
 
 
 class TestValidateCommand:
@@ -953,6 +968,18 @@ class TestWorkerPool:
         # the third replica was queued, then cancelled before it ran
         assert ran == [0, 1] and len(made[0].queued) == 3
         assert made[0].queued[2].cancelled()
+
+    def test_refused_run_makes_no_directory_and_no_pool(self, capsys, made, tmp_path):
+        # a run the model refuses makes no --out and forks no worker
+        out_dir = tmp_path / "D"
+        code, out, err = run_cli(
+            capsys, "simulate", "--threads", "2", "--set", "replicas=4",
+            "--set", "model=continuous", "--set", "N=2", "--set", "horizon=-1",
+            "--out", str(out_dir),
+        )
+        assert (code, out, made) == (2, "", [])
+        assert err == "error: horizon must be finite and > 0, got -1.0\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_config_error(self, capsys, made, threads):

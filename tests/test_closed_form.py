@@ -138,8 +138,8 @@ class TestContinuousForms:
         with pytest.raises(errors.RelayError, match="alpha must be > 0"):
             cf.dimensionless(0.0)
 
-    @pytest.mark.parametrize("alpha", ["a", math.inf, True, None],
-                             ids=["str", "inf", "bool", "none"])
+    @pytest.mark.parametrize("alpha", ["a", math.inf, True, None, 10**400],
+                             ids=["str", "inf", "bool", "none", "huge-int"])
     def test_dimensionless_takes_only_a_finite_positive_real(self, alpha):
         # alpha = r N / v is finite for every valid config
         with pytest.raises(errors.RelayError, match="alpha must be > 0 and finite"):

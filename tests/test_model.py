@@ -87,10 +87,16 @@ class TestConfigs:
             (lambda: DiscreteConfig(5, "0.3"), "flip probability must be a number"),
             (lambda: DiscreteConfig(5, True), "flip probability must be a number"),
             (lambda: DiscreteConfig(True, 0.3), "site count must be an integer, got True"),
+            # ints past the float range raised OverflowError where first used
+            (lambda: ContinuousConfig(10**400), "circumference must be > 0 and finite"),
+            (lambda: ContinuousConfig(2.0, speed=10**400), "speed must be > 0 and finite"),
+            (lambda: ContinuousConfig(2.0, 1.0, 10**400),
+             "switch rate must be > 0 and finite"),
         ],
         ids=["lattice-float-m", "continuum-float-m", "bool-m", "str-circumference",
              "bool-circumference", "bool-speed", "str-rate", "str-epsilon",
-             "bool-epsilon", "bool-N"],
+             "bool-epsilon", "bool-N", "huge-int-circumference", "huge-int-speed",
+             "huge-int-rate"],
     )
     def test_rejects_wrong_types_at_construction(self, make, match):
         with pytest.raises(errors.RelayError, match=match):
@@ -331,8 +337,12 @@ class TestCheckState:
              "carrier must be an integer"),
             (State(np.array([0, 3]), np.array([1, -1]), True), "carrier must be an integer"),
             (State(np.array(["0", "3"]), np.array([1, -1]), 0), "positions must lie in"),
+            # True == 1, so bool directions passed the +1 / -1 check and ran
+            (State(np.array([0, 2]), np.array([True, True]), 0),
+             r"directions must be \+1 or -1"),
         ],
-        ids=["float-carrier", "numpy-float-carrier", "bool-carrier", "str-positions"],
+        ids=["float-carrier", "numpy-float-carrier", "bool-carrier", "str-positions",
+             "bool-directions"],
     )
     def test_explicit_start_checked_on_both_models(self, kind, state, match):
         # each reached an IndexError, a TypeError or ran as carrier 1
@@ -448,8 +458,15 @@ class TestRunArguments:
              "horizon must be"),
             (lambda: continuous.simulate_continuous(ContinuousConfig(1.0), True, 0),
              "horizon must be"),
+            (lambda: continuous.check_run(ContinuousConfig(2.0), 10**400),
+             "horizon must be finite and > 0"),
+            (lambda: discrete.check_run(DiscreteConfig(5, 0.3), 0),
+             "steps must be an integer >= 1, got 0"),
+            (lambda: discrete.check_run(DiscreteConfig(5, 0.3, 4), 2**51),
+             r"2251799813685248 steps of 4 walkers are at least 2\*\*53 walker-rounds"),
         ],
-        ids=["bool-steps", "str-horizon", "bool-horizon"],
+        ids=["bool-steps", "str-horizon", "bool-horizon", "huge-int-horizon",
+             "zero-steps", "walker-rounds-past-2**53"],
     )
     def test_run_arguments_checked(self, run, match):
         with pytest.raises(errors.RelayError, match=match):

@@ -5,8 +5,10 @@ them into readings, and model.start_state resolves the start through the
 same rule.  On the standard library's ast: pass_message, the package's
 one relay rule, is called nowhere in src/, scripts/ or perfbench/ but
 inside model.relay and model.start_state, and the engine modules
-discrete.py and continuous.py never touch a `.carrier`.  A self-check
-shows that both rules see what they look for.
+discrete.py and continuous.py never touch a `.carrier`.  The blocks the
+engines' _paths yield are plain data but the position reader `at`: no
+lambda and no nested function but `at` is defined inside _paths.  A
+self-check shows that each rule sees what it looks for.
 """
 import ast
 from pathlib import Path
@@ -47,6 +49,21 @@ def carrier_uses(path: Path) -> list[int]:
     ]
 
 
+def block_callables(path: Path) -> list[tuple[int, str]]:
+    """Line and name of each lambda, and of each function but at, defined
+    inside a top-level function _paths of path."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_paths":
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Lambda):
+                    found.append((sub.lineno, "lambda"))
+                elif (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and sub is not node and sub.name != "at"):
+                    found.append((sub.lineno, sub.name))
+    return found
+
+
 def test_the_checks_see_what_they_look_for(tmp_path):
     model = tmp_path / "model.py"
     model.write_text(
@@ -64,6 +81,14 @@ def test_the_checks_see_what_they_look_for(tmp_path):
     assert stray_calls(model) == [4, 8]
     assert stray_calls(engine) == [3]
     assert carrier_uses(engine) == [4, 5]
+    engine.write_text(
+        "def _paths(n):\n"
+        "    def at(w, t, i=None):\n        return w\n"
+        "    def level(i):\n        return i\n"
+        "    yield n, lambda i: i, level, at\n"
+        "def other():\n    return lambda: 0\n"
+    )
+    assert block_callables(engine) == [(4, "level"), (6, "lambda")]
 
 
 def test_pass_message_is_called_only_by_relay():
@@ -73,4 +98,9 @@ def test_pass_message_is_called_only_by_relay():
 
 def test_engines_hold_no_carrier():
     assert {p.name: carrier_uses(p) for p in ENGINES} == {
+        "discrete.py": [], "continuous.py": []}
+
+
+def test_engine_blocks_hold_no_callable_but_at():
+    assert {p.name: block_callables(p) for p in ENGINES} == {
         "discrete.py": [], "continuous.py": []}
