@@ -164,6 +164,15 @@ def _model_config(cfg: dict):
     return ContinuousConfig(cfg["N"], cfg["v"], cfg["r"], cfg["m"])
 
 
+def _checked_run(cfg: dict, config, initial="uniform-random", trace_every=None) -> tuple:
+    """The length and simulator of a run of config, once check_run passes it."""
+    lattice = cfg["model"] == "discrete"
+    length = cfg["steps" if lattice else "horizon"]
+    (discrete if lattice else continuous).check_run(config, length, initial, trace_every)
+    simulate = simulate_discrete if lattice else simulate_continuous
+    return length, functools.partial(simulate, trace_every=trace_every)
+
+
 def _two_walker_config(cfg: dict):
     """The model config of a run compared with the two-walker formulas or
     exact solves (exact, sweep): m must be 2, and a lattice ring
@@ -298,15 +307,9 @@ def _report_payload(report) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    kind = cfg["model"]
-    config = _model_config(cfg)
-    length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
-    (discrete if kind == "discrete" else continuous).check_run(config, length)
+    kind, config = cfg["model"], _model_config(cfg)
     initial = _build_initial(cfg["initial"], kind)
-    simulate = functools.partial(
-        simulate_discrete if kind == "discrete" else simulate_continuous,
-        trace_every=cfg["trace_every"],
-    )
+    length, simulate = _checked_run(cfg, config, initial, cfg["trace_every"])
     seed, replicas = cfg["seed"], cfg["replicas"]
     jobs = [(config, length, SeedSpec(seed, k), initial) for k in range(replicas)]
     _make_out(args.out, directory=True)
@@ -356,11 +359,9 @@ def cmd_sweep(args) -> int:
         for n in grid["N"]
         for v in grid[var_key]
     ]
-    length = cfg["steps"] if kind == "discrete" else cfg["horizon"]
     for config in configs:
-        (discrete if kind == "discrete" else continuous).check_run(config, length)
+        length, simulate = _checked_run(cfg, config)
     _make_out(args.out)
-    simulate = simulate_discrete if kind == "discrete" else simulate_continuous
     exact_columns = ["s_exact", "c_exact"] if kind == "discrete" else []
     header = ["N", var_key, "s_formula", "c_formula", *exact_columns,
               "s_mc", "c_mc", "s_mc_stderr", "c_mc_stderr"]

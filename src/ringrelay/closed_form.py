@@ -9,14 +9,15 @@ routes, which is the package's central consistency check.
 """
 from __future__ import annotations
 
+from dataclasses import astuple
+
 from . import errors
 from .model import ContinuousConfig, DiscreteConfig, is_finite
 
 
 def speed_discrete(n_sites: int, flip_prob: float) -> float:
     """Long-run sites-per-round speed of the message, lattice variant."""
-    DiscreteConfig(n_sites, flip_prob)  # checks them
-    n, eps = int(n_sites), float(flip_prob)
+    n, eps, _ = astuple(DiscreteConfig(n_sites, flip_prob))
     return (1.0 - eps) / (2.0 * (1.0 + eps * (n - 2)))
 
 
@@ -27,30 +28,28 @@ def cost_discrete(n_sites: int, flip_prob: float) -> float:
 
 def direction_prob_discrete(n_sites: int, flip_prob: float) -> float:
     """Long-run fraction of rounds the carrier moves clockwise."""
-    DiscreteConfig(n_sites, flip_prob)  # checks them
-    n, eps = int(n_sites), float(flip_prob)
+    n, eps, _ = astuple(DiscreteConfig(n_sites, flip_prob))
     return (3.0 + eps * (2 * n - 5)) / (4.0 * (1.0 + eps * (n - 2)))
 
 
 def speed_continuous(circumference: float, speed: float, switch_rate: float) -> float:
     """Long-run message speed (length per unit time), continuum variant."""
-    ContinuousConfig(circumference, speed, switch_rate)  # checks them
-    return speed * speed / (2.0 * speed + switch_rate * circumference)
+    n, v, r, _ = astuple(ContinuousConfig(circumference, speed, switch_rate))
+    return v * v / (2.0 * v + r * n)
 
 
 def cost_continuous(circumference: float, speed: float, switch_rate: float) -> float:
     """Long-run handoffs per unit time, continuum variant."""
-    ContinuousConfig(circumference, speed, switch_rate)  # checks them
-    return switch_rate * speed / (2.0 * speed + switch_rate * circumference)
+    n, v, r, _ = astuple(ContinuousConfig(circumference, speed, switch_rate))
+    return r * v / (2.0 * v + r * n)
 
 
 def direction_prob_continuous(
     circumference: float, speed: float, switch_rate: float
 ) -> float:
     """Long-run fraction of time the carrier moves clockwise."""
-    ContinuousConfig(circumference, speed, switch_rate)  # checks them
-    rn = switch_rate * circumference
-    return (3.0 * speed + rn) / (2.0 * (2.0 * speed + rn))
+    n, v, r, _ = astuple(ContinuousConfig(circumference, speed, switch_rate))
+    return (3.0 * v + r * n) / (2.0 * (2.0 * v + r * n))
 
 
 def dimensionless(alpha: float) -> float:
@@ -81,8 +80,8 @@ def scaling_limit_error(
     continuum.  For the canonical comparison (speed 1, rate 1,
     circumference 1) the error is 1 / (6 * n_sites - 4).
     """
-    n = int(DiscreteConfig(n_sites, 0.5).n_sites)  # checks the site count alone
-    ContinuousConfig(circumference, speed, switch_rate)  # checks them
-    eps = circumference * switch_rate / (2.0 * n * speed)
-    target = speed_continuous(circumference, speed, switch_rate) / speed
+    n = DiscreteConfig(n_sites, 0.5).n_sites  # checks the site count alone
+    length, v, r, _ = astuple(ContinuousConfig(circumference, speed, switch_rate))
+    eps = length * r / (2.0 * n * v)
+    target = speed_continuous(circumference, speed, switch_rate) / v
     return abs(speed_discrete(n, eps) - target) / target  # speed_discrete checks eps

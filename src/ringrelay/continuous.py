@@ -40,6 +40,7 @@ from .model import (
     State,
     WalkerStreams,
     as_seed,
+    check_start,
     is_finite,
     relay,
     sample_times,
@@ -75,11 +76,13 @@ def _check_switches(config: ContinuousConfig, horizon: float) -> None:
             f"{config.circumference!r} leaves the float range")
 
 
-def check_run(config: ContinuousConfig, horizon: float) -> None:
-    """Every check of a run up to horizon but MAX_MEETINGS, which depends on
-    the draws: a finite horizon > 0, _check_switches, a resolvable batch."""
+def check_run(config: ContinuousConfig, horizon: float, initial="uniform-random",
+              trace_every=None) -> None:
+    """Every check of a run but MAX_MEETINGS, which depends on the draws: a
+    finite horizon > 0, _check_switches, a resolvable batch, check_start."""
     if not (is_finite(horizon) and horizon > 0.0):
         raise errors.RelayError(f"horizon must be finite and > 0, got {horizon!r}")
+    horizon = float(horizon)
     _check_switches(config, horizon)
     travel = config.speed * horizon / N_BATCHES
     if not travel >= 2.0**-32 * (config.circumference + config.speed * horizon):
@@ -87,6 +90,7 @@ def check_run(config: ContinuousConfig, horizon: float) -> None:
             f"horizon {horizon!r} at speed {config.speed!r} moves the message "
             f"{travel:.3g} per batch, too little to resolve on a ring of "
             f"{config.circumference!r}")
+    check_start(initial, config.n_walkers, config.circumference, horizon, trace_every)
 
 
 def _start(config: ContinuousConfig, streams: WalkerStreams, initial) -> tuple:
@@ -110,7 +114,7 @@ def simulate_continuous(
     start is a contact state.  trace_every records the running speed and
     handoff rate from time 0.
     """
-    check_run(config, horizon)
+    check_run(config, horizon, initial, trace_every)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     tol = default_tol(config)

@@ -38,6 +38,7 @@ from .model import (
     State,
     WalkerStreams,
     as_seed,
+    check_start,
     is_int,
     relay,
     sample_times,
@@ -55,23 +56,21 @@ def _flips(stream: np.random.Generator, size: int, eps: float) -> np.ndarray:
     return stream.random(size) < eps
 
 
-def check_run(config: DiscreteConfig, steps) -> None:
-    """Every check of a run of steps rounds: at least 1, below 2**53 walker-rounds."""
+def check_run(config: DiscreteConfig, steps, initial="uniform-random",
+              trace_every=None) -> None:
+    """Every check of a run: steps >= 1, below 2**53 walker-rounds, check_start."""
     if not (is_int(steps) and steps >= 1):
         raise errors.RelayError(f"steps must be an integer >= 1, got {steps!r}")
     if config.n_walkers * int(steps) >= 2**53:
         raise errors.RelayError(f"{steps} steps of {config.n_walkers} walkers are "
                                 "at least 2**53 walker-rounds")
+    check_start(initial, config.n_walkers, config.n_sites, steps, trace_every)
 
 
 def _start(config: DiscreteConfig, streams: WalkerStreams, initial) -> tuple:
     """model.start_state on the lattice, whose points are whole sites."""
-    n = config.n_sites
-    state, contact = start_state(initial, config.n_walkers, n, streams,
-                                 lambda k: streams.aux.integers(0, n, size=k))
-    if np.any(state.positions % 1):
-        raise errors.RelayError("positions must be whole sites on the lattice")
-    return state, contact
+    return start_state(initial, config.n_walkers, config.n_sites, streams,
+                       lambda k: streams.aux.integers(0, config.n_sites, size=k))
 
 
 def simulate_discrete(
@@ -89,7 +88,7 @@ def simulate_discrete(
     trace_every records the running speed and handoff rate from round 0
     for convergence plots.  estimators.build_report sets the window.
     """
-    check_run(config, steps)
+    check_run(config, steps, initial, trace_every)
     spec = as_seed(seed)
     streams = WalkerStreams(spec, config.n_walkers)
     state, in_regen = _start(config, streams, initial)

@@ -25,7 +25,6 @@ from . import errors
 from .model import Cycles, DiscreteConfig
 
 N_BATCHES = 50
-MAX_CHECKPOINTS = 10**6  # trace points, ~100 B each
 MIN_EXPECTED = 20.0  # the least expected count per chi-square cell
 
 
@@ -64,29 +63,6 @@ class RunReport:
         return 0 if self.cycles is None else self.cycles.lengths.count
 
 
-def spaced_times(every, end) -> np.ndarray:
-    """Trace points every, 2 every, .. up to end, at most
-    MAX_CHECKPOINTS of them; none if every is None or 0.  Otherwise every
-    must be a finite number > 0, and a whole one for runs counted in
-    rounds (an integer end)."""
-    if every is None or every == 0:
-        return np.zeros(0, dtype=np.int64)
-    whole = isinstance(end, (int, np.integer))
-    kinds = (int, np.integer) if whole else (int, float, np.integer, np.floating)
-    if isinstance(every, bool) or not isinstance(every, kinds) or not (
-        0 < every < np.inf
-    ):
-        unit = "a whole number of rounds" if whole else "a finite number"
-        raise errors.RelayError(
-            f"trace_every must be 0 (off) or {unit} > 0, got {every!r}")
-    count = end / every
-    if count > MAX_CHECKPOINTS:
-        raise errors.RelayError(
-            f"trace_every asks for {count:.3g} checkpoints, more than {MAX_CHECKPOINTS}")
-    times = every * np.arange(1, int(count) + 1)
-    return times[times <= end]  # the run ends at end: a time rounded past it goes
-
-
 def window(end, in_contact: bool, trace_every=None) -> tuple:
     """The window rule of both simulators, for a run that ends at end:
     its burn-in, batch edges and trace times.
@@ -95,7 +71,7 @@ def window(end, in_contact: bool, trace_every=None) -> tuple:
     a contact state (a regeneration), else the first 1% of the run.  It
     is cut into N_BATCHES batches; for runs counted in rounds (an integer
     end) they hold whole rounds and leave the rounds after the last batch
-    out.  Trace points are the spaced_times of trace_every.
+    out.  Trace points are the positive multiples of trace_every to end.
     """
     whole = isinstance(end, (int, np.integer))
     burn = 0 if in_contact else end // 100 if whole else 0.01 * end
@@ -104,7 +80,9 @@ def window(end, in_contact: bool, trace_every=None) -> tuple:
         edges = burn + size * np.arange(N_BATCHES + 1 if size else 1)
     else:
         edges = np.linspace(burn, end, N_BATCHES + 1)
-    return burn, edges, spaced_times(trace_every, end)
+    count = int(end / trace_every) if trace_every else 0  # None or 0: no trace
+    times = (trace_every or 1) * np.arange(1, count + 1)
+    return burn, edges, times[times <= end]  # a time rounded past end goes
 
 
 def build_report(

@@ -8,15 +8,15 @@ fixed speed on a circle of arbitrary positive length and reverse at the
 arrivals of independent Poisson clocks.  Exactly one walker carries a
 message at any time, and the message is handed off on contact from a
 counter-clockwise mover to a clockwise mover, so the message itself only
-ever travels clockwise.  Both variants share one State, one start rule
-(start_state, which also tells a contact start), one relay rule
-(pass_message, over a run's meetings and the start's at time 0), one
-path evaluator (walk) and one relay layer: relay turns the walker paths
-and meetings that either engine yields into Readings.  Parameter sets
-and seeds check themselves on construction; State is the paper's state
-alone.  The reference step() and continuum event operations of
-tests/oracles.py build on the same State, their clock beside it, with
-an instant relay rule of their own.
+ever travels clockwise.  Both variants share one State, one start check
+(check_start, which needs no draw), one start rule (start_state, which
+also tells a contact start), one relay rule (pass_message, over a run's
+meetings and the start's at time 0), one path evaluator (walk) and one
+relay layer: relay turns the walker paths and meetings that either
+engine yields into Readings.  Parameter sets and seeds check themselves
+on construction; State is the paper's state alone.  The reference step()
+and continuum event operations of tests/oracles.py build on the same
+State, their clock beside it, with an instant relay rule of their own.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ import numpy as np
 from . import errors
 
 MAX_WALKERS = 100  # all-pairs engines: at this m a continuum chunk takes 250 MiB
+MAX_CHECKPOINTS = 10**6  # trace points, ~100 B each
 
 
 def is_real(value) -> bool:
@@ -63,7 +64,7 @@ def validate_walkers(n_walkers: int) -> None:
 
 @dataclass(frozen=True)
 class DiscreteConfig:
-    """Lattice variant parameters, checked on construction.
+    """Lattice variant parameters, checked on construction, held as Python numbers.
 
     n_sites: number of ring sites, odd and >= 3.
     flip_prob: probability a walker reverses direction in a round, in
@@ -94,11 +95,13 @@ class DiscreteConfig:
                 f"flip probability must be at least {sys.float_info.min!r}, the "
                 f"smallest normal float, got {eps!r}")
         validate_walkers(self.n_walkers)
+        object.__setattr__(self, "n_sites", int(n))
+        object.__setattr__(self, "flip_prob", float(eps))
 
 
 @dataclass(frozen=True)
 class ContinuousConfig:
-    """Continuum variant parameters, checked on construction.
+    """Continuum variant parameters, checked on construction, held as floats.
 
     circumference: circle length, finite and > 0.
     speed: walker speed, finite and > 0.
@@ -112,12 +115,13 @@ class ContinuousConfig:
     n_walkers: int = 2
 
     def __post_init__(self):
-        for name, value in (("circumference", self.circumference),
-                            ("speed", self.speed), ("switch rate", self.switch_rate)):
+        for key in ("circumference", "speed", "switch_rate"):
+            name, value = key.replace("_", " "), getattr(self, key)
             if not is_real(value):
                 raise errors.RelayError(f"{name} must be a number, got {value!r}")
             if not (is_finite(value) and value > 0.0):
                 raise errors.RelayError(f"{name} must be > 0 and finite, got {value!r}")
+            object.__setattr__(self, key, float(value))
         validate_walkers(self.n_walkers)
 
 
@@ -186,13 +190,45 @@ class State:
     carrier: int
 
 
+def check_start(initial, m: int, size, end, every) -> None:
+    """Every check of a run's start and trace spacing, none of which draws:
+    m walkers on a ring of the given size up to end, an integer on the lattice."""
+    whole = is_int(end)
+    if isinstance(initial, State):
+        x, d = np.asarray(initial.positions), np.asarray(initial.directions)
+        if x.shape != (m,) or d.shape != (m,):
+            raise errors.RelayError(f"positions and directions must list {m} walkers")
+        if not (x.dtype.kind in "iuf" and np.all((x >= 0) & (x < size))):
+            raise errors.RelayError(f"positions must lie in [0, {size})")
+        if not (d.dtype.kind in "iuf" and np.all(np.isin(d, (1, -1)))):
+            raise errors.RelayError("directions must be +1 or -1")
+        if not (is_int(initial.carrier) and 0 <= initial.carrier < m):
+            raise errors.RelayError(f"carrier must be an integer in [0, {m})")
+        if whole and np.any(x % 1):  # the engine's int64 sites would truncate them
+            raise errors.RelayError("positions must be whole sites on the lattice")
+    elif initial == "regeneration" and m != 2:
+        raise errors.RelayError("regeneration start is defined for 2 walkers")
+    elif initial not in ("uniform-random", "regeneration"):
+        raise errors.RelayError(f"unknown initial condition {initial!r}")
+    if every is None or every == 0:
+        return
+    kinds = (int, np.integer) if whole else (int, float, np.integer, np.floating)
+    if not (isinstance(every, kinds) and is_finite(every) and every > 0):
+        unit = "a whole number of rounds" if whole else "a finite number"
+        raise errors.RelayError(
+            f"trace_every must be 0 (off) or {unit} > 0, got {every!r}")
+    if (count := end / every) > MAX_CHECKPOINTS:
+        raise errors.RelayError(
+            f"trace_every asks for {count:.3g} checkpoints, more than {MAX_CHECKPOINTS}")
+
+
 def start_state(
     initial, m: int, size, streams: WalkerStreams, draw, tol=0,
 ) -> tuple[State, bool]:
     """The start of a run of m walkers on a ring of the given size, and
     whether it is a contact, two walkers within tol in opposite directions.
 
-    initial is an explicit State, checked and copied;
+    initial, which check_start has passed, is an explicit State, copied;
     "uniform-random": m points from draw(m), fair directions and a
     uniform carrier; or "regeneration", the law nu of two walkers: both
     at the point draw(1) gives, moving apart, the message on the
@@ -202,33 +238,18 @@ def start_state(
     clockwise movers is never observed after an update: pass_message
     resolves it as their meetings at time 0, uncounted.
     """
-    aux = streams.aux
     if isinstance(initial, State):
         state = State(np.array(initial.positions), np.array(initial.directions),
                       initial.carrier)
-        if state.positions.shape != (m,) or state.directions.shape != (m,):
-            raise errors.RelayError(f"positions and directions must list {m} walkers")
-        if not (state.positions.dtype.kind in "iuf"
-                and np.all((state.positions >= 0) & (state.positions < size))):
-            raise errors.RelayError(f"positions must lie in [0, {size})")
-        if not (state.directions.dtype.kind in "iuf"
-                and np.all(np.isin(state.directions, (1, -1)))):
-            raise errors.RelayError("directions must be +1 or -1")
-        if not (is_int(state.carrier) and 0 <= state.carrier < m):
-            raise errors.RelayError(f"carrier must be an integer in [0, {m})")
     elif initial == "uniform-random":
         positions = draw(m)
-        directions = (1 - 2 * aux.integers(0, 2, size=m)).astype(np.int64)
-        state = State(positions, directions, int(aux.integers(m)))
-    elif initial == "regeneration":
-        if m != 2:
-            raise errors.RelayError("regeneration start is defined for 2 walkers")
+        directions = (1 - 2 * streams.aux.integers(0, 2, size=m)).astype(np.int64)
+        state = State(positions, directions, int(streams.aux.integers(m)))
+    else:  # "regeneration"
         point = draw(1)[0]
-        variant = int(aux.integers(2))
+        variant = int(streams.aux.integers(2))
         directions = np.array([1, -1], dtype=np.int64) * (1 - 2 * variant)
         state = State(np.array([point, point]), directions, variant)
-    else:
-        raise errors.RelayError(f"unknown initial condition {initial!r}")
     x, d, car = state.positions, state.directions, state.carrier
     gaps = (x - x[car]) % size
     near = np.minimum(gaps, size - gaps) <= tol

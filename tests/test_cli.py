@@ -970,16 +970,30 @@ class TestWorkerPool:
         assert made[0].queued[2].cancelled()
 
     def test_refused_run_makes_no_directory_and_no_pool(self, capsys, made, tmp_path):
-        # a run the model refuses makes no --out and forks no worker
-        out_dir = tmp_path / "D"
-        code, out, err = run_cli(
-            capsys, "simulate", "--threads", "2", "--set", "replicas=4",
-            "--set", "model=continuous", "--set", "N=2", "--set", "horizon=-1",
-            "--out", str(out_dir),
-        )
-        assert (code, out, made) == (2, "", [])
-        assert err == "error: horizon must be finite and > 0, got -1.0\n"
-        assert not out_dir.exists()
+        # a run the model refuses makes no --out and forks no worker: its
+        # length, its start and its trace spacing are checked first
+        lattice = ["model=discrete", "N=5", "epsilon=0.3", "steps=100"]
+        start = '{"positions": [0, 9], "directions": [1, -1], "carrier": 0}'
+        for k, (keys, message) in enumerate([
+            (["model=continuous", "N=2", "horizon=-1"],
+             "horizon must be finite and > 0, got -1.0"),
+            ([*lattice, "initial=bogus"], "unknown initial condition 'bogus'"),
+            ([*lattice, f"initial={start}"], "positions must lie in [0, 5)"),
+            ([*lattice, "m=3", "initial=regeneration"],
+             "regeneration start is defined for 2 walkers"),
+            ([*lattice, "trace_every=-5"],
+             "trace_every must be 0 (off) or a whole number of rounds > 0, got -5"),
+            (["model=continuous", "N=2", "horizon=1e4", "trace_every=1e-9"],
+             "trace_every asks for 1e+13 checkpoints, more than 1000000"),
+        ]):
+            out_dir = tmp_path / f"D{k}"
+            code, out, err = run_cli(
+                capsys, "simulate", "--threads", "2", "--set", "replicas=4",
+                *(arg for key in keys for arg in ("--set", key)), "--out", str(out_dir),
+            )
+            assert (code, out, made) == (2, "", []), message
+            assert err == f"error: {message}\n"
+            assert not out_dir.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_config_error(self, capsys, made, threads):

@@ -138,6 +138,14 @@ class TestContinuousForms:
         with pytest.raises(errors.RelayError, match="alpha must be > 0"):
             cf.dimensionless(0.0)
 
+    @pytest.mark.parametrize(
+        "form", [cf.speed_continuous, cf.cost_continuous, cf.direction_prob_continuous])
+    def test_int_parameters_give_the_equal_floats_value(self, form):
+        # v * v and r * v past the float range raised OverflowError in ints
+        got = form(2, 10**300, 10**300)
+        assert got == form(2.0, 1e300, 1e300) and type(got) is float
+        assert form(3, 2, 1) == form(3.0, 2.0, 1.0)
+
     @pytest.mark.parametrize("alpha", ["a", math.inf, True, None, 10**400],
                              ids=["str", "inf", "bool", "none", "huge-int"])
     def test_dimensionless_takes_only_a_finite_positive_real(self, alpha):

@@ -150,10 +150,7 @@ class TestRegenerationLaw:
 
     def test_sample_nu_needs_two_walkers(self):
         with pytest.raises(errors.RelayError, match="defined for 2 walkers"):
-            discrete._start(
-                DiscreteConfig(5, 0.3, 3), WalkerStreams(SeedSpec(0, 0), 3),
-                "regeneration",
-            )
+            discrete.check_run(DiscreteConfig(5, 0.3, 3), 100, "regeneration")
 
 
 # a head-on contact in round 1, the first row of a block of any size

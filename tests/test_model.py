@@ -18,7 +18,6 @@ from ringrelay.model import (
     WalkerStreams,
     as_seed,
     pass_message,
-    start_state,
 )
 
 
@@ -107,6 +106,15 @@ class TestConfigs:
         assert cfg.n_walkers == 3
         cfg = ContinuousConfig(np.float32(2.0), np.int64(1), 1.0, np.int64(2))
         assert cfg.speed == 1
+
+    def test_holds_checked_values_as_python_numbers(self):
+        cfg = DiscreteConfig(np.int64(5), np.float32(0.25))
+        assert (type(cfg.n_sites), type(cfg.flip_prob)) == (int, float)
+        assert (cfg.n_sites, cfg.flip_prob) == (5, 0.25)
+        cfg = ContinuousConfig(2, np.int64(3), np.float32(0.5))
+        assert [type(x) for x in (cfg.circumference, cfg.speed, cfg.switch_rate)] == [
+            float] * 3
+        assert (cfg.circumference, cfg.speed, cfg.switch_rate) == (2.0, 3.0, 0.5)
 
     @pytest.mark.parametrize("eps", [5e-324, 1e-312, np.nextafter(sys.float_info.min, 0)])
     def test_rejects_subnormal_flip_prob(self, eps):
@@ -314,8 +322,9 @@ class TestRelayRule:
 
 
 def check_state(state, m, size):
-    """An explicit start through the start rule, which checks it."""
-    start_state(state, m, size, WalkerStreams(SeedSpec(0), m), draw=None)
+    """An explicit start on a circle of the given size through the run
+    check, which checks it."""
+    continuous.check_run(ContinuousConfig(size, n_walkers=m), 10.0, state)
 
 
 class TestCheckState:
@@ -349,7 +358,7 @@ class TestCheckState:
         config = DiscreteConfig(5, 0.3) if kind == "discrete" else ContinuousConfig(5.0)
         module = discrete if kind == "discrete" else continuous
         with pytest.raises(errors.RelayError, match=match):
-            module._start(config, WalkerStreams(SeedSpec(0), 2), state)
+            module.check_run(config, 100 if kind == "discrete" else 100.0, state)
 
     @pytest.mark.parametrize("positions", [[0.5, 1.0], [2.0, 4.999]])
     def test_lattice_start_needs_whole_sites(self, positions):
@@ -464,10 +473,29 @@ class TestRunArguments:
              "steps must be an integer >= 1, got 0"),
             (lambda: discrete.check_run(DiscreteConfig(5, 0.3, 4), 2**51),
              r"2251799813685248 steps of 4 walkers are at least 2\*\*53 walker-rounds"),
+            # the int raised OverflowError at end / trace_every
+            (lambda: continuous.simulate_continuous(ContinuousConfig(2.0), 100.0, 0,
+                                                    trace_every=10**400),
+             r"trace_every must be 0 \(off\) or a finite number > 0"),
         ],
         ids=["bool-steps", "str-horizon", "bool-horizon", "huge-int-horizon",
-             "zero-steps", "walker-rounds-past-2**53"],
+             "zero-steps", "walker-rounds-past-2**53", "huge-int-trace-spacing"],
     )
     def test_run_arguments_checked(self, run, match):
         with pytest.raises(errors.RelayError, match=match):
             run()
+
+    @pytest.mark.parametrize(
+        "reals,horizon",
+        [((2, 1, 10**200), 10**200), ((10**300, 10**300, 1), 10**10)],
+        ids=["switches-past-2**53", "travel-past-the-float-range"],
+    )
+    def test_int_run_is_checked_as_the_equal_float(self, reals, horizon):
+        # each raised OverflowError in int arithmetic: formatting the switch
+        # count, and speed * horizon / N_BATCHES
+        messages = []
+        for kind in (int, float):
+            with pytest.raises(errors.RelayError) as refused:
+                continuous.check_run(ContinuousConfig(*map(kind, reals)), kind(horizon))
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]

@@ -7,7 +7,9 @@ one relay rule, is called nowhere in src/, scripts/ or perfbench/ but
 inside model.relay and model.start_state, and the engine modules
 discrete.py and continuous.py never touch a `.carrier`.  The blocks the
 engines' _paths yield are plain data but the position reader `at`: no
-lambda and no nested function but `at` is defined inside _paths.  A
+lambda and no nested function but `at` is defined inside _paths.  Each
+model's check_run holds every check of a run's inputs, so neither
+model.start_state nor estimators.window raises a RelayError.  A
 self-check shows that each rule sees what it looks for.
 """
 import ast
@@ -64,6 +66,20 @@ def block_callables(path: Path) -> list[tuple[int, str]]:
     return found
 
 
+def relay_errors(path: Path, names: tuple) -> list[int]:
+    """Lines of path that raise RelayError, by name or as an attribute,
+    inside the top-level functions names."""
+    return [
+        sub.lineno
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name in names
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Raise) and any(
+            getattr(n, "id", getattr(n, "attr", None)) == "RelayError"
+            for n in ast.walk(sub))
+    ]
+
+
 def test_the_checks_see_what_they_look_for(tmp_path):
     model = tmp_path / "model.py"
     model.write_text(
@@ -89,6 +105,13 @@ def test_the_checks_see_what_they_look_for(tmp_path):
         "def other():\n    return lambda: 0\n"
     )
     assert block_callables(engine) == [(4, "level"), (6, "lambda")]
+    model.write_text(
+        "def start_state(x):\n    if x:\n        raise errors.RelayError(x)\n"
+        "    raise ValueError(x)\n"
+        "def window(x):\n    raise RelayError(x)\n"
+        "def check_start(x):\n    raise errors.RelayError(x)\n"
+    )
+    assert relay_errors(model, ("start_state", "window")) == [3, 6]
 
 
 def test_pass_message_is_called_only_by_relay():
@@ -104,3 +127,9 @@ def test_engines_hold_no_carrier():
 def test_engine_blocks_hold_no_callable_but_at():
     assert {p.name: block_callables(p) for p in ENGINES} == {
         "discrete.py": [], "continuous.py": []}
+
+
+def test_start_and_window_raise_no_relay_error():
+    # the start and the trace spacing are checked by each model's check_run
+    assert relay_errors(SRC / "model.py", ("start_state",)) == []
+    assert relay_errors(SRC / "estimators.py", ("window",)) == []
