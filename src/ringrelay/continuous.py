@@ -15,13 +15,13 @@ chunk of switches, and model.relay turns them into readings: (a) each
 walker's switch times are drawn in blocks from its own stream, exactly
 as the oracle schedules them, and merged into one timeline of segments;
 a walker's direction on a segment is the parity of its own flips so
-far, walker 0's unwrapped position is one cumulative sum, and any other
-walker sits at walker 0's plus its pair gap; (b) the meetings of a pair
-are the level crossings (multiples of the circumference) of its
-piecewise linear unwrapped gap, sought only on the segments where the
-pair's directions differ, in (time, pair) order.  sample_walker_states
-reads walker samples off layer (a)'s switch times with model.walk,
-without the relay: the one source of them.
+far, and its unwrapped position, measured from walker 0's start, one
+cumulative sum of its own; (b) the meetings of a pair are the level
+crossings (multiples of the circumference) of its piecewise linear
+unwrapped gap, sought only on the segments where the pair's directions
+differ, in (time, pair) order.  sample_walker_states reads walker
+samples off layer (a)'s switch times with model.walk, without the
+relay: the one source of them.
 
 A reading at a time sees only what happened strictly before it: a
 walker switching then still has its old direction, and a handoff then
@@ -177,22 +177,20 @@ def _paths(
     horizon: float, tol: float,
 ):
     """Layers (a) and (b) of the module docstring from state up to horizon,
-    as the blocks model.relay reads, chunk by chunk.  Walker j > 0 sits at
-    u0 + n base + gap of the pair (0, j); the unwrapped gap x_k - x_j =
-    n base + gap of a pair j < k has slope 0 or +-2v, and a level within
-    tol of a segment's start is where the pair already is, not a meeting.
-    Meetings come in (time, pair) order, as the oracle's next_event."""
+    as the blocks model.relay reads, chunk by chunk.  The unwrapped gap
+    x_k - x_j = n base + gap of a pair j < k has slope 0 or +-2v, and a
+    level within tol of a segment's start is where the pair already is,
+    not a meeting; meetings come in the oracle's (time, pair) order."""
     n, v = config.circumference, config.speed
     r, m = config.switch_rate, config.n_walkers
     pj, pk = np.triu_indices(m, 1)  # pairs j < k in lexicographic order
     k = _chunk_switches(m, n * r / v)
     pending = [np.zeros(0) for _ in range(m)]
     drawn = [0.0] * m  # latest switch drawn, or the start
-    d = state.directions.astype(np.int8)
-    x = state.positions.astype(float)
+    t0, d = 0.0, state.directions.astype(np.int8)
+    x = (state.positions.astype(float) - state.positions[0]) % n  # from walker 0
     # unwrapped gap of each pair is base * n + gap
     gap, base = _settle(x[pk] - x[pj], np.zeros(len(pj), dtype=np.int64), n, tol)
-    t0, u0 = 0.0, x[0]
     while True:
         # (a) walker paths: switches up to the chunk end t1
         for j in range(m):
@@ -221,7 +219,10 @@ def _paths(
         np.logical_xor.accumulate(odd, axis=1, out=odd)
         dirs = odd.view(np.int8) * (-2 * d)[:, None]
         dirs += d[:, None]
-        u = np.cumsum(np.concatenate(([u0], vdt * dirs[0])))  # walker 0
+        xs = np.empty((m, len(bounds)))  # each walker's position at each bound
+        xs[:, 0] = x
+        np.multiply(vdt, dirs, out=xs[:, 1:])
+        np.cumsum(xs, axis=1, out=xs)
 
         # (b) meetings: levels crossed strictly inside the cells (segment,
         # pair) where the pair's directions differ, taken segment by
@@ -258,15 +259,13 @@ def _paths(
         def at(w, t, i=None):
             s = (seg[i] if i is not None
                  else np.maximum(np.searchsorted(bounds, t, side="left") - 1, 0))
-            # flat gathers; walker 0 has no pair term, so its index is moot
-            off = (w > 0) * (n * base[w - 1] + g.ravel()[s * len(pj) + w - 1])
-            return u[s] + off + v * dirs.ravel()[w * len(vdt) + s] * (t - bounds[s])
+            return (xs.ravel()[w * len(bounds) + s]
+                    + v * dirs.ravel()[w * len(vdt) + s] * (t - bounds[s]))
 
         yield t1, meet_t, cw, pj[pair] + pk[pair] - cw, level, at
         if final:
             return
-        t0, u0 = t1, u[-1]
-        d = dirs[:, -1].copy()
+        t0, x, d = t1, xs[:, -1].copy(), dirs[:, -1].copy()
         gap, base = _settle(g[-1], base, n, tol)
 
 

@@ -17,12 +17,13 @@ work only on one array per walker, and model.relay turns them into
 readings: (a) each walker's flips are drawn in blocks from that
 walker's own stream (_flips), consuming randomness exactly as repeated
 step() calls do; its directions are the parity of the flips so far and
-its unwrapped positions one cumulative sum of them; (b) a pair meets, a
-clockwise and a counter-clockwise walker on one site, where their
-directions differ and their unwrapped gap is a multiple of N (a table
-lookup), in (round, pair) order.  sample_walker_states reads walker
-samples off layer (a)'s flips with model.walk, the path evaluator both
-models share, without the relay: the one source of them.
+its unwrapped sites, measured from walker 0's start as on the
+continuum, one cumulative sum of them; (b) a pair meets, a clockwise
+and a counter-clockwise walker on one site, where their directions
+differ and their unwrapped gap is a multiple of N (a table lookup), in
+(round, pair) order.  sample_walker_states reads walker samples off
+layer (a)'s flips with model.walk, the path evaluator both models
+share, without the relay: the one source of them.
 """
 from __future__ import annotations
 
@@ -115,11 +116,12 @@ def _paths(
     config: DiscreteConfig, streams: WalkerStreams, state: State, steps: int,
 ):
     """Layers (a) and (b) over rounds 1 .. steps from state, as the blocks
-    model.relay reads: a meeting's time is its round, and round t gives
-    the state after t updates."""
+    model.relay reads: a meeting's time is its round, round t gives the
+    state after t updates, and y holds the walkers' unwrapped sites after
+    round t0, measured from walker 0's start."""
     n, eps, m = config.n_sites, config.flip_prob, config.n_walkers
     block = max(1, WALKER_ROUNDS // m)
-    y = state.positions.astype(np.int64)  # unwrapped sites after round t0
+    y = (state.positions.astype(np.int64) - int(state.positions[0])) % n
     d = state.directions.astype(np.int8)
     t0 = 0
     while t0 < steps:

@@ -7,10 +7,12 @@ one relay rule, is called nowhere in src/, scripts/ or perfbench/ but
 inside model.relay and model.start_state, and the engine modules
 discrete.py and continuous.py never touch a `.carrier`.  The blocks the
 engines' _paths yield are plain data but the position reader `at`: no
-lambda and no nested function but `at` is defined inside _paths.  Each
-model's check_run holds every check of a run's inputs, so neither
-model.start_state nor estimators.window raises a RelayError.  A
-self-check shows that each rule sees what it looks for.
+lambda and no nested function but `at` is defined inside _paths, and
+`at` reads the walker paths alone, none of the names that hold layer
+(b)'s pair gaps and meeting tables (LAYER_B).  Each model's check_run
+holds every check of a run's inputs, so neither model.start_state nor
+estimators.window raises a RelayError.  A self-check shows that each
+rule sees what it looks for.
 """
 import ast
 from pathlib import Path
@@ -19,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ringrelay"
 CALLERS = [SRC, ROOT / "scripts", ROOT / "perfbench"]
 ENGINES = [SRC / "discrete.py", SRC / "continuous.py"]
+LAYER_B = ("g", "base", "gap", "tbl")
 
 
 def stray_calls(path: Path, callee: str = "pass_message",
@@ -66,6 +69,21 @@ def block_callables(path: Path) -> list[tuple[int, str]]:
     return found
 
 
+def reader_loads(path: Path, names: tuple = LAYER_B) -> list[tuple[int, str]]:
+    """Line and name of each load of one of names inside a function at
+    nested in a top-level function _paths of path."""
+    return sorted(
+        (sub.lineno, sub.id)
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_paths"
+        for reader in ast.walk(node)
+        if isinstance(reader, ast.FunctionDef) and reader.name == "at"
+        for sub in ast.walk(reader)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        and sub.id in names
+    )
+
+
 def relay_errors(path: Path, names: tuple) -> list[int]:
     """Lines of path that raise RelayError, by name or as an attribute,
     inside the top-level functions names."""
@@ -105,6 +123,15 @@ def test_the_checks_see_what_they_look_for(tmp_path):
         "def other():\n    return lambda: 0\n"
     )
     assert block_callables(engine) == [(4, "level"), (6, "lambda")]
+    engine.write_text(
+        "def _paths(g, xs):\n"
+        "    base = g\n"
+        "    def at(w, t, i=None):\n        gap = xs[w]\n"
+        "        return xs[w] + base[w] + g.ravel()[t]\n"
+        "    yield g, at\n"
+        "def at(g):\n    return g\n"
+    )
+    assert reader_loads(engine) == [(5, "base"), (5, "g")]
     model.write_text(
         "def start_state(x):\n    if x:\n        raise errors.RelayError(x)\n"
         "    raise ValueError(x)\n"
@@ -126,6 +153,11 @@ def test_engines_hold_no_carrier():
 
 def test_engine_blocks_hold_no_callable_but_at():
     assert {p.name: block_callables(p) for p in ENGINES} == {
+        "discrete.py": [], "continuous.py": []}
+
+
+def test_reader_reads_walker_paths_alone():
+    assert {p.name: reader_loads(p) for p in ENGINES} == {
         "discrete.py": [], "continuous.py": []}
 
 

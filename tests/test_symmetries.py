@@ -8,11 +8,11 @@ continuum tolerance is relative to the circumference.
   every displacement;
 - time: (v, r, horizon) -> (2v, 2r, horizon / 2) leaves every count and
   every displacement as they are and halves every duration;
-- rotation: shifting an explicit start by whole sites leaves the whole
-  lattice report as it is.  A dyadic shift on the continuum leaves every
-  count, the displacement and the clockwise time as they are; the batch
-  sums, read from absolute positions at batch edges that are not dyadic,
-  agree to roundoff.
+- rotation: shifting an explicit start by whole sites on the lattice,
+  or by a dyadic amount on the continuum, leaves the whole report as it
+  is, since both engines measure every walker from walker 0's start;
+- horizon: a run's trace up to a horizon is the first part of the trace
+  of the same seed's run up to twice that horizon.
 """
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from ringrelay.discrete import simulate_discrete
 from ringrelay.model import ContinuousConfig, DiscreteConfig, State
 
 SEED = 7
-WALKERS = [2, 3, 5]
+WALKERS = [2, 3, 5, 10]
 L, V, R = 3.0, 1.5, 0.7
 HORIZON = 2000.0
 
@@ -79,6 +79,8 @@ STARTS = {
     2: ([0, 4], [1, -1], 1),
     3: ([0, 4, 9], [1, -1, -1], 2),
     5: ([0, 4, 9, 13, 17], [1, -1, -1, 1, -1], 3),
+    10: ([0, 2, 4, 6, 9, 11, 13, 15, 17, 19],
+         [1, -1, -1, 1, -1, 1, 1, -1, -1, 1], 6),
 }
 
 
@@ -109,9 +111,26 @@ def test_continuum_rotation(m):
     runs = [fields(simulate_continuous(config, HORIZON, SEED,
                                       shifted(m, shift, L, scale=0.125)))
             for shift in (0.0, 0.5, 1.0, 1.25)]
-    roundoff = ("batch_displacement", "batch_clockwise")
-    first = runs[0]
-    for run in runs[1:]:
-        for key in roundoff:
-            assert run.pop(key) == pytest.approx(first[key], rel=0, abs=1e-9)
-        assert run == {k: v for k, v in first.items() if k not in roundoff}
+    assert all(run == runs[0] for run in runs)
+
+
+def trace(report, count=None) -> dict:
+    """The first count points of a report's trace, all if count is None."""
+    return {key: getattr(report, key)[:count].tolist()
+            for key in ("trace_times", "trace_speed", "trace_cost")}
+
+
+@pytest.mark.parametrize("m", WALKERS)
+def test_lattice_horizon_prefix(m):
+    config = DiscreteConfig(21, 0.1, m)
+    short = simulate_discrete(config, 10_000, SEED, trace_every=100)
+    long = simulate_discrete(config, 20_000, SEED, trace_every=100)
+    assert trace(long, 100) == trace(short)
+
+
+@pytest.mark.parametrize("m", WALKERS)
+def test_continuum_horizon_prefix(m):
+    config = ContinuousConfig(L, V, R, m)
+    short = simulate_continuous(config, HORIZON, SEED, trace_every=10.0)
+    long = simulate_continuous(config, 2 * HORIZON, SEED, trace_every=10.0)
+    assert trace(long, 200) == trace(short)
